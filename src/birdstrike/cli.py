@@ -160,10 +160,11 @@ def _split_from(args, config) -> VelocitySplit:
         ) from None
 
 
-def _format_from(args, config, default="csv") -> str:
-    text = _resolve(getattr(args, "format", None), config, "format", default)
-    if text not in ("csv", "json", "text"):
-        raise _UsageError(f"format must be csv or json, got {text!r}")
+def _format_from(args, config, accepted: tuple[str, ...]) -> str:
+    """The output format from flag or config; the first accepted one is the default."""
+    text = _resolve(getattr(args, "format", None), config, "format", accepted[0])
+    if text not in accepted:
+        raise _UsageError(f"format must be {' or '.join(accepted)}, got {text!r}")
     return text
 
 
@@ -199,13 +200,7 @@ def _add_scenario_flags(parser: argparse.ArgumentParser, with_aircraft_speed: bo
 
 def cmd_force(args, config) -> int:
     if args.stationary:
-        force = impact_force_stationary(
-            args.mass, args.bird_speed, args.length,
-            args.bird_density, args.aircraft_density, args.angle,
-        )
-        print("model: stationary-aircraft")
-        print(f"force_n: {force!r}")
-        return 0
+        return cmd_force_stationary(args, config)
     scenario = _scenario_from_flags(args)
     try:
         result = impact_force(scenario)
@@ -219,10 +214,16 @@ def cmd_force(args, config) -> int:
 
 
 def cmd_force_stationary(args, config) -> int:
-    force = impact_force_stationary(
-        args.mass, args.bird_speed, args.length,
-        args.bird_density, args.aircraft_density, args.angle,
-    )
+    """force-stationary, and force --stationary (which ignores --aircraft-speed)."""
+    try:
+        force = impact_force_stationary(
+            args.mass, args.bird_speed, args.length,
+            args.bird_density, args.aircraft_density, args.angle,
+        )
+    except InvalidParameterError as exc:
+        raise _UsageError(str(exc)) from exc
+    if args.command == "force":
+        print("model: stationary-aircraft")
     print(f"force_n: {force!r}")
     return 0
 
@@ -244,7 +245,7 @@ def cmd_plan(args, config) -> int:
         make_drop_plan(species.flight_speed, args.cruise, scale, gravity, species.name)
         for species in selected
     ]
-    fmt = _format_from(args, config, default="text")
+    fmt = _format_from(args, config, ("text", "csv"))
     if fmt == "csv":
         print("species,original_impact_velocity_m_s,original_drop_height_m,"
               "scaled_impact_velocity_m_s,scaled_drop_height_m,flags")
@@ -330,9 +331,7 @@ def cmd_analyze(args, config) -> int:
     gravity = _gravity_from(args, config)
     scale = _scale_from(args, config)
     split = _split_from(args, config)
-    fmt = _format_from(args, config)
-    if fmt == "text":
-        raise _UsageError("analyze emits csv or json")
+    fmt = _format_from(args, config, ("csv", "json"))
     measurements_path = _resolve(args.measurements, config, "measurements", None)
     if measurements_path is None:
         raise _UsageError("no measurements file: pass --measurements or set it in the config")
@@ -539,9 +538,6 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except StationaryAircraftError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except BirdstrikeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -15,10 +15,12 @@ import io
 import json
 import statistics
 import warnings
-from dataclasses import dataclass
+from collections import defaultdict
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping, Sequence
 
+from ._table import read_table
 from .errors import InvalidParameterError, ParseError
 from .impact import ImpactScenario, impact_force
 from .kinematics import DEFAULT_SCALE_FACTOR, GRAVITY_STANDARD, ideal_impact_velocity
@@ -31,6 +33,8 @@ BASELINE_SPECIES = "Starling"
 
 MEASUREMENTS_CSV_HEADER = ("scenario_id", "iteration", "force_n")
 MEASUREMENTS_VELOCITY_COLUMN = "impact_velocity_m_s"
+_MEASUREMENTS_COLUMNS = tuple(zip(MEASUREMENTS_CSV_HEADER, (str.strip, int, float)))
+_MEASUREMENTS_VELOCITY = ((MEASUREMENTS_VELOCITY_COLUMN, float),)
 
 REPORT_CSV_HEADER = (
     "scenario_id",
@@ -80,6 +84,15 @@ class TestScenario:
 class TestMatrix:
     scenarios: tuple[TestScenario, ...]
     iterations_per_scenario: int = DEFAULT_ITERATIONS
+    _by_id: dict[str, TestScenario] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        by_id = {}
+        for scenario in self.scenarios:
+            if scenario.id in by_id:
+                raise InvalidParameterError(f"duplicate scenario id {scenario.id!r}")
+            by_id[scenario.id] = scenario
+        object.__setattr__(self, "_by_id", by_id)
 
     @property
     def total_iterations(self) -> int:
@@ -90,10 +103,10 @@ class TestMatrix:
         return {scenario.case_number for scenario in self.scenarios}
 
     def scenario(self, scenario_id: str) -> TestScenario:
-        for candidate in self.scenarios:
-            if candidate.id == scenario_id:
-                return candidate
-        raise KeyError(f"unknown scenario id {scenario_id!r}")
+        try:
+            return self._by_id[scenario_id]
+        except KeyError:
+            raise KeyError(f"unknown scenario id {scenario_id!r}") from None
 
 
 # Default matrix rows: the shared baseline plus one variant per case (case 2
@@ -306,66 +319,27 @@ def ingest_measurements(
     With a matrix supplied, iteration counts are validated against it and
     unknown scenario ids warn (or raise in strict mode).
     """
-    forces: dict[str, list[float]] = {}
-    velocities: dict[str, list[float]] = {}
-    has_velocity = False
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None:
-            return []
-        stripped = tuple(cell.strip() for cell in header)
-        if stripped == MEASUREMENTS_CSV_HEADER + (MEASUREMENTS_VELOCITY_COLUMN,):
-            has_velocity = True
-        elif stripped != MEASUREMENTS_CSV_HEADER:
-            raise ParseError(
-                f"{path}: expected header {','.join(MEASUREMENTS_CSV_HEADER)!r} "
-                f"(optionally plus {MEASUREMENTS_VELOCITY_COLUMN!r}), got {','.join(header)!r}"
-            )
-        expected_columns = 4 if has_velocity else 3
-        for row_no, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != expected_columns:
-                raise ParseError(
-                    f"{path}: row {row_no}: expected {expected_columns} columns, got {len(row)}"
-                )
-            scenario_id = row[0].strip()
+    forces: dict[str, list[float]] = defaultdict(list)
+    velocities: dict[str, list[float]] = defaultdict(list)
+    for row_no, cells in read_table(path, _MEASUREMENTS_COLUMNS, _MEASUREMENTS_VELOCITY):
+        scenario_id, force = cells[0], cells[2]
+        if force < 0:
+            raise ParseError(f"{path}: row {row_no}: force_n must be >= 0, got {force}")
+        if matrix is not None:
             try:
-                int(row[1])
-            except ValueError:
-                raise ParseError(
-                    f"{path}: row {row_no}, column iteration: not an integer: {row[1]!r}"
-                ) from None
-            try:
-                force = float(row[2])
-            except ValueError:
-                raise ParseError(
-                    f"{path}: row {row_no}, column force_n: not a number: {row[2]!r}"
-                ) from None
-            if force < 0:
-                raise ParseError(f"{path}: row {row_no}: force_n must be >= 0, got {force}")
-            if matrix is not None:
-                try:
-                    matrix.scenario(scenario_id)
-                except KeyError:
-                    message = f"{path}: row {row_no}: scenario id {scenario_id!r} not in matrix"
-                    if strict:
-                        raise ParseError(message) from None
-                    warnings.warn(message, stacklevel=2)
-            forces.setdefault(scenario_id, []).append(force)
-            if has_velocity:
-                try:
-                    velocities.setdefault(scenario_id, []).append(float(row[3]))
-                except ValueError:
-                    raise ParseError(
-                        f"{path}: row {row_no}, column {MEASUREMENTS_VELOCITY_COLUMN}: "
-                        f"not a number: {row[3]!r}"
-                    ) from None
+                matrix.scenario(scenario_id)
+            except KeyError:
+                message = f"{path}: row {row_no}: scenario id {scenario_id!r} not in matrix"
+                if strict:
+                    raise ParseError(message) from None
+                warnings.warn(message, stacklevel=2)
+        forces[scenario_id].append(force)
+        if len(cells) > len(_MEASUREMENTS_COLUMNS):
+            velocities[scenario_id].append(cells[3])
     sets = []
     for scenario_id, values in forces.items():
-        measured_velocities = tuple(velocities[scenario_id]) if has_velocity else None
-        sets.append(MeasurementSet(scenario_id, tuple(values), measured_velocities))
+        measured = tuple(velocities[scenario_id]) if scenario_id in velocities else None
+        sets.append(MeasurementSet(scenario_id, tuple(values), measured))
     if matrix is not None:
         for measurement in sets:
             try:

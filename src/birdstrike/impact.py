@@ -163,19 +163,20 @@ def impact_force_stationary(
     aircraft_density: float,
     impact_angle: float,
 ) -> float:
-    """Force on a stationary aircraft: m*v_bird^2*rho_a*sin(theta)^3/(2*l*rho_b)."""
-    if bird_mass < 0:
-        raise InvalidParameterError(f"bird_mass must be >= 0, got {bird_mass}")
-    if bird_speed < 0:
-        raise InvalidParameterError(f"bird_speed must be >= 0, got {bird_speed}")
-    for name, value in (("bird_length", bird_length), ("bird_density", bird_density),
-                        ("aircraft_density", aircraft_density)):
-        if not value > 0:
-            raise InvalidParameterError(f"{name} must be > 0, got {value}")
-    sin_theta = _sin_deg(impact_angle)
+    """Force on a stationary aircraft: m*v_bird^2*rho_a*sin(theta)^3/(2*l*rho_b).
+
+    The inputs are validated as an ImpactScenario with aircraft speed 0.
+    """
+    return _stationary_force(ImpactScenario(bird_mass, bird_length, bird_density, bird_speed,
+                                            0.0, aircraft_density, impact_angle))
+
+
+def _stationary_force(s: ImpactScenario) -> float:
+    """The stationary-aircraft force of an already validated scenario."""
+    sin_theta = _sin_deg(s.impact_angle)
     return (
-        0.5 * bird_mass * bird_speed * bird_speed * aircraft_density * sin_theta ** 3
-        / (bird_length * bird_density)
+        0.5 * s.bird_mass * s.bird_speed * s.bird_speed * s.aircraft_density * sin_theta ** 3
+        / (s.bird_length * s.bird_density)
     )
 
 
@@ -209,10 +210,7 @@ def check_certification(
 def _force_any_speed(scenario: ImpactScenario) -> float:
     """Force via the moving-aircraft model, or the stationary one at speed 0."""
     if scenario.aircraft_speed == 0:
-        return impact_force_stationary(
-            scenario.bird_mass, scenario.bird_speed, scenario.bird_length,
-            scenario.bird_density, scenario.aircraft_density, scenario.impact_angle,
-        )
+        return _stationary_force(scenario)
     return impact_force(scenario).force
 
 

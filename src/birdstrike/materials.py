@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
+from ._table import find_named, read_table
 from .errors import InvalidParameterError, ParseError
 
 ALUMINIUM_DENSITY = 2780.0   # kg/m^3, 2024-T3 handbook value
@@ -13,6 +13,7 @@ SPECIMEN_THICKNESS = 0.002   # m, representative air-taxi fuselage skin gauge
 CRUISE_SPEED = 90.0          # m/s (175 kt), mid-range air-taxi cruise speed
 
 MATERIALS_CSV_HEADER = ("name", "density_kg_m3", "thickness_m")
+_MATERIALS_COLUMNS = tuple(zip(MATERIALS_CSV_HEADER, (str.strip, float, float)))
 
 
 @dataclass(frozen=True)
@@ -54,42 +55,13 @@ def builtin_materials() -> list[MaterialSpec]:
 def load_materials(path) -> list[MaterialSpec]:
     """Load a materials override CSV (MATERIALS_CSV_HEADER columns)."""
     materials: list[MaterialSpec] = []
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None:
-            return materials
-        if tuple(cell.strip() for cell in header) != MATERIALS_CSV_HEADER:
-            raise ParseError(
-                f"{path}: expected header {','.join(MATERIALS_CSV_HEADER)!r}, "
-                f"got {','.join(header)!r}"
-            )
-        for row_no, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != len(MATERIALS_CSV_HEADER):
-                raise ParseError(
-                    f"{path}: row {row_no}: expected {len(MATERIALS_CSV_HEADER)} "
-                    f"columns, got {len(row)}"
-                )
-            try:
-                density = float(row[1])
-                thickness = float(row[2])
-            except ValueError as exc:
-                raise ParseError(f"{path}: row {row_no}: {exc}") from None
-            try:
-                materials.append(MaterialSpec(row[0].strip(), density, thickness))
-            except InvalidParameterError as exc:
-                raise ParseError(f"{path}: row {row_no}: {exc}") from exc
+    for row_no, cells in read_table(path, _MATERIALS_COLUMNS):
+        try:
+            materials.append(MaterialSpec(*cells))
+        except InvalidParameterError as exc:
+            raise ParseError(f"{path}: row {row_no}: {exc}") from exc
     return materials
 
 
 def find_material(materials: list[MaterialSpec], name: str) -> MaterialSpec:
-    for material in materials:
-        if material.name == name:
-            return material
-    folded = name.casefold()
-    for material in materials:
-        if material.name.casefold() == folded:
-            return material
-    raise KeyError(f"unknown material {name!r}")
+    return find_named(materials, name, "material")

@@ -10,6 +10,7 @@ import warnings
 from dataclasses import dataclass
 from importlib import resources
 
+from ._table import find_named, read_table
 from .errors import InvalidParameterError, ParseError
 
 # Body densities outside this band are suspicious for real birds but not
@@ -18,6 +19,7 @@ from .errors import InvalidParameterError, ParseError
 PLAUSIBLE_BODY_DENSITY = (500.0, 2000.0)  # kg/m^3
 
 SPECIES_CSV_HEADER = ("name", "mass_kg", "length_m", "density_kg_m3", "flight_speed_m_s")
+_SPECIES_COLUMNS = tuple(zip(SPECIES_CSV_HEADER, (str.strip, float, float, float, float)))
 
 
 def _require_positive(field: str, value: float, context: str = "") -> None:
@@ -61,47 +63,14 @@ def load_species_registry(path) -> list[BirdSpecies]:
     """
     registry: list[BirdSpecies] = []
     seen: set[str] = set()
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None:
-            return registry
-        if tuple(cell.strip() for cell in header) != SPECIES_CSV_HEADER:
-            raise ParseError(
-                f"{path}: expected header {','.join(SPECIES_CSV_HEADER)!r}, "
-                f"got {','.join(header)!r}"
-            )
-        for row_no, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != len(SPECIES_CSV_HEADER):
-                raise ParseError(
-                    f"{path}: row {row_no}: expected {len(SPECIES_CSV_HEADER)} "
-                    f"columns, got {len(row)}"
-                )
-            name = row[0].strip()
-            numbers = {}
-            for column, text in zip(SPECIES_CSV_HEADER[1:], row[1:]):
-                try:
-                    numbers[column] = float(text)
-                except ValueError:
-                    raise ParseError(
-                        f"{path}: row {row_no}, column {column}: not a number: {text!r}"
-                    ) from None
-            if name in seen:
-                raise ParseError(f"{path}: row {row_no}: duplicate species name {name!r}")
-            try:
-                species = BirdSpecies(
-                    name=name,
-                    mass=numbers["mass_kg"],
-                    length=numbers["length_m"],
-                    body_density=numbers["density_kg_m3"],
-                    flight_speed=numbers["flight_speed_m_s"],
-                )
-            except InvalidParameterError as exc:
-                raise ParseError(f"{path}: row {row_no}: {exc}") from exc
-            seen.add(name)
-            registry.append(species)
+    for row_no, (name, *numbers) in read_table(path, _SPECIES_COLUMNS):
+        if name in seen:
+            raise ParseError(f"{path}: row {row_no}: duplicate species name {name!r}")
+        try:
+            registry.append(BirdSpecies(name, *numbers))
+        except InvalidParameterError as exc:
+            raise ParseError(f"{path}: row {row_no}: {exc}") from exc
+        seen.add(name)
     return registry
 
 
@@ -131,11 +100,4 @@ def bundled_species_registry() -> list[BirdSpecies]:
 
 def find_species(registry: list[BirdSpecies], name: str) -> BirdSpecies:
     """Look a species up by name (exact match first, then case-insensitive)."""
-    for species in registry:
-        if species.name == name:
-            return species
-    folded = name.casefold()
-    for species in registry:
-        if species.name.casefold() == folded:
-            return species
-    raise KeyError(f"unknown species {name!r}")
+    return find_named(registry, name, "species")

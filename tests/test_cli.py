@@ -85,6 +85,25 @@ class TestForceStationaryCommand:
         assert code == 0
         assert float(parse_kv(out)["force_n"]) == pytest.approx(6.25, rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "command, flag, value, field",
+        [
+            ("force-stationary", "--angle", "-30", "impact_angle"),
+            ("force-stationary", "--mass", "-1", "bird_mass"),
+            ("force --stationary", "--angle", "-30", "impact_angle"),
+        ],
+    )
+    def test_invalid_flag_exits_two(self, capsys, command, flag, value, field):
+        argv = [*command.split(), *FORCE_FLAGS]
+        if command == "force-stationary":
+            at = argv.index("--aircraft-speed")
+            del argv[at:at + 2]
+        argv[argv.index(flag) + 1] = value
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert f"usage error: {field} must be" in err
+
 
 class TestPlanCommand:
     def test_starling_reference_values(self, capsys):
@@ -404,6 +423,22 @@ class TestConfigFile:
         assert code == 0
         row = next(csv.DictReader(io.StringIO(out)))
         assert float(row["original_drop_height_m"]) == pytest.approx(631.1, abs=0.1)
+
+    @pytest.mark.parametrize(
+        "argv, fmt, accepted",
+        [
+            (["plan", "--species", "Starling"], "json", "text or csv"),
+            (["analyze", "--measurements", "forces.csv"], "text", "csv or json"),
+        ],
+    )
+    def test_format_the_command_does_not_emit_exits_two(self, capsys, tmp_path, argv, fmt,
+                                                          accepted):
+        config = tmp_path / "config.txt"
+        config.write_text(f"format = {fmt}\n", encoding="utf-8")
+        code, out, err = run_cli(["--config", str(config), *argv], capsys)
+        assert code == 2
+        assert out == ""
+        assert f"format must be {accepted}, got '{fmt}'" in err
 
     def test_unknown_key_exits_two(self, capsys, tmp_path):
         config = tmp_path / "config.txt"

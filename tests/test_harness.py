@@ -63,6 +63,11 @@ class TestBuildMatrix:
         assert default_matrix.scenario("6").specimen_material == "CFRP"
         assert default_matrix.scenario("7").projectile_serial == 5
 
+    def test_duplicate_scenario_ids_rejected(self, default_matrix):
+        baseline = default_matrix.scenario("baseline")
+        with pytest.raises(InvalidParameterError, match="duplicate scenario id 'baseline'"):
+            Matrix((baseline, baseline))
+
     def test_single_iteration_matrix(self):
         matrix = build_test_matrix(iterations_per_scenario=1)
         assert matrix.total_iterations == 9

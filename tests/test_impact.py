@@ -184,6 +184,11 @@ class TestStationaryModel:
     def test_zero_speed(self):
         assert impact_force_stationary(1.0, 0.0, 1.0, 1000.0, 1000.0, 90.0) == 0.0
 
+    @pytest.mark.parametrize("angle", [-30.0, 120.0])
+    def test_angle_outside_range_rejected(self, angle):
+        with pytest.raises(InvalidParameterError, match="impact_angle"):
+            impact_force_stationary(1.0, 10.0, 1.0, 1000.0, 1000.0, angle)
+
     def test_matches_energy_over_depth_form(self):
         # stationary force == (m*(v*sin)^2/2)*sin / (l*rho_b/rho_a)
         rng = random.Random(4)
