@@ -1,7 +1,9 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 model or data error, 2 usage error. A key=value
-config file (BIRDSTRIKE_CONFIG or --config) supplies defaults; flags override.
+Exit codes: 0 success; 2 for an invalid flag or config value, including any
+InvalidParameterError the library raises on one; 1 for a bad input file
+(ParseError), the singular moving-aircraft model, or I/O. A key=value config
+file (BIRDSTRIKE_CONFIG or --config) supplies defaults; flags override.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import os
 import sys
 from pathlib import Path
 
-from .errors import BirdstrikeError, InvalidParameterError, StationaryAircraftError
+from .errors import BirdstrikeError, InvalidParameterError, ParseError, StationaryAircraftError
 from .harness import (
     VelocitySplit,
     build_test_matrix,
@@ -96,14 +98,11 @@ def _parse_gravity(text: str) -> float:
     if text in GRAVITY_PRESETS:
         return GRAVITY_PRESETS[text]
     try:
-        value = float(text)
+        return float(text)
     except ValueError:
         raise _UsageError(
             f"gravity must be {', '.join(sorted(GRAVITY_PRESETS))} or a number, got {text!r}"
         ) from None
-    if not value > 0:
-        raise _UsageError(f"gravity must be > 0, got {value}")
-    return value
 
 
 def _parse_float(text: str, key: str) -> float:
@@ -143,10 +142,7 @@ def _gravity_from(args, config) -> float:
 
 def _scale_from(args, config) -> float:
     raw = _resolve(getattr(args, "scale", None), config, "scale_factor", DEFAULT_SCALE_FACTOR)
-    scale = raw if isinstance(raw, float) else _parse_float(raw, "scale_factor")
-    if scale < 1:
-        raise _UsageError(f"scale_factor must be >= 1, got {scale}")
-    return scale
+    return raw if isinstance(raw, float) else _parse_float(raw, "scale_factor")
 
 
 def _split_from(args, config) -> VelocitySplit:
@@ -169,18 +165,15 @@ def _format_from(args, config, accepted: tuple[str, ...]) -> str:
 
 
 def _scenario_from_flags(args) -> ImpactScenario:
-    try:
-        return ImpactScenario(
-            bird_mass=args.mass,
-            bird_length=args.length,
-            bird_density=args.bird_density,
-            bird_speed=args.bird_speed,
-            aircraft_speed=args.aircraft_speed,
-            aircraft_density=args.aircraft_density,
-            impact_angle=args.angle,
-        )
-    except InvalidParameterError as exc:
-        raise _UsageError(str(exc)) from exc
+    return ImpactScenario(
+        bird_mass=args.mass,
+        bird_length=args.length,
+        bird_density=args.bird_density,
+        bird_speed=args.bird_speed,
+        aircraft_speed=args.aircraft_speed,
+        aircraft_density=args.aircraft_density,
+        impact_angle=args.angle,
+    )
 
 
 def _add_scenario_flags(parser: argparse.ArgumentParser, with_aircraft_speed: bool = True) -> None:
@@ -215,13 +208,10 @@ def cmd_force(args, config) -> int:
 
 def cmd_force_stationary(args, config) -> int:
     """force-stationary, and force --stationary (which ignores --aircraft-speed)."""
-    try:
-        force = impact_force_stationary(
-            args.mass, args.bird_speed, args.length,
-            args.bird_density, args.aircraft_density, args.angle,
-        )
-    except InvalidParameterError as exc:
-        raise _UsageError(str(exc)) from exc
+    force = impact_force_stationary(
+        args.mass, args.bird_speed, args.length,
+        args.bird_density, args.aircraft_density, args.angle,
+    )
     if args.command == "force":
         print("model: stationary-aircraft")
     print(f"force_n: {force!r}")
@@ -275,16 +265,13 @@ def cmd_drop_velocity(args, config) -> int:
     if args.time is not None and not use_drag:
         raise _UsageError("--time needs the drag model flags (--mass, --cd, --area)")
     if use_drag:
-        try:
-            params = DragParams(
-                projectile_mass=args.mass,
-                drag_coefficient=args.cd,
-                reference_area=args.area,
-                air_density=args.air_density,
-                gravity=gravity,
-            )
-        except InvalidParameterError as exc:
-            raise _UsageError(str(exc)) from exc
+        params = DragParams(
+            projectile_mass=args.mass,
+            drag_coefficient=args.cd,
+            reference_area=args.area,
+            air_density=args.air_density,
+            gravity=gravity,
+        )
         if args.time is not None:
             velocity = impact_velocity_from_timing(args.time, params)
         else:
@@ -365,7 +352,10 @@ def cmd_analyze(args, config) -> int:
             use_nominal_velocity=args.use_nominal,
         )
     measurements = ingest_measurements(measurements_path, matrix, strict=args.strict)
-    report = conformance_report(matrix, references, measurements)
+    try:
+        report = conformance_report(matrix, references, measurements)
+    except InvalidParameterError as exc:  # the files do not cover the matrix: a data error
+        raise ParseError(f"{measurements_path}: {exc}") from exc
     rendered = render_report_csv(report) if fmt == "csv" else render_report_json(report)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
@@ -384,14 +374,9 @@ def cmd_analyze(args, config) -> int:
 
 
 def cmd_check_cert(args, config) -> int:
-    try:
-        limits = CertificationLimits(
-            single_bird_force=args.single_limit,
-            flock_force=args.flock_limit,
-        )
-        verdict = check_certification(args.force, args.case, limits)
-    except InvalidParameterError as exc:
-        raise _UsageError(str(exc)) from exc
+    limits = CertificationLimits(single_bird_force=args.single_limit,
+                                 flock_force=args.flock_limit)
+    verdict = check_certification(args.force, args.case, limits)
     print(f"case: {verdict.case}")
     print(f"force_n: {verdict.force!r}")
     print(f"limit_n: {verdict.limit!r}")
@@ -408,10 +393,7 @@ def cmd_sweep(args, config) -> int:
         raise _UsageError(f"--values must be a comma-separated list of numbers, got {args.values!r}")
     if not values:
         raise _UsageError("--values is empty")
-    try:
-        rows = sensitivity_table(scenario, args.param, values)
-    except InvalidParameterError as exc:
-        raise _UsageError(str(exc)) from exc
+    rows = sensitivity_table(scenario, args.param, values)
     lines = ["value,force_n,percent_change"]
     lines += [f"{row.value!r},{row.force!r},{row.percent_change!r}" for row in rows]
     rendered = "\n".join(lines) + "\n"
@@ -535,7 +517,7 @@ def main(argv=None) -> int:
         config_path = args.config or os.environ.get(CONFIG_ENV_VAR)
         config = load_config(config_path) if config_path else {}
         return args.func(args, config)
-    except _UsageError as exc:
+    except (_UsageError, InvalidParameterError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except BirdstrikeError as exc:

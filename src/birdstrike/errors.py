@@ -1,4 +1,6 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the one range check."""
+
+import math
 
 
 class BirdstrikeError(Exception):
@@ -20,3 +22,23 @@ class StationaryAircraftError(BirdstrikeError):
 
 class ParseError(BirdstrikeError):
     """A data file failed to parse or failed row-level validation."""
+
+
+def require(name: str, value: float, lo: float = 0.0, hi: float = math.inf, *,
+            above: bool = False, context: str = "") -> None:
+    """Raise InvalidParameterError unless value is a finite number within its range.
+
+    The range is [lo, hi], or (lo, hi] with above=True; the default is >= 0.
+    NaN and +-inf are always rejected. context, when given, ends the message.
+    """
+    try:
+        if (lo < value if above else lo <= value) and value <= hi and math.isfinite(value):
+            return
+        if hi == math.inf:
+            bound = f"{'>' if above else '>='} {lo:g}"
+        else:
+            bound = f"within {'(' if above else '['}{lo:g}, {hi:g}]"
+    except TypeError:
+        bound = "a number"
+    where = f" ({context})" if context else ""
+    raise InvalidParameterError(f"{name} must be {bound}, got {value!r}{where}")

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import statistics
 import warnings
 from collections import defaultdict
@@ -21,7 +22,7 @@ from enum import Enum
 from typing import Mapping, Sequence
 
 from ._table import read_table
-from .errors import InvalidParameterError, ParseError
+from .errors import InvalidParameterError, ParseError, require
 from .impact import ImpactScenario, impact_force
 from .kinematics import DEFAULT_SCALE_FACTOR, GRAVITY_STANDARD, ideal_impact_velocity
 from .materials import CRUISE_SPEED, MaterialSpec, builtin_materials
@@ -64,20 +65,12 @@ class TestScenario:
     iterations: int
 
     def __post_init__(self) -> None:
-        if not 1 <= self.case_number <= 7:
-            raise InvalidParameterError(f"case_number must be within 1..7, got {self.case_number}")
-        if not 1 <= self.projectile_serial <= 5:
-            raise InvalidParameterError(
-                f"projectile_serial must be within 1..5, got {self.projectile_serial}"
-            )
-        if not self.drop_height > 0:
-            raise InvalidParameterError(f"drop_height must be > 0, got {self.drop_height}")
-        if self.iterations < 1:
-            raise InvalidParameterError(f"iterations must be >= 1, got {self.iterations}")
-        if not 0.0 < self.impact_angle <= 90.0:
-            raise InvalidParameterError(
-                f"impact_angle must be within (0, 90], got {self.impact_angle}"
-            )
+        require("case_number", self.case_number, 1, 7)
+        require("projectile_serial", self.projectile_serial, 1, 5)
+        require("drop_height", self.drop_height, above=True)
+        require("nominal_impact_velocity", self.nominal_impact_velocity)
+        require("impact_angle", self.impact_angle, 0.0, 90.0, above=True)
+        require("iterations", self.iterations, 1)
 
 
 @dataclass(frozen=True)
@@ -87,6 +80,9 @@ class TestMatrix:
     _by_id: dict[str, TestScenario] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        require("iterations_per_scenario", self.iterations_per_scenario, 1)
+        if not self.scenarios:
+            raise InvalidParameterError("a test matrix needs at least one scenario")
         by_id = {}
         for scenario in self.scenarios:
             if scenario.id in by_id:
@@ -142,10 +138,7 @@ def build_test_matrix(
     The default configuration yields 9 scenarios across 7 cases, 135
     iterations in total.
     """
-    if iterations_per_scenario < 1:
-        raise InvalidParameterError(
-            f"iterations_per_scenario must be >= 1, got {iterations_per_scenario}"
-        )
+    require("iterations_per_scenario", iterations_per_scenario, 1)
     projectiles = list(projectiles) if projectiles is not None else default_projectiles()
     materials = list(materials) if materials is not None else builtin_materials()
     known_serials = {spec.serial for spec in projectiles}
@@ -216,6 +209,8 @@ def read_matrix(path) -> TestMatrix:
         return TestMatrix(scenarios, payload["iterations_per_scenario"])
     except KeyError as exc:
         raise ParseError(f"{path}: missing field {exc}") from exc
+    except (InvalidParameterError, TypeError) as exc:
+        raise ParseError(f"{path}: {exc}") from exc
 
 
 def nominal_velocity_mismatches(
@@ -269,6 +264,9 @@ def theoretical_reference(
     speeds per the chosen convention, and is fed to the force model with the
     projectile's mass, length and effective density and the specimen density.
     """
+    require("gravity", gravity, above=True)
+    require("scale_factor", scale_factor, 1.0)
+    require("cruise_speed", cruise_speed)
     if projectile.mass == 0:
         return 0.0
     velocity = (
@@ -305,10 +303,11 @@ class MeasurementSet:
         if not self.forces:
             raise InvalidParameterError(f"scenario {self.scenario_id!r}: forces must be non-empty")
         for force in self.forces:
-            if force < 0:
-                raise InvalidParameterError(
-                    f"scenario {self.scenario_id!r}: forces must be >= 0, got {force}"
-                )
+            if not 0.0 <= force < math.inf:  # once per row: call only to raise
+                require("force", force, context=f"scenario {self.scenario_id!r}")
+        for velocity in self.impact_velocities or ():
+            if not 0.0 <= velocity < math.inf:
+                require("impact_velocity", velocity, context=f"scenario {self.scenario_id!r}")
 
 
 def ingest_measurements(
@@ -316,42 +315,57 @@ def ingest_measurements(
 ) -> list[MeasurementSet]:
     """Read a measurements CSV, grouped by scenario in first-appearance order.
 
-    With a matrix supplied, iteration counts are validated against it and
-    unknown scenario ids warn (or raise in strict mode).
+    Forces and velocities must be finite and >= 0. With a matrix supplied,
+    each of its scenarios in the file must have rows numbered 1..iterations
+    once each, and unknown scenario ids warn (or raise in strict mode).
     """
     forces: dict[str, list[float]] = defaultdict(list)
     velocities: dict[str, list[float]] = defaultdict(list)
-    for row_no, cells in read_table(path, _MEASUREMENTS_COLUMNS, _MEASUREMENTS_VELOCITY):
-        scenario_id, force = cells[0], cells[2]
-        if force < 0:
-            raise ParseError(f"{path}: row {row_no}: force_n must be >= 0, got {force}")
-        if matrix is not None:
-            try:
-                matrix.scenario(scenario_id)
-            except KeyError:
-                message = f"{path}: row {row_no}: scenario id {scenario_id!r} not in matrix"
-                if strict:
-                    raise ParseError(message) from None
-                warnings.warn(message, stacklevel=2)
-        forces[scenario_id].append(force)
-        if len(cells) > len(_MEASUREMENTS_COLUMNS):
-            velocities[scenario_id].append(cells[3])
-    sets = []
-    for scenario_id, values in forces.items():
-        measured = tuple(velocities[scenario_id]) if scenario_id in velocities else None
-        sets.append(MeasurementSet(scenario_id, tuple(values), measured))
+    # Per matrix scenario, one flag per iteration number seen. It also tells
+    # unknown ids apart; a list of the numbers would hold an int object per row.
+    seen = {} if matrix is None else {s.id: bytearray(s.iterations + 1) for s in matrix.scenarios}
+    row_no = 0
+    try:
+        for row_no, cells in read_table(path, _MEASUREMENTS_COLUMNS, _MEASUREMENTS_VELOCITY):
+            scenario_id, iteration, force = cells[0], cells[1], cells[2]
+            if not 0.0 <= force < math.inf:  # once per row: call only to raise
+                require("force_n", force)
+            if matrix is not None:
+                flags = seen.get(scenario_id)
+                if flags is None:
+                    message = f"{path}: row {row_no}: scenario id {scenario_id!r} not in matrix"
+                    if strict:
+                        raise ParseError(message)
+                    warnings.warn(message, stacklevel=2)
+                elif 0 < iteration < len(flags) and not flags[iteration]:
+                    flags[iteration] = 1
+                else:
+                    raise ParseError(
+                        f"{path}: row {row_no}: scenario {scenario_id!r}: iteration "
+                        f"{iteration} repeats or is outside 1..{len(flags) - 1}"
+                    )
+            forces[scenario_id].append(force)
+            if len(cells) > len(_MEASUREMENTS_COLUMNS):
+                velocity = cells[3]
+                if not 0.0 <= velocity < math.inf:
+                    require(MEASUREMENTS_VELOCITY_COLUMN, velocity)
+                velocities[scenario_id].append(velocity)
+    except InvalidParameterError as exc:
+        raise ParseError(f"{path}: row {row_no}: {exc}") from None
     if matrix is not None:
-        for measurement in sets:
+        for scenario_id, values in forces.items():
             try:
-                scenario = matrix.scenario(measurement.scenario_id)
+                expected = matrix.scenario(scenario_id).iterations
             except KeyError:
                 continue
-            if len(measurement.forces) != scenario.iterations:
-                raise ParseError(
-                    f"{path}: scenario {measurement.scenario_id!r} has "
-                    f"{len(measurement.forces)} iterations, matrix expects {scenario.iterations}"
-                )
-    return sets
+            if len(values) != expected:
+                raise ParseError(f"{path}: scenario {scenario_id!r} has {len(values)} "
+                                 f"iterations, matrix expects {expected}")
+    return [
+        MeasurementSet(scenario_id, tuple(values),
+                       tuple(velocities[scenario_id]) if scenario_id in velocities else None)
+        for scenario_id, values in forces.items()
+    ]
 
 
 def scenario_stats(measurement: MeasurementSet) -> tuple[float, float]:
@@ -366,8 +380,8 @@ def scenario_stats(measurement: MeasurementSet) -> tuple[float, float]:
 
 def percent_error(theoretical: float, experimental: float) -> float:
     """Signed error (theoretical - experimental)*100/theoretical."""
-    if theoretical == 0:
-        raise InvalidParameterError("percent error undefined for zero theoretical force")
+    require("theoretical", theoretical, above=True)
+    require("experimental", experimental)
     return (theoretical - experimental) * 100.0 / theoretical
 
 
@@ -409,8 +423,6 @@ def conformance_report(
             ScenarioConformance(scenario.id, theoretical, mean, std, error,
                                 100.0 - error, 100.0 - abs(error))
         )
-    if not rows:
-        raise InvalidParameterError("cannot build a conformance report for an empty matrix")
     overall = statistics.fmean(row.percent_conformance for row in rows)
     overall_abs = statistics.fmean(row.percent_conformance_abs for row in rows)
     return ConformanceReport(tuple(rows), overall, overall_abs)

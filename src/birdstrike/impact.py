@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields, replace
 
-from .errors import InvalidParameterError, StationaryAircraftError
+from .errors import InvalidParameterError, StationaryAircraftError, require
 
 
 def _sin_deg(angle: float) -> float:
@@ -45,20 +45,13 @@ class ImpactScenario:
     impact_angle: float      # degrees, 0 (grazing) .. 90 (head-on)
 
     def __post_init__(self) -> None:
-        if self.bird_mass < 0:
-            raise InvalidParameterError(f"bird_mass must be >= 0, got {self.bird_mass}")
-        for name in ("bird_length", "bird_density", "aircraft_density"):
-            value = getattr(self, name)
-            if not value > 0:
-                raise InvalidParameterError(f"{name} must be > 0, got {value}")
-        for name in ("bird_speed", "aircraft_speed"):
-            value = getattr(self, name)
-            if value < 0:
-                raise InvalidParameterError(f"{name} must be >= 0, got {value}")
-        if not 0.0 <= self.impact_angle <= 90.0:
-            raise InvalidParameterError(
-                f"impact_angle must be within [0, 90] degrees, got {self.impact_angle}"
-            )
+        require("bird_mass", self.bird_mass)
+        require("bird_length", self.bird_length, above=True)
+        require("bird_density", self.bird_density, above=True)
+        require("bird_speed", self.bird_speed)
+        require("aircraft_speed", self.aircraft_speed)
+        require("aircraft_density", self.aircraft_density, above=True)
+        require("impact_angle", self.impact_angle, 0.0, 90.0)
 
 
 @dataclass(frozen=True)
@@ -83,8 +76,10 @@ class CertificationLimits:
 
     def __post_init__(self) -> None:
         for field in fields(self):
-            if not getattr(self, field.name) > 0:
-                raise InvalidParameterError(f"{field.name} must be > 0")
+            require(field.name, getattr(self, field.name), above=True)
+
+
+DEFAULT_LIMITS = CertificationLimits()
 
 
 @dataclass(frozen=True)
@@ -105,6 +100,9 @@ class SensitivityRow:
 
 def total_impact_speed(bird_speed: float, aircraft_speed: float, impact_angle: float) -> float:
     """Combined closing speed v = v_bird*sin(theta) + v_aircraft."""
+    require("bird_speed", bird_speed)
+    require("aircraft_speed", aircraft_speed)
+    require("impact_angle", impact_angle, 0.0, 90.0)
     return bird_speed * _sin_deg(impact_angle) + aircraft_speed
 
 
@@ -112,6 +110,7 @@ def kinetic_energy(
     bird_mass: float, bird_speed: float, aircraft_speed: float, impact_angle: float
 ) -> float:
     """Kinetic energy m*v^2/2 at the combined closing speed."""
+    require("bird_mass", bird_mass)
     v = total_impact_speed(bird_speed, aircraft_speed, impact_angle)
     return 0.5 * bird_mass * v * v
 
@@ -124,14 +123,14 @@ def penetration_depth_cylinder(
     aircraft_speed: float,
     impact_angle: float,
 ) -> float:
-    """Momentum-balance penetration depth l*(rho_b/rho_a)*(v/v_aircraft)."""
-    if aircraft_speed == 0:
-        raise StationaryAircraftError(
-            "penetration depth is singular at aircraft speed 0; "
-            "use the stationary-aircraft model (impact_force_stationary)"
-        )
-    v = total_impact_speed(bird_speed, aircraft_speed, impact_angle)
-    return bird_length * (bird_density / aircraft_density) * (v / aircraft_speed)
+    """Momentum-balance penetration depth l*(rho_b/rho_a)*(v/v_aircraft).
+
+    The inputs are validated as an ImpactScenario; the depth does not depend
+    on the bird mass.
+    """
+    return impact_force(ImpactScenario(0.0, bird_length, bird_density, bird_speed,
+                                       aircraft_speed, aircraft_density, impact_angle)
+                        ).penetration_depth
 
 
 def impact_force(scenario: ImpactScenario) -> ImpactResult:
@@ -141,13 +140,15 @@ def impact_force(scenario: ImpactScenario) -> ImpactResult:
     intermediates are carried alongside it.
     """
     s = scenario
+    if s.aircraft_speed == 0:
+        raise StationaryAircraftError(
+            "penetration depth is singular at aircraft speed 0; "
+            "use the stationary-aircraft model (impact_force_stationary)"
+        )
     sin_theta = _sin_deg(s.impact_angle)
     v = s.bird_speed * sin_theta + s.aircraft_speed
     energy = 0.5 * s.bird_mass * v * v
-    depth = penetration_depth_cylinder(
-        s.bird_length, s.bird_density, s.aircraft_density,
-        s.bird_speed, s.aircraft_speed, s.impact_angle,
-    )
+    depth = s.bird_length * (s.bird_density / s.aircraft_density) * (v / s.aircraft_speed)
     force = (
         0.5 * s.bird_mass * s.aircraft_density * s.aircraft_speed * v * sin_theta
         / (s.bird_length * s.bird_density)
@@ -182,8 +183,7 @@ def _stationary_force(s: ImpactScenario) -> float:
 
 def scale_scenario(scenario: ImpactScenario, velocity_factor: float) -> ImpactScenario:
     """Scale both speeds by the same factor; the force scales by its square."""
-    if not velocity_factor > 0:
-        raise InvalidParameterError(f"velocity_factor must be > 0, got {velocity_factor}")
+    require("velocity_factor", velocity_factor, above=True)
     return replace(
         scenario,
         bird_speed=scenario.bird_speed * velocity_factor,
@@ -192,12 +192,10 @@ def scale_scenario(scenario: ImpactScenario, velocity_factor: float) -> ImpactSc
 
 
 def check_certification(
-    force: float, case: str, limits: CertificationLimits | None = None
+    force: float, case: str, limits: CertificationLimits = DEFAULT_LIMITS
 ) -> CertificationVerdict:
     """Compare a force against the single-bird or flock threshold."""
-    if force < 0:
-        raise InvalidParameterError(f"force must be >= 0, got {force}")
-    limits = limits or CertificationLimits()
+    require("force", force)
     if case == "single-bird":
         limit = limits.single_bird_force
     elif case == "flock":

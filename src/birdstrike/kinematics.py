@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import BirdstrikeError, InvalidParameterError
+from .errors import BirdstrikeError, InvalidParameterError, require
 
 GRAVITY_PRESETS = {
     "standard": 9.80665,  # m/s^2
@@ -53,14 +53,12 @@ class DropPlan:
     gravity: float                   # m/s^2
 
     def __post_init__(self) -> None:
-        if self.original_impact_velocity < 0:
-            raise InvalidParameterError("original_impact_velocity must be >= 0")
-        if self.original_drop_height < 0 or self.scaled_drop_height < 0:
-            raise InvalidParameterError("drop heights must be >= 0")
-        if self.scale_factor < 1:
-            raise InvalidParameterError(f"scale_factor must be >= 1, got {self.scale_factor}")
-        if not self.gravity > 0:
-            raise InvalidParameterError(f"gravity must be > 0, got {self.gravity}")
+        require("original_impact_velocity", self.original_impact_velocity)
+        require("original_drop_height", self.original_drop_height)
+        require("scale_factor", self.scale_factor, 1.0)
+        require("scaled_impact_velocity", self.scaled_impact_velocity)
+        require("scaled_drop_height", self.scaled_drop_height)
+        require("gravity", self.gravity, above=True)
         expected = self.original_impact_velocity / self.scale_factor
         if abs(self.scaled_impact_velocity - expected) > 1e-9 * max(1.0, expected):
             raise InvalidParameterError(
@@ -79,19 +77,17 @@ class DragParams:
     gravity: float = GRAVITY_STANDARD       # m/s^2
 
     def __post_init__(self) -> None:
-        for name in ("projectile_mass", "drag_coefficient", "reference_area",
-                     "air_density", "gravity"):
-            value = getattr(self, name)
-            if not value > 0:
-                raise InvalidParameterError(f"{name} must be > 0, got {value}")
+        require("projectile_mass", self.projectile_mass, above=True)
+        require("drag_coefficient", self.drag_coefficient, above=True)
+        require("reference_area", self.reference_area, above=True)
+        require("air_density", self.air_density, above=True)
+        require("gravity", self.gravity, above=True)
 
 
 def ideal_impact_velocity(height: float, gravity: float = GRAVITY_STANDARD) -> float:
     """Drag-free impact velocity sqrt(2*g*h)."""
-    if height < 0:
-        raise InvalidParameterError(f"height must be >= 0, got {height}")
-    if not gravity > 0:
-        raise InvalidParameterError(f"gravity must be > 0, got {gravity}")
+    require("height", height)
+    require("gravity", gravity, above=True)
     return math.sqrt(2.0 * gravity * height)
 
 
@@ -99,10 +95,9 @@ def required_drop_height(
     bird_speed: float, aircraft_speed: float, gravity: float = GRAVITY_STANDARD
 ) -> float:
     """Height whose drag-free impact velocity equals v_bird + v_aircraft."""
-    if bird_speed < 0 or aircraft_speed < 0:
-        raise InvalidParameterError("speeds must be >= 0")
-    if not gravity > 0:
-        raise InvalidParameterError(f"gravity must be > 0, got {gravity}")
+    require("bird_speed", bird_speed)
+    require("aircraft_speed", aircraft_speed)
+    require("gravity", gravity, above=True)
     v = bird_speed + aircraft_speed
     return v * v / (2.0 * gravity)
 
@@ -115,8 +110,7 @@ def make_drop_plan(
     species_name: str = "",
 ) -> DropPlan:
     """Full drop plan: original velocity/height plus the velocity-scaled pair."""
-    if scale_factor < 1:
-        raise InvalidParameterError(f"scale_factor must be >= 1, got {scale_factor}")
+    require("scale_factor", scale_factor, 1.0)
     original_velocity = bird_speed + aircraft_speed
     original_height = required_drop_height(bird_speed, aircraft_speed, gravity)
     scaled_velocity = original_velocity / scale_factor
@@ -148,16 +142,15 @@ def _log_cosh(x: float) -> float:
 
 def drag_velocity_at_time(t: float, params: DragParams) -> float:
     """Fall speed after t seconds from rest: v_t*tanh(g*t/v_t)."""
-    if t < 0:
-        raise InvalidParameterError(f"time must be >= 0, got {t}")
+    require("time", t)
     vt = terminal_velocity(params)
     return vt * math.tanh(params.gravity * t / vt)
 
 
 def drag_fall_distance(t: float, params: DragParams) -> float:
     """Distance fallen after t seconds from rest: (v_t^2/g)*log(cosh(g*t/v_t))."""
-    if t < 0:
-        raise InvalidParameterError(f"time must be >= 0, got {t}")
+    if not 0.0 <= t < math.inf:  # once per bisection step: call only to raise
+        require("time", t)
     vt = terminal_velocity(params)
     return (vt * vt / params.gravity) * _log_cosh(params.gravity * t / vt)
 
@@ -169,8 +162,7 @@ def fall_time_for_drop(height: float, params: DragParams) -> float:
     bracket is tightened far enough that the distance round trip holds to
     1e-9 m at laboratory scales.
     """
-    if height < 0:
-        raise InvalidParameterError(f"height must be >= 0, got {height}")
+    require("height", height)
     if height == 0:
         return 0.0
     lo, hi = 0.0, 1.0

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ._table import find_named, read_table
-from .errors import InvalidParameterError, ParseError
+from .errors import InvalidParameterError, ParseError, require
 
 ALUMINIUM_DENSITY = 2780.0   # kg/m^3, 2024-T3 handbook value
 CFRP_DENSITY_RATIO = 0.42    # CFRP sheet density relative to the aluminium specimen
@@ -23,12 +23,8 @@ class MaterialSpec:
     thickness: float  # m
 
     def __post_init__(self) -> None:
-        if not self.density > 0:
-            raise InvalidParameterError(f"density must be > 0, got {self.density} ({self.name})")
-        if not self.thickness > 0:
-            raise InvalidParameterError(
-                f"thickness must be > 0, got {self.thickness} ({self.name})"
-            )
+        require("density", self.density, above=True, context=self.name)
+        require("thickness", self.thickness, above=True, context=self.name)
 
 
 ALUMINIUM_2024_T3 = MaterialSpec("Aluminium-2024-T3", ALUMINIUM_DENSITY, SPECIMEN_THICKNESS)
@@ -43,8 +39,7 @@ class AircraftParams:
     skin: MaterialSpec = ALUMINIUM_2024_T3
 
     def __post_init__(self) -> None:
-        if self.cruise_speed < 0:
-            raise InvalidParameterError(f"cruise_speed must be >= 0, got {self.cruise_speed}")
+        require("cruise_speed", self.cruise_speed)
 
 
 def builtin_materials() -> list[MaterialSpec]:

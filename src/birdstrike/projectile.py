@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 
-from .errors import InvalidParameterError, ParseError
+from .errors import InvalidParameterError, ParseError, require
 from .species import BirdSpecies
 
 ABS_FILAMENT_DENSITY = 1040.0  # kg/m^3, solid printed ABS
@@ -25,8 +25,7 @@ DIMENSION_SIG_FIGS = 2         # manufacturing resolution of the projectile set
 
 def round_sig(value: float, digits: int) -> float:
     """Round to `digits` significant figures, halves away from zero."""
-    if digits < 1:
-        raise InvalidParameterError(f"digits must be >= 1, got {digits}")
+    require("digits", digits, 1)
     if value == 0 or not math.isfinite(value):
         return value
     quantum = Decimal(1).scaleb(int(math.floor(math.log10(abs(value)))) - digits + 1)
@@ -35,24 +34,24 @@ def round_sig(value: float, digits: int) -> float:
 
 def cylinder_volume(radius: float, height: float) -> float:
     """pi*r^2*l."""
-    if not radius > 0 or not height > 0:
-        raise InvalidParameterError(f"cylinder dimensions must be > 0, got r={radius}, l={height}")
+    require("radius", radius, above=True)
+    require("height", height, above=True)
     return math.pi * radius * radius * height
 
 
 def ellipsoid_volume(a: float, b: float, c: float) -> float:
     """(4/3)*pi*a*b*c for semi-axes a, b, c."""
-    if not (a > 0 and b > 0 and c > 0):
-        raise InvalidParameterError(f"semi-axes must be > 0, got {a}, {b}, {c}")
+    require("a", a, above=True)
+    require("b", b, above=True)
+    require("c", c, above=True)
     return (4.0 / 3.0) * math.pi * a * b * c
 
 
 def cylinder_radius_for(mass: float, body_density: float, length: float) -> float:
     """Radius of the cylinder with the given mass, density and length."""
-    if not (mass > 0 and body_density > 0 and length > 0):
-        raise InvalidParameterError(
-            f"mass, body_density and length must be > 0, got {mass}, {body_density}, {length}"
-        )
+    require("mass", mass, above=True)
+    require("body_density", body_density, above=True)
+    require("length", length, above=True)
     return math.sqrt(mass / (body_density * math.pi * length))
 
 
@@ -64,11 +63,9 @@ def effective_density(
     shell_fraction is the volume fraction printed solid regardless of infill;
     0 (the default) is the pure-infill model.
     """
-    if not solid_density > 0:
-        raise InvalidParameterError(f"solid_density must be > 0, got {solid_density}")
-    for name, value in (("infill_fraction", infill_fraction), ("shell_fraction", shell_fraction)):
-        if not 0.0 <= value <= 1.0:
-            raise InvalidParameterError(f"{name} must be within [0, 1], got {value}")
+    require("solid_density", solid_density, above=True)
+    require("infill_fraction", infill_fraction, 0.0, 1.0)
+    require("shell_fraction", shell_fraction, 0.0, 1.0)
     return solid_density * (shell_fraction + (1.0 - shell_fraction) * infill_fraction)
 
 
@@ -78,10 +75,8 @@ class Cylinder:
     height: float  # m
 
     def __post_init__(self) -> None:
-        if not self.radius > 0 or not self.height > 0:
-            raise InvalidParameterError(
-                f"cylinder dimensions must be > 0, got r={self.radius}, l={self.height}"
-            )
+        require("radius", self.radius, above=True)
+        require("height", self.height, above=True)
 
     def volume(self) -> float:
         return cylinder_volume(self.radius, self.height)
@@ -99,10 +94,9 @@ class Ellipsoid:
     c: float  # m
 
     def __post_init__(self) -> None:
-        if not (self.a > 0 and self.b > 0 and self.c > 0):
-            raise InvalidParameterError(
-                f"semi-axes must be > 0, got {self.a}, {self.b}, {self.c}"
-            )
+        require("a", self.a, above=True)
+        require("b", self.b, above=True)
+        require("c", self.c, above=True)
 
     def volume(self) -> float:
         return ellipsoid_volume(self.a, self.b, self.c)
@@ -128,16 +122,11 @@ class ProjectileSpec:
     varying_factor: str
 
     def __post_init__(self) -> None:
-        if self.serial < 1:
-            raise InvalidParameterError(f"serial must be >= 1, got {self.serial}")
-        if not self.solid_material_density > 0:
-            raise InvalidParameterError("solid_material_density must be > 0")
-        if not 0.0 <= self.infill_fraction <= 1.0:
-            raise InvalidParameterError(
-                f"infill_fraction must be within [0, 1], got {self.infill_fraction}"
-            )
-        if self.effective_density < 0 or self.mass < 0:
-            raise InvalidParameterError("effective_density and mass must be >= 0")
+        require("serial", self.serial, 1)
+        require("solid_material_density", self.solid_material_density, above=True)
+        require("infill_fraction", self.infill_fraction, 0.0, 1.0)
+        require("effective_density", self.effective_density)
+        require("mass", self.mass)
         expected = self.effective_density * self.shape.volume()
         if abs(self.mass - expected) > 1e-9 * max(abs(expected), 1e-300):
             raise InvalidParameterError(
@@ -256,3 +245,5 @@ def load_geometry(path) -> ProjectileSpec:
         )
     except KeyError as exc:
         raise ParseError(f"{path}: missing field {exc}") from exc
+    except (InvalidParameterError, TypeError) as exc:
+        raise ParseError(f"{path}: {exc}") from exc

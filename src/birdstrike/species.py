@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from ._table import find_named, read_table
-from .errors import InvalidParameterError, ParseError
+from .errors import InvalidParameterError, ParseError, require
 
 # Body densities outside this band are suspicious for real birds but not
 # fatal: constructing such a record warns and keeps it, so exotic test
@@ -20,12 +20,6 @@ PLAUSIBLE_BODY_DENSITY = (500.0, 2000.0)  # kg/m^3
 
 SPECIES_CSV_HEADER = ("name", "mass_kg", "length_m", "density_kg_m3", "flight_speed_m_s")
 _SPECIES_COLUMNS = tuple(zip(SPECIES_CSV_HEADER, (str.strip, float, float, float, float)))
-
-
-def _require_positive(field: str, value: float, context: str = "") -> None:
-    if not value > 0:
-        where = f" ({context})" if context else ""
-        raise InvalidParameterError(f"{field} must be > 0, got {value}{where}")
 
 
 @dataclass(frozen=True)
@@ -39,13 +33,10 @@ class BirdSpecies:
     flight_speed: float  # m/s
 
     def __post_init__(self) -> None:
-        _require_positive("mass", self.mass, self.name)
-        _require_positive("length", self.length, self.name)
-        _require_positive("body_density", self.body_density, self.name)
-        if self.flight_speed < 0:
-            raise InvalidParameterError(
-                f"flight_speed must be >= 0, got {self.flight_speed} ({self.name})"
-            )
+        require("mass", self.mass, above=True, context=self.name)
+        require("length", self.length, above=True, context=self.name)
+        require("body_density", self.body_density, above=True, context=self.name)
+        require("flight_speed", self.flight_speed, context=self.name)
         lo, hi = PLAUSIBLE_BODY_DENSITY
         if not lo <= self.body_density <= hi:
             warnings.warn(

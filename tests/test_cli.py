@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import re
 import subprocess
 import sys
 
@@ -467,6 +468,51 @@ class TestUsageSurface:
     def test_unknown_subcommand_exits_two(self, capsys):
         code, _, _ = run_cli(["fly"], capsys)
         assert code == 2
+
+
+class TestExitCodes:
+    """2 for an invalid flag value, NaN and inf included; 1 for a bad input file."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["force", *FORCE_FLAGS, "--mass", "nan"],
+            ["check-cert", "--force", "nan", "--case", "single-bird"],
+            ["drop-velocity", "--height", "inf"],
+            ["drop-velocity", "--height", "-1"],
+            ["matrix", "--iterations", "0"],
+            ["design", "--solid-density", "-1"],
+            ["plan", "--all", "--cruise", "-1"],
+        ],
+        ids=lambda argv: " ".join(argv[:1] + argv[-2:]),
+    )
+    def test_bad_flag_exits_two(self, capsys, argv):
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("usage error: ")
+
+    @pytest.mark.parametrize(
+        "bad_file, edit",
+        [
+            ("matrix", lambda text: text.replace('"drop_height_m": 2.8', '"drop_height_m": -1')),
+            ("matrix", lambda text: text.replace('"drop_height_m": 2.8', '"drop_height_m": "2.8"')),
+            ("matrix", lambda text: json.dumps({**json.loads(text), "scenarios": []})),
+            ("measurements", lambda text: re.sub(r"(?m)^(baseline,1,).*$", r"\1nan", text)),
+            ("measurements", lambda text: text.replace("\nbaseline,2,", "\nbaseline,1,")),
+            ("measurements", lambda text: re.sub(r"(?m)^2\.1,.*\n", "", text)),
+        ],
+        ids=["matrix value", "matrix non-number", "empty matrix", "nan force",
+             "duplicate iteration", "missing scenario"],
+    )
+    def test_bad_file_exits_one(self, capsys, analysis_fixture, bad_file, edit):
+        paths = dict(zip(("matrix", "measurements"), analysis_fixture))
+        path = paths[bad_file]
+        path.write_text(edit(path.read_text(encoding="utf-8")), encoding="utf-8")
+        code, out, err = run_cli(["analyze", "--matrix", str(paths["matrix"]),
+                                  "--measurements", str(paths["measurements"])], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {path}: ")
+        assert "Traceback" not in err
 
 
 def test_module_entry_point_runs():

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 
@@ -204,6 +205,25 @@ class TestIngestMeasurements:
         path.write_text("scenario_id,iteration,force_n\nbaseline,1,-2\n", encoding="utf-8")
         with pytest.raises(ParseError, match="force_n"):
             ingest_measurements(path)
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [("baseline,2,nan,7.3", "row 3: force_n must be >= 0, got nan"),
+         ("baseline,2,inf,7.3", "row 3: force_n must be >= 0, got inf"),
+         ("baseline,2,5,nan", "row 3: impact_velocity_m_s must be >= 0, got nan"),
+         ("baseline,2,5,-7.3", "row 3: impact_velocity_m_s must be >= 0, got -7.3"),
+         ("baseline,1,5,7.3", "row 3: scenario 'baseline': iteration 1 repeats or is "
+                              "outside 1..2"),
+         ("baseline,3,5,7.3", "row 3: scenario 'baseline': iteration 3 repeats or is "
+                              "outside 1..2")],
+    )
+    def test_bad_row_rejected(self, tmp_path, row, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"scenario_id,iteration,force_n,impact_velocity_m_s\n"
+                        f"baseline,1,5,7.3\n{row}\n", encoding="utf-8")
+        matrix = build_test_matrix(iterations_per_scenario=2)
+        with pytest.raises(ParseError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            ingest_measurements(path, matrix)
 
     def test_unknown_scenario_warns(self, default_matrix, tmp_path):
         path = tmp_path / "extra.csv"

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import re
 
 import pytest
 
@@ -244,6 +245,21 @@ class TestGeometryFiles:
             encoding="utf-8",
         )
         with pytest.raises(ParseError, match="shape"):
+            load_geometry(path)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [("infill_fraction", 1.5, "infill_fraction must be within"),
+         ("infill_fraction", "0.15", "infill_fraction must be a number"),
+         ("dims_m", {"radius": None, "height": 0.22}, "radius must be a number")],
+    )
+    def test_bad_value_is_a_parse_error(self, projectile_set, tmp_path, field, value, message):
+        path = tmp_path / "sn1.json"
+        export_geometry(projectile_set[0], path)
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload[field] = value
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: {message}"):
             load_geometry(path)
 
 
