@@ -23,7 +23,7 @@ from typing import Mapping, Sequence
 
 from ._table import read_table
 from .errors import InvalidParameterError, ParseError, require
-from .impact import ImpactScenario, impact_force
+from .impact import ImpactScenario, _force_any_speed
 from .kinematics import DEFAULT_SCALE_FACTOR, GRAVITY_STANDARD, ideal_impact_velocity
 from .materials import CRUISE_SPEED, MaterialSpec, builtin_materials
 from .projectile import ProjectileSpec, generate_projectile_set
@@ -263,6 +263,7 @@ def theoretical_reference(
     value when use_nominal_velocity is set), is split into bird and aircraft
     speeds per the chosen convention, and is fed to the force model with the
     projectile's mass, length and effective density and the specimen density.
+    An aircraft speed of 0 (cruise_speed 0) selects the stationary-aircraft model.
     """
     require("gravity", gravity, above=True)
     require("scale_factor", scale_factor, 1.0)
@@ -288,7 +289,7 @@ def theoretical_reference(
         aircraft_density=specimen.density,
         impact_angle=scenario.impact_angle,
     )
-    return impact_force(model_scenario).force
+    return _force_any_speed(model_scenario)
 
 
 @dataclass(frozen=True)

@@ -7,10 +7,32 @@ import sys
 
 import pytest
 
-from birdstrike.cli import main
-from birdstrike.harness import theoretical_reference
+from birdstrike.cli import CONFIG_KEYS, main
+from birdstrike.harness import (
+    build_test_matrix,
+    conformance_report,
+    ingest_measurements,
+    matrix_to_json,
+    read_matrix,
+    render_report_csv,
+    theoretical_reference,
+)
+from birdstrike.impact import (
+    ImpactScenario,
+    check_certification,
+    impact_force,
+    impact_force_stationary,
+    sensitivity_table,
+)
+from birdstrike.kinematics import (
+    DragParams,
+    impact_velocity_from_drop,
+    make_drop_plan,
+    plan_flags,
+    terminal_velocity,
+)
 from birdstrike.materials import find_material
-from birdstrike.projectile import load_geometry
+from birdstrike.projectile import geometry_payload, load_geometry
 
 
 def run_cli(argv, capsys):
@@ -61,12 +83,16 @@ class TestForceCommand:
         assert code == 1
         assert "stationary" in err
 
-    def test_stationary_flag(self, capsys):
-        argv = ["force", *FORCE_FLAGS, "--stationary"]
-        argv[argv.index("--bird-speed") + 1] = "10"
-        code, out, _ = run_cli(argv, capsys)
-        assert code == 0
-        assert float(parse_kv(out)["force_n"]) == pytest.approx(50.0, rel=1e-12)
+    def test_zero_aircraft_speed_names_the_stationary_command(self, capsys):
+        argv = ["force", *FORCE_FLAGS]
+        argv[argv.index("--aircraft-speed") + 1] = "0"
+        _, _, err = run_cli(argv, capsys)
+        assert "force-stationary" in err
+
+    def test_stationary_flag_exits_two(self, capsys):
+        # one route to the stationary model: the force-stationary command
+        code, out, _ = run_cli(["force", *FORCE_FLAGS, "--stationary"], capsys)
+        assert (code, out) == (2, "")
 
     def test_invalid_angle_exits_two(self, capsys):
         argv = ["force", *FORCE_FLAGS]
@@ -91,7 +117,6 @@ class TestForceStationaryCommand:
         [
             ("force-stationary", "--angle", "-30", "impact_angle"),
             ("force-stationary", "--mass", "-1", "bird_mass"),
-            ("force --stationary", "--angle", "-30", "impact_angle"),
         ],
     )
     def test_invalid_flag_exits_two(self, capsys, command, flag, value, field):
@@ -309,6 +334,21 @@ class TestAnalyzeCommand:
         code, _, _ = run_cli(["analyze"], capsys)
         assert code == 2
 
+    def test_zero_cruise_uses_stationary_model(self, capsys, analysis_fixture, projectile_set,
+                                               materials, default_matrix):
+        matrix_path, measurements_path = analysis_fixture
+        code, out, _ = run_cli(
+            ["analyze", "--measurements", str(measurements_path), "--matrix", str(matrix_path),
+             "--cruise", "0"],
+            capsys,
+        )
+        assert code == 0
+        expected = theoretical_reference(
+            default_matrix.scenario("baseline"), projectile_set[0],
+            find_material(materials, "Aluminium-2024-T3"), cruise_speed=0.0,
+        )
+        assert f"\nbaseline,{expected!r}," in out
+
 
 class TestCheckCertCommand:
     def test_at_limit(self, capsys):
@@ -441,6 +481,39 @@ class TestConfigFile:
         assert out == ""
         assert f"format must be {accepted}, got '{fmt}'" in err
 
+    # Per key: a call, the config value, and the flag with a value that overrides
+    # it. A missing file's path shows in the error, so it also shows where it went.
+    KEY_CASES = {
+        "gravity": (["plan", "--species", "Starling", "--format", "csv"],
+                    "paper", "--gravity", "standard"),
+        "scale_factor": (["plan", "--species", "Starling", "--format", "csv"],
+                         "12.5", "--scale", "15"),
+        "species": (["plan", "--all"], "{missing}-a.csv", "--registry", "{missing}-b.csv"),
+        "materials": (["analyze", "--measurements", "{measurements}"],
+                      "{missing}-a.csv", "--materials", "{missing}-b.csv"),
+        "measurements": (["analyze", "--matrix", "{matrix}"],
+                         "{measurements}", "--measurements", "{missing}-b.csv"),
+        "velocity_split": (["analyze", "--measurements", "{measurements}"],
+                           "all-aircraft", "--split", "scaled-cruise"),
+        "format": (["plan", "--species", "Starling"], "csv", "--format", "text"),
+    }
+
+    @pytest.mark.parametrize("key", CONFIG_KEYS)
+    def test_key_acts_as_its_flag_and_the_flag_wins(self, capsys, tmp_path, analysis_fixture,
+                                                     key):
+        names = dict(zip(("matrix", "measurements"), map(str, analysis_fixture)),
+                     missing=str(tmp_path / "missing"))
+        argv, value, flag, override = self.KEY_CASES[key]
+        argv = [item.format(**names) for item in argv]
+        value, override = value.format(**names), override.format(**names)
+        config = tmp_path / "config.txt"
+        config.write_text(f"{key} = {value}\n", encoding="utf-8")
+        from_config = run_cli(["--config", str(config), *argv], capsys)
+        assert from_config == run_cli([*argv, flag, value], capsys)
+        overridden = run_cli(["--config", str(config), *argv, flag, override], capsys)
+        assert overridden == run_cli([*argv, flag, override], capsys)
+        assert overridden != from_config
+
     def test_unknown_key_exits_two(self, capsys, tmp_path):
         config = tmp_path / "config.txt"
         config.write_text("mystery = 1\n", encoding="utf-8")
@@ -483,6 +556,8 @@ class TestExitCodes:
             ["matrix", "--iterations", "0"],
             ["design", "--solid-density", "-1"],
             ["plan", "--all", "--cruise", "-1"],
+            ["plan", "--all", "--scale", "abc"],
+            ["drop-velocity", "--height", "2.8", "--air-density", "nan"],
         ],
         ids=lambda argv: " ".join(argv[:1] + argv[-2:]),
     )
@@ -513,6 +588,88 @@ class TestExitCodes:
         assert (code, out) == (1, "")
         assert err.startswith(f"error: {path}: ")
         assert "Traceback" not in err
+
+
+def lines(*items):
+    return "".join(f"{item}\n" for item in items)
+
+
+class TestStdoutIsTheLibraryResult:
+    """One valid call per subcommand: stdout is the library's result, floats as repr."""
+
+    BASE = ImpactScenario(0.085, 0.22, 1230.0, 22.35, 90.0, 2780.0, 90.0)  # SWEEP_BASE
+
+    def check(self, capsys, argv, expected):
+        assert run_cli(argv, capsys)[:2] == (0, expected)
+
+    def test_force(self, capsys):
+        r = impact_force(self.BASE)
+        self.check(capsys, ["force", *SWEEP_BASE], lines(
+            f"total_speed_m_s: {r.total_speed!r}", f"kinetic_energy_j: {r.kinetic_energy!r}",
+            f"penetration_depth_m: {r.penetration_depth!r}", f"force_n: {r.force!r}"))
+
+    def test_force_stationary(self, capsys):
+        b = self.BASE
+        force = impact_force_stationary(b.bird_mass, b.bird_speed, b.bird_length,
+                                        b.bird_density, b.aircraft_density, b.impact_angle)
+        argv = ["force-stationary", *SWEEP_BASE[:10], *SWEEP_BASE[12:]]  # no --aircraft-speed
+        self.check(capsys, argv, lines(f"force_n: {force!r}"))
+
+    def test_plan(self, capsys, starling):
+        plan = make_drop_plan(starling.flight_speed, 90.0, 15.0, 10.0, starling.name)
+        argv = ["plan", "--species", "Starling", "--gravity", "paper", "--format", "csv"]
+        self.check(capsys, argv,
+                   lines("species,original_impact_velocity_m_s,original_drop_height_m,"
+                         "scaled_impact_velocity_m_s,scaled_drop_height_m,flags",
+                         f"{plan.species_name},{plan.original_impact_velocity!r},"
+                         f"{plan.original_drop_height!r},{plan.scaled_impact_velocity!r},"
+                         f"{plan.scaled_drop_height!r},{'; '.join(plan_flags(plan))}"))
+
+    def test_drop_velocity(self, capsys):
+        params = DragParams(projectile_mass=0.0108, drag_coefficient=1.15,
+                            reference_area=3.14159e-4, air_density=1.1, gravity=10.0)
+        self.check(capsys, ["drop-velocity", "--height", "2.8", "--gravity", "paper",
+                            "--mass", "0.0108", "--cd", "1.15", "--area", "3.14159e-4",
+                            "--air-density", "1.1"],
+                   lines("model: quadratic-drag",
+                         f"terminal_velocity_m_s: {terminal_velocity(params)!r}",
+                         f"impact_velocity_m_s: {impact_velocity_from_drop(2.8, params)!r}"))
+
+    def test_design(self, capsys, projectile_set):
+        payload = [geometry_payload(spec) for spec in projectile_set]
+        self.check(capsys, ["design", "--species", "Starling"],
+                   lines(json.dumps(payload, indent=2)))
+
+    def test_matrix(self, capsys):
+        self.check(capsys, ["matrix", "--iterations", "4"],
+                   matrix_to_json(build_test_matrix(iterations_per_scenario=4)))
+
+    def test_analyze(self, capsys, analysis_fixture, projectile_set, materials):
+        matrix_path, measurements_path = analysis_fixture
+        matrix = read_matrix(matrix_path)
+        by_serial = {spec.serial: spec for spec in projectile_set}
+        references = {
+            s.id: theoretical_reference(s, by_serial[s.projectile_serial],
+                                        find_material(materials, s.specimen_material), gravity=10.0)
+            for s in matrix.scenarios
+        }
+        report = conformance_report(matrix, references,
+                                    ingest_measurements(measurements_path, matrix))
+        self.check(capsys, ["analyze", "--measurements", str(measurements_path),
+                            "--matrix", str(matrix_path), "--gravity", "paper"],
+                   render_report_csv(report))
+
+    def test_check_cert(self, capsys):
+        v = check_certification(4820.0, "flock")
+        self.check(capsys, ["check-cert", "--force", "4820", "--case", "flock"], lines(
+            f"case: {v.case}", f"force_n: {v.force!r}", f"limit_n: {v.limit!r}",
+            f"verdict: {'PASS' if v.passed else 'FAIL'}", f"margin_n: {v.margin!r}"))
+
+    def test_sweep(self, capsys):
+        rows = sensitivity_table(self.BASE, "aircraft_speed", [0.0, 45.0])
+        self.check(capsys, ["sweep", *SWEEP_BASE, "--param", "aircraft_speed", "--values", "0,45"],
+                   lines("value,force_n,percent_change",
+                         *(f"{r.value!r},{r.force!r},{r.percent_change!r}" for r in rows)))
 
 
 def test_module_entry_point_runs():

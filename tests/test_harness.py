@@ -171,6 +171,20 @@ class TestTheoreticalReference:
         )
         assert force == pytest.approx(stationary, rel=1e-12)
 
+    def test_zero_cruise_uses_stationary_model(self, default_matrix, projectile_set, materials):
+        # cruise 0 puts the aircraft at rest: the whole drop velocity is bird speed
+        from birdstrike.impact import impact_force_stationary
+
+        sn1 = projectile_set[0]
+        aluminium = find_material(materials, "Aluminium-2024-T3")
+        scenario = default_matrix.scenario("baseline")
+        force = theoretical_reference(scenario, sn1, aluminium, gravity=10.0, cruise_speed=0.0)
+        stationary = impact_force_stationary(
+            sn1.mass, math.sqrt(2.0 * 10.0 * 2.8), sn1.shape.length, sn1.effective_density,
+            aluminium.density, 90.0,
+        )
+        assert force == stationary
+
     def test_use_nominal_velocity(self, default_matrix, projectile_set, materials):
         sn1 = projectile_set[0]
         aluminium = find_material(materials, "Aluminium-2024-T3")
