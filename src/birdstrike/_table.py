@@ -7,6 +7,11 @@ whitespace-only rows are skipped; every other row has exactly one cell per
 column; and each cell is converted by its column's kind (str.strip, int or
 float). Errors are ParseErrors naming the file, the row (the header is row 1)
 and, for a bad cell, the column.
+
+A row is tested for blankness only when it fails the column count or a
+conversion, not on every row. That skips every blank row all the same: each
+format has a numeric column, and int and float reject an empty or
+whitespace-only cell.
 """
 
 from __future__ import annotations
@@ -47,19 +52,23 @@ def read_table(path, columns: Columns, optional: Columns = ()) -> Iterator[tuple
             raise ParseError(f"{path}: expected header {expected}, got {','.join(header)!r}")
         width = len(spec)
         for row_no, row in enumerate(reader, start=2):
-            if not "".join(row).strip():
-                continue
+            # A blank row is looked for only once a row fails: see the module docstring.
             if len(row) != width:
+                if not "".join(row).strip():
+                    continue
                 raise ParseError(f"{path}: row {row_no}: expected {width} columns, got {len(row)}")
             cells = []
             for (name, kind), cell in zip(spec, row):
                 try:
                     cells.append(kind(cell))
                 except ValueError:
+                    if not "".join(row).strip():
+                        break
                     raise ParseError(
                         f"{path}: row {row_no}, column {name}: not a number: {cell!r}"
                     ) from None
-            yield row_no, cells
+            else:
+                yield row_no, cells
 
 
 def find_named(items, name: str, kind: str):

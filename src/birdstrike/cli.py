@@ -71,6 +71,9 @@ CONFIG_KEYS = {
     "velocity_split": "split",
     "format": "format",
 }
+# The formats each command accepts; the first is the default.
+PLAN_FORMATS = ("text", "csv")
+REPORT_FORMATS = ("csv", "json")
 
 
 def load_config(path) -> dict[str, str]:
@@ -131,6 +134,11 @@ def _format(args, accepted: tuple[str, ...]) -> str:
     if text not in accepted:
         raise InvalidParameterError(f"format must be {' or '.join(accepted)}, got {text!r}")
     return text
+
+
+def _choices_help(what: str, accepted) -> str:
+    """Help text for a value checked by _split or _format; the first is the default."""
+    return f"{what}: {' or '.join(accepted)} (default {accepted[0]})"
 
 
 def _lookup(find, items, name):
@@ -203,7 +211,7 @@ def cmd_plan(args) -> int:
         make_drop_plan(species.flight_speed, args.cruise, scale, gravity, species.name)
         for species in selected
     ]
-    if _format(args, ("text", "csv")) == "csv":
+    if _format(args, PLAN_FORMATS) == "csv":
         print("species,original_impact_velocity_m_s,original_drop_height_m,"
               "scaled_impact_velocity_m_s,scaled_drop_height_m,flags")
         for plan in plans:
@@ -276,7 +284,7 @@ def cmd_analyze(args) -> int:
     gravity = _gravity(args)
     scale = _scale(args)
     split = _split(args)
-    fmt = _format(args, ("csv", "json"))
+    fmt = _format(args, REPORT_FORMATS)
     if args.measurements is None:
         raise InvalidParameterError(
             "no measurements file: pass --measurements or set it in the config")
@@ -390,7 +398,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="drop heights and scaled velocities per species")
     p.add_argument("--species", action="append", default=[], help="species name (repeatable)")
     p.add_argument("--all", action="store_true", help="plan every species in the registry")
-    p.add_argument("--format", choices=["text", "csv"], help="output format (default text)")
+    p.add_argument("--format", help=_choices_help("output format", PLAN_FORMATS))
     p.set_defaults(func=cmd_plan)
 
     p = sub.add_parser("drop-velocity", parents=[gravity],
@@ -420,14 +428,14 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="conformance report from measured forces")
     p.add_argument("--measurements", help="measurements CSV path")
     p.add_argument("--matrix", help="matrix JSON path (default: built-in matrix)")
-    p.add_argument("--split", choices=[s.value for s in VelocitySplit],
-                   help="velocity split convention (default scaled-cruise)")
+    p.add_argument("--split", help=_choices_help("velocity split convention",
+                                                 [s.value for s in VelocitySplit]))
     p.add_argument("--use-nominal", action="store_true",
                    help="use stored nominal velocities instead of sqrt(2*g*h)")
     p.add_argument("--materials", help="materials CSV path (default: built-in)")
     p.add_argument("--strict", action="store_true",
                    help="unknown scenario ids in the measurements are errors")
-    p.add_argument("--format", choices=["csv", "json"], help="report format (default csv)")
+    p.add_argument("--format", help=_choices_help("report format", REPORT_FORMATS))
     p.add_argument("--out", help="report path (default: stdout)")
     p.set_defaults(func=cmd_analyze)
 

@@ -25,16 +25,20 @@ class ParseError(BirdstrikeError):
 
 
 def require(name: str, value: float, lo: float = 0.0, hi: float = math.inf, *,
-            above: bool = False, context: str = "") -> None:
+            above: bool = False, integer: bool = False, context: str = "") -> None:
     """Raise InvalidParameterError unless value is a finite number within its range.
 
     The range is [lo, hi], or (lo, hi] with above=True; the default is >= 0.
-    NaN and +-inf are always rejected. context, when given, ends the message.
+    NaN and +-inf are always rejected. With integer=True the value must also
+    be an int (not a bool, nor a float such as 2.0). context, when given, ends
+    the message.
     """
     try:
-        if (lo < value if above else lo <= value) and value <= hi and math.isfinite(value):
+        if integer and (not isinstance(value, int) or isinstance(value, bool)):
+            bound = "an integer"
+        elif (lo < value if above else lo <= value) and value <= hi and math.isfinite(value):
             return
-        if hi == math.inf:
+        elif hi == math.inf:
             bound = f"{'>' if above else '>='} {lo:g}"
         else:
             bound = f"within {'(' if above else '['}{lo:g}, {hi:g}]"

@@ -14,7 +14,6 @@ import csv
 import io
 import json
 import math
-import statistics
 import warnings
 from collections import defaultdict
 from dataclasses import dataclass, field
@@ -65,12 +64,12 @@ class TestScenario:
     iterations: int
 
     def __post_init__(self) -> None:
-        require("case_number", self.case_number, 1, 7)
-        require("projectile_serial", self.projectile_serial, 1, 5)
+        require("case_number", self.case_number, 1, 7, integer=True)
+        require("projectile_serial", self.projectile_serial, 1, 5, integer=True)
         require("drop_height", self.drop_height, above=True)
         require("nominal_impact_velocity", self.nominal_impact_velocity)
         require("impact_angle", self.impact_angle, 0.0, 90.0, above=True)
-        require("iterations", self.iterations, 1)
+        require("iterations", self.iterations, 1, integer=True)
 
 
 @dataclass(frozen=True)
@@ -80,7 +79,7 @@ class TestMatrix:
     _by_id: dict[str, TestScenario] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        require("iterations_per_scenario", self.iterations_per_scenario, 1)
+        require("iterations_per_scenario", self.iterations_per_scenario, 1, integer=True)
         if not self.scenarios:
             raise InvalidParameterError("a test matrix needs at least one scenario")
         by_id = {}
@@ -138,7 +137,7 @@ def build_test_matrix(
     The default configuration yields 9 scenarios across 7 cases, 135
     iterations in total.
     """
-    require("iterations_per_scenario", iterations_per_scenario, 1)
+    require("iterations_per_scenario", iterations_per_scenario, 1, integer=True)
     projectiles = list(projectiles) if projectiles is not None else default_projectiles()
     materials = list(materials) if materials is not None else builtin_materials()
     known_serials = {spec.serial for spec in projectiles}
@@ -372,11 +371,24 @@ def ingest_measurements(
 def scenario_stats(measurement: MeasurementSet) -> tuple[float, float]:
     """Arithmetic mean and sample (n-1) standard deviation of the forces.
 
-    A single iteration yields standard deviation 0 by convention.
+    Both come from math.fsum, so they are the same bits on every Python
+    version: the mean is fsum/n (equal to statistics.fmean), and the standard
+    deviation uses the corrected two-pass sum of squares
+    fsum(d*d) - fsum(d)**2/n with d = force - mean, which cancels the rounding
+    of the mean and gives exactly 0 for constant forces. In seeded tests it is
+    within 1 ULP of the exact value when the forces lie within a factor 2 of
+    their mean, as a campaign's do, and within 2 ULP on forces spanning six
+    decades; statistics.stdev may differ from it in the last digit. A single
+    iteration yields standard deviation 0 by convention.
     """
-    mean = statistics.fmean(measurement.forces)
-    std = statistics.stdev(measurement.forces) if len(measurement.forces) > 1 else 0.0
-    return mean, std
+    forces = measurement.forces
+    n = len(forces)
+    mean = math.fsum(forces) / n
+    if n == 1:
+        return mean, 0.0
+    drift = math.fsum(force - mean for force in forces)
+    squares = math.fsum((force - mean) * (force - mean) for force in forces)
+    return mean, math.sqrt(max(squares - drift * drift / n, 0.0) / (n - 1))
 
 
 def percent_error(theoretical: float, experimental: float) -> float:
@@ -424,8 +436,8 @@ def conformance_report(
             ScenarioConformance(scenario.id, theoretical, mean, std, error,
                                 100.0 - error, 100.0 - abs(error))
         )
-    overall = statistics.fmean(row.percent_conformance for row in rows)
-    overall_abs = statistics.fmean(row.percent_conformance_abs for row in rows)
+    overall = math.fsum(row.percent_conformance for row in rows) / len(rows)
+    overall_abs = math.fsum(row.percent_conformance_abs for row in rows) / len(rows)
     return ConformanceReport(tuple(rows), overall, overall_abs)
 
 

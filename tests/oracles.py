@@ -1,11 +1,16 @@
-"""Independent numerical oracles for cross-checking closed-form kinematics.
+"""Independent numerical oracles for cross-checking the package's arithmetic.
 
-Nothing here imports the package under test: the governing rate
-dv/dt = g - k*v^2 (k = rho*C_d*A/(2*m)) is integrated directly with classical
-fourth-order Runge-Kutta, jointly with dy/dt = v.
+Nothing here imports the package under test. For the closed-form kinematics,
+the governing rate dv/dt = g - k*v^2 (k = rho*C_d*A/(2*m)) is integrated
+directly with classical fourth-order Runge-Kutta, jointly with dy/dt = v. For
+the conformance statistics, the sample variance is computed exactly in
+rational arithmetic.
 """
 
 from __future__ import annotations
+
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 
 def drag_factor(mass: float, air_density: float, drag_coefficient: float,
@@ -58,3 +63,19 @@ def rk4_fall_samples(gravity: float, k: float, sample_times: list[float],
         t = target
         out[target] = (y, v)
     return out
+
+
+def exact_sample_std(values) -> float:
+    """Sample (n-1) standard deviation of floats, as the float nearest its exact value.
+
+    The variance is exact: a Fraction from the exact sums of the values and
+    of their squares. Its square root is taken to 50 significant digits with
+    decimal, then rounded to a float.
+    """
+    n = len(values)
+    exact = [Fraction(value) for value in values]
+    total = sum(exact)
+    variance = (sum(x * x for x in exact) - total * total / n) / (n - 1)
+    with localcontext() as context:
+        context.prec = 50
+        return float((Decimal(variance.numerator) / Decimal(variance.denominator)).sqrt())

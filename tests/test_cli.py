@@ -514,6 +514,26 @@ class TestConfigFile:
         assert overridden == run_cli([*argv, flag, override], capsys)
         assert overridden != from_config
 
+    @pytest.mark.parametrize(
+        "argv, key, flag",
+        [
+            (["plan", "--species", "Starling"], "format", "--format"),
+            (["analyze", "--measurements", "forces.csv"], "format", "--format"),
+            (["analyze", "--measurements", "forces.csv"], "velocity_split", "--split"),
+        ],
+    )
+    def test_bad_value_gets_one_message_from_flag_or_config(self, capsys, tmp_path, argv, key,
+                                                            flag):
+        config = tmp_path / "config.txt"
+        config.write_text(f"{key} = sideways\n", encoding="utf-8")
+        from_config = run_cli(["--config", str(config), *argv], capsys)
+        from_flag = run_cli([*argv, flag, "sideways"], capsys)
+        assert from_flag == from_config
+        code, out, err = from_flag
+        assert (code, out) == (2, "")
+        assert err.startswith(f"usage error: {key} must be ")
+        assert err.count("\n") == 1
+
     def test_unknown_key_exits_two(self, capsys, tmp_path):
         config = tmp_path / "config.txt"
         config.write_text("mystery = 1\n", encoding="utf-8")
@@ -575,9 +595,16 @@ class TestExitCodes:
             ("measurements", lambda text: re.sub(r"(?m)^(baseline,1,).*$", r"\1nan", text)),
             ("measurements", lambda text: text.replace("\nbaseline,2,", "\nbaseline,1,")),
             ("measurements", lambda text: re.sub(r"(?m)^2\.1,.*\n", "", text)),
+            ("matrix", lambda text: text.replace('"iterations": 15', '"iterations": 15.0', 1)),
+            ("matrix", lambda text: text.replace('"case_number": 1', '"case_number": 1.5', 1)),
+            ("matrix", lambda text: text.replace('"projectile_serial": 1',
+                                                 '"projectile_serial": true', 1)),
+            ("matrix", lambda text: text.replace('"iterations_per_scenario": 15',
+                                                 '"iterations_per_scenario": 15.0')),
         ],
         ids=["matrix value", "matrix non-number", "empty matrix", "nan force",
-             "duplicate iteration", "missing scenario"],
+             "duplicate iteration", "missing scenario", "float iterations", "float case number",
+             "bool serial", "float iterations per scenario"],
     )
     def test_bad_file_exits_one(self, capsys, analysis_fixture, bad_file, edit):
         paths = dict(zip(("matrix", "measurements"), analysis_fixture))

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 import re
@@ -93,6 +94,21 @@ class TestBuildMatrix:
         path = tmp_path / "matrix.json"
         path.write_text("{}", encoding="utf-8")
         with pytest.raises(ParseError):
+            read_matrix(path)
+
+    @pytest.mark.parametrize("field, value", [("iterations", 2.0), ("case_number", 1.5),
+                                              ("projectile_serial", True),
+                                              ("iterations_per_scenario", 15.0)])
+    def test_read_rejects_non_integer_count(self, default_matrix, tmp_path, field, value):
+        payload = json.loads(matrix_to_json(default_matrix))
+        if field == "iterations_per_scenario":
+            payload[field] = value
+        else:
+            payload["scenarios"][0][field] = value
+        path = tmp_path / "matrix.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        message = re.escape(f"{path}: {field} must be an integer, got {value!r}")
+        with pytest.raises(ParseError, match=f"^{message}$"):
             read_matrix(path)
 
 

@@ -8,6 +8,7 @@ starts with "{name} must be".
 """
 
 import math
+import re
 
 import pytest
 
@@ -276,3 +277,21 @@ def test_range_check(build, valid, edges, bad):
         for value in (math.nan, math.inf, -math.inf, out_of_range):
             with pytest.raises(InvalidParameterError, match=f"^{name} must be"):
                 build(**{**valid, name: value})
+
+
+
+
+# The counts of a test matrix must be ints: a float such as 2.0 or a bool
+# would otherwise pass the range check. Each case is a row of ROWS and a field.
+INTEGER_FIELDS = [("TestScenario", "case_number"), ("TestScenario", "projectile_serial"),
+                  ("TestScenario", "iterations"), ("TestMatrix", "iterations_per_scenario"),
+                  ("build_test_matrix", "iterations_per_scenario")]
+
+
+@pytest.mark.parametrize("row, name", INTEGER_FIELDS, ids=map(" ".join, INTEGER_FIELDS))
+@pytest.mark.parametrize("value", [2.0, 1.5, True, "2"])
+def test_count_must_be_an_integer(row, name, value):
+    build, valid, _, _ = ROWS[row]
+    message = re.escape(f"{name} must be an integer, got {value!r}")
+    with pytest.raises(InvalidParameterError, match=f"^{message}$"):
+        build(**{**valid, name: value})
