@@ -16,7 +16,6 @@ from .harness import (
     build_test_matrix,
     conformance_report,
     default_projectiles,
-    emit_report,
     ingest_measurements,
     matrix_to_json,
     nominal_velocity_mismatches,
@@ -38,7 +37,6 @@ from .impact import (
     impact_force,
     impact_force_stationary,
     kinetic_energy,
-    penetration_depth_cylinder,
     scale_scenario,
     sensitivity_table,
     total_impact_speed,
@@ -52,7 +50,6 @@ from .kinematics import (
     drag_fall_distance,
     drag_velocity_at_time,
     fall_time_for_drop,
-    gravity_preset,
     ideal_impact_velocity,
     impact_velocity_from_drop,
     impact_velocity_from_timing,
@@ -62,7 +59,6 @@ from .kinematics import (
     terminal_velocity,
 )
 from .materials import (
-    AircraftParams,
     CRUISE_SPEED,
     MaterialSpec,
     builtin_materials,
@@ -73,7 +69,6 @@ from .projectile import (
     Cylinder,
     Ellipsoid,
     ProjectileSpec,
-    SpeciesGeometry,
     cylinder_radius_for,
     cylinder_volume,
     effective_density,
@@ -82,14 +77,12 @@ from .projectile import (
     generate_projectile_set,
     load_geometry,
     round_sig,
-    species_geometry_table,
 )
 from .species import (
     BirdSpecies,
     bundled_species_registry,
     find_species,
     load_species_registry,
-    save_species_registry,
 )
 
 __version__ = "0.1.0"

@@ -30,6 +30,7 @@ from .harness import (
     theoretical_reference,
 )
 from .impact import (
+    CERTIFICATION_CASES,
     DEFAULT_LIMITS,
     CertificationLimits,
     ImpactScenario,
@@ -441,7 +442,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-cert", help="compare a force against certification limits")
     p.add_argument("--force", type=float, required=True, help="impact force, N")
-    p.add_argument("--case", choices=["single-bird", "flock"], required=True)
+    p.add_argument("--case", required=True,
+                   help=f"certification case: {' or '.join(CERTIFICATION_CASES)}")
     p.add_argument("--single-limit", type=float, default=DEFAULT_LIMITS.single_bird_force,
                    help=f"single-bird threshold, N (default {DEFAULT_LIMITS.single_bird_force:g})")
     p.add_argument("--flock-limit", type=float, default=DEFAULT_LIMITS.flock_force,
@@ -451,8 +453,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", parents=[moving],
                        help="force sensitivity to one scenario parameter")
     p.add_argument("--param", required=True,
-                   choices=[field.name for field in fields(ImpactScenario)],
-                   help="scenario field to vary")
+                   help="scenario field to vary: "
+                        + ", ".join(field.name for field in fields(ImpactScenario)))
     p.add_argument("--values", required=True, help="comma-separated values")
     p.add_argument("--out", help="output CSV path (default: stdout)")
     p.set_defaults(func=cmd_sweep)

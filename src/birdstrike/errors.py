@@ -29,9 +29,9 @@ def require(name: str, value: float, lo: float = 0.0, hi: float = math.inf, *,
     """Raise InvalidParameterError unless value is a finite number within its range.
 
     The range is [lo, hi], or (lo, hi] with above=True; the default is >= 0.
-    NaN and +-inf are always rejected. With integer=True the value must also
-    be an int (not a bool, nor a float such as 2.0). context, when given, ends
-    the message.
+    NaN and +-inf are always rejected, and so is an int too large for a
+    float. With integer=True the value must also be an int (not a bool, nor a
+    float such as 2.0). context, when given, ends the message.
     """
     try:
         if integer and (not isinstance(value, int) or isinstance(value, bool)):
@@ -44,5 +44,7 @@ def require(name: str, value: float, lo: float = 0.0, hi: float = math.inf, *,
             bound = f"within {'(' if above else '['}{lo:g}, {hi:g}]"
     except TypeError:
         bound = "a number"
+    except OverflowError:  # from math.isfinite, on an int beyond float range
+        bound = "a number within float range"
     where = f" ({context})" if context else ""
     raise InvalidParameterError(f"{name} must be {bound}, got {value!r}{where}")

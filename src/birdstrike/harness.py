@@ -189,7 +189,7 @@ def read_matrix(path) -> TestMatrix:
     with open(path, encoding="utf-8") as handle:
         try:
             payload = json.load(handle)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON, an int past the digit limit, or bad UTF-8
             raise ParseError(f"{path}: {exc}") from exc
     try:
         scenarios = tuple(
@@ -321,9 +321,12 @@ def ingest_measurements(
     """
     forces: dict[str, list[float]] = defaultdict(list)
     velocities: dict[str, list[float]] = defaultdict(list)
-    # Per matrix scenario, one flag per iteration number seen. It also tells
-    # unknown ids apart; a list of the numbers would hold an int object per row.
-    seen = {} if matrix is None else {s.id: bytearray(s.iterations + 1) for s in matrix.scenarios}
+    # Per matrix scenario, one flag per iteration number seen (a list of the
+    # numbers would hold an int per row); it also tells unknown ids apart. The
+    # flags grow with the rows (to twice the highest iteration yet, at most the
+    # declared count), so a huge declared count allocates nothing up front.
+    declared = {} if matrix is None else {s.id: s.iterations for s in matrix.scenarios}
+    seen = {scenario_id: bytearray(1) for scenario_id in declared}
     row_no = 0
     try:
         for row_no, cells in read_table(path, _MEASUREMENTS_COLUMNS, _MEASUREMENTS_VELOCITY):
@@ -339,10 +342,13 @@ def ingest_measurements(
                     warnings.warn(message, stacklevel=2)
                 elif 0 < iteration < len(flags) and not flags[iteration]:
                     flags[iteration] = 1
+                elif len(flags) <= iteration <= declared[scenario_id]:
+                    flags += bytes(min(2 * iteration, declared[scenario_id] + 1) - len(flags))
+                    flags[iteration] = 1
                 else:
                     raise ParseError(
                         f"{path}: row {row_no}: scenario {scenario_id!r}: iteration "
-                        f"{iteration} repeats or is outside 1..{len(flags) - 1}"
+                        f"{iteration} repeats or is outside 1..{declared[scenario_id]}"
                     )
             forces[scenario_id].append(force)
             if len(cells) > len(_MEASUREMENTS_COLUMNS):
@@ -380,15 +386,27 @@ def scenario_stats(measurement: MeasurementSet) -> tuple[float, float]:
     their mean, as a campaign's do, and within 2 ULP on forces spanning six
     decades; statistics.stdev may differ from it in the last digit. A single
     iteration yields standard deviation 0 by convention.
+
+    Both are finite for any finite forces: where a sum would overflow, they
+    come from the forces scaled by 2**-k, which is exact, and are scaled back.
     """
     forces = measurement.forces
     n = len(forces)
-    mean = math.fsum(forces) / n
-    if n == 1:
-        return mean, 0.0
-    drift = math.fsum(force - mean for force in forces)
-    squares = math.fsum((force - mean) * (force - mean) for force in forces)
-    return mean, math.sqrt(max(squares - drift * drift / n, 0.0) / (n - 1))
+    try:
+        mean = math.fsum(forces) / n
+        if n == 1:
+            return mean, 0.0
+        drift = math.fsum(force - mean for force in forces)
+        squares = math.fsum((force - mean) * (force - mean) for force in forces)
+        std = math.sqrt(max(squares - drift * drift / n, 0.0) / (n - 1))
+        if math.isfinite(std):
+            return mean, std
+    except OverflowError:
+        pass
+    k = math.frexp(max(forces))[1]
+    scaled = MeasurementSet(measurement.scenario_id, tuple(math.ldexp(f, -k) for f in forces))
+    mean, std = scenario_stats(scaled)
+    return math.ldexp(mean, k), math.ldexp(std, k)
 
 
 def percent_error(theoretical: float, experimental: float) -> float:
@@ -480,15 +498,3 @@ def render_report_json(report: ConformanceReport) -> str:
         "overall_mean_conformance_abs": report.overall_mean_conformance_abs,
     }
     return json.dumps(payload, indent=2) + "\n"
-
-
-def emit_report(report: ConformanceReport, format: str, path) -> None:
-    """Write a report file in 'csv' or 'json' format."""
-    if format == "csv":
-        rendered = render_report_csv(report)
-    elif format == "json":
-        rendered = render_report_json(report)
-    else:
-        raise InvalidParameterError(f"format must be 'csv' or 'json', got {format!r}")
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(rendered)

@@ -70,9 +70,6 @@ class CertificationLimits:
 
     single_bird_force: float = 2255.0  # N
     flock_force: float = 4819.0        # N
-    single_bird_mass: float = 1.0      # kg
-    flock_bird_mass: float = 0.45      # kg
-    windshield_speed: float = 25.0     # m/s, no-penetration requirement
 
     def __post_init__(self) -> None:
         for field in fields(self):
@@ -80,6 +77,8 @@ class CertificationLimits:
 
 
 DEFAULT_LIMITS = CertificationLimits()
+# Each certification case and the CertificationLimits field holding its threshold.
+CERTIFICATION_CASES = {"single-bird": "single_bird_force", "flock": "flock_force"}
 
 
 @dataclass(frozen=True)
@@ -113,24 +112,6 @@ def kinetic_energy(
     require("bird_mass", bird_mass)
     v = total_impact_speed(bird_speed, aircraft_speed, impact_angle)
     return 0.5 * bird_mass * v * v
-
-
-def penetration_depth_cylinder(
-    bird_length: float,
-    bird_density: float,
-    aircraft_density: float,
-    bird_speed: float,
-    aircraft_speed: float,
-    impact_angle: float,
-) -> float:
-    """Momentum-balance penetration depth l*(rho_b/rho_a)*(v/v_aircraft).
-
-    The inputs are validated as an ImpactScenario; the depth does not depend
-    on the bird mass.
-    """
-    return impact_force(ImpactScenario(0.0, bird_length, bird_density, bird_speed,
-                                       aircraft_speed, aircraft_density, impact_angle)
-                        ).penetration_depth
 
 
 def impact_force(scenario: ImpactScenario) -> ImpactResult:
@@ -196,12 +177,10 @@ def check_certification(
 ) -> CertificationVerdict:
     """Compare a force against the single-bird or flock threshold."""
     require("force", force)
-    if case == "single-bird":
-        limit = limits.single_bird_force
-    elif case == "flock":
-        limit = limits.flock_force
-    else:
-        raise InvalidParameterError(f"case must be 'single-bird' or 'flock', got {case!r}")
+    if case not in CERTIFICATION_CASES:
+        raise InvalidParameterError(
+            f"case must be {' or '.join(map(repr, CERTIFICATION_CASES))}, got {case!r}")
+    limit = getattr(limits, CERTIFICATION_CASES[case])
     return CertificationVerdict(case, force, limit, force <= limit, limit - force)
 
 

@@ -31,15 +31,6 @@ _LOG2 = math.log(2.0)
 _TIME_TOLERANCE = 1e-12  # s
 
 
-def gravity_preset(name: str) -> float:
-    try:
-        return GRAVITY_PRESETS[name]
-    except KeyError:
-        raise InvalidParameterError(
-            f"unknown gravity preset {name!r}; choose from {sorted(GRAVITY_PRESETS)}"
-        ) from None
-
-
 @dataclass(frozen=True)
 class DropPlan:
     """Planned drop for one species: full-scale and velocity-scaled columns."""

@@ -31,17 +31,6 @@ ALUMINIUM_2024_T3 = MaterialSpec("Aluminium-2024-T3", ALUMINIUM_DENSITY, SPECIME
 CFRP = MaterialSpec("CFRP", CFRP_DENSITY_RATIO * ALUMINIUM_DENSITY, SPECIMEN_THICKNESS)
 
 
-@dataclass(frozen=True)
-class AircraftParams:
-    """Aircraft-side inputs of an impact scenario."""
-
-    cruise_speed: float = CRUISE_SPEED  # m/s
-    skin: MaterialSpec = ALUMINIUM_2024_T3
-
-    def __post_init__(self) -> None:
-        require("cruise_speed", self.cruise_speed)
-
-
 def builtin_materials() -> list[MaterialSpec]:
     """The two stock specimen materials (aluminium sheet and CFRP sheet)."""
     return [ALUMINIUM_2024_T3, CFRP]

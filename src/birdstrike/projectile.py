@@ -171,26 +171,6 @@ def generate_projectile_set(
     ]
 
 
-@dataclass(frozen=True)
-class SpeciesGeometry:
-    species: str
-    radius: float  # m
-    height: float  # m
-
-
-def species_geometry_table(registry: list[BirdSpecies]) -> list[SpeciesGeometry]:
-    """Cylinder radius and height for each species: height is the body length,
-    the radius follows from mass and body density."""
-    return [
-        SpeciesGeometry(
-            species.name,
-            cylinder_radius_for(species.mass, species.body_density, species.length),
-            species.length,
-        )
-        for species in registry
-    ]
-
-
 def geometry_payload(spec: ProjectileSpec) -> dict:
     """Plain-dict form of a projectile descriptor (the JSON file schema)."""
     if isinstance(spec.shape, Cylinder):
@@ -223,7 +203,7 @@ def load_geometry(path) -> ProjectileSpec:
     with open(path, encoding="utf-8") as handle:
         try:
             payload = json.load(handle)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON, an int past the digit limit, or bad UTF-8
             raise ParseError(f"{path}: {exc}") from exc
     try:
         shape_name = payload["shape"]

@@ -5,7 +5,6 @@ All quantities are SI: kilograms, metres, kg/m^3, m/s.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass
 from importlib import resources
@@ -63,23 +62,6 @@ def load_species_registry(path) -> list[BirdSpecies]:
             raise ParseError(f"{path}: row {row_no}: {exc}") from exc
         seen.add(name)
     return registry
-
-
-def save_species_registry(path, registry: list[BirdSpecies]) -> None:
-    """Write a registry back to CSV, lossless at full floating precision."""
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(SPECIES_CSV_HEADER)
-        for species in registry:
-            writer.writerow(
-                [
-                    species.name,
-                    repr(species.mass),
-                    repr(species.length),
-                    repr(species.body_density),
-                    repr(species.flight_speed),
-                ]
-            )
 
 
 def bundled_species_registry() -> list[BirdSpecies]:

@@ -29,7 +29,12 @@ from birdstrike.impact import (
     scale_scenario,
 )
 from birdstrike.kinematics import DragParams, drag_velocity_at_time, impact_velocity_from_drop
-from birdstrike.projectile import Ellipsoid, generate_projectile_set, round_sig, species_geometry_table
+from birdstrike.projectile import (
+    Ellipsoid,
+    cylinder_radius_for,
+    generate_projectile_set,
+    round_sig,
+)
 from birdstrike.species import bundled_species_registry, find_species
 
 from oracles import drag_factor, rk4_fall_samples
@@ -138,12 +143,14 @@ def test_criterion_02_scaled_columns(capsys):
 
 
 def test_criterion_03_species_geometry():
-    table = species_geometry_table(bundled_species_registry())
-    assert len(table) == 11
-    for entry in table:
-        published_radius, published_height = PUBLISHED_GEOMETRY_TABLE[entry.species]
-        assert round_sig(entry.radius, 2) == round_sig(published_radius, 2), entry.species
-        assert round_sig(entry.height, 2) == round_sig(published_height, 2), entry.species
+    # The cylinder's height is the body length; its radius follows from mass and density.
+    registry = bundled_species_registry()
+    assert len(registry) == 11
+    for species in registry:
+        radius = cylinder_radius_for(species.mass, species.body_density, species.length)
+        published_radius, published_height = PUBLISHED_GEOMETRY_TABLE[species.name]
+        assert round_sig(radius, 2) == round_sig(published_radius, 2), species.name
+        assert round_sig(species.length, 2) == round_sig(published_height, 2), species.name
     report(3, "all 11 published (radius, height) pairs reproduced at 2 significant figures")
 
 

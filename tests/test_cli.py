@@ -587,6 +587,21 @@ class TestExitCodes:
         assert err.startswith("usage error: ")
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check-cert", "--force", "10", "--case", "swarm"],
+            ["sweep", *SWEEP_BASE, "--param", "wing_span", "--values", "1"],
+            ["matrix", "--iterations", str(10**400)],
+        ],
+        ids=["check-cert --case", "sweep --param", "matrix --iterations 10**400"],
+    )
+    def test_bad_value_gets_one_usage_error_line(self, capsys, argv):
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("usage error: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
         "bad_file, edit",
         [
             ("matrix", lambda text: text.replace('"drop_height_m": 2.8', '"drop_height_m": -1')),
@@ -601,10 +616,15 @@ class TestExitCodes:
                                                  '"projectile_serial": true', 1)),
             ("matrix", lambda text: text.replace('"iterations_per_scenario": 15',
                                                  '"iterations_per_scenario": 15.0')),
+            ("matrix", lambda text: text.replace('"iterations": 15', f'"iterations": {10**400}',
+                                                 1)),
+            ("matrix", lambda text: text.replace('"iterations": 15', f'"iterations": 1{"0" * 5000}',
+                                                 1)),
         ],
         ids=["matrix value", "matrix non-number", "empty matrix", "nan force",
              "duplicate iteration", "missing scenario", "float iterations", "float case number",
-             "bool serial", "float iterations per scenario"],
+             "bool serial", "float iterations per scenario", "iterations beyond float range",
+             "5001-digit iterations"],
     )
     def test_bad_file_exits_one(self, capsys, analysis_fixture, bad_file, edit):
         paths = dict(zip(("matrix", "measurements"), analysis_fixture))

@@ -2,6 +2,7 @@ import json
 import math
 import random
 import re
+import tracemalloc
 
 import pytest
 
@@ -280,6 +281,18 @@ class TestIngestMeasurements:
         with pytest.raises(ParseError, match="iterations"):
             ingest_measurements(path, default_matrix)
 
+    def test_declared_count_allocates_nothing_before_rows_arrive(self, default_matrix, tmp_path):
+        path = measurements_csv(tmp_path, default_matrix)
+        matrix = build_test_matrix(iterations_per_scenario=10**6)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError, match="has 15 iterations, matrix expects 1000000$"):
+                ingest_measurements(path, matrix)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
     def test_without_matrix_no_count_validation(self, tmp_path):
         path = tmp_path / "loose.csv"
         path.write_text("scenario_id,iteration,force_n\nanything,1,5\n", encoding="utf-8")
@@ -476,21 +489,6 @@ class TestReportRendering:
         assert first["theoretical_n"] == report.scenarios[0].theoretical_force
         assert first["percent_conformance_abs"] == report.scenarios[0].percent_conformance_abs
         assert payload["overall_mean_conformance"] == report.overall_mean_conformance
-
-    def test_emit_report_writes_files(
-        self, default_matrix, projectile_set, materials, tmp_path
-    ):
-        from birdstrike.harness import emit_report
-
-        report = self.full_report(default_matrix, projectile_set, materials, tmp_path)
-        csv_path = tmp_path / "report.csv"
-        json_path = tmp_path / "report.json"
-        emit_report(report, "csv", csv_path)
-        emit_report(report, "json", json_path)
-        assert csv_path.read_text(encoding="utf-8") == render_report_csv(report)
-        assert json_path.read_text(encoding="utf-8") == render_report_json(report)
-        with pytest.raises(InvalidParameterError):
-            emit_report(report, "xml", tmp_path / "report.xml")
 
 
 class TestScenarioValidation:

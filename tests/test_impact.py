@@ -12,7 +12,6 @@ from birdstrike.impact import (
     impact_force,
     impact_force_stationary,
     kinetic_energy,
-    penetration_depth_cylinder,
     scale_scenario,
     sensitivity_table,
     total_impact_speed,
@@ -66,18 +65,17 @@ class TestKineticEnergy:
 
 class TestPenetrationDepth:
     def test_equal_densities_zero_bird_speed(self):
-        assert penetration_depth_cylinder(1.0, 1000.0, 1000.0, 0.0, 10.0, 90.0) == pytest.approx(
-            1.0, rel=1e-12
-        )
+        depth = impact_force(ImpactScenario(1.0, 1.0, 1000.0, 0.0, 10.0, 1000.0, 90.0)
+                             ).penetration_depth
+        assert depth == pytest.approx(1.0, rel=1e-12)
 
     def test_starling_on_aluminium(self):
         # 0.22 * (1230/2780) * (112.35/90)
-        depth = penetration_depth_cylinder(0.22, 1230.0, 2780.0, 22.35, 90.0, 90.0)
-        assert depth == pytest.approx(0.1215, abs=1e-4)
+        assert impact_force(BASE).penetration_depth == pytest.approx(0.1215, abs=1e-4)
 
     def test_zero_aircraft_speed_is_singular(self):
         with pytest.raises(StationaryAircraftError):
-            penetration_depth_cylinder(1.0, 1000.0, 1000.0, 5.0, 0.0, 90.0)
+            impact_force(ImpactScenario(1.0, 1.0, 1000.0, 5.0, 0.0, 1000.0, 90.0))
 
 
 class TestImpactForce:
@@ -251,9 +249,6 @@ class TestCertification:
         limits = CertificationLimits()
         assert limits.single_bird_force == 2255.0
         assert limits.flock_force == 4819.0
-        assert limits.single_bird_mass == 1.0
-        assert limits.flock_bird_mass == 0.45
-        assert limits.windshield_speed == 25.0
 
     def test_unknown_case_rejected(self):
         with pytest.raises(InvalidParameterError):

@@ -12,7 +12,6 @@ from birdstrike.kinematics import (
     drag_fall_distance,
     drag_velocity_at_time,
     fall_time_for_drop,
-    gravity_preset,
     ideal_impact_velocity,
     impact_velocity_from_drop,
     impact_velocity_from_timing,
@@ -46,12 +45,7 @@ def starling_projectile_params(gravity=G_REF):
 
 class TestGravityPresets:
     def test_values(self):
-        assert gravity_preset("standard") == 9.80665
-        assert gravity_preset("paper") == 10.0
-
-    def test_unknown_preset(self):
-        with pytest.raises(InvalidParameterError):
-            gravity_preset("moon")
+        assert GRAVITY_PRESETS == {"standard": 9.80665, "paper": 10.0}
 
 
 class TestIdealImpactVelocity:

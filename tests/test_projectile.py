@@ -18,24 +18,8 @@ from birdstrike.projectile import (
     generate_projectile_set,
     load_geometry,
     round_sig,
-    species_geometry_table,
 )
 from birdstrike.species import BirdSpecies
-
-# published per-species cylinder dimensions (radius m, height m)
-PUBLISHED_GEOMETRY = {
-    "Common Grackle": (0.01, 0.31),
-    "Starling": (0.01, 0.22),
-    "House Sparrow": (0.007, 0.16),
-    "Mallard": (0.03, 0.57),
-    "Turkey Vulture": (0.03, 0.72),
-    "Laughing Gull": (0.02, 0.43),
-    "Bald Eagle": (0.06, 0.90),
-    "Canada Goose": (0.05, 0.92),
-    "Rock Dove": (0.02, 0.33),
-    "Ring-billed Gull": (0.02, 0.48),
-    "Herring Gull": (0.03, 0.66),
-}
 
 
 class TestRoundSig:
@@ -180,26 +164,6 @@ class TestGenerateProjectileSet:
         pure = generate_projectile_set(starling, shell_fraction=0.0)
         shelled = generate_projectile_set(starling, shell_fraction=0.3)
         assert shelled[0].effective_density > pure[0].effective_density
-
-
-class TestSpeciesGeometryTable:
-    def test_starling_and_goose_rows(self, registry):
-        table = {row.species: row for row in species_geometry_table(registry)}
-        assert round_sig(table["Starling"].radius, 2) == 0.01
-        assert table["Starling"].height == 0.22
-        assert round_sig(table["Canada Goose"].radius, 2) == 0.05
-        assert table["Canada Goose"].height == 0.92
-
-    def test_all_published_pairs_at_two_significant_figures(self, registry):
-        table = species_geometry_table(registry)
-        assert len(table) == 11
-        for row in table:
-            radius, height = PUBLISHED_GEOMETRY[row.species]
-            assert round_sig(row.radius, 2) == round_sig(radius, 2), row.species
-            assert round_sig(row.height, 2) == round_sig(height, 2), row.species
-
-    def test_empty_registry(self):
-        assert species_geometry_table([]) == []
 
 
 class TestGeometryFiles:

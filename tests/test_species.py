@@ -15,7 +15,6 @@ from birdstrike.species import (
     bundled_species_registry,
     find_species,
     load_species_registry,
-    save_species_registry,
 )
 
 HEADER = "name,mass_kg,length_m,density_kg_m3,flight_speed_m_s"
@@ -98,16 +97,6 @@ def test_invariants_enforced():
         BirdSpecies("X", 0.1, 0.0, 1000.0, 10.0)
     with pytest.raises(InvalidParameterError, match="flight_speed"):
         BirdSpecies("X", 0.1, 0.2, 1000.0, -1.0)
-
-
-def test_save_load_round_trip_lossless(tmp_path):
-    original = [
-        BirdSpecies("A", 0.1 + 0.2, math.pi / 10.0, 1234.567890123, 22.350000000001),
-        BirdSpecies("B", 1e-3, 0.16, 998.2, 0.0),
-    ]
-    path = tmp_path / "out.csv"
-    save_species_registry(path, original)
-    assert load_species_registry(path) == original
 
 
 def test_bundled_registry_is_clean():

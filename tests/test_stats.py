@@ -9,6 +9,7 @@ forces, and be the same bits on every supported Python.
 import math
 import random
 import statistics
+from fractions import Fraction
 
 import pytest
 
@@ -58,3 +59,14 @@ def test_bits_are_pinned():
     forces = (125.667, 235.923, 173.184, 257.411, 265.259)
     mean, std = scenario_stats(MeasurementSet("x", forces))
     assert (mean.hex(), std.hex()) == ("0x1.a6fa43fe5c91dp+7", "0x1.e07ee0671bd45p+5")
+
+
+@pytest.mark.parametrize("forces", [(1e200, 3e200), (1e154, 3e154) * 7 + (1e154,),
+                                    (1.7e308, 1.7e308)], ids=["1e200", "1e154 x15", "1.7e308"])
+def test_large_forces_give_finite_stats(forces):
+    # Plain sums give std inf, or overflow in fsum, on each of these.
+    mean, std = scenario_stats(MeasurementSet("x", forces))
+    exact_mean = float(sum(map(Fraction, forces)) / len(forces))
+    assert abs(mean - exact_mean) <= math.ulp(exact_mean)
+    expected = exact_sample_std(forces)
+    assert abs(std - expected) <= 2 * math.ulp(expected), (std, expected)
