@@ -12,63 +12,113 @@ A row is tested for blankness only when it fails the column count or a
 conversion, not on every row. That skips every blank row all the same: each
 format has a numeric column, and int and float reject an empty or
 whitespace-only cell.
+
+Rows are read in batches of BATCH_ROWS. When every row of a batch has one
+cell per column, each column is converted in one map over the batch, with no
+Python loop per cell. A batch with a row of another width (a blank row, too
+many or too few cells) or a cell its kind rejects goes instead through the
+per-row loop, which skips blank rows, names the first bad row and column, and
+yields the rows before it first, so a caller's error on an earlier row of the
+batch still comes first.
+
+A file that is not UTF-8, or that the csv module cannot parse (such as a cell
+over its field size limit), is a ParseError too. A decode error can surface
+one read buffer ahead of its row, so it names only the file.
 """
 
 from __future__ import annotations
 
 import csv
+from itertools import count, islice
 from typing import Callable, Iterator, Sequence
 
 from .errors import ParseError
 
 Columns = Sequence[tuple[str, Callable[[str], object]]]
 
+BATCH_ROWS = 1024
+
 
 def _names(columns: Columns) -> tuple[str, ...]:
     return tuple(name for name, _ in columns)
 
 
-def read_table(path, columns: Columns, optional: Columns = ()) -> Iterator[tuple[int, list]]:
+def read_table(path, columns: Columns, optional: Columns = ()) -> Iterator[tuple[int, tuple]]:
     """Yield (row number, converted cells) for each data row of a CSV file.
 
     columns are (name, kind) pairs. The optional columns may follow them in
     the header, all or none; rows then carry their cells too. An empty file
     yields nothing.
     """
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None:
-            return
-        found = tuple(cell.strip() for cell in header)
-        if found == _names(columns):
-            spec = columns
-        elif found == _names((*columns, *optional)):
-            spec = (*columns, *optional)
-        else:
-            expected = repr(",".join(_names(columns)))
-            if optional:
-                expected += f" (optionally plus {','.join(_names(optional))!r})"
-            raise ParseError(f"{path}: expected header {expected}, got {','.join(header)!r}")
-        width = len(spec)
-        for row_no, row in enumerate(reader, start=2):
-            # A blank row is looked for only once a row fails: see the module docstring.
-            if len(row) != width:
-                if not "".join(row).strip():
-                    continue
-                raise ParseError(f"{path}: row {row_no}: expected {width} columns, got {len(row)}")
-            cells = []
-            for (name, kind), cell in zip(spec, row):
-                try:
-                    cells.append(kind(cell))
-                except ValueError:
-                    if not "".join(row).strip():
-                        break
-                    raise ParseError(
-                        f"{path}: row {row_no}, column {name}: not a number: {cell!r}"
-                    ) from None
+    row_no = 1
+    try:
+        with open(path, newline="", encoding="utf-8") as handle:
+            reader = csv.reader(handle)
+            header = next(reader, None)
+            if header is None:
+                return
+            found = tuple(cell.strip() for cell in header)
+            if found == _names(columns):
+                spec = columns
+            elif found == _names((*columns, *optional)):
+                spec = (*columns, *optional)
             else:
-                yield row_no, cells
+                expected = repr(",".join(_names(columns)))
+                if optional:
+                    expected += f" (optionally plus {','.join(_names(optional))!r})"
+                raise ParseError(f"{path}: expected header {expected}, got {','.join(header)!r}")
+            width = len(spec)
+            row_no = 2
+            while True:
+                batch: list[list[str]] = []
+                failed = None
+                try:
+                    batch.extend(islice(reader, BATCH_ROWS))
+                except csv.Error as exc:  # batch keeps the rows read before the bad one
+                    failed = exc
+                converted = None
+                if set(map(len, batch)) == {width}:
+                    try:
+                        converted = [list(map(kind, column))
+                                     for (_, kind), column in zip(spec, zip(*batch))]
+                    except ValueError:
+                        pass
+                if converted is None:
+                    yield from _rows_one_by_one(path, spec, batch, row_no)
+                else:
+                    yield from zip(count(row_no), zip(*converted))
+                row_no += len(batch)
+                if failed is not None:
+                    raise failed
+                if len(batch) < BATCH_ROWS:
+                    return
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except csv.Error as exc:
+        raise ParseError(f"{path}: row {row_no}: {exc}") from None
+
+
+def _rows_one_by_one(path, spec: Columns, batch: list[list[str]], first: int):
+    """The per-row path for a batch that failed the width or conversion test."""
+    width = len(spec)
+    for row_no, row in enumerate(batch, start=first):
+        # A blank row is looked for only once a row fails: see the module docstring.
+        if len(row) != width:
+            if not "".join(row).strip():
+                continue
+            raise ParseError(f"{path}: row {row_no}: expected {width} columns, got {len(row)}")
+        cells = []
+        for (name, kind), cell in zip(spec, row):
+            try:
+                cells.append(kind(cell))
+            except ValueError:
+                if not "".join(row).strip():
+                    break
+                raise ParseError(
+                    f"{path}: row {row_no}, column {name}: not a number: {cell!r}"
+                ) from None
+        else:
+            yield row_no, tuple(cells)
 
 
 def find_named(items, name: str, kind: str):

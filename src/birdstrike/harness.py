@@ -14,10 +14,11 @@ import csv
 import io
 import json
 import math
+import operator
 import warnings
-from collections import defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import repeat
 from typing import Mapping, Sequence
 
 from ._table import read_table
@@ -319,28 +320,34 @@ def ingest_measurements(
     each of its scenarios in the file must have rows numbered 1..iterations
     once each, and unknown scenario ids warn (or raise in strict mode).
     """
-    forces: dict[str, list[float]] = defaultdict(list)
-    velocities: dict[str, list[float]] = defaultdict(list)
+    forces: dict[str, list[float]] = {}
+    velocities: dict[str, list[float]] = {}
     # Per matrix scenario, one flag per iteration number seen (a list of the
     # numbers would hold an int per row); it also tells unknown ids apart. The
     # flags grow with the rows (to twice the highest iteration yet, at most the
     # declared count), so a huge declared count allocates nothing up front.
     declared = {} if matrix is None else {s.id: s.iterations for s in matrix.scenarios}
     seen = {scenario_id: bytearray(1) for scenario_id in declared}
+    # Per scenario id, on first sight: (its flags, or None when unknown or with
+    # no matrix; forces.append; velocities.append, or None without that column),
+    # so a row costs one dict lookup.
+    entries: dict[str, tuple] = {}
     row_no = 0
     try:
         for row_no, cells in read_table(path, _MEASUREMENTS_COLUMNS, _MEASUREMENTS_VELOCITY):
             scenario_id, iteration, force = cells[0], cells[1], cells[2]
             if not 0.0 <= force < math.inf:  # once per row: call only to raise
                 require("force_n", force)
-            if matrix is not None:
-                flags = seen.get(scenario_id)
-                if flags is None:
-                    message = f"{path}: row {row_no}: scenario id {scenario_id!r} not in matrix"
-                    if strict:
-                        raise ParseError(message)
-                    warnings.warn(message, stacklevel=2)
-                elif 0 < iteration < len(flags) and not flags[iteration]:
+            entry = entries.get(scenario_id)
+            if entry is None:
+                add_velocity = None
+                if len(cells) > len(_MEASUREMENTS_COLUMNS):
+                    add_velocity = velocities.setdefault(scenario_id, []).append
+                entry = entries[scenario_id] = (
+                    seen.get(scenario_id), forces.setdefault(scenario_id, []).append, add_velocity)
+            flags, add_force, add_velocity = entry
+            if flags is not None:
+                if 0 < iteration < len(flags) and not flags[iteration]:
                     flags[iteration] = 1
                 elif len(flags) <= iteration <= declared[scenario_id]:
                     flags += bytes(min(2 * iteration, declared[scenario_id] + 1) - len(flags))
@@ -350,12 +357,17 @@ def ingest_measurements(
                         f"{path}: row {row_no}: scenario {scenario_id!r}: iteration "
                         f"{iteration} repeats or is outside 1..{declared[scenario_id]}"
                     )
-            forces[scenario_id].append(force)
-            if len(cells) > len(_MEASUREMENTS_COLUMNS):
+            elif matrix is not None:
+                message = f"{path}: row {row_no}: scenario id {scenario_id!r} not in matrix"
+                if strict:
+                    raise ParseError(message)
+                warnings.warn(message, stacklevel=2)
+            add_force(force)
+            if add_velocity is not None:
                 velocity = cells[3]
                 if not 0.0 <= velocity < math.inf:
                     require(MEASUREMENTS_VELOCITY_COLUMN, velocity)
-                velocities[scenario_id].append(velocity)
+                add_velocity(velocity)
     except InvalidParameterError as exc:
         raise ParseError(f"{path}: row {row_no}: {exc}") from None
     if matrix is not None:
@@ -369,7 +381,7 @@ def ingest_measurements(
                                  f"iterations, matrix expects {expected}")
     return [
         MeasurementSet(scenario_id, tuple(values),
-                       tuple(velocities[scenario_id]) if scenario_id in velocities else None)
+                       tuple(velocities[scenario_id]) if velocities else None)
         for scenario_id, values in forces.items()
     ]
 
@@ -396,8 +408,9 @@ def scenario_stats(measurement: MeasurementSet) -> tuple[float, float]:
         mean = math.fsum(forces) / n
         if n == 1:
             return mean, 0.0
-        drift = math.fsum(force - mean for force in forces)
-        squares = math.fsum((force - mean) * (force - mean) for force in forces)
+        deviations = list(map(operator.sub, forces, repeat(mean, n)))
+        drift = math.fsum(deviations)
+        squares = math.fsum(map(operator.mul, deviations, deviations))
         std = math.sqrt(max(squares - drift * drift / n, 0.0) / (n - 1))
         if math.isfinite(std):
             return mean, std
@@ -410,10 +423,22 @@ def scenario_stats(measurement: MeasurementSet) -> tuple[float, float]:
 
 
 def percent_error(theoretical: float, experimental: float) -> float:
-    """Signed error (theoretical - experimental)*100/theoretical."""
+    """Signed error (theoretical - experimental)*100/theoretical.
+
+    Where (theoretical - experimental)*100 would overflow, the error is
+    (theoretical - experimental)/theoretical*100 instead; an error beyond
+    float range raises InvalidParameterError, so the result is always finite.
+    """
     require("theoretical", theoretical, above=True)
     require("experimental", experimental)
-    return (theoretical - experimental) * 100.0 / theoretical
+    error = (theoretical - experimental) * 100.0 / theoretical
+    if not math.isfinite(error):
+        error = (theoretical - experimental) / theoretical * 100.0
+        if not math.isfinite(error):
+            raise InvalidParameterError(
+                f"percent error of {experimental!r} N against {theoretical!r} N "
+                "is beyond float range")
+    return error
 
 
 @dataclass(frozen=True)
@@ -449,14 +474,27 @@ def conformance_report(
             raise InvalidParameterError(f"no measurements for scenario {scenario.id!r}")
         theoretical = references[scenario.id]
         mean, std = scenario_stats(by_id[scenario.id])
-        error = percent_error(theoretical, mean)
+        try:
+            error = percent_error(theoretical, mean)
+        except InvalidParameterError as exc:
+            raise InvalidParameterError(f"scenario {scenario.id!r}: {exc}") from None
         rows.append(
             ScenarioConformance(scenario.id, theoretical, mean, std, error,
                                 100.0 - error, 100.0 - abs(error))
         )
-    overall = math.fsum(row.percent_conformance for row in rows) / len(rows)
-    overall_abs = math.fsum(row.percent_conformance_abs for row in rows) / len(rows)
+    overall = _mean([row.percent_conformance for row in rows])
+    overall_abs = _mean([row.percent_conformance_abs for row in rows])
     return ConformanceReport(tuple(rows), overall, overall_abs)
+
+
+def _mean(values: list[float]) -> float:
+    """fsum(values)/len(values), finite for any finite values: where the sum
+    would overflow, it is taken over the values scaled by 2**-k and scaled back."""
+    try:
+        return math.fsum(values) / len(values)
+    except OverflowError:
+        k = len(values).bit_length()
+        return math.ldexp(math.fsum(math.ldexp(v, -k) for v in values) / len(values), k)
 
 
 def render_report_csv(report: ConformanceReport) -> str:

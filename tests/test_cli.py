@@ -637,6 +637,67 @@ class TestExitCodes:
         assert "Traceback" not in err
 
 
+class TestUnreadableFiles:
+    """Bad UTF-8 and CSV the csv module cannot parse are file errors: exit 1, no traceback."""
+
+    OVERSIZED = '"' + "9" * (csv.field_size_limit() + 1) + '"'
+
+    def analyze(self, capsys, analysis_fixture, tail: bytes):
+        matrix_path, measurements_path = analysis_fixture
+        with open(measurements_path, "ab") as handle:
+            handle.write(tail)
+        return measurements_path, run_cli(["analyze", "--matrix", str(matrix_path),
+                                           "--measurements", str(measurements_path)], capsys)
+
+    def test_measurements_bad_utf8(self, capsys, analysis_fixture):
+        path, (code, out, err) = self.analyze(capsys, analysis_fixture, b"baseline,16,\xff\n")
+        assert (code, out, err) == (1, "", f"error: {path}: not UTF-8 text (invalid start byte)\n")
+
+    def test_measurements_oversized_cell(self, capsys, analysis_fixture):
+        tail = f"baseline,{self.OVERSIZED},5\n".encode()
+        path, (code, out, err) = self.analyze(capsys, analysis_fixture, tail)
+        assert (code, out) == (1, "")
+        assert err == f"error: {path}: row 137: field larger than field limit (131072)\n"
+
+    @pytest.mark.parametrize("tail", [b"\xff\n", f"Crow,{OVERSIZED},1,1,1\n".encode()],
+                             ids=["bad utf-8", "oversized cell"])
+    def test_registry(self, capsys, tmp_path, tail):
+        path = tmp_path / "registry.csv"
+        path.write_bytes(b"name,mass_kg,length_m,density_kg_m3,flight_speed_m_s\n" + tail)
+        code, out, err = run_cli(["plan", "--all", "--registry", str(path)], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {path}: ")
+        assert err.count("\n") == 1
+
+
+class TestReportFieldsAreFinite:
+    """A huge mean force gives a finite percent error, or exit 1 naming the scenario."""
+
+    def set_baseline_forces(self, analysis_fixture, force):
+        matrix_path, measurements_path = analysis_fixture
+        text = measurements_path.read_text(encoding="utf-8")
+        measurements_path.write_text(re.sub(r"(?m)^(baseline,\d+,).*$", rf"\g<1>{force!r}", text),
+                                     encoding="utf-8")
+        return ["analyze", "--matrix", str(matrix_path), "--measurements", str(measurements_path),
+                "--format", "json"]
+
+    def test_representable_error_is_reported(self, capsys, analysis_fixture):
+        code, out, _ = run_cli(self.set_baseline_forces(analysis_fixture, 1e307), capsys)
+        assert code == 0
+        payload = json.loads(out, parse_constant=lambda name: pytest.fail(f"{name} in report"))
+        baseline = payload["scenarios"][0]
+        theoretical = baseline["theoretical_n"]
+        assert baseline["experimental_mean_n"] == 1e307
+        assert baseline["percent_error"] == (theoretical - 1e307) / theoretical * 100.0
+
+    def test_error_beyond_float_range_exits_one(self, capsys, analysis_fixture):
+        argv = self.set_baseline_forces(analysis_fixture, 1.7e308)
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {argv[4]}: scenario 'baseline': percent error of 1.7e+308 N")
+        assert err.endswith(" is beyond float range\n")
+
+
 def lines(*items):
     return "".join(f"{item}\n" for item in items)
 

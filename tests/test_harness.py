@@ -335,6 +335,40 @@ class TestPercentError:
         with pytest.raises(InvalidParameterError):
             percent_error(0.0, 5.0)
 
+    def test_normal_range_keeps_its_bits(self):
+        rng = random.Random(7)
+        for _ in range(2000):
+            theoretical, experimental = rng.uniform(1e-3, 1e4), rng.uniform(0.0, 2e4)
+            error = percent_error(theoretical, experimental)
+            assert error == (theoretical - experimental) * 100.0 / theoretical
+
+    @pytest.mark.parametrize("theoretical, experimental",
+                             [(19.0, 1e307), (1000.0, 1.7e308), (2.0, 3e306)])
+    def test_overflowing_product_still_gives_a_finite_error(self, theoretical, experimental):
+        error = percent_error(theoretical, experimental)
+        assert math.isfinite(error)
+        assert error == (theoretical - experimental) / theoretical * 100.0
+
+    @pytest.mark.parametrize("theoretical, experimental", [(1.0, 1.7e308), (1e-300, 1e10)])
+    def test_error_beyond_float_range_rejected(self, theoretical, experimental):
+        with pytest.raises(InvalidParameterError, match="beyond float range$"):
+            percent_error(theoretical, experimental)
+
+    def test_report_names_the_scenario_beyond_float_range(self):
+        matrix = two_scenario_matrix()
+        measurements = [MeasurementSet("a", (10.0, 10.0)), MeasurementSet("b", (1.7e308,) * 2)]
+        with pytest.raises(InvalidParameterError, match=r"^scenario 'b': percent error of 1\.7e\+308"):
+            conformance_report(matrix, {"a": 10.0, "b": 1.0}, measurements)
+
+    def test_overall_means_finite_when_their_sum_overflows(self):
+        matrix = two_scenario_matrix()
+        measurements = [MeasurementSet(s.id, (1e306,) * 2) for s in matrix.scenarios]
+        report = conformance_report(matrix, {"a": 1.0, "b": 1.0}, measurements)
+        row = report.scenarios[0]
+        assert row.percent_conformance == 100.0 - percent_error(1.0, 1e306) > 9e307
+        assert report.overall_mean_conformance == row.percent_conformance
+        assert report.overall_mean_conformance_abs == row.percent_conformance_abs
+
 
 def two_scenario_matrix():
     scenarios = (

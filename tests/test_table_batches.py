@@ -1,0 +1,149 @@
+"""The CSV reader converts whole batches of rows at once; a bad row must still be
+found, named and ordered as if the rows were read one by one.
+
+Each fault goes at the first data row, either side of a batch boundary and in
+the last, partial batch of a file several batches long.
+"""
+
+import hashlib
+import random
+import re
+import warnings
+
+import pytest
+
+from birdstrike._table import BATCH_ROWS
+from birdstrike.errors import ParseError
+from birdstrike.harness import (
+    build_test_matrix,
+    conformance_report,
+    ingest_measurements,
+    render_report_csv,
+    render_report_json,
+    theoretical_reference,
+)
+from birdstrike.materials import find_material
+
+HEADER = "scenario_id,iteration,force_n,impact_velocity_m_s"
+ITERATIONS = (3 * BATCH_ROWS + BATCH_ROWS // 2) // 9 + 1  # nine scenarios: 3.5 batches of rows
+MATRIX = build_test_matrix(iterations_per_scenario=ITERATIONS)
+# Index among the data rows where a fault line goes; its file row is index + 2.
+POSITIONS = {
+    "first row": 0,
+    "last of a batch": BATCH_ROWS - 1,
+    "first of a batch": BATCH_ROWS,
+    "last partial batch": 3 * BATCH_ROWS + BATCH_ROWS // 4,
+}
+
+
+def data_rows(seed=1):
+    rows = [f"{s.id},{i},{20.0 + i / 1000!r},7.3"
+            for s in MATRIX.scenarios for i in range(1, ITERATIONS + 1)]
+    random.Random(seed).shuffle(rows)
+    return rows
+
+
+def write(tmp_path, rows):
+    path = tmp_path / "measurements.csv"
+    path.write_text("\n".join([HEADER, *rows]) + "\n", encoding="utf-8")
+    return path
+
+
+def with_line(index, line):
+    rows = data_rows()
+    rows.insert(index, rows[index] if line is None else line)
+    return rows
+
+
+def test_file_spans_several_batches():
+    assert 3 * BATCH_ROWS < len(data_rows()) < 4 * BATCH_ROWS
+    assert POSITIONS["last partial batch"] < len(data_rows())
+
+
+@pytest.mark.parametrize("where", POSITIONS)
+@pytest.mark.parametrize("line", ["", "  \t ", ",,,", " , , , "],
+                         ids=["blank", "whitespace", "empty cells", "whitespace cells"])
+def test_blank_row_skipped(tmp_path, where, line):
+    clean = ingest_measurements(write(tmp_path, data_rows()), MATRIX, strict=True)
+    assert ingest_measurements(write(tmp_path, with_line(POSITIONS[where], line)),
+                               MATRIX, strict=True) == clean
+
+
+@pytest.mark.parametrize("where", POSITIONS)
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("baseline,1", "row {row}: expected 4 columns, got 2"),
+        ("baseline,1,5,7.3,9", "row {row}: expected 4 columns, got 5"),
+        ("baseline,x,5,7.3", "row {row}, column iteration: not a number: 'x'"),
+        ("baseline,1,5,fast", "row {row}, column impact_velocity_m_s: not a number: 'fast'"),
+        ("nosuch,1,5,7.3", "row {row}: scenario id 'nosuch' not in matrix"),
+        ("baseline,1,-5,7.3", "row {row}: force_n must be >= 0, got -5.0"),
+        # The inserted line repeats the row it displaces, which is reported one row on.
+        (None, "row {next}: scenario {id!r}: iteration {iteration} repeats or is outside "
+               f"1..{ITERATIONS}"),
+    ],
+    ids=["short row", "long row", "bad cell", "bad velocity cell", "unknown id", "bad force",
+         "repeated iteration"],
+)
+def test_bad_row_named(tmp_path, where, line, message):
+    index = POSITIONS[where]
+    rows = with_line(index, line)
+    scenario_id, iteration = rows[index].split(",")[:2]
+    path = write(tmp_path, rows)
+    expected = f"{path}: " + message.format(row=index + 2, next=index + 3, id=scenario_id,
+                                            iteration=iteration)
+    with pytest.raises(ParseError, match=f"^{re.escape(expected)}$"):
+        ingest_measurements(path, MATRIX, strict=True)
+
+
+@pytest.mark.parametrize("where", ["first row", "first of a batch", "last partial batch"])
+def test_earlier_row_error_beats_later_bad_cell_in_the_batch(tmp_path, where):
+    index = POSITIONS[where]
+    rows = data_rows()
+    rows[index + 5:index + 5] = ["baseline,x,5,7.3"]
+    rows[index:index] = ["baseline,1,-5,7.3"]
+    path = write(tmp_path, rows)
+    with pytest.raises(ParseError, match=f"^{re.escape(f'{path}: row {index + 2}: force_n')}"):
+        ingest_measurements(path, MATRIX)
+
+
+def test_one_warning_per_unknown_id_row(tmp_path):
+    rows = data_rows()
+    indices = sorted([*POSITIONS.values(), BATCH_ROWS + 1, BATCH_ROWS + 7])
+    for index in reversed(indices):
+        rows.insert(index, f"nosuch,{index},5,7.3")
+    path = write(tmp_path, rows)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        sets = ingest_measurements(path, MATRIX)
+    # Each inserted line shifts the later ones down by one row.
+    expected = [f"{path}: row {index + 2 + k}: scenario id 'nosuch' not in matrix"
+                for k, index in enumerate(indices)]
+    assert [str(warning.message) for warning in caught] == expected
+    assert len(sets[[s.scenario_id for s in sets].index("nosuch")].forces) == len(indices)
+
+
+# sha256 of both report renderings for the seeded file below, taken before the reader
+# converted rows a batch at a time; any change to the parsed values or the statistics shows.
+REPORT_CSV_SHA256 = "2bced1f59b6db4a19c3dabb5359b0bb0370fa8acc2a1f0088fa8bf9c0e76d60c"
+REPORT_JSON_SHA256 = "7c4ac634b15aecb8098c935f3f4db753684ce521300ef2558099c043675e4bee"
+
+
+def test_report_digest_on_a_shuffled_multi_batch_file(tmp_path, projectile_set, materials):
+    matrix = build_test_matrix(iterations_per_scenario=555)  # 4,995 rows
+    rng = random.Random(20230701)
+    rows = [f"{s.id},{i},{rng.uniform(14.0, 24.0)!r},{rng.uniform(7.0, 7.8)!r}"
+            for s in matrix.scenarios for i in range(1, 556)]
+    rng.shuffle(rows)
+    path = write(tmp_path, rows)
+    by_serial = {spec.serial: spec for spec in projectile_set}
+    references = {
+        s.id: theoretical_reference(s, by_serial[s.projectile_serial],
+                                    find_material(materials, s.specimen_material))
+        for s in matrix.scenarios
+    }
+    report = conformance_report(matrix, references, ingest_measurements(path, matrix, strict=True))
+    digests = [hashlib.sha256(render(report).encode()).hexdigest()
+               for render in (render_report_csv, render_report_json)]
+    assert digests == [REPORT_CSV_SHA256, REPORT_JSON_SHA256]

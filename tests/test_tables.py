@@ -1,5 +1,7 @@
 """The CSV rules shared by the species, materials and measurements files."""
 
+import csv
+
 import pytest
 
 from birdstrike.errors import ParseError
@@ -71,4 +73,17 @@ class TestSharedCsvRules:
         with pytest.raises(
             ParseError, match=rf"table\.csv: row 3, column {column}: not a number: '{cell}'"
         ):
+            loader(path)
+
+    def test_bad_utf8_names_the_file(self, tmp_path, loader, header, good, bad, column):
+        # A decode error can surface a read buffer ahead of its row, so only the file is named.
+        path = tmp_path / "table.csv"
+        path.write_bytes(f"{header}\n{good}\n".encode() + b"\xff\n")
+        with pytest.raises(ParseError, match=r"^.*table\.csv: not UTF-8 text \(invalid start byte\)$"):
+            loader(path)
+
+    def test_oversized_cell_names_the_row(self, tmp_path, loader, header, good, bad, column):
+        oversized = '"' + "9" * (csv.field_size_limit() + 1) + '"'
+        path = write(tmp_path, f"{header}\n{good}\n\n{oversized},{good}\n")
+        with pytest.raises(ParseError, match=r"table\.csv: row 4: field larger than field limit"):
             loader(path)
