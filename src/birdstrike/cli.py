@@ -80,21 +80,24 @@ REPORT_FORMATS = ("csv", "json")
 def load_config(path) -> dict[str, str]:
     """Parse a key = value config file (# starts a comment)."""
     config: dict[str, str] = {}
-    with open(path, encoding="utf-8") as handle:
-        for line_no, raw in enumerate(handle, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise InvalidParameterError(f"{path}: line {line_no}: expected key = value")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key not in CONFIG_KEYS:
-                raise InvalidParameterError(
-                    f"{path}: line {line_no}: unknown key {key!r}; "
-                    f"known keys: {', '.join(CONFIG_KEYS)}"
-                )
-            config[key] = value.strip()
+    try:
+        with open(path, encoding="utf-8") as handle:
+            for line_no, raw in enumerate(handle, start=1):
+                line = raw.split("#", 1)[0].strip()
+                if not line:
+                    continue
+                if "=" not in line:
+                    raise InvalidParameterError(f"{path}: line {line_no}: expected key = value")
+                key, _, value = line.partition("=")
+                key = key.strip()
+                if key not in CONFIG_KEYS:
+                    raise InvalidParameterError(
+                        f"{path}: line {line_no}: unknown key {key!r}; "
+                        f"known keys: {', '.join(CONFIG_KEYS)}"
+                    )
+                config[key] = value.strip()
+    except UnicodeDecodeError as exc:
+        raise InvalidParameterError(f"{path}: not UTF-8 text ({exc.reason})") from None
     return config
 
 

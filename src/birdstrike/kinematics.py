@@ -73,6 +73,13 @@ class DragParams:
         require("reference_area", self.reference_area, above=True)
         require("air_density", self.air_density, above=True)
         require("gravity", self.gravity, above=True)
+        # Read on every step of the fall-time solve, so computed once here. Set
+        # as a plain attribute, not a field: fields(), asdict, repr, == and
+        # hash see the five inputs only, and replace() recomputes it.
+        object.__setattr__(self, "_terminal_velocity", math.sqrt(
+            2.0 * self.projectile_mass * self.gravity
+            / (self.air_density * self.drag_coefficient * self.reference_area)
+        ))
 
 
 def ideal_impact_velocity(height: float, gravity: float = GRAVITY_STANDARD) -> float:
@@ -119,22 +126,13 @@ def make_drop_plan(
 
 def terminal_velocity(params: DragParams) -> float:
     """Steady fall speed sqrt(2*m*g/(rho*C_d*A)) where drag balances gravity."""
-    return math.sqrt(
-        2.0 * params.projectile_mass * params.gravity
-        / (params.air_density * params.drag_coefficient * params.reference_area)
-    )
-
-
-def _log_cosh(x: float) -> float:
-    # log(cosh(x)) = |x| + log1p(exp(-2|x|)) - log 2, overflow-safe for any x
-    ax = abs(x)
-    return ax + math.log1p(math.exp(-2.0 * ax)) - _LOG2
+    return params._terminal_velocity
 
 
 def drag_velocity_at_time(t: float, params: DragParams) -> float:
     """Fall speed after t seconds from rest: v_t*tanh(g*t/v_t)."""
     require("time", t)
-    vt = terminal_velocity(params)
+    vt = params._terminal_velocity
     return vt * math.tanh(params.gravity * t / vt)
 
 
@@ -142,8 +140,9 @@ def drag_fall_distance(t: float, params: DragParams) -> float:
     """Distance fallen after t seconds from rest: (v_t^2/g)*log(cosh(g*t/v_t))."""
     if not 0.0 <= t < math.inf:  # once per bisection step: call only to raise
         require("time", t)
-    vt = terminal_velocity(params)
-    return (vt * vt / params.gravity) * _log_cosh(params.gravity * t / vt)
+    vt, g = params._terminal_velocity, params.gravity
+    x = g * t / vt  # >= 0, so log(cosh(x)) = x + log1p(exp(-2x)) - log 2 never overflows
+    return (vt * vt / g) * (x + math.log1p(math.exp(-2.0 * x)) - _LOG2)
 
 
 def fall_time_for_drop(height: float, params: DragParams) -> float:

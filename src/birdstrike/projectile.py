@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from decimal import ROUND_HALF_UP, Decimal
 
 from .errors import InvalidParameterError, ParseError, require
 from .species import BirdSpecies
@@ -28,6 +27,10 @@ def round_sig(value: float, digits: int) -> float:
     require("digits", digits, 1)
     if value == 0 or not math.isfinite(value):
         return value
+    # imported here, not at module level: decimal (with numbers) takes about 2 ms
+    # to import, which every CLI command would pay at start-up
+    from decimal import ROUND_HALF_UP, Decimal
+
     quantum = Decimal(1).scaleb(int(math.floor(math.log10(abs(value)))) - digits + 1)
     return float(Decimal(repr(value)).quantize(quantum, rounding=ROUND_HALF_UP))
 

@@ -1,12 +1,15 @@
 import csv
 import io
 import json
+import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import birdstrike
 from birdstrike.cli import CONFIG_KEYS, main
 from birdstrike.harness import (
     build_test_matrix,
@@ -541,6 +544,14 @@ class TestConfigFile:
         assert code == 2
         assert "mystery" in err
 
+    def test_config_not_utf8_exits_two(self, capsys, tmp_path):
+        config = tmp_path / "config.txt"
+        config.write_bytes(b"gravity = paper\n\xff\n")
+        code, out, err = run_cli(
+            ["--config", str(config), "check-cert", "--force", "10", "--case", "flock"], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"usage error: {config}: not UTF-8 text (invalid start byte)\n"
+
 
 class TestUsageSurface:
     SUBCOMMANDS = [
@@ -789,3 +800,13 @@ def test_module_entry_point_runs():
     )
     assert result.returncode == 0
     assert "Starling" in result.stdout
+
+
+def test_cli_import_leaves_decimal_unloaded():
+    # decimal is needed only to round projectile dimensions; -S keeps site
+    # hooks from importing it first
+    code = "import sys, birdstrike.cli; print(sorted({'decimal', 'numbers'} & set(sys.modules)))"
+    package_root = str(Path(birdstrike.__file__).resolve().parent.parent)
+    result = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                            timeout=60, env={**os.environ, "PYTHONPATH": package_root})
+    assert (result.returncode, result.stdout, result.stderr) == (0, "[]\n", "")

@@ -325,6 +325,44 @@ class TestScenarioStats:
             MeasurementSet("x", ())
 
 
+class TestMeasurementSetChecks:
+    """Each column is checked in one pass; a failing column is walked value by value."""
+
+    @staticmethod
+    def build(column, values):
+        if column == "force":
+            return MeasurementSet("s", values)
+        return MeasurementSet("s", (1.0, 2.0, 3.0), values)
+
+    @pytest.mark.parametrize("column", ["force", "impact_velocity"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.5],
+                             ids=["nan", "inf", "-inf", "negative"])
+    @pytest.mark.parametrize("last", [5.0, -3.0], ids=["alone", "before another"])
+    def test_first_bad_value_is_named(self, column, bad, last):
+        with pytest.raises(InvalidParameterError) as caught:
+            self.build(column, (2.0, bad, last))
+        assert str(caught.value) == f"{column} must be >= 0, got {bad!r} (scenario 's')"
+
+    @pytest.mark.parametrize("column", ["force", "impact_velocity"])
+    def test_string_raises_type_error(self, column):
+        with pytest.raises(TypeError) as caught:
+            self.build(column, (2.0, "7", -3.0))
+        assert str(caught.value) == "'<=' not supported between instances of 'float' and 'str'"
+
+    @pytest.mark.parametrize("column", ["force", "impact_velocity"])
+    @pytest.mark.parametrize("values", [(2.0, True, 5.0), (2.0, 10**400, 5.0), (1.7e308, 1.7e308)],
+                             ids=["bool", "int beyond float range", "sum overflows"])
+    def test_accepted_as_before(self, column, values):
+        built = self.build(column, values)
+        assert (built.forces if column == "force" else built.impact_velocities) == values
+
+    @pytest.mark.parametrize("column", ["force", "impact_velocity"])
+    @pytest.mark.parametrize("accepted", [True, 10**400], ids=["bool", "int beyond float range"])
+    def test_accepted_value_does_not_stop_the_walk(self, column, accepted):
+        with pytest.raises(InvalidParameterError, match=r"got -3\.0 \(scenario 's'\)$"):
+            self.build(column, (2.0, accepted, -3.0))
+
+
 class TestPercentError:
     def test_reference_values(self):
         assert percent_error(10.0, 9.0) == 10.0

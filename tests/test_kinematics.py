@@ -1,5 +1,7 @@
+import hashlib
 import math
 import random
+from dataclasses import asdict, fields, replace
 
 import pytest
 
@@ -273,3 +275,59 @@ class TestImpactVelocityFromTiming:
     def test_matches_frozen_rk4(self):
         for t, (_, velocity) in RK4_A.items():
             assert impact_velocity_from_timing(t, PARAMS_A) == pytest.approx(velocity, rel=1e-6)
+
+
+def drag_results_digest() -> str:
+    """sha256 of float.hex() of every drag result over a seeded grid.
+
+    Covers terminal_velocity, drag_fall_distance, drag_velocity_at_time,
+    fall_time_for_drop and impact_velocity_from_drop, with t = 0 and h = 0
+    in every row. The digest depends on the platform's libm (exp, log1p, tanh).
+    """
+    rng = random.Random(2026)
+    lines = []
+    for _ in range(60):
+        params = DragParams(
+            projectile_mass=rng.uniform(0.002, 4.0),
+            drag_coefficient=rng.uniform(0.2, 2.0),
+            reference_area=rng.uniform(5e-5, 0.08),
+            air_density=rng.uniform(0.8, 1.4),
+            gravity=rng.choice((GRAVITY_PRESETS["standard"], G_REF, rng.uniform(1.0, 25.0))),
+        )
+        lines.append(terminal_velocity(params).hex())
+        for t in (0.0, rng.uniform(0.0, 0.05), rng.uniform(0.05, 2.0), rng.uniform(2.0, 60.0)):
+            lines.append(f"{drag_fall_distance(t, params).hex()} "
+                         f"{drag_velocity_at_time(t, params).hex()}")
+        for h in (0.0, rng.uniform(0.0, 0.01), rng.uniform(0.01, 5.0), rng.uniform(5.0, 2000.0)):
+            lines.append(f"{fall_time_for_drop(h, params).hex()} "
+                         f"{impact_velocity_from_drop(h, params).hex()}")
+    return hashlib.sha256("\n".join(lines).encode("ascii")).hexdigest()
+
+
+class TestDragResultBits:
+    def test_pinned_digest(self):
+        # digest of the implementation that recomputed the terminal velocity on every call
+        assert drag_results_digest() == "e9dd617f09215f0d592b35f0891880eb65e0a32dddeb141beb694a2b5cd96bd5"
+
+
+class TestDragParamsSurface:
+    """The cached terminal velocity is invisible to the dataclass machinery."""
+
+    def test_replace_recomputes_terminal_velocity(self):
+        for change in ({"gravity": 1.62}, {"reference_area": 0.04}):
+            replaced = replace(PARAMS_A, **change)
+            fresh = DragParams(**{**asdict(PARAMS_A), **change})
+            assert terminal_velocity(replaced) == terminal_velocity(fresh)
+            assert terminal_velocity(replaced) != terminal_velocity(PARAMS_A)
+
+    def test_repr_eq_hash_fields_unchanged(self):
+        assert repr(PARAMS_A) == ("DragParams(projectile_mass=0.1, drag_coefficient=1.0, "
+                                  "reference_area=0.01, air_density=1.225, gravity=9.81)")
+        twin = DragParams(0.1, 1.0, 0.01, 1.225, 9.81)
+        assert twin == PARAMS_A and hash(twin) == hash(PARAMS_A)
+        assert hash(PARAMS_A) == hash((0.1, 1.0, 0.01, 1.225, 9.81))
+        assert replace(PARAMS_A, gravity=9.8) != PARAMS_A
+        assert [f.name for f in fields(DragParams)] == [
+            "projectile_mass", "drag_coefficient", "reference_area", "air_density", "gravity"]
+        assert asdict(PARAMS_A) == {"projectile_mass": 0.1, "drag_coefficient": 1.0,
+                                    "reference_area": 0.01, "air_density": 1.225, "gravity": 9.81}
