@@ -303,28 +303,12 @@ class MeasurementSet:
     def __post_init__(self) -> None:
         if not self.forces:
             raise InvalidParameterError(f"scenario {self.scenario_id!r}: forces must be non-empty")
-        # Ingest has checked every value already, so each column is checked in
-        # C first; only a column that fails is walked value by value, so the
-        # error names its first bad value.
-        for name, values in (("force", self.forces),
-                             ("impact_velocity", self.impact_velocities or ())):
-            if values and not _finite_non_negative(values):
-                for value in values:
-                    if not 0.0 <= value < math.inf:
-                        require(name, value, context=f"scenario {self.scenario_id!r}")
-
-
-def _finite_non_negative(values) -> bool:
-    """True when the values are numbers >= 0 with a finite sum, so each is finite.
-
-    False also for some values the per-value check accepts: finite values
-    whose sum overflows, and ints beyond float range. Built-in sum, not
-    math.fsum: only the sum's finiteness matters, and fsum is four times slower.
-    """
-    try:
-        return 0.0 <= min(values) and math.isfinite(sum(values))
-    except (TypeError, ValueError, OverflowError):
-        return False
+        for force in self.forces:
+            if not 0.0 <= force < math.inf:  # once per row: call only to raise
+                require("force", force, context=f"scenario {self.scenario_id!r}")
+        for velocity in self.impact_velocities or ():
+            if not 0.0 <= velocity < math.inf:
+                require("impact_velocity", velocity, context=f"scenario {self.scenario_id!r}")
 
 
 def ingest_measurements(

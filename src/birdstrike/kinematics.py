@@ -76,10 +76,13 @@ class DragParams:
         # Read on every step of the fall-time solve, so computed once here. Set
         # as a plain attribute, not a field: fields(), asdict, repr, == and
         # hash see the five inputs only, and replace() recomputes it.
-        object.__setattr__(self, "_terminal_velocity", math.sqrt(
-            2.0 * self.projectile_mass * self.gravity
-            / (self.air_density * self.drag_coefficient * self.reference_area)
-        ))
+        drag = self.air_density * self.drag_coefficient * self.reference_area
+        vt = math.sqrt(2.0 * self.projectile_mass * self.gravity / drag) if drag else math.inf
+        if not 0.0 < vt < math.inf:  # a product under- or overflowed
+            raise InvalidParameterError(
+                f"terminal velocity sqrt(2*m*g/(rho*C_d*A)) must be finite and > 0, got {vt!r}"
+            )
+        object.__setattr__(self, "_terminal_velocity", vt)
 
 
 def ideal_impact_velocity(height: float, gravity: float = GRAVITY_STANDARD) -> float:

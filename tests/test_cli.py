@@ -221,6 +221,16 @@ class TestDropVelocityCommand:
         code, _, _ = run_cli(["drop-velocity", "--height", "2.8", "--mass", "0.1"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("drag_flags", [
+        ["--mass", "0.01", "--cd", "1e-200", "--area", "1e-200", "--air-density", "1e-200"],
+        ["--mass", "1e300", "--cd", "1e-10", "--area", "1e-10"],
+    ], ids=["drag underflows", "weight overflows"])
+    def test_terminal_velocity_beyond_float_range_exits_two(self, capsys, drag_flags):
+        code, out, err = run_cli(["drop-velocity", "--height", "2.8", *drag_flags], capsys)
+        assert (code, out) == (2, "")
+        assert err == ("usage error: terminal velocity sqrt(2*m*g/(rho*C_d*A)) "
+                       "must be finite and > 0, got inf\n")
+
 
 class TestDesignCommand:
     def test_stdout_descriptors(self, capsys):

@@ -326,7 +326,7 @@ class TestScenarioStats:
 
 
 class TestMeasurementSetChecks:
-    """Each column is checked in one pass; a failing column is walked value by value."""
+    """The first bad force or velocity is named; what the range check accepts stays accepted."""
 
     @staticmethod
     def build(column, values):

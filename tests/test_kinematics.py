@@ -310,6 +310,22 @@ class TestDragResultBits:
         assert drag_results_digest() == "e9dd617f09215f0d592b35f0891880eb65e0a32dddeb141beb694a2b5cd96bd5"
 
 
+class TestDragParamsTerminalVelocity:
+    @pytest.mark.parametrize("inputs, shown", [
+        ((0.01, 1e-200, 1e-200, 1e-200), "inf"),   # rho*C_d*A underflows to 0
+        ((1e300, 1e-10, 1e-10), "inf"),            # 2*m*g/(rho*C_d*A) overflows
+        ((1e-300, 1.0, 1.0, 1.0, 1e-300), "0.0"),  # 2*m*g underflows to 0
+        ((1e300, 1e300, 1e300, 1e300, 1e300), "nan"),  # inf / inf
+    ])
+    def test_not_finite_positive_is_rejected(self, inputs, shown):
+        with pytest.raises(InvalidParameterError, match=rf"must be finite and > 0, got {shown}$"):
+            DragParams(*inputs)
+
+    def test_replace_into_overflow_is_rejected(self):
+        with pytest.raises(InvalidParameterError, match="terminal velocity"):
+            replace(PARAMS_A, reference_area=1e-320)
+
+
 class TestDragParamsSurface:
     """The cached terminal velocity is invisible to the dataclass machinery."""
 
