@@ -15,7 +15,6 @@ from .harness import (
     VelocitySplit,
     build_test_matrix,
     conformance_report,
-    default_projectiles,
     ingest_measurements,
     matrix_to_json,
     nominal_velocity_mismatches,
@@ -36,10 +35,8 @@ from .impact import (
     check_certification,
     impact_force,
     impact_force_stationary,
-    kinetic_energy,
     scale_scenario,
     sensitivity_table,
-    total_impact_speed,
 )
 from .kinematics import (
     DragParams,
@@ -48,7 +45,6 @@ from .kinematics import (
     GRAVITY_STANDARD,
     PUBLISHED_PLANS,
     drag_fall_distance,
-    drag_velocity_at_time,
     fall_time_for_drop,
     ideal_impact_velocity,
     impact_velocity_from_drop,
@@ -70,9 +66,7 @@ from .projectile import (
     Ellipsoid,
     ProjectileSpec,
     cylinder_radius_for,
-    cylinder_volume,
     effective_density,
-    ellipsoid_volume,
     export_geometry,
     generate_projectile_set,
     load_geometry,

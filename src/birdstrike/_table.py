@@ -1,5 +1,6 @@
 """The CSV table reader and name lookup shared by the species, materials and
-measurements files.
+measurements files, and the JSON reader shared by the matrix and projectile
+descriptor files.
 
 Every input CSV follows the same rules: the first row is the header and must
 equal the format's column names once each cell is stripped; blank or
@@ -29,10 +30,11 @@ one read buffer ahead of its row, so it names only the file.
 from __future__ import annotations
 
 import csv
+import json
 from itertools import count, islice
 from typing import Callable, Iterator, Sequence
 
-from .errors import ParseError
+from .errors import InvalidParameterError, ParseError
 
 Columns = Sequence[tuple[str, Callable[[str], object]]]
 
@@ -119,6 +121,22 @@ def _rows_one_by_one(path, spec: Columns, batch: list[list[str]], first: int):
                 ) from None
         else:
             yield row_no, tuple(cells)
+
+
+def read_json(path, build):
+    """build(payload) for the JSON file at path. A file that does not load, or a
+    KeyError, InvalidParameterError or TypeError from build, is a ParseError naming it."""
+    with open(path, encoding="utf-8") as handle:
+        try:
+            payload = json.load(handle)
+        except ValueError as exc:  # bad JSON, an int past the digit limit, or bad UTF-8
+            raise ParseError(f"{path}: {exc}") from exc
+    try:
+        return build(payload)
+    except KeyError as exc:
+        raise ParseError(f"{path}: missing field {exc}") from exc
+    except (InvalidParameterError, TypeError) as exc:
+        raise ParseError(f"{path}: {exc}") from exc
 
 
 def find_named(items, name: str, kind: str):

@@ -21,10 +21,11 @@ from enum import Enum
 from itertools import repeat
 from typing import Mapping, Sequence
 
-from ._table import read_table
+from ._table import read_json, read_table
 from .errors import InvalidParameterError, ParseError, require
 from .impact import ImpactScenario, _force_any_speed
-from .kinematics import DEFAULT_SCALE_FACTOR, GRAVITY_STANDARD, ideal_impact_velocity
+from .kinematics import (DEFAULT_SCALE_FACTOR, GRAVITY_PRESETS, GRAVITY_STANDARD,
+                         ideal_impact_velocity)
 from .materials import CRUISE_SPEED, MaterialSpec, builtin_materials
 from .projectile import ProjectileSpec, generate_projectile_set
 from .species import bundled_species_registry, find_species
@@ -65,6 +66,10 @@ class TestScenario:
     iterations: int
 
     def __post_init__(self) -> None:
+        for name in ("id", "specimen_material"):  # a matrix JSON may hold any value
+            value = getattr(self, name)
+            if not isinstance(value, str):
+                raise InvalidParameterError(f"{name} must be a string, got {value!r}")
         require("case_number", self.case_number, 1, 7, integer=True)
         require("projectile_serial", self.projectile_serial, 1, 5, integer=True)
         require("drop_height", self.drop_height, above=True)
@@ -122,12 +127,6 @@ _DEFAULT_ROWS = (
 )
 
 
-def default_projectiles() -> list[ProjectileSpec]:
-    """Projectile set generated from the bundled baseline species."""
-    base = find_species(bundled_species_registry(), BASELINE_SPECIES)
-    return generate_projectile_set(base)
-
-
 def build_test_matrix(
     projectiles: Sequence[ProjectileSpec] | None = None,
     materials: Sequence[MaterialSpec] | None = None,
@@ -139,7 +138,9 @@ def build_test_matrix(
     iterations in total.
     """
     require("iterations_per_scenario", iterations_per_scenario, 1, integer=True)
-    projectiles = list(projectiles) if projectiles is not None else default_projectiles()
+    if projectiles is None:
+        projectiles = generate_projectile_set(
+            find_species(bundled_species_registry(), BASELINE_SPECIES))
     materials = list(materials) if materials is not None else builtin_materials()
     known_serials = {spec.serial for spec in projectiles}
     known_materials = {material.name for material in materials}
@@ -187,12 +188,7 @@ def write_matrix(matrix: TestMatrix, path) -> None:
 
 
 def read_matrix(path) -> TestMatrix:
-    with open(path, encoding="utf-8") as handle:
-        try:
-            payload = json.load(handle)
-        except ValueError as exc:  # bad JSON, an int past the digit limit, or bad UTF-8
-            raise ParseError(f"{path}: {exc}") from exc
-    try:
+    def build(payload) -> TestMatrix:
         scenarios = tuple(
             TestScenario(
                 id=row["id"],
@@ -207,14 +203,12 @@ def read_matrix(path) -> TestMatrix:
             for row in payload["scenarios"]
         )
         return TestMatrix(scenarios, payload["iterations_per_scenario"])
-    except KeyError as exc:
-        raise ParseError(f"{path}: missing field {exc}") from exc
-    except (InvalidParameterError, TypeError) as exc:
-        raise ParseError(f"{path}: {exc}") from exc
+
+    return read_json(path, build)
 
 
 def nominal_velocity_mismatches(
-    matrix: TestMatrix, gravity: float = 10.0
+    matrix: TestMatrix, gravity: float = GRAVITY_PRESETS["paper"]
 ) -> dict[str, tuple[float, float]]:
     """Scenarios whose stored nominal velocity disagrees with sqrt(2*g*h).
 

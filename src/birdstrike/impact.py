@@ -97,23 +97,6 @@ class SensitivityRow:
     percent_change: float  # signed, vs the base scenario
 
 
-def total_impact_speed(bird_speed: float, aircraft_speed: float, impact_angle: float) -> float:
-    """Combined closing speed v = v_bird*sin(theta) + v_aircraft."""
-    require("bird_speed", bird_speed)
-    require("aircraft_speed", aircraft_speed)
-    require("impact_angle", impact_angle, 0.0, 90.0)
-    return bird_speed * _sin_deg(impact_angle) + aircraft_speed
-
-
-def kinetic_energy(
-    bird_mass: float, bird_speed: float, aircraft_speed: float, impact_angle: float
-) -> float:
-    """Kinetic energy m*v^2/2 at the combined closing speed."""
-    require("bird_mass", bird_mass)
-    v = total_impact_speed(bird_speed, aircraft_speed, impact_angle)
-    return 0.5 * bird_mass * v * v
-
-
 def impact_force(scenario: ImpactScenario) -> ImpactResult:
     """Evaluate the moving-aircraft force model for one scenario.
 

@@ -132,13 +132,6 @@ def terminal_velocity(params: DragParams) -> float:
     return params._terminal_velocity
 
 
-def drag_velocity_at_time(t: float, params: DragParams) -> float:
-    """Fall speed after t seconds from rest: v_t*tanh(g*t/v_t)."""
-    require("time", t)
-    vt = params._terminal_velocity
-    return vt * math.tanh(params.gravity * t / vt)
-
-
 def drag_fall_distance(t: float, params: DragParams) -> float:
     """Distance fallen after t seconds from rest: (v_t^2/g)*log(cosh(g*t/v_t))."""
     if not 0.0 <= t < math.inf:  # once per bisection step: call only to raise
@@ -179,14 +172,14 @@ def impact_velocity_from_drop(height: float, params: DragParams) -> float:
 
     Always strictly below the drag-free sqrt(2*g*h) for positive drag.
     """
-    if height == 0:
-        return 0.0
-    return drag_velocity_at_time(fall_time_for_drop(height, params), params)
+    return impact_velocity_from_timing(fall_time_for_drop(height, params), params)
 
 
 def impact_velocity_from_timing(fall_time: float, params: DragParams) -> float:
-    """Impact speed from a recorded release-to-impact time difference."""
-    return drag_velocity_at_time(fall_time, params)
+    """Impact speed from a recorded release-to-impact time: v_t*tanh(g*t/v_t)."""
+    require("time", fall_time)
+    vt = params._terminal_velocity
+    return vt * math.tanh(params.gravity * fall_time / vt)
 
 
 @dataclass(frozen=True)
@@ -199,11 +192,10 @@ class PublishedPlan:
     scaled_height: float      # m
 
 
-# Published reference plans (1:15 velocity scale, tabulated at g = 10). Used
-# to cross-check computed plans: the Turkey Vulture original height is known
-# to be inconsistent with h = v^2/(2g) at any constant g and is flagged by
-# plan_flags rather than silently corrected.
-PUBLISHED_PLAN_GRAVITY = 10.0  # m/s^2
+# Published reference plans (1:15 velocity scale, tabulated at
+# GRAVITY_PRESETS["paper"]). Used to cross-check computed plans: the Turkey
+# Vulture original height is known to be inconsistent with h = v^2/(2g) at any
+# constant g and is flagged by plan_flags rather than silently corrected.
 PUBLISHED_PLANS = {
     "Common Grackle": PublishedPlan(103.41, 535.0, 6.89, 2.4),
     "Starling": PublishedPlan(112.35, 631.0, 7.49, 2.8),
@@ -237,7 +229,7 @@ def plan_flags(plan: DropPlan) -> list[str]:
     not a data inconsistency.
     """
     reference = PUBLISHED_PLANS.get(plan.species_name)
-    if reference is None or not math.isclose(plan.gravity, PUBLISHED_PLAN_GRAVITY):
+    if reference is None or not math.isclose(plan.gravity, GRAVITY_PRESETS["paper"]):
         return []
     flags = []
     checks = (

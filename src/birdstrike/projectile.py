@@ -11,7 +11,8 @@ import json
 import math
 from dataclasses import dataclass
 
-from .errors import InvalidParameterError, ParseError, require
+from ._table import read_json
+from .errors import InvalidParameterError, require
 from .species import BirdSpecies
 
 ABS_FILAMENT_DENSITY = 1040.0  # kg/m^3, solid printed ABS
@@ -33,21 +34,6 @@ def round_sig(value: float, digits: int) -> float:
 
     quantum = Decimal(1).scaleb(int(math.floor(math.log10(abs(value)))) - digits + 1)
     return float(Decimal(repr(value)).quantize(quantum, rounding=ROUND_HALF_UP))
-
-
-def cylinder_volume(radius: float, height: float) -> float:
-    """pi*r^2*l."""
-    require("radius", radius, above=True)
-    require("height", height, above=True)
-    return math.pi * radius * radius * height
-
-
-def ellipsoid_volume(a: float, b: float, c: float) -> float:
-    """(4/3)*pi*a*b*c for semi-axes a, b, c."""
-    require("a", a, above=True)
-    require("b", b, above=True)
-    require("c", c, above=True)
-    return (4.0 / 3.0) * math.pi * a * b * c
 
 
 def cylinder_radius_for(mass: float, body_density: float, length: float) -> float:
@@ -82,7 +68,7 @@ class Cylinder:
         require("height", self.height, above=True)
 
     def volume(self) -> float:
-        return cylinder_volume(self.radius, self.height)
+        return math.pi * self.radius * self.radius * self.height
 
     @property
     def length(self) -> float:
@@ -102,7 +88,7 @@ class Ellipsoid:
         require("c", self.c, above=True)
 
     def volume(self) -> float:
-        return ellipsoid_volume(self.a, self.b, self.c)
+        return (4.0 / 3.0) * math.pi * self.a * self.b * self.c
 
     @property
     def length(self) -> float:
@@ -203,12 +189,7 @@ def export_geometry(spec: ProjectileSpec, path) -> None:
 
 def load_geometry(path) -> ProjectileSpec:
     """Read a projectile descriptor written by export_geometry."""
-    with open(path, encoding="utf-8") as handle:
-        try:
-            payload = json.load(handle)
-        except ValueError as exc:  # bad JSON, an int past the digit limit, or bad UTF-8
-            raise ParseError(f"{path}: {exc}") from exc
-    try:
+    def build(payload) -> ProjectileSpec:
         shape_name = payload["shape"]
         dims = payload["dims_m"]
         if shape_name == "cylinder":
@@ -216,7 +197,7 @@ def load_geometry(path) -> ProjectileSpec:
         elif shape_name == "ellipsoid":
             shape = Ellipsoid(dims["a"], dims["b"], dims["c"])
         else:
-            raise ParseError(f"{path}: unknown shape {shape_name!r}")
+            raise InvalidParameterError(f"unknown shape {shape_name!r}")
         return ProjectileSpec(
             serial=payload["serial"],
             shape=shape,
@@ -226,7 +207,5 @@ def load_geometry(path) -> ProjectileSpec:
             mass=payload["mass_kg"],
             varying_factor=payload["varying_factor"],
         )
-    except KeyError as exc:
-        raise ParseError(f"{path}: missing field {exc}") from exc
-    except (InvalidParameterError, TypeError) as exc:
-        raise ParseError(f"{path}: {exc}") from exc
+
+    return read_json(path, build)

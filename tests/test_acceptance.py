@@ -28,7 +28,8 @@ from birdstrike.impact import (
     impact_force_stationary,
     scale_scenario,
 )
-from birdstrike.kinematics import DragParams, drag_velocity_at_time, impact_velocity_from_drop
+from birdstrike.kinematics import (DragParams, impact_velocity_from_drop,
+                                  impact_velocity_from_timing)
 from birdstrike.projectile import (
     Ellipsoid,
     cylinder_radius_for,
@@ -233,7 +234,7 @@ def test_criterion_07_drag_oracle_agreement():
                         params.drag_coefficient, params.reference_area)
         oracle = rk4_fall_samples(params.gravity, k, sample_times)
         for t, (_, oracle_velocity) in oracle.items():
-            assert drag_velocity_at_time(t, params) == pytest.approx(
+            assert impact_velocity_from_timing(t, params) == pytest.approx(
                 oracle_velocity, rel=1e-6
             )
     # vanishing drag limit recovers the drag-free velocity within 0.1%

@@ -641,11 +641,15 @@ class TestExitCodes:
                                                  1)),
             ("matrix", lambda text: text.replace('"iterations": 15', f'"iterations": 1{"0" * 5000}',
                                                  1)),
+            ("matrix", lambda text: text.replace('"specimen_material": "Aluminium-2024-T3"',
+                                                 '"specimen_material": 5', 1)),
+            ("matrix", lambda text: text.replace('"id": "baseline"', '"id": 5')),
+            ("matrix", lambda text: text.replace('"id": "baseline"', '"id": null')),
         ],
         ids=["matrix value", "matrix non-number", "empty matrix", "nan force",
              "duplicate iteration", "missing scenario", "float iterations", "float case number",
              "bool serial", "float iterations per scenario", "iterations beyond float range",
-             "5001-digit iterations"],
+             "5001-digit iterations", "number specimen material", "number id", "null id"],
     )
     def test_bad_file_exits_one(self, capsys, analysis_fixture, bad_file, edit):
         paths = dict(zip(("matrix", "measurements"), analysis_fixture))

@@ -11,10 +11,8 @@ from birdstrike.impact import (
     check_certification,
     impact_force,
     impact_force_stationary,
-    kinetic_energy,
     scale_scenario,
     sensitivity_table,
-    total_impact_speed,
 )
 
 BASE = ImpactScenario(
@@ -40,27 +38,31 @@ def random_scenario(rng):
     )
 
 
+def result(**fields):
+    return impact_force(replace(BASE, **fields))
+
+
 class TestTotalImpactSpeed:
     def test_starling_head_on(self):
-        assert total_impact_speed(22.35, 90.0, 90.0) == pytest.approx(112.35, rel=1e-12)
-
-    def test_stationary_aircraft(self):
-        assert total_impact_speed(10.0, 0.0, 90.0) == pytest.approx(10.0, rel=1e-12)
+        assert result().total_speed == pytest.approx(112.35, rel=1e-12)
 
     def test_grazing_angle_drops_bird_term(self):
-        assert total_impact_speed(10.0, 5.0, 0.0) == 5.0
+        assert result(bird_speed=10.0, aircraft_speed=5.0, impact_angle=0.0).total_speed == 5.0
 
 
 class TestKineticEnergy:
     def test_aircraft_only(self):
-        assert kinetic_energy(2.0, 0.0, 10.0, 90.0) == pytest.approx(100.0, rel=1e-12)
+        energy = result(bird_mass=2.0, bird_speed=0.0, aircraft_speed=10.0).kinetic_energy
+        assert energy == pytest.approx(100.0, rel=1e-12)
 
     def test_oblique(self):
-        # 0.5 * 1 * (10*sin30)^2 = 12.5
-        assert kinetic_energy(1.0, 10.0, 0.0, 30.0) == pytest.approx(12.5, rel=1e-12)
+        # 0.5 * 1 * (10*sin30 + 5)^2 = 50
+        energy = result(bird_mass=1.0, bird_speed=10.0, aircraft_speed=5.0,
+                        impact_angle=30.0).kinetic_energy
+        assert energy == pytest.approx(50.0, rel=1e-12)
 
     def test_zero_mass(self):
-        assert kinetic_energy(0.0, 10.0, 10.0, 90.0) == 0.0
+        assert result(bird_mass=0.0).kinetic_energy == 0.0
 
 
 class TestPenetrationDepth:

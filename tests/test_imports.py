@@ -1,8 +1,11 @@
-"""Every module in the package uses each name it imports.
+"""Every module in the package uses each name it imports, and every private
+module-level name is read somewhere in the package.
 
-Deleting code tends to leave an import behind; this walks each module's
-syntax tree with ast and fails on any imported name that is never read.
-__init__.py is skipped: its imports are the package's public names.
+Deleting code tends to leave an import or a private helper behind; this walks
+each module's syntax tree with ast and fails on any imported name that is
+never read, and on any module-level name with one leading underscore that no
+module in the package reads. __init__.py is skipped for imports: its imports
+are the package's public names.
 """
 
 import ast
@@ -12,8 +15,8 @@ import pytest
 
 import birdstrike
 
-MODULES = sorted(path for path in Path(birdstrike.__file__).parent.glob("*.py")
-                 if path.name != "__init__.py")
+SOURCES = sorted(Path(birdstrike.__file__).parent.glob("*.py"))
+MODULES = [path for path in SOURCES if path.name != "__init__.py"]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -38,3 +41,45 @@ def test_guard_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """Module-level names with one leading underscore that no source reads.
+
+    A name counts as read where it is loaded as a name or as an attribute
+    (module._name) in any of the sources, its own module included.
+    """
+    defined, read = [], set()
+    for filename, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [name.id for target in targets for name in ast.walk(target)
+                         if isinstance(name, ast.Name)]
+            else:
+                continue
+            defined += [(filename, node.lineno, name) for name in names
+                        if name.startswith("_") and not name.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return [f"{filename} line {line}: {name}" for filename, line, name in defined
+            if name not in read]
+
+
+def test_guard_sees_an_unread_private_name():
+    sources = {
+        "a.py": "_A = 1\n_B, _C = 2, 3\n__D = 4\ndef _f():\n    return _B\nclass _K: pass\n",
+        "b.py": "import a\nfrom a import _K\n_K(a._C)\n",
+    }
+    assert unread_private_names(sources) == ["a.py line 1: _A", "a.py line 4: _f"]
+
+
+def test_package_reads_every_private_name():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in SOURCES}
+    assert unread_private_names(sources) == []

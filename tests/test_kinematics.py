@@ -12,7 +12,6 @@ from birdstrike.kinematics import (
     PUBLISHED_PLANS,
     DropPlan,
     drag_fall_distance,
-    drag_velocity_at_time,
     fall_time_for_drop,
     ideal_impact_velocity,
     impact_velocity_from_drop,
@@ -168,19 +167,19 @@ class TestTerminalVelocity:
 
 class TestDragVelocity:
     def test_zero_time(self):
-        assert drag_velocity_at_time(0.0, PARAMS_A) == 0.0
+        assert impact_velocity_from_timing(0.0, PARAMS_A) == 0.0
 
     def test_saturates_at_terminal_velocity(self):
         vt = terminal_velocity(PARAMS_A)
-        assert drag_velocity_at_time(1000.0, PARAMS_A) == pytest.approx(vt, rel=1e-6)
+        assert impact_velocity_from_timing(1000.0, PARAMS_A) == pytest.approx(vt, rel=1e-6)
 
     def test_matches_frozen_rk4_values(self):
         for t, (_, velocity) in RK4_A.items():
-            assert drag_velocity_at_time(t, PARAMS_A) == pytest.approx(velocity, rel=1e-6)
+            assert impact_velocity_from_timing(t, PARAMS_A) == pytest.approx(velocity, rel=1e-6)
 
     def test_negative_time_rejected(self):
         with pytest.raises(InvalidParameterError):
-            drag_velocity_at_time(-0.1, PARAMS_A)
+            impact_velocity_from_timing(-0.1, PARAMS_A)
 
     def test_matches_rk4_for_random_parameters(self):
         rng = random.Random(11)
@@ -196,7 +195,7 @@ class TestDragVelocity:
                             params.drag_coefficient, params.reference_area)
             t = rng.uniform(0.1, 3.0)
             distance, velocity = rk4_fall(params.gravity, k, t)
-            assert drag_velocity_at_time(t, params) == pytest.approx(velocity, rel=1e-6)
+            assert impact_velocity_from_timing(t, params) == pytest.approx(velocity, rel=1e-6)
             assert drag_fall_distance(t, params) == pytest.approx(distance, rel=1e-6)
 
 
@@ -280,7 +279,7 @@ class TestImpactVelocityFromTiming:
 def drag_results_digest() -> str:
     """sha256 of float.hex() of every drag result over a seeded grid.
 
-    Covers terminal_velocity, drag_fall_distance, drag_velocity_at_time,
+    Covers terminal_velocity, drag_fall_distance, impact_velocity_from_timing,
     fall_time_for_drop and impact_velocity_from_drop, with t = 0 and h = 0
     in every row. The digest depends on the platform's libm (exp, log1p, tanh).
     """
@@ -297,7 +296,7 @@ def drag_results_digest() -> str:
         lines.append(terminal_velocity(params).hex())
         for t in (0.0, rng.uniform(0.0, 0.05), rng.uniform(0.05, 2.0), rng.uniform(2.0, 60.0)):
             lines.append(f"{drag_fall_distance(t, params).hex()} "
-                         f"{drag_velocity_at_time(t, params).hex()}")
+                         f"{impact_velocity_from_timing(t, params).hex()}")
         for h in (0.0, rng.uniform(0.0, 0.01), rng.uniform(0.01, 5.0), rng.uniform(5.0, 2000.0)):
             lines.append(f"{fall_time_for_drop(h, params).hex()} "
                          f"{impact_velocity_from_drop(h, params).hex()}")

@@ -11,9 +11,7 @@ from birdstrike.projectile import (
     Ellipsoid,
     ProjectileSpec,
     cylinder_radius_for,
-    cylinder_volume,
     effective_density,
-    ellipsoid_volume,
     export_geometry,
     generate_projectile_set,
     load_geometry,
@@ -39,35 +37,35 @@ class TestRoundSig:
 
 class TestVolumes:
     def test_unit_cylinder(self):
-        assert cylinder_volume(1.0, 1.0) == pytest.approx(math.pi, rel=1e-12)
+        assert Cylinder(1.0, 1.0).volume() == pytest.approx(math.pi, rel=1e-12)
 
     def test_starling_cylinder(self):
-        assert cylinder_volume(0.01, 0.22) == pytest.approx(6.912e-5, abs=1e-8)
+        assert Cylinder(0.01, 0.22).volume() == pytest.approx(6.912e-5, abs=1e-8)
 
     def test_doubling_radius_quadruples_volume(self):
-        assert cylinder_volume(0.02, 0.22) == pytest.approx(
-            4.0 * cylinder_volume(0.01, 0.22), rel=1e-12
+        assert Cylinder(0.02, 0.22).volume() == pytest.approx(
+            4.0 * Cylinder(0.01, 0.22).volume(), rel=1e-12
         )
 
     def test_unit_ellipsoid(self):
-        assert ellipsoid_volume(1.0, 1.0, 1.0) == pytest.approx(4.0 * math.pi / 3.0, rel=1e-12)
+        assert Ellipsoid(1.0, 1.0, 1.0).volume() == pytest.approx(4.0 * math.pi / 3.0, rel=1e-12)
 
     def test_inscribed_ellipsoid(self):
-        volume = ellipsoid_volume(0.11, 0.01, 0.01)
+        volume = Ellipsoid(0.11, 0.01, 0.01).volume()
         assert volume == pytest.approx(4.608e-5, abs=1e-8)
-        assert volume == pytest.approx(2.0 / 3.0 * cylinder_volume(0.01, 0.22), rel=1e-12)
+        assert volume == pytest.approx(2.0 / 3.0 * Cylinder(0.01, 0.22).volume(), rel=1e-12)
 
     def test_axis_permutation_symmetry(self):
         # equal up to multiplication reordering (1 ulp)
-        assert ellipsoid_volume(0.11, 0.01, 0.02) == pytest.approx(
-            ellipsoid_volume(0.01, 0.02, 0.11), rel=1e-12
+        assert Ellipsoid(0.11, 0.01, 0.02).volume() == pytest.approx(
+            Ellipsoid(0.01, 0.02, 0.11).volume(), rel=1e-12
         )
 
     def test_non_positive_dimensions_rejected(self):
         with pytest.raises(InvalidParameterError):
-            cylinder_volume(0.0, 1.0)
+            Cylinder(0.0, 1.0)
         with pytest.raises(InvalidParameterError):
-            ellipsoid_volume(1.0, -1.0, 1.0)
+            Ellipsoid(1.0, -1.0, 1.0)
 
 
 class TestCylinderRadius:
@@ -90,7 +88,7 @@ class TestCylinderRadius:
             density = rng.uniform(100.0, 5000.0)
             length = rng.uniform(0.01, 2.0)
             radius = cylinder_radius_for(mass, density, length)
-            assert cylinder_volume(radius, length) * density == pytest.approx(mass, rel=1e-12)
+            assert Cylinder(radius, length).volume() * density == pytest.approx(mass, rel=1e-12)
 
     def test_non_positive_inputs_rejected(self):
         with pytest.raises(InvalidParameterError):

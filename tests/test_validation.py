@@ -27,16 +27,13 @@ from birdstrike.impact import (
     ImpactScenario,
     check_certification,
     impact_force_stationary,
-    kinetic_energy,
     scale_scenario,
     sensitivity_table,
-    total_impact_speed,
 )
 from birdstrike.kinematics import (
     DragParams,
     DropPlan,
     drag_fall_distance,
-    drag_velocity_at_time,
     fall_time_for_drop,
     ideal_impact_velocity,
     impact_velocity_from_drop,
@@ -50,9 +47,7 @@ from birdstrike.projectile import (
     Ellipsoid,
     ProjectileSpec,
     cylinder_radius_for,
-    cylinder_volume,
     effective_density,
-    ellipsoid_volume,
     generate_projectile_set,
     round_sig,
 )
@@ -84,17 +79,6 @@ ROWS = {
         dict(bird_mass=0.0, impact_angle=0.0),
         dict(bird_mass=-1.0, bird_length=0.0, bird_density=0.0, bird_speed=-1.0,
              aircraft_speed=-1.0, aircraft_density=0.0, impact_angle=90.5),
-    ),
-    "total_impact_speed": (
-        total_impact_speed, dict(bird_speed=22.35, aircraft_speed=90.0, impact_angle=90.0),
-        dict(impact_angle=0.0),
-        dict(bird_speed=-1.0, aircraft_speed=-1.0, impact_angle=-1.0),
-    ),
-    "kinetic_energy": (
-        kinetic_energy, dict(bird_mass=0.085, bird_speed=22.35, aircraft_speed=90.0,
-                             impact_angle=90.0),
-        dict(bird_mass=0.0),
-        dict(bird_mass=-1.0, bird_speed=-1.0, aircraft_speed=-1.0, impact_angle=91.0),
     ),
     "impact_force_stationary": (
         impact_force_stationary,
@@ -148,10 +132,6 @@ ROWS = {
         dict(scale_factor=1.0),
         dict(bird_speed=-1.0, aircraft_speed=-1.0, scale_factor=0.99, gravity=0.0),
     ),
-    "drag_velocity_at_time": (
-        lambda time: drag_velocity_at_time(time, DRAG), dict(time=0.7), dict(time=0.0),
-        dict(time=-1.0),
-    ),
     "drag_fall_distance": (
         lambda time: drag_fall_distance(time, DRAG), dict(time=0.7), dict(time=0.0),
         dict(time=-1.0),
@@ -171,12 +151,6 @@ ROWS = {
     "round_sig": (
         lambda digits: round_sig(0.0115, digits), dict(digits=2), dict(digits=1),
         dict(digits=0),
-    ),
-    "cylinder_volume": (
-        cylinder_volume, dict(radius=0.01, height=0.22), {}, dict(radius=0.0, height=-1.0),
-    ),
-    "ellipsoid_volume": (
-        ellipsoid_volume, dict(a=0.1, b=0.01, c=0.01), {}, dict(a=0.0, b=-1.0, c=0.0),
     ),
     "cylinder_radius_for": (
         cylinder_radius_for, dict(mass=0.085, body_density=1230.0, length=0.22), {},
