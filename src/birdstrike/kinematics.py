@@ -6,6 +6,8 @@ or fall time when quadratic aerodynamic drag matters:
 
     v(t) = v_t * tanh(g*t/v_t)              v_t = sqrt(2*m*g/(rho*C_d*A))
     y(t) = (v_t^2/g) * log(cosh(g*t/v_t))
+    v(h) = v_t * sqrt(1 - exp(-2x))         x = g*h/v_t^2, inverting y(t) = h
+    t(h) = (v_t/g) * (x + log1p(v(h)/v_t))
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import BirdstrikeError, InvalidParameterError, require
+from .errors import InvalidParameterError, require
 
 GRAVITY_PRESETS = {
     "standard": 9.80665,  # m/s^2
@@ -25,10 +27,6 @@ DEFAULT_SCALE_FACTOR = 15.0  # velocity scale bringing ~600 m drops under ~3 m
 DEFAULT_AIR_DENSITY = 1.225  # kg/m^3, sea level
 
 _LOG2 = math.log(2.0)
-
-# Root-finding bracket width for the fall-time solve; tight enough that the
-# distance round trip holds to 1e-9 m at laboratory scales.
-_TIME_TOLERANCE = 1e-12  # s
 
 
 @dataclass(frozen=True)
@@ -134,43 +132,38 @@ def terminal_velocity(params: DragParams) -> float:
 
 def drag_fall_distance(t: float, params: DragParams) -> float:
     """Distance fallen after t seconds from rest: (v_t^2/g)*log(cosh(g*t/v_t))."""
-    if not 0.0 <= t < math.inf:  # once per bisection step: call only to raise
-        require("time", t)
+    require("time", t)
     vt, g = params._terminal_velocity, params.gravity
-    x = g * t / vt  # >= 0, so log(cosh(x)) = x + log1p(exp(-2x)) - log 2 never overflows
-    return (vt * vt / g) * (x + math.log1p(math.exp(-2.0 * x)) - _LOG2)
+    x = g * t / vt
+    if x < 1.0:  # log(cosh(x)) = log1p(2*sinh(x/2)^2) keeps its precision as x -> 0
+        s = math.sinh(0.5 * x)
+        return (vt * vt / g) * math.log1p(2.0 * s * s)
+    return (vt * vt / g) * (x + math.log1p(math.exp(-2.0 * x)) - _LOG2)  # never overflows
 
 
 def fall_time_for_drop(height: float, params: DragParams) -> float:
     """Time to fall `height` metres with drag.
 
-    Bisects the monotone distance function, so convergence is guaranteed; the
-    bracket is tightened far enough that the distance round trip holds to
-    1e-9 m at laboratory scales.
+    t(h) from the module docstring, x*v_t/g taken as h/v_t (finite wherever t is),
+    then one Newton step on drag_fall_distance: the round trip holds to rounding.
     """
     require("height", height)
-    if height == 0:
+    vt, g = params._terminal_velocity, params.gravity
+    x = g * height / (vt * vt)
+    if x == 0.0:  # h = 0, or so small that x underflows to 0
         return 0.0
-    lo, hi = 0.0, 1.0
-    while drag_fall_distance(hi, params) < height:
-        hi *= 2.0
-        if hi > 1e12:  # distance grows without bound; defensive only
-            raise BirdstrikeError("failed to bracket the fall time")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if drag_fall_distance(mid, params) < height:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= _TIME_TOLERANCE:
-            break
-    return 0.5 * (lo + hi)
+    t = height / vt + (vt / g) * math.log1p(math.sqrt(-math.expm1(-2.0 * x)))
+    if t < math.inf:
+        t -= (drag_fall_distance(t, params) - height) / (vt * math.tanh(g * t / vt))
+    if not 0.0 <= t < math.inf:
+        raise InvalidParameterError(f"height must give a finite fall time, got {height!r}")
+    return t
 
 
 def impact_velocity_from_drop(height: float, params: DragParams) -> float:
     """Impact speed after falling `height` metres with drag.
 
-    Always strictly below the drag-free sqrt(2*g*h) for positive drag.
+    Below the drag-free sqrt(2*g*h) for positive drag, to rounding as drag vanishes.
     """
     return impact_velocity_from_timing(fall_time_for_drop(height, params), params)
 

@@ -111,6 +111,9 @@ class ProjectileSpec:
     varying_factor: str
 
     def __post_init__(self) -> None:
+        if not isinstance(self.varying_factor, str):  # a descriptor JSON may hold any value
+            raise InvalidParameterError(
+                f"varying_factor must be a string, got {self.varying_factor!r}")
         require("serial", self.serial, 1)
         require("solid_material_density", self.solid_material_density, above=True)
         require("infill_fraction", self.infill_fraction, 0.0, 1.0)

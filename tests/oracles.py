@@ -2,9 +2,10 @@
 
 Nothing here imports the package under test. For the closed-form kinematics,
 the governing rate dv/dt = g - k*v^2 (k = rho*C_d*A/(2*m)) is integrated
-directly with classical fourth-order Runge-Kutta, jointly with dy/dt = v. For
-the conformance statistics, the sample variance is computed exactly in
-rational arithmetic.
+directly with classical fourth-order Runge-Kutta, jointly with dy/dt = v, and
+the fall distance, fall time and impact velocity are evaluated to 60 digits
+with decimal. For the conformance statistics, the sample variance is computed
+exactly in rational arithmetic.
 """
 
 from __future__ import annotations
@@ -79,3 +80,38 @@ def exact_sample_std(values) -> float:
     with localcontext() as context:
         context.prec = 50
         return float((Decimal(variance.numerator) / Decimal(variance.denominator)).sqrt())
+
+
+def _decimal_drag(mass: float, drag_coefficient: float, reference_area: float,
+                  air_density: float, gravity: float) -> tuple[Decimal, Decimal]:
+    """(v_t, g) as Decimals, v_t = sqrt(2*m*g/(rho*C_d*A)); call inside a 60-digit context."""
+    g = Decimal(gravity)
+    drag = Decimal(air_density) * Decimal(drag_coefficient) * Decimal(reference_area)
+    return (2 * Decimal(mass) * g / drag).sqrt(), g
+
+
+def decimal_fall_distance(t: float, mass: float, drag_coefficient: float,
+                          reference_area: float, air_density: float, gravity: float) -> float:
+    """Distance fallen from rest after t seconds, (v_t^2/g)*ln(cosh(g*t/v_t)), to 60 digits."""
+    with localcontext() as context:
+        context.prec = 60
+        vt, g = _decimal_drag(mass, drag_coefficient, reference_area, air_density, gravity)
+        y = g * Decimal(t) / vt
+        cosh = (y.exp() + (-y).exp()) / 2
+        return float(vt * vt / g * cosh.ln())
+
+
+def decimal_drop(height: float, mass: float, drag_coefficient: float,
+                 reference_area: float, air_density: float, gravity: float) -> tuple[float, float]:
+    """(fall time, impact velocity) of a drop from `height`, to 60 digits.
+
+    Inverts the distance formula directly: cosh(g*t/v_t) = exp(g*h/v_t^2) = c,
+    so t = (v_t/g)*arccosh(c) with arccosh(c) = ln(c + sqrt(c^2 - 1)), and
+    v = v_t*tanh(g*t/v_t) = v_t*sqrt(c^2 - 1)/c.
+    """
+    with localcontext() as context:
+        context.prec = 60
+        vt, g = _decimal_drag(mass, drag_coefficient, reference_area, air_density, gravity)
+        c = (g * Decimal(height) / (vt * vt)).exp()
+        root = (c * c - 1).sqrt()
+        return float(vt / g * (c + root).ln()), float(vt * root / c)

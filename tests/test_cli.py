@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -220,6 +221,28 @@ class TestDropVelocityCommand:
     def test_partial_drag_flags_exit_two(self, capsys):
         code, _, _ = run_cli(["drop-velocity", "--height", "2.8", "--mass", "0.1"], capsys)
         assert code == 2
+
+    def test_vanishing_drag_gives_free_fall_velocity(self, capsys):
+        code, out, _ = run_cli(["drop-velocity", "--height", "2.8", "--mass", "0.1",
+                                "--cd", "1e-16", "--area", "0.01"], capsys)
+        assert code == 0
+        assert float(parse_kv(out)["impact_velocity_m_s"]) == pytest.approx(
+            math.sqrt(2.0 * 9.80665 * 2.8), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("height", ["5e-324", "1e20", "1.7e308"])
+    def test_extreme_height_exits_zero_at_most_terminal(self, capsys, height):
+        code, out, _ = run_cli(["drop-velocity", "--height", height, "--mass", "0.1",
+                                "--cd", "1", "--area", "0.01"], capsys)
+        values = parse_kv(out)
+        assert code == 0
+        velocity = float(values["impact_velocity_m_s"])
+        assert 0.0 <= velocity <= float(values["terminal_velocity_m_s"])
+
+    def test_fall_time_beyond_float_range_exits_two(self, capsys):
+        code, out, err = run_cli(["drop-velocity", "--height", "1.7e308", "--mass", "1e-6",
+                                  "--cd", "1", "--area", "1"], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("usage error: height ")
 
     @pytest.mark.parametrize("drag_flags", [
         ["--mass", "0.01", "--cd", "1e-200", "--area", "1e-200", "--air-density", "1e-200"],

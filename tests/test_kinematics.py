@@ -1,10 +1,12 @@
 import hashlib
 import math
 import random
+import re
 from dataclasses import asdict, fields, replace
 
 import pytest
 
+from birdstrike import kinematics
 from birdstrike.errors import InvalidParameterError
 from birdstrike.kinematics import (
     DragParams,
@@ -22,7 +24,7 @@ from birdstrike.kinematics import (
     terminal_velocity,
 )
 
-from oracles import drag_factor, rk4_fall
+from oracles import decimal_drop, decimal_fall_distance, drag_factor, rk4_fall
 
 G_REF = GRAVITY_PRESETS["paper"]
 
@@ -165,40 +167,6 @@ class TestTerminalVelocity:
                        reference_area=0.01, air_density=1.225, gravity=9.81)
 
 
-class TestDragVelocity:
-    def test_zero_time(self):
-        assert impact_velocity_from_timing(0.0, PARAMS_A) == 0.0
-
-    def test_saturates_at_terminal_velocity(self):
-        vt = terminal_velocity(PARAMS_A)
-        assert impact_velocity_from_timing(1000.0, PARAMS_A) == pytest.approx(vt, rel=1e-6)
-
-    def test_matches_frozen_rk4_values(self):
-        for t, (_, velocity) in RK4_A.items():
-            assert impact_velocity_from_timing(t, PARAMS_A) == pytest.approx(velocity, rel=1e-6)
-
-    def test_negative_time_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            impact_velocity_from_timing(-0.1, PARAMS_A)
-
-    def test_matches_rk4_for_random_parameters(self):
-        rng = random.Random(11)
-        for _ in range(25):
-            params = DragParams(
-                projectile_mass=rng.uniform(0.01, 2.0),
-                drag_coefficient=rng.uniform(0.3, 2.0),
-                reference_area=rng.uniform(1e-4, 0.05),
-                air_density=rng.uniform(0.9, 1.4),
-                gravity=rng.uniform(9.0, 10.5),
-            )
-            k = drag_factor(params.projectile_mass, params.air_density,
-                            params.drag_coefficient, params.reference_area)
-            t = rng.uniform(0.1, 3.0)
-            distance, velocity = rk4_fall(params.gravity, k, t)
-            assert impact_velocity_from_timing(t, params) == pytest.approx(velocity, rel=1e-6)
-            assert drag_fall_distance(t, params) == pytest.approx(distance, rel=1e-6)
-
-
 class TestDragFallDistance:
     def test_zero_time(self):
         assert drag_fall_distance(0.0, PARAMS_A) == 0.0
@@ -258,6 +226,35 @@ class TestImpactVelocityFromDrop:
         with pytest.raises(InvalidParameterError):
             impact_velocity_from_drop(-1.0, PARAMS_A)
 
+    @pytest.mark.parametrize("height", [5e-324, 1e-310, 1e20, 1.7e308])
+    def test_extreme_height_gives_velocity_up_to_terminal(self, height):
+        # 5e-324: g*h/v_t^2 underflows to 0; from 1e20 on, tanh(g*t/v_t) rounds to 1
+        vt = terminal_velocity(PARAMS_A)
+        velocity = impact_velocity_from_drop(height, PARAMS_A)
+        assert 0.0 <= velocity <= vt
+        assert velocity == pytest.approx(min(vt, ideal_impact_velocity(height, 9.81)),
+                                         rel=1e-14, abs=1e-150)
+
+    @pytest.mark.parametrize("params, height", [
+        (DragParams(1e-6, 1.0, 1.0), 1.7e308),  # v_t ~ 0.004 m/s: h/v_t overflows
+        (PARAMS_A, 1.7976931348623157e308),     # the distance at the fall time overflows
+    ])
+    def test_fall_time_beyond_float_range_names_height(self, params, height):
+        message = rf"^height must give a finite fall time, got {re.escape(repr(height))}$"
+        with pytest.raises(InvalidParameterError, match=message):
+            impact_velocity_from_drop(height, params)
+
+    def test_one_solve_makes_one_distance_call(self, monkeypatch):
+        # perfbench traces this chain and reads drag_fall_distance calls per solve
+        calls = []
+        for name in ("fall_time_for_drop", "drag_fall_distance"):
+            def counted(*args, _name=name, _function=getattr(kinematics, name)):
+                calls.append(_name)
+                return _function(*args)
+            monkeypatch.setattr(kinematics, name, counted)
+        impact_velocity_from_drop(2.8, starling_projectile_params())
+        assert calls == ["fall_time_for_drop", "drag_fall_distance"]
+
 
 class TestImpactVelocityFromTiming:
     def test_zero_time(self):
@@ -275,13 +272,61 @@ class TestImpactVelocityFromTiming:
         for t, (_, velocity) in RK4_A.items():
             assert impact_velocity_from_timing(t, PARAMS_A) == pytest.approx(velocity, rel=1e-6)
 
+    def test_saturates_at_terminal_velocity(self):
+        vt = terminal_velocity(PARAMS_A)
+        assert impact_velocity_from_timing(1000.0, PARAMS_A) == pytest.approx(vt, rel=1e-6)
+
+    def test_negative_time_rejected(self):
+        with pytest.raises(InvalidParameterError):
+            impact_velocity_from_timing(-0.1, PARAMS_A)
+
+    def test_matches_rk4_for_random_parameters(self):
+        rng = random.Random(11)
+        for _ in range(25):
+            params = DragParams(
+                projectile_mass=rng.uniform(0.01, 2.0),
+                drag_coefficient=rng.uniform(0.3, 2.0),
+                reference_area=rng.uniform(1e-4, 0.05),
+                air_density=rng.uniform(0.9, 1.4),
+                gravity=rng.uniform(9.0, 10.5),
+            )
+            k = drag_factor(params.projectile_mass, params.air_density,
+                            params.drag_coefficient, params.reference_area)
+            t = rng.uniform(0.1, 3.0)
+            distance, velocity = rk4_fall(params.gravity, k, t)
+            assert impact_velocity_from_timing(t, params) == pytest.approx(velocity, rel=1e-6)
+            assert drag_fall_distance(t, params) == pytest.approx(distance, rel=1e-6)
+
+
+class TestDragDecimalOracle:
+    """Drag results within 1e-14 of a 60-digit decimal evaluation, for x = g*t/v_t
+    and x = g*h/v_t^2 from 1e-20 to 1e3."""
+
+    def test_random_parameters(self):
+        rng = random.Random(60)
+        for _ in range(300):
+            inputs = (rng.uniform(0.002, 4.0), rng.uniform(0.2, 2.0), rng.uniform(5e-5, 0.08),
+                      rng.uniform(0.8, 1.4), rng.uniform(1.0, 25.0))
+            params = DragParams(*inputs)
+            vt, g = terminal_velocity(params), params.gravity
+            x = 10.0 ** rng.uniform(-20.0, 3.0)
+            t = x * vt / g
+            assert drag_fall_distance(t, params) == pytest.approx(
+                decimal_fall_distance(t, *inputs), rel=1e-14, abs=0)
+            height = x * vt * vt / g
+            time, velocity = decimal_drop(height, *inputs)
+            assert fall_time_for_drop(height, params) == pytest.approx(time, rel=1e-14, abs=0)
+            assert impact_velocity_from_drop(height, params) == pytest.approx(
+                velocity, rel=1e-14, abs=0)
+
 
 def drag_results_digest() -> str:
     """sha256 of float.hex() of every drag result over a seeded grid.
 
     Covers terminal_velocity, drag_fall_distance, impact_velocity_from_timing,
     fall_time_for_drop and impact_velocity_from_drop, with t = 0 and h = 0
-    in every row. The digest depends on the platform's libm (exp, log1p, tanh).
+    in every row. The digest depends on the platform's libm (exp, expm1, log1p,
+    sinh, tanh).
     """
     rng = random.Random(2026)
     lines = []
@@ -305,8 +350,8 @@ def drag_results_digest() -> str:
 
 class TestDragResultBits:
     def test_pinned_digest(self):
-        # digest of the implementation that recomputed the terminal velocity on every call
-        assert drag_results_digest() == "e9dd617f09215f0d592b35f0891880eb65e0a32dddeb141beb694a2b5cd96bd5"
+        # pinned after TestDragDecimalOracle passed on the closed-form fall time
+        assert drag_results_digest() == "cda4645c4680995995574ebdc55a35bee118f051f1f44f3edc73add2726fd318"
 
 
 class TestDragParamsTerminalVelocity:
