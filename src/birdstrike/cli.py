@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 from .errors import BirdstrikeError, InvalidParameterError, ParseError, StationaryAircraftError
@@ -456,8 +455,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", parents=[moving],
                        help="force sensitivity to one scenario parameter")
     p.add_argument("--param", required=True,
-                   help="scenario field to vary: "
-                        + ", ".join(field.name for field in fields(ImpactScenario)))
+                   help="scenario field to vary: " + ", ".join(ImpactScenario._fields))
     p.add_argument("--values", required=True, help="comma-separated values")
     p.add_argument("--out", help="output CSV path (default: stdout)")
     p.set_defaults(func=cmd_sweep)

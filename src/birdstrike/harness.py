@@ -16,11 +16,11 @@ import json
 import math
 import operator
 import warnings
-from dataclasses import dataclass, field
 from enum import Enum
 from itertools import repeat
 from typing import Mapping, Sequence
 
+from ._record import Record
 from ._table import read_json, read_table
 from .errors import InvalidParameterError, ParseError, require
 from .impact import ImpactScenario, _force_any_speed
@@ -52,8 +52,7 @@ REPORT_CSV_HEADER = (
 NOMINAL_VELOCITY_TOLERANCE = 0.05  # m/s
 
 
-@dataclass(frozen=True)
-class TestScenario:
+class TestScenario(Record):
     """One row of the test matrix."""
 
     id: str
@@ -78,11 +77,9 @@ class TestScenario:
         require("iterations", self.iterations, 1, integer=True)
 
 
-@dataclass(frozen=True)
-class TestMatrix:
+class TestMatrix(Record):
     scenarios: tuple[TestScenario, ...]
     iterations_per_scenario: int = DEFAULT_ITERATIONS
-    _by_id: dict[str, TestScenario] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         require("iterations_per_scenario", self.iterations_per_scenario, 1, integer=True)
@@ -286,8 +283,7 @@ def theoretical_reference(
     return _force_any_speed(model_scenario)
 
 
-@dataclass(frozen=True)
-class MeasurementSet:
+class MeasurementSet(Record):
     """Per-iteration force readings for one scenario."""
 
     scenario_id: str
@@ -374,10 +370,20 @@ def ingest_measurements(
                 raise ParseError(f"{path}: scenario {scenario_id!r} has {len(values)} "
                                  f"iterations, matrix expects {expected}")
     return [
-        MeasurementSet(scenario_id, tuple(values),
-                       tuple(velocities[scenario_id]) if velocities else None)
+        _checked_measurement_set(scenario_id, tuple(values),
+                                 tuple(velocities[scenario_id]) if velocities else None)
         for scenario_id, values in forces.items()
     ]
+
+
+def _checked_measurement_set(scenario_id: str, forces: tuple[float, ...],
+                             velocities: tuple[float, ...] | None) -> MeasurementSet:
+    """A MeasurementSet built without __post_init__, whose forces and velocities
+    ingest_measurements has already checked row by row."""
+    measurement = object.__new__(MeasurementSet)
+    measurement.__dict__.update(scenario_id=scenario_id, forces=forces,
+                                impact_velocities=velocities)
+    return measurement
 
 
 def scenario_stats(measurement: MeasurementSet) -> tuple[float, float]:
@@ -435,8 +441,7 @@ def percent_error(theoretical: float, experimental: float) -> float:
     return error
 
 
-@dataclass(frozen=True)
-class ScenarioConformance:
+class ScenarioConformance(Record):
     scenario_id: str
     theoretical_force: float      # N
     experimental_mean: float      # N
@@ -446,8 +451,7 @@ class ScenarioConformance:
     percent_conformance_abs: float  # 100 - |percent_error|, secondary metric
 
 
-@dataclass(frozen=True)
-class ConformanceReport:
+class ConformanceReport(Record):
     scenarios: tuple[ScenarioConformance, ...]
     overall_mean_conformance: float
     overall_mean_conformance_abs: float

@@ -23,8 +23,8 @@ limit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
 
+from ._record import Record
 from .errors import InvalidParameterError, StationaryAircraftError, require
 
 
@@ -32,8 +32,7 @@ def _sin_deg(angle: float) -> float:
     return math.sin(math.radians(angle))
 
 
-@dataclass(frozen=True)
-class ImpactScenario:
+class ImpactScenario(Record):
     """One bird/aircraft/angle configuration fed to the force model."""
 
     bird_mass: float         # kg
@@ -54,8 +53,7 @@ class ImpactScenario:
         require("impact_angle", self.impact_angle, 0.0, 90.0)
 
 
-@dataclass(frozen=True)
-class ImpactResult:
+class ImpactResult(Record):
     """Force plus the intermediate quantities it was built from."""
 
     total_speed: float        # m/s
@@ -64,16 +62,15 @@ class ImpactResult:
     force: float              # N
 
 
-@dataclass(frozen=True)
-class CertificationLimits:
+class CertificationLimits(Record):
     """Airworthiness thresholds for bird impact on small aircraft."""
 
     single_bird_force: float = 2255.0  # N
     flock_force: float = 4819.0        # N
 
     def __post_init__(self) -> None:
-        for field in fields(self):
-            require(field.name, getattr(self, field.name), above=True)
+        for name in self._fields:
+            require(name, getattr(self, name), above=True)
 
 
 DEFAULT_LIMITS = CertificationLimits()
@@ -81,8 +78,7 @@ DEFAULT_LIMITS = CertificationLimits()
 CERTIFICATION_CASES = {"single-bird": "single_bird_force", "flock": "flock_force"}
 
 
-@dataclass(frozen=True)
-class CertificationVerdict:
+class CertificationVerdict(Record):
     case: str
     force: float   # N
     limit: float   # N
@@ -90,8 +86,7 @@ class CertificationVerdict:
     margin: float  # N, limit - force (negative when exceeded)
 
 
-@dataclass(frozen=True)
-class SensitivityRow:
+class SensitivityRow(Record):
     value: float
     force: float           # N
     percent_change: float  # signed, vs the base scenario
@@ -148,11 +143,8 @@ def _stationary_force(s: ImpactScenario) -> float:
 def scale_scenario(scenario: ImpactScenario, velocity_factor: float) -> ImpactScenario:
     """Scale both speeds by the same factor; the force scales by its square."""
     require("velocity_factor", velocity_factor, above=True)
-    return replace(
-        scenario,
-        bird_speed=scenario.bird_speed * velocity_factor,
-        aircraft_speed=scenario.aircraft_speed * velocity_factor,
-    )
+    return scenario._replace(bird_speed=scenario.bird_speed * velocity_factor,
+                             aircraft_speed=scenario.aircraft_speed * velocity_factor)
 
 
 def check_certification(
@@ -182,17 +174,15 @@ def sensitivity_table(
     Percent change is signed with the base force in the denominator. Varied
     scenarios with aircraft_speed 0 fall back to the stationary model.
     """
-    names = {field.name for field in fields(ImpactScenario)}
-    if parameter not in names:
-        raise InvalidParameterError(
-            f"unknown scenario parameter {parameter!r}; choose from {sorted(names)}"
-        )
+    if parameter not in ImpactScenario._fields:
+        raise InvalidParameterError(f"unknown scenario parameter {parameter!r}; "
+                                    f"choose from {sorted(ImpactScenario._fields)}")
     base_force = _force_any_speed(base)
     if base_force == 0:
         raise InvalidParameterError("base scenario force is zero; percent change undefined")
     rows = []
     for value in values:
-        force = _force_any_speed(replace(base, **{parameter: value}))
+        force = _force_any_speed(base._replace(**{parameter: value}))
         rows.append(SensitivityRow(value, force, 100.0 * (force - base_force) / base_force))
     return rows
 

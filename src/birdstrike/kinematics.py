@@ -13,8 +13,8 @@ or fall time when quadratic aerodynamic drag matters:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from ._record import Record
 from .errors import InvalidParameterError, require
 
 GRAVITY_PRESETS = {
@@ -29,8 +29,7 @@ DEFAULT_AIR_DENSITY = 1.225  # kg/m^3, sea level
 _LOG2 = math.log(2.0)
 
 
-@dataclass(frozen=True)
-class DropPlan:
+class DropPlan(Record):
     """Planned drop for one species: full-scale and velocity-scaled columns."""
 
     species_name: str
@@ -55,8 +54,7 @@ class DropPlan:
             )
 
 
-@dataclass(frozen=True)
-class DragParams:
+class DragParams(Record):
     """Quadratic-drag free-fall parameters."""
 
     projectile_mass: float                  # kg
@@ -72,15 +70,20 @@ class DragParams:
         require("air_density", self.air_density, above=True)
         require("gravity", self.gravity, above=True)
         # Read on every step of the fall-time solve, so computed once here. Set
-        # as a plain attribute, not a field: fields(), asdict, repr, == and
-        # hash see the five inputs only, and replace() recomputes it.
+        # as plain attributes, not fields: _fields, _asdict(), repr, == and
+        # hash see the five inputs only, and _replace() recomputes them.
         drag = self.air_density * self.drag_coefficient * self.reference_area
         vt = math.sqrt(2.0 * self.projectile_mass * self.gravity / drag) if drag else math.inf
         if not 0.0 < vt < math.inf:  # a product under- or overflowed
             raise InvalidParameterError(
                 f"terminal velocity sqrt(2*m*g/(rho*C_d*A)) must be finite and > 0, got {vt!r}"
             )
-        object.__setattr__(self, "_terminal_velocity", vt)
+        scale = vt * vt / self.gravity  # the fall-distance scale of drag_fall_distance
+        if not 0.0 < scale < math.inf:
+            raise InvalidParameterError(
+                f"fall-distance scale 2*m/(rho*C_d*A) = v_t^2/g must be finite and > 0, "
+                f"got {scale!r}")
+        self.__dict__.update(_terminal_velocity=vt, _distance_scale=scale)
 
 
 def ideal_impact_velocity(height: float, gravity: float = GRAVITY_STANDARD) -> float:
@@ -133,12 +136,11 @@ def terminal_velocity(params: DragParams) -> float:
 def drag_fall_distance(t: float, params: DragParams) -> float:
     """Distance fallen after t seconds from rest: (v_t^2/g)*log(cosh(g*t/v_t))."""
     require("time", t)
-    vt, g = params._terminal_velocity, params.gravity
-    x = g * t / vt
+    x = params.gravity * t / params._terminal_velocity
     if x < 1.0:  # log(cosh(x)) = log1p(2*sinh(x/2)^2) keeps its precision as x -> 0
         s = math.sinh(0.5 * x)
-        return (vt * vt / g) * math.log1p(2.0 * s * s)
-    return (vt * vt / g) * (x + math.log1p(math.exp(-2.0 * x)) - _LOG2)  # never overflows
+        return params._distance_scale * math.log1p(2.0 * s * s)
+    return params._distance_scale * (x + math.log1p(math.exp(-2.0 * x)) - _LOG2)  # never overflows
 
 
 def fall_time_for_drop(height: float, params: DragParams) -> float:
@@ -175,8 +177,7 @@ def impact_velocity_from_timing(fall_time: float, params: DragParams) -> float:
     return vt * math.tanh(params.gravity * fall_time / vt)
 
 
-@dataclass(frozen=True)
-class PublishedPlan:
+class PublishedPlan(Record):
     """Previously published reference plan values for one species."""
 
     original_velocity: float  # m/s

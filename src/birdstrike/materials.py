@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Record
 from ._table import find_named, read_table
 from .errors import InvalidParameterError, ParseError, require
 
@@ -16,8 +15,7 @@ MATERIALS_CSV_HEADER = ("name", "density_kg_m3", "thickness_m")
 _MATERIALS_COLUMNS = tuple(zip(MATERIALS_CSV_HEADER, (str.strip, float, float)))
 
 
-@dataclass(frozen=True)
-class MaterialSpec:
+class MaterialSpec(Record):
     name: str
     density: float    # kg/m^3
     thickness: float  # m

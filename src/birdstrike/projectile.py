@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 
+from ._record import Record
 from ._table import read_json
 from .errors import InvalidParameterError, require
 from .species import BirdSpecies
@@ -58,8 +58,7 @@ def effective_density(
     return solid_density * (shell_fraction + (1.0 - shell_fraction) * infill_fraction)
 
 
-@dataclass(frozen=True)
-class Cylinder:
+class Cylinder(Record):
     radius: float  # m
     height: float  # m
 
@@ -76,8 +75,7 @@ class Cylinder:
         return self.height
 
 
-@dataclass(frozen=True)
-class Ellipsoid:
+class Ellipsoid(Record):
     a: float  # m, semi-axis along the fall direction
     b: float  # m
     c: float  # m
@@ -98,8 +96,7 @@ class Ellipsoid:
 Shape = Cylinder | Ellipsoid
 
 
-@dataclass(frozen=True)
-class ProjectileSpec:
+class ProjectileSpec(Record):
     """One manufactured surrogate projectile."""
 
     serial: int

@@ -6,9 +6,9 @@ All quantities are SI: kilograms, metres, kg/m^3, m/s.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from importlib import resources
 
+from ._record import Record
 from ._table import find_named, read_table
 from .errors import InvalidParameterError, ParseError, require
 
@@ -21,8 +21,7 @@ SPECIES_CSV_HEADER = ("name", "mass_kg", "length_m", "density_kg_m3", "flight_sp
 _SPECIES_COLUMNS = tuple(zip(SPECIES_CSV_HEADER, (str.strip, float, float, float, float)))
 
 
-@dataclass(frozen=True)
-class BirdSpecies:
+class BirdSpecies(Record):
     """Physical parameters of one bird species."""
 
     name: str

@@ -9,7 +9,6 @@ import io
 import math
 import random
 import time
-from dataclasses import replace
 
 import pytest
 
@@ -197,14 +196,14 @@ def test_criterion_06_model_consistency_suite():
         if base_force == 0:
             continue
         c = rng.uniform(0.1, 10.0)
-        assert impact_force(replace(scenario, bird_mass=scenario.bird_mass * c)).force \
+        assert impact_force(scenario._replace(bird_mass=scenario.bird_mass * c)).force \
             == pytest.approx(c * base_force, rel=1e-12)
         assert impact_force(
-            replace(scenario, aircraft_density=scenario.aircraft_density * c)
+            scenario._replace(aircraft_density=scenario.aircraft_density * c)
         ).force == pytest.approx(c * base_force, rel=1e-12)
-        assert impact_force(replace(scenario, bird_length=scenario.bird_length * c)).force \
+        assert impact_force(scenario._replace(bird_length=scenario.bird_length * c)).force \
             == pytest.approx(base_force / c, rel=1e-12)
-        assert impact_force(replace(scenario, bird_density=scenario.bird_density * c)).force \
+        assert impact_force(scenario._replace(bird_density=scenario.bird_density * c)).force \
             == pytest.approx(base_force / c, rel=1e-12)
         s = rng.uniform(0.05, 5.0)
         assert impact_force(scale_scenario(scenario, s)).force == pytest.approx(

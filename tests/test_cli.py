@@ -254,6 +254,14 @@ class TestDropVelocityCommand:
         assert err == ("usage error: terminal velocity sqrt(2*m*g/(rho*C_d*A)) "
                        "must be finite and > 0, got inf\n")
 
+    def test_distance_scale_beyond_float_range_names_drag_inputs(self, capsys):
+        code, out, err = run_cli(["drop-velocity", "--height", "2.8", "--mass", "1e300",
+                                  "--cd", "1e-4", "--area", "1e-4", "--air-density", "1",
+                                  "--gravity", "1e-10"], capsys)
+        assert (code, out) == (2, "")
+        assert err == ("usage error: fall-distance scale 2*m/(rho*C_d*A) = v_t^2/g "
+                       "must be finite and > 0, got inf\n")
+
 
 class TestDesignCommand:
     def test_stdout_descriptors(self, capsys):

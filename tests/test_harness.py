@@ -139,20 +139,16 @@ class TestTheoreticalReference:
 
     def test_zero_mass_projectile_gives_zero(self, default_matrix, starling, materials):
         hollow = generate_projectile_set(starling)[0]
-        from dataclasses import replace
-
-        hollow = replace(hollow, infill_fraction=0.0, effective_density=0.0, mass=0.0)
+        hollow = hollow._replace(infill_fraction=0.0, effective_density=0.0, mass=0.0)
         aluminium = find_material(materials, "Aluminium-2024-T3")
         assert theoretical_reference(
             default_matrix.scenario("baseline"), hollow, aluminium, gravity=10.0
         ) == 0.0
 
     def test_linear_in_specimen_density(self, default_matrix, projectile_set, materials):
-        from dataclasses import replace
-
         sn1 = projectile_set[0]
         aluminium = find_material(materials, "Aluminium-2024-T3")
-        doubled = replace(aluminium, density=2.0 * aluminium.density)
+        doubled = aluminium._replace(density=2.0 * aluminium.density)
         scenario = default_matrix.scenario("baseline")
         assert theoretical_reference(scenario, sn1, doubled, gravity=10.0) == pytest.approx(
             2.0 * theoretical_reference(scenario, sn1, aluminium, gravity=10.0), rel=1e-12
@@ -225,6 +221,19 @@ class TestIngestMeasurements:
         path = measurements_csv(tmp_path, default_matrix, with_velocity=True)
         sets = ingest_measurements(path, default_matrix)
         assert all(s.impact_velocities == (7.3,) * 15 for s in sets)
+
+    @pytest.mark.parametrize("with_velocity", [False, True], ids=["forces", "velocities"])
+    def test_each_value_is_checked_once(self, default_matrix, tmp_path, monkeypatch,
+                                        with_velocity):
+        # every force and velocity is range-checked on its row, so the sets skip
+        # MeasurementSet's own second pass over the same values
+        path = measurements_csv(tmp_path, default_matrix, with_velocity=with_velocity)
+        checks = []
+        monkeypatch.setattr(MeasurementSet, "__post_init__", checks.append)
+        sets = ingest_measurements(path, default_matrix)
+        monkeypatch.undo()
+        assert checks == []
+        assert sets == [MeasurementSet(s.scenario_id, s.forces, s.impact_velocities) for s in sets]
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"

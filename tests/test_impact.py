@@ -1,6 +1,5 @@
 import math
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -39,7 +38,7 @@ def random_scenario(rng):
 
 
 def result(**fields):
-    return impact_force(replace(BASE, **fields))
+    return impact_force(BASE._replace(**fields))
 
 
 class TestTotalImpactSpeed:
@@ -89,10 +88,10 @@ class TestImpactForce:
         assert result.penetration_depth == pytest.approx(1.0, rel=1e-12)
 
     def test_zero_angle_zero_force(self):
-        assert impact_force(replace(BASE, impact_angle=0.0)).force == 0.0
+        assert impact_force(BASE._replace(impact_angle=0.0)).force == 0.0
 
     def test_zero_mass_zero_force(self):
-        assert impact_force(replace(BASE, bird_mass=0.0)).force == 0.0
+        assert impact_force(BASE._replace(bird_mass=0.0)).force == 0.0
 
     def test_all_fields_finite(self):
         rng = random.Random(7)
@@ -122,10 +121,10 @@ class TestImpactForce:
             if base_force == 0:
                 continue
             c = rng.uniform(0.1, 10.0)
-            assert impact_force(replace(scenario, bird_mass=scenario.bird_mass * c)).force \
+            assert impact_force(scenario._replace(bird_mass=scenario.bird_mass * c)).force \
                 == pytest.approx(c * base_force, rel=1e-12)
             assert impact_force(
-                replace(scenario, aircraft_density=scenario.aircraft_density * c)
+                scenario._replace(aircraft_density=scenario.aircraft_density * c)
             ).force == pytest.approx(c * base_force, rel=1e-12)
 
     def test_inverse_linear_in_length_and_bird_density(self):
@@ -136,10 +135,10 @@ class TestImpactForce:
             if base_force == 0:
                 continue
             c = rng.uniform(0.1, 10.0)
-            assert impact_force(replace(scenario, bird_length=scenario.bird_length * c)).force \
+            assert impact_force(scenario._replace(bird_length=scenario.bird_length * c)).force \
                 == pytest.approx(base_force / c, rel=1e-12)
             assert impact_force(
-                replace(scenario, bird_density=scenario.bird_density * c)
+                scenario._replace(bird_density=scenario.bird_density * c)
             ).force == pytest.approx(base_force / c, rel=1e-12)
 
     def test_joint_velocity_scaling_is_quadratic(self):
@@ -155,7 +154,7 @@ class TestImpactForce:
 
     def test_monotone_in_angle(self):
         forces = [
-            impact_force(replace(BASE, impact_angle=angle)).force
+            impact_force(BASE._replace(impact_angle=angle)).force
             for angle in range(0, 91, 5)
         ]
         assert forces[0] == 0.0
@@ -163,7 +162,7 @@ class TestImpactForce:
 
     def test_force_vanishes_as_aircraft_speed_goes_to_zero(self):
         forces = [
-            impact_force(replace(BASE, aircraft_speed=10.0 ** -k)).force
+            impact_force(BASE._replace(aircraft_speed=10.0 ** -k)).force
             for k in range(1, 10)
         ]
         assert all(a > b for a, b in zip(forces, forces[1:]))
@@ -289,7 +288,7 @@ class TestSensitivityTable:
 
     def test_zero_base_force_rejected(self):
         with pytest.raises(InvalidParameterError, match="zero"):
-            sensitivity_table(replace(BASE, impact_angle=0.0), "bird_mass", [1.0])
+            sensitivity_table(BASE._replace(impact_angle=0.0), "bird_mass", [1.0])
 
 
 class TestScenarioValidation:
@@ -308,4 +307,4 @@ class TestScenarioValidation:
     )
     def test_invalid_field_rejected(self, field, value):
         with pytest.raises(InvalidParameterError, match=field):
-            replace(BASE, **{field: value})
+            BASE._replace(**{field: value})

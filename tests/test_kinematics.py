@@ -2,7 +2,6 @@ import hashlib
 import math
 import random
 import re
-from dataclasses import asdict, fields, replace
 
 import pytest
 
@@ -367,16 +366,28 @@ class TestDragParamsTerminalVelocity:
 
     def test_replace_into_overflow_is_rejected(self):
         with pytest.raises(InvalidParameterError, match="terminal velocity"):
-            replace(PARAMS_A, reference_area=1e-320)
+            PARAMS_A._replace(reference_area=1e-320)
+
+    @pytest.mark.parametrize("inputs, shown", [
+        ((1e300, 1e-4, 1e-4, 1.0, 1e-10), "inf"),       # v_t ~ 1.4e149 m/s: v_t^2/g overflows
+        ((1e-300, 1e100, 1e100, 1e100, 1e300), "0.0"),  # v_t ~ 1.4e-150 m/s: v_t^2/g underflows
+    ], ids=["overflows", "underflows"])
+    def test_distance_scale_beyond_float_range_is_rejected(self, inputs, shown):
+        # the terminal velocity is finite and > 0, but v_t^2/g, the factor of every
+        # fall distance, is not: drag_fall_distance(0, .) was nan, and the fall time
+        # blamed the height
+        with pytest.raises(InvalidParameterError,
+                           match=rf"^fall-distance scale .* must be finite and > 0, got {shown}$"):
+            DragParams(*inputs)
 
 
 class TestDragParamsSurface:
-    """The cached terminal velocity is invisible to the dataclass machinery."""
+    """The cached terminal velocity is invisible to the record machinery."""
 
     def test_replace_recomputes_terminal_velocity(self):
         for change in ({"gravity": 1.62}, {"reference_area": 0.04}):
-            replaced = replace(PARAMS_A, **change)
-            fresh = DragParams(**{**asdict(PARAMS_A), **change})
+            replaced = PARAMS_A._replace(**change)
+            fresh = DragParams(**{**PARAMS_A._asdict(), **change})
             assert terminal_velocity(replaced) == terminal_velocity(fresh)
             assert terminal_velocity(replaced) != terminal_velocity(PARAMS_A)
 
@@ -386,8 +397,8 @@ class TestDragParamsSurface:
         twin = DragParams(0.1, 1.0, 0.01, 1.225, 9.81)
         assert twin == PARAMS_A and hash(twin) == hash(PARAMS_A)
         assert hash(PARAMS_A) == hash((0.1, 1.0, 0.01, 1.225, 9.81))
-        assert replace(PARAMS_A, gravity=9.8) != PARAMS_A
-        assert [f.name for f in fields(DragParams)] == [
+        assert PARAMS_A._replace(gravity=9.8) != PARAMS_A
+        assert list(DragParams._fields) == [
             "projectile_mass", "drag_coefficient", "reference_area", "air_density", "gravity"]
-        assert asdict(PARAMS_A) == {"projectile_mass": 0.1, "drag_coefficient": 1.0,
-                                    "reference_area": 0.01, "air_density": 1.225, "gravity": 9.81}
+        assert PARAMS_A._asdict() == {"projectile_mass": 0.1, "drag_coefficient": 1.0,
+                                      "reference_area": 0.01, "air_density": 1.225, "gravity": 9.81}
