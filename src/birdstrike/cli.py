@@ -296,8 +296,6 @@ def cmd_analyze(args) -> int:
     projectiles = {spec.serial: spec for spec in _projectile_set(args)}
     references = {}
     for scenario in matrix.scenarios:
-        if scenario.projectile_serial not in projectiles:
-            raise InvalidParameterError(f"no projectile with serial {scenario.projectile_serial}")
         references[scenario.id] = theoretical_reference(
             scenario,
             projectiles[scenario.projectile_serial],

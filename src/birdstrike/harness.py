@@ -1,8 +1,8 @@
 """Drop-test experiment harness.
 
-Builds the test matrix (seven cases, nine scenarios, fifteen iterations each
-by default), ingests per-iteration force measurements, computes theoretical
-reference forces and renders theory-vs-experiment conformance reports:
+The constant test matrix (7 cases, 9 scenarios, 15 iterations each by
+default), ingest of per-iteration force measurements, theoretical reference
+forces and theory-vs-experiment conformance reports:
 
     % error       = (theoretical - experimental) * 100 / theoretical
     % conformance = 100 - % error
@@ -26,12 +26,10 @@ from .errors import InvalidParameterError, ParseError, require
 from .impact import ImpactScenario, _force_any_speed
 from .kinematics import (DEFAULT_SCALE_FACTOR, GRAVITY_PRESETS, GRAVITY_STANDARD,
                          ideal_impact_velocity)
-from .materials import CRUISE_SPEED, MaterialSpec, builtin_materials
-from .projectile import ProjectileSpec, generate_projectile_set
-from .species import bundled_species_registry, find_species
+from .materials import CRUISE_SPEED, MaterialSpec
+from .projectile import ProjectileSpec
 
 DEFAULT_ITERATIONS = 15
-BASELINE_SPECIES = "Starling"
 
 MEASUREMENTS_CSV_HEADER = ("scenario_id", "iteration", "force_n")
 MEASUREMENTS_VELOCITY_COLUMN = "impact_velocity_m_s"
@@ -108,7 +106,8 @@ class TestMatrix(Record):
 
 
 # Default matrix rows: the shared baseline plus one variant per case (case 2
-# has two). Nominal velocities are the published values, kept verbatim.
+# has two). Nominal velocities are the published values, kept verbatim. A test
+# holds each serial to the projectile set and each specimen to the built-ins.
 _ALUMINIUM = "Aluminium-2024-T3"
 _DEFAULT_ROWS = (
     # id, case, serial, drop height, nominal velocity, angle, specimen
@@ -124,38 +123,14 @@ _DEFAULT_ROWS = (
 )
 
 
-def build_test_matrix(
-    projectiles: Sequence[ProjectileSpec] | None = None,
-    materials: Sequence[MaterialSpec] | None = None,
-    iterations_per_scenario: int = DEFAULT_ITERATIONS,
-) -> TestMatrix:
-    """Assemble the test matrix, validating projectile serials and materials.
+def build_test_matrix(iterations_per_scenario: int = DEFAULT_ITERATIONS) -> TestMatrix:
+    """The paper's test matrix, built from the constant table _DEFAULT_ROWS.
 
-    The default configuration yields 9 scenarios across 7 cases, 135
-    iterations in total.
+    It has 9 scenarios across 7 cases, 135 iterations in total by default.
     """
     require("iterations_per_scenario", iterations_per_scenario, 1, integer=True)
-    if projectiles is None:
-        projectiles = generate_projectile_set(
-            find_species(bundled_species_registry(), BASELINE_SPECIES))
-    materials = list(materials) if materials is not None else builtin_materials()
-    known_serials = {spec.serial for spec in projectiles}
-    known_materials = {material.name for material in materials}
-    scenarios = []
-    for scenario_id, case, serial, height, velocity, angle, specimen in _DEFAULT_ROWS:
-        if serial not in known_serials:
-            raise InvalidParameterError(
-                f"scenario {scenario_id!r} references unknown projectile serial {serial}"
-            )
-        if specimen not in known_materials:
-            raise InvalidParameterError(
-                f"scenario {scenario_id!r} references unknown material {specimen!r}"
-            )
-        scenarios.append(
-            TestScenario(scenario_id, case, serial, height, velocity, angle,
-                         specimen, iterations_per_scenario)
-        )
-    return TestMatrix(tuple(scenarios), iterations_per_scenario)
+    scenarios = tuple(TestScenario(*row, iterations_per_scenario) for row in _DEFAULT_ROWS)
+    return TestMatrix(scenarios, iterations_per_scenario)
 
 
 def matrix_to_json(matrix: TestMatrix) -> str:

@@ -35,14 +35,17 @@ def builtin_materials() -> list[MaterialSpec]:
 
 
 def load_materials(path) -> list[MaterialSpec]:
-    """Load a materials override CSV (MATERIALS_CSV_HEADER columns)."""
-    materials: list[MaterialSpec] = []
-    for row_no, cells in read_table(path, _MATERIALS_COLUMNS):
+    """Load a materials override CSV (MATERIALS_CSV_HEADER columns); a duplicate
+    name or an invalid value raises ParseError naming the row."""
+    materials: dict[str, MaterialSpec] = {}
+    for row_no, (name, *numbers) in read_table(path, _MATERIALS_COLUMNS):
+        if name in materials:
+            raise ParseError(f"{path}: row {row_no}: duplicate material name {name!r}")
         try:
-            materials.append(MaterialSpec(*cells))
+            materials[name] = MaterialSpec(name, *numbers)
         except InvalidParameterError as exc:
             raise ParseError(f"{path}: row {row_no}: {exc}") from exc
-    return materials
+    return list(materials.values())
 
 
 def find_material(materials: list[MaterialSpec], name: str) -> MaterialSpec:

@@ -25,7 +25,7 @@ DIMENSION_SIG_FIGS = 2         # manufacturing resolution of the projectile set
 
 def round_sig(value: float, digits: int) -> float:
     """Round to `digits` significant figures, halves away from zero."""
-    require("digits", digits, 1)
+    require("digits", digits, 1, integer=True)
     if value == 0 or not math.isfinite(value):
         return value
     # imported here, not at module level: decimal (with numbers) takes about 2 ms
@@ -111,7 +111,7 @@ class ProjectileSpec(Record):
         if not isinstance(self.varying_factor, str):  # a descriptor JSON may hold any value
             raise InvalidParameterError(
                 f"varying_factor must be a string, got {self.varying_factor!r}")
-        require("serial", self.serial, 1)
+        require("serial", self.serial, 1, integer=True)
         require("solid_material_density", self.solid_material_density, above=True)
         require("infill_fraction", self.infill_fraction, 0.0, 1.0)
         require("effective_density", self.effective_density)

@@ -374,6 +374,16 @@ class TestAnalyzeCommand:
         assert code == 0
         assert len(out.strip().splitlines()) == 11
 
+    def test_duplicate_material_name_exits_one(self, capsys, analysis_fixture, tmp_path):
+        _, measurements_path = analysis_fixture
+        materials_path = tmp_path / "materials.csv"
+        materials_path.write_text("name,density_kg_m3,thickness_m\nCFRP,1168,0.002\n"
+                                  "CFRP,2780,0.002\n", encoding="utf-8")
+        code, out, err = run_cli(["analyze", "--measurements", str(measurements_path),
+                                  "--materials", str(materials_path)], capsys)
+        assert (code, out) == (1, "")
+        assert err == f"error: {materials_path}: row 3: duplicate material name 'CFRP'\n"
+
     def test_missing_measurements_exits_two(self, capsys):
         code, _, _ = run_cli(["analyze"], capsys)
         assert code == 2

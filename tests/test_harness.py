@@ -75,13 +75,16 @@ class TestBuildMatrix:
         matrix = build_test_matrix(iterations_per_scenario=1)
         assert matrix.total_iterations == 9
 
-    def test_unknown_projectile_serial_rejected(self, projectile_set, materials):
-        with pytest.raises(InvalidParameterError, match="serial"):
-            build_test_matrix(projectiles=projectile_set[:2], materials=materials)
-
-    def test_unknown_material_rejected(self, projectile_set, materials):
-        with pytest.raises(InvalidParameterError, match="material"):
-            build_test_matrix(projectiles=projectile_set, materials=materials[:1])
+    def test_rows_name_a_projectile_and_a_builtin_material(self, default_matrix,
+                                                            registry, materials):
+        # analyze looks each scenario's serial up in the projectile set and its
+        # specimen in the materials, with no check of its own. Any serial a
+        # TestScenario accepts (1..5) names a projectile, for every species.
+        for species in registry:
+            assert [spec.serial for spec in generate_projectile_set(species)] == [1, 2, 3, 4, 5]
+        assert {s.projectile_serial for s in default_matrix.scenarios} <= set(range(1, 6))
+        assert ({s.specimen_material for s in default_matrix.scenarios}
+                <= {material.name for material in materials})
 
     def test_serialization_is_deterministic(self):
         assert matrix_to_json(build_test_matrix()) == matrix_to_json(build_test_matrix())

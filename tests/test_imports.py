@@ -6,7 +6,8 @@ each module's syntax tree with ast and fails on any imported name that is
 never read, and on any module-level name with one leading underscore that no
 module in the package reads. __init__.py is skipped for imports: its imports
 are the package's public names. Last, a fresh interpreter checks that the CLI
-does not load dataclasses, whose import every CLI call would pay.
+does not load dataclasses, whose import every CLI call would pay, and that
+`birdstrike matrix` does not load decimal.
 """
 
 import ast
@@ -89,20 +90,34 @@ def test_package_reads_every_private_name():
     assert unread_private_names(sources) == []
 
 
-def test_cli_does_not_load_dataclasses():
-    # dataclasses (with inspect, ast and dis) cost about 10 ms of every CLI call's import
+def fresh_env() -> dict[str, str]:
     env = {key: value for key, value in os.environ.items() if key != "BIRDSTRIKE_CONFIG"}
     env["PYTHONPATH"] = str(Path(birdstrike.__file__).resolve().parent.parent)
+    return env
+
+
+def fresh_cli_imports(*argv: str) -> list[str]:
+    """Modules a fresh `python -S -m birdstrike argv` imports, from -X importtime."""
+    called = subprocess.run(
+        [sys.executable, "-S", "-X", "importtime", "-m", "birdstrike", *argv],
+        env=fresh_env(), capture_output=True, text=True, timeout=60)
+    assert called.returncode == 0, called.stderr
+    return [line.rsplit("|", 1)[1].strip() for line in called.stderr.splitlines()
+            if line.startswith("import time:")]
+
+
+def test_cli_does_not_load_dataclasses():
+    # dataclasses (with inspect, ast and dis) cost about 10 ms of every CLI call's import
     loaded = subprocess.run(
         [sys.executable, "-S", "-c",
          "import sys, birdstrike.cli; print('dataclasses' in sys.modules)"],
-        env=env, capture_output=True, text=True, timeout=60)
+        env=fresh_env(), capture_output=True, text=True, timeout=60)
     assert (loaded.returncode, loaded.stdout) == (0, "False\n"), loaded.stderr
-    called = subprocess.run(
-        [sys.executable, "-S", "-X", "importtime", "-m", "birdstrike",
-         "check-cert", "--force", "10", "--case", "flock"],
-        env=env, capture_output=True, text=True, timeout=60)
-    assert called.returncode == 0, called.stderr
-    imported = [line.rsplit("|", 1)[1].strip() for line in called.stderr.splitlines()
-                if line.startswith("import time:")]
+    imported = fresh_cli_imports("check-cert", "--force", "10", "--case", "flock")
     assert "birdstrike.cli" in imported and "dataclasses" not in imported
+
+
+def test_matrix_does_not_load_decimal():
+    # the default matrix is a constant table: only sizing projectiles needs decimal
+    imported = fresh_cli_imports("matrix")
+    assert "birdstrike.cli" in imported and "decimal" not in imported

@@ -214,7 +214,9 @@ class TestGeometryFiles:
         [("infill_fraction", 1.5, "infill_fraction must be within"),
          ("infill_fraction", "0.15", "infill_fraction must be a number"),
          ("dims_m", {"radius": None, "height": 0.22}, "radius must be a number"),
-         ("varying_factor", 5, "varying_factor must be a string, got 5")],
+         ("varying_factor", 5, "varying_factor must be a string, got 5"),
+         ("serial", 2.5, "serial must be an integer, got 2.5"),
+         ("serial", True, "serial must be an integer, got True")],
     )
     def test_bad_value_is_a_parse_error(self, projectile_set, tmp_path, field, value, message):
         path = tmp_path / "sn1.json"

@@ -157,6 +157,14 @@ def test_materials_override_loader(tmp_path):
     assert materials[0].thickness == 0.0015
 
 
+def test_materials_loader_rejects_duplicate_names(tmp_path):
+    path = tmp_path / "materials.csv"
+    path.write_text("name,density_kg_m3,thickness_m\nCFRP,1168,0.002\nTitanium,4430,0.0015\n"
+                    "CFRP,2780,0.002\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=r"row 4: duplicate material name 'CFRP'$"):
+        load_materials(path)
+
+
 def test_materials_loader_rejects_bad_rows(tmp_path):
     path = tmp_path / "materials.csv"
     path.write_text("name,density_kg_m3,thickness_m\nFoam,-3,0.002\n", encoding="utf-8")

@@ -251,11 +251,13 @@ def test_range_check(build, valid, edges, bad):
 
 
 
-# The counts of a test matrix must be ints: a float such as 2.0 or a bool
-# would otherwise pass the range check. Each case is a row of ROWS and a field.
+# The counts of a test matrix, a projectile serial and round_sig's digits must
+# be ints: a float such as 2.0 or a bool would otherwise pass the range check.
+# Each case is a row of ROWS and a field.
 INTEGER_FIELDS = [("TestScenario", "case_number"), ("TestScenario", "projectile_serial"),
                   ("TestScenario", "iterations"), ("TestMatrix", "iterations_per_scenario"),
-                  ("build_test_matrix", "iterations_per_scenario")]
+                  ("build_test_matrix", "iterations_per_scenario"),
+                  ("ProjectileSpec", "serial"), ("round_sig", "digits")]
 
 
 @pytest.mark.parametrize("row, name", INTEGER_FIELDS, ids=map(" ".join, INTEGER_FIELDS))
