@@ -86,6 +86,27 @@ class TestBuildMatrix:
         assert ({s.specimen_material for s in default_matrix.scenarios}
                 <= {material.name for material in materials})
 
+    def test_unknown_projectile_serial_rejected(self, default_matrix, tmp_path):
+        # A projectile set holds serials 1..5, so a scenario naming any other
+        # serial is refused, whether built directly or read from a matrix file.
+        with pytest.raises(InvalidParameterError, match="projectile_serial"):
+            default_matrix.scenario("baseline")._replace(projectile_serial=6)
+        payload = json.loads(matrix_to_json(default_matrix))
+        payload["scenarios"][0]["projectile_serial"] = 6
+        path = tmp_path / "matrix.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(ParseError, match="projectile_serial"):
+            read_matrix(path)
+
+    def test_unknown_material_rejected(self, default_matrix, materials):
+        # A matrix file may name any specimen; the lookup analyze makes for it
+        # is what refuses one that is not among the materials.
+        baseline = default_matrix.scenario("baseline")
+        scenario = baseline._replace(specimen_material="Unobtainium")
+        with pytest.raises(KeyError, match="unknown material 'Unobtainium'"):
+            find_material(materials, scenario.specimen_material)
+        assert find_material(materials, baseline.specimen_material).name == "Aluminium-2024-T3"
+
     def test_serialization_is_deterministic(self):
         assert matrix_to_json(build_test_matrix()) == matrix_to_json(build_test_matrix())
 
