@@ -1,6 +1,36 @@
 """Record, the base of the package's frozen value types: a generated __init__
-that runs __post_init__, field-wise ==, hash and repr, no assignment, and
-namedtuple's _fields, _asdict() and _replace() (which validates again)."""
+that checks the field ranges and runs __post_init__, field-wise ==, hash and
+repr, no assignment, and namedtuple's _fields, _asdict() and _replace().
+
+A record declares each range once: _ranges maps a field to (lo, hi, above) as
+errors.require takes them, or to TEXT for a str; a name field ends each message.
+A plain float (int for a field annotated "int") in range passes the __init__'s
+inline test with no call. Anything else goes to _check, which calls require on
+each field in turn, so what is accepted and every message are require's.
+"""
+
+import math
+import sys
+
+from .errors import InvalidParameterError, require
+
+NON_NEGATIVE, POSITIVE, TEXT = (0.0, math.inf, False), (0.0, math.inf, True), (0, 0, False)
+
+
+def _check(checks, fields: dict) -> None:
+    for name, kind, lo, hi, above in checks:
+        value, context = fields[name], fields.get("name", "")
+        if kind != "str":
+            require(name, value, lo, hi, above=above, integer=kind == "int", context=context)
+        elif not isinstance(value, str):  # a JSON file may hold any value
+            raise InvalidParameterError(f"{name} must be a string, got {value!r}")
+
+
+def _guard(name, kind, lo, hi, above) -> str:
+    if kind == "str":
+        return f"{name}.__class__ is str"
+    op = "<" if above else "<="  # and x <= float max: x is not nan or inf, and fits a float
+    return f"{name}.__class__ is {kind} and {lo!r} {op} {name} <= {min(hi, sys.float_info.max)!r}"
 
 
 class Record:
@@ -8,11 +38,15 @@ class Record:
         cls._fields = names = tuple(cls.__annotations__)
         defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
         params = "".join(f", {n}=_defaults[{n!r}]" if n in defaults else f", {n}" for n in names)
-        body = "self.__dict__.update({" + ", ".join(f"{n!r}: {n}" for n in names) + "})"
+        kinds = {n: getattr(a, "__name__", a) for n, a in cls.__annotations__.items()}
+        checks = tuple((n, kinds[n], *bounds) for n, bounds in getattr(cls, "_ranges", {}).items())
+        guard = " and ".join(_guard(*check) for check in checks)
+        lines = [f"if not ({guard}):", "    _check(_checks, locals())"] if guard else []
+        lines.append("self.__dict__.update({" + ", ".join(f"{n!r}: {n}" for n in names) + "})")
         if hasattr(cls, "__post_init__"):
-            body += "; self.__post_init__()"
-        namespace = {"_defaults": defaults}
-        exec(f"def __init__(self{params}):\n    {body}\n", namespace)
+            lines.append("self.__post_init__()")
+        namespace = {"_defaults": defaults, "_checks": checks, "_check": _check}
+        exec(f"def __init__(self{params}):" + "".join(f"\n    {line}" for line in lines), namespace)
         cls.__init__ = namespace["__init__"]
         cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
 

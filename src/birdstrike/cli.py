@@ -296,10 +296,15 @@ def cmd_analyze(args) -> int:
     projectiles = {spec.serial: spec for spec in _projectile_set(args)}
     references = {}
     for scenario in matrix.scenarios:
+        try:
+            material = find_material(materials, scenario.specimen_material)
+        except KeyError as exc:  # a material the list lacks: a data error in one of the files
+            raise ParseError(f"{args.matrix or args.materials}: scenario {scenario.id!r}: "
+                             f"{exc.args[0]}") from exc
         references[scenario.id] = theoretical_reference(
             scenario,
             projectiles[scenario.projectile_serial],
-            _lookup(find_material, materials, scenario.specimen_material),
+            material,
             gravity=gravity,
             split=split,
             scale_factor=scale,

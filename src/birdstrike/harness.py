@@ -20,7 +20,7 @@ from enum import Enum
 from itertools import repeat
 from typing import Mapping, Sequence
 
-from ._record import Record
+from ._record import NON_NEGATIVE, POSITIVE, TEXT, Record
 from ._table import read_json, read_table
 from .errors import InvalidParameterError, ParseError, require
 from .impact import ImpactScenario, _force_any_speed
@@ -61,18 +61,10 @@ class TestScenario(Record):
     impact_angle: float             # degrees
     specimen_material: str
     iterations: int
-
-    def __post_init__(self) -> None:
-        for name in ("id", "specimen_material"):  # a matrix JSON may hold any value
-            value = getattr(self, name)
-            if not isinstance(value, str):
-                raise InvalidParameterError(f"{name} must be a string, got {value!r}")
-        require("case_number", self.case_number, 1, 7, integer=True)
-        require("projectile_serial", self.projectile_serial, 1, 5, integer=True)
-        require("drop_height", self.drop_height, above=True)
-        require("nominal_impact_velocity", self.nominal_impact_velocity)
-        require("impact_angle", self.impact_angle, 0.0, 90.0, above=True)
-        require("iterations", self.iterations, 1, integer=True)
+    _ranges = dict(id=TEXT, specimen_material=TEXT, case_number=(1, 7, False),
+                   projectile_serial=(1, 5, False), drop_height=POSITIVE,
+                   nominal_impact_velocity=NON_NEGATIVE, impact_angle=(0.0, 90.0, True),
+                   iterations=(1, math.inf, False))
 
 
 class TestMatrix(Record):

@@ -24,12 +24,27 @@ from __future__ import annotations
 
 import math
 
-from ._record import Record
+from ._record import NON_NEGATIVE, POSITIVE, Record
 from .errors import InvalidParameterError, StationaryAircraftError, require
 
 
 def _sin_deg(angle: float) -> float:
     return math.sin(math.radians(angle))
+
+
+def _bird_divisor(s: ImpactScenario) -> float:
+    """bird_length*bird_density, the divisor of both force models."""
+    divisor = s.bird_length * s.bird_density
+    if divisor == 0.0:
+        raise InvalidParameterError(f"bird_length*bird_density underflows to 0 for "
+                                    f"{s.bird_length!r} m and {s.bird_density!r} kg/m^3")
+    return divisor
+
+
+def _not_finite(**quantities: float) -> InvalidParameterError:
+    """The error naming the first of quantities that is inf or nan."""
+    name, value = next(item for item in quantities.items() if not math.isfinite(item[1]))
+    return InvalidParameterError(f"{name} leaves float range for these inputs: got {value!r}")
 
 
 class ImpactScenario(Record):
@@ -42,15 +57,9 @@ class ImpactScenario(Record):
     aircraft_speed: float    # m/s
     aircraft_density: float  # kg/m^3
     impact_angle: float      # degrees, 0 (grazing) .. 90 (head-on)
-
-    def __post_init__(self) -> None:
-        require("bird_mass", self.bird_mass)
-        require("bird_length", self.bird_length, above=True)
-        require("bird_density", self.bird_density, above=True)
-        require("bird_speed", self.bird_speed)
-        require("aircraft_speed", self.aircraft_speed)
-        require("aircraft_density", self.aircraft_density, above=True)
-        require("impact_angle", self.impact_angle, 0.0, 90.0)
+    _ranges = dict(bird_mass=NON_NEGATIVE, bird_length=POSITIVE, bird_density=POSITIVE,
+                   bird_speed=NON_NEGATIVE, aircraft_speed=NON_NEGATIVE,
+                   aircraft_density=POSITIVE, impact_angle=(0.0, 90.0, False))
 
 
 class ImpactResult(Record):
@@ -67,10 +76,7 @@ class CertificationLimits(Record):
 
     single_bird_force: float = 2255.0  # N
     flock_force: float = 4819.0        # N
-
-    def __post_init__(self) -> None:
-        for name in self._fields:
-            require(name, getattr(self, name), above=True)
+    _ranges = dict(single_bird_force=POSITIVE, flock_force=POSITIVE)
 
 
 DEFAULT_LIMITS = CertificationLimits()
@@ -110,8 +116,11 @@ def impact_force(scenario: ImpactScenario) -> ImpactResult:
     depth = s.bird_length * (s.bird_density / s.aircraft_density) * (v / s.aircraft_speed)
     force = (
         0.5 * s.bird_mass * s.aircraft_density * s.aircraft_speed * v * sin_theta
-        / (s.bird_length * s.bird_density)
+        / _bird_divisor(s)
     )
+    if not (energy < math.inf and depth < math.inf and force < math.inf):  # all >= 0 or nan
+        raise _not_finite(total_speed=v, kinetic_energy=energy, penetration_depth=depth,
+                          force=force)
     return ImpactResult(v, energy, depth, force)
 
 
@@ -134,10 +143,13 @@ def impact_force_stationary(
 def _stationary_force(s: ImpactScenario) -> float:
     """The stationary-aircraft force of an already validated scenario."""
     sin_theta = _sin_deg(s.impact_angle)
-    return (
+    force = (
         0.5 * s.bird_mass * s.bird_speed * s.bird_speed * s.aircraft_density * sin_theta ** 3
-        / (s.bird_length * s.bird_density)
+        / _bird_divisor(s)
     )
+    if not force < math.inf:  # force >= 0 or nan
+        raise _not_finite(force=force)
+    return force
 
 
 def scale_scenario(scenario: ImpactScenario, velocity_factor: float) -> ImpactScenario:
@@ -183,7 +195,12 @@ def sensitivity_table(
     rows = []
     for value in values:
         force = _force_any_speed(base._replace(**{parameter: value}))
-        rows.append(SensitivityRow(value, force, 100.0 * (force - base_force) / base_force))
+        change = 100.0 * (force - base_force) / base_force
+        if not math.isfinite(change):  # 100*(force - base) can overflow where the ratio does not
+            change = (force - base_force) / base_force * 100.0
+            if not math.isfinite(change):
+                raise _not_finite(percent_change=change)
+        rows.append(SensitivityRow(value, force, change))
     return rows
 
 

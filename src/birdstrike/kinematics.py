@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 
-from ._record import Record
+from ._record import NON_NEGATIVE, POSITIVE, Record
 from .errors import InvalidParameterError, require
 
 GRAVITY_PRESETS = {
@@ -39,14 +39,11 @@ class DropPlan(Record):
     scaled_impact_velocity: float    # m/s
     scaled_drop_height: float        # m
     gravity: float                   # m/s^2
+    _ranges = dict(original_impact_velocity=NON_NEGATIVE, original_drop_height=NON_NEGATIVE,
+                   scale_factor=(1.0, math.inf, False), scaled_impact_velocity=NON_NEGATIVE,
+                   scaled_drop_height=NON_NEGATIVE, gravity=POSITIVE)
 
     def __post_init__(self) -> None:
-        require("original_impact_velocity", self.original_impact_velocity)
-        require("original_drop_height", self.original_drop_height)
-        require("scale_factor", self.scale_factor, 1.0)
-        require("scaled_impact_velocity", self.scaled_impact_velocity)
-        require("scaled_drop_height", self.scaled_drop_height)
-        require("gravity", self.gravity, above=True)
         expected = self.original_impact_velocity / self.scale_factor
         if abs(self.scaled_impact_velocity - expected) > 1e-9 * max(1.0, expected):
             raise InvalidParameterError(
@@ -62,13 +59,10 @@ class DragParams(Record):
     reference_area: float                   # m^2, frontal
     air_density: float = DEFAULT_AIR_DENSITY  # kg/m^3
     gravity: float = GRAVITY_STANDARD       # m/s^2
+    _ranges = dict.fromkeys(("projectile_mass", "drag_coefficient", "reference_area",
+                             "air_density", "gravity"), POSITIVE)
 
     def __post_init__(self) -> None:
-        require("projectile_mass", self.projectile_mass, above=True)
-        require("drag_coefficient", self.drag_coefficient, above=True)
-        require("reference_area", self.reference_area, above=True)
-        require("air_density", self.air_density, above=True)
-        require("gravity", self.gravity, above=True)
         # Read on every step of the fall-time solve, so computed once here. Set
         # as plain attributes, not fields: _fields, _asdict(), repr, == and
         # hash see the five inputs only, and _replace() recomputes them.
@@ -135,7 +129,8 @@ def terminal_velocity(params: DragParams) -> float:
 
 def drag_fall_distance(t: float, params: DragParams) -> float:
     """Distance fallen after t seconds from rest: (v_t^2/g)*log(cosh(g*t/v_t))."""
-    require("time", t)
+    if not (t.__class__ is float and 0.0 <= t < math.inf):  # no call for a plain valid t
+        require("time", t)
     x = params.gravity * t / params._terminal_velocity
     if x < 1.0:  # log(cosh(x)) = log1p(2*sinh(x/2)^2) keeps its precision as x -> 0
         s = math.sinh(0.5 * x)
@@ -167,12 +162,16 @@ def impact_velocity_from_drop(height: float, params: DragParams) -> float:
 
     Below the drag-free sqrt(2*g*h) for positive drag, to rounding as drag vanishes.
     """
-    return impact_velocity_from_timing(fall_time_for_drop(height, params), params)
+    return _velocity_after(fall_time_for_drop(height, params), params)
 
 
 def impact_velocity_from_timing(fall_time: float, params: DragParams) -> float:
     """Impact speed from a recorded release-to-impact time: v_t*tanh(g*t/v_t)."""
     require("time", fall_time)
+    return _velocity_after(fall_time, params)
+
+
+def _velocity_after(fall_time: float, params: DragParams) -> float:  # fall_time validated
     vt = params._terminal_velocity
     return vt * math.tanh(params.gravity * fall_time / vt)
 

@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from ._record import Record
+from ._record import POSITIVE, Record
 from ._table import find_named, read_table
-from .errors import InvalidParameterError, ParseError, require
+from .errors import InvalidParameterError, ParseError
 
 ALUMINIUM_DENSITY = 2780.0   # kg/m^3, 2024-T3 handbook value
 CFRP_DENSITY_RATIO = 0.42    # CFRP sheet density relative to the aluminium specimen
@@ -19,10 +19,7 @@ class MaterialSpec(Record):
     name: str
     density: float    # kg/m^3
     thickness: float  # m
-
-    def __post_init__(self) -> None:
-        require("density", self.density, above=True, context=self.name)
-        require("thickness", self.thickness, above=True, context=self.name)
+    _ranges = dict(density=POSITIVE, thickness=POSITIVE)
 
 
 ALUMINIUM_2024_T3 = MaterialSpec("Aluminium-2024-T3", ALUMINIUM_DENSITY, SPECIMEN_THICKNESS)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 
-from ._record import Record
+from ._record import NON_NEGATIVE, POSITIVE, TEXT, Record
 from ._table import read_json
 from .errors import InvalidParameterError, require
 from .species import BirdSpecies
@@ -61,10 +61,7 @@ def effective_density(
 class Cylinder(Record):
     radius: float  # m
     height: float  # m
-
-    def __post_init__(self) -> None:
-        require("radius", self.radius, above=True)
-        require("height", self.height, above=True)
+    _ranges = dict(radius=POSITIVE, height=POSITIVE)
 
     def volume(self) -> float:
         return math.pi * self.radius * self.radius * self.height
@@ -79,11 +76,7 @@ class Ellipsoid(Record):
     a: float  # m, semi-axis along the fall direction
     b: float  # m
     c: float  # m
-
-    def __post_init__(self) -> None:
-        require("a", self.a, above=True)
-        require("b", self.b, above=True)
-        require("c", self.c, above=True)
+    _ranges = dict(a=POSITIVE, b=POSITIVE, c=POSITIVE)
 
     def volume(self) -> float:
         return (4.0 / 3.0) * math.pi * self.a * self.b * self.c
@@ -106,16 +99,11 @@ class ProjectileSpec(Record):
     effective_density: float       # kg/m^3
     mass: float                    # kg
     varying_factor: str
+    _ranges = dict(varying_factor=TEXT, serial=(1, math.inf, False),
+                   solid_material_density=POSITIVE, infill_fraction=(0.0, 1.0, False),
+                   effective_density=NON_NEGATIVE, mass=NON_NEGATIVE)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.varying_factor, str):  # a descriptor JSON may hold any value
-            raise InvalidParameterError(
-                f"varying_factor must be a string, got {self.varying_factor!r}")
-        require("serial", self.serial, 1, integer=True)
-        require("solid_material_density", self.solid_material_density, above=True)
-        require("infill_fraction", self.infill_fraction, 0.0, 1.0)
-        require("effective_density", self.effective_density)
-        require("mass", self.mass)
         expected = self.effective_density * self.shape.volume()
         if abs(self.mass - expected) > 1e-9 * max(abs(expected), 1e-300):
             raise InvalidParameterError(

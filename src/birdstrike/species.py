@@ -8,9 +8,9 @@ from __future__ import annotations
 import warnings
 from importlib import resources
 
-from ._record import Record
+from ._record import NON_NEGATIVE, POSITIVE, Record
 from ._table import find_named, read_table
-from .errors import InvalidParameterError, ParseError, require
+from .errors import InvalidParameterError, ParseError
 
 # Body densities outside this band are suspicious for real birds but not
 # fatal: constructing such a record warns and keeps it, so exotic test
@@ -29,12 +29,10 @@ class BirdSpecies(Record):
     length: float        # m
     body_density: float  # kg/m^3
     flight_speed: float  # m/s
+    _ranges = dict(mass=POSITIVE, length=POSITIVE, body_density=POSITIVE,
+                   flight_speed=NON_NEGATIVE)
 
     def __post_init__(self) -> None:
-        require("mass", self.mass, above=True, context=self.name)
-        require("length", self.length, above=True, context=self.name)
-        require("body_density", self.body_density, above=True, context=self.name)
-        require("flight_speed", self.flight_speed, context=self.name)
         lo, hi = PLAUSIBLE_BODY_DENSITY
         if not lo <= self.body_density <= hi:
             warnings.warn(

@@ -384,6 +384,26 @@ class TestAnalyzeCommand:
         assert (code, out) == (1, "")
         assert err == f"error: {materials_path}: row 3: duplicate material name 'CFRP'\n"
 
+    def test_matrix_material_missing_from_materials_exits_one(self, capsys, analysis_fixture):
+        matrix_path, measurements_path = analysis_fixture
+        text = matrix_path.read_text(encoding="utf-8")
+        matrix_path.write_text(text.replace('"CFRP"', '"Kevlar"'), encoding="utf-8")
+        code, out, err = run_cli(["analyze", "--measurements", str(measurements_path),
+                                  "--matrix", str(matrix_path)], capsys)
+        assert (code, out) == (1, "")
+        assert err == f"error: {matrix_path}: scenario '6': unknown material 'Kevlar'\n"
+
+    def test_materials_file_lacking_a_matrix_material_exits_one(self, capsys, analysis_fixture,
+                                                                 tmp_path):
+        _, measurements_path = analysis_fixture
+        materials_path = tmp_path / "materials.csv"
+        materials_path.write_text("name,density_kg_m3,thickness_m\n"
+                                  "Aluminium-2024-T3,2780,0.002\n", encoding="utf-8")
+        code, out, err = run_cli(["analyze", "--measurements", str(measurements_path),
+                                  "--materials", str(materials_path)], capsys)
+        assert (code, out) == (1, "")
+        assert err == f"error: {materials_path}: scenario '6': unknown material 'CFRP'\n"
+
     def test_missing_measurements_exits_two(self, capsys):
         code, _, _ = run_cli(["analyze"], capsys)
         assert code == 2
@@ -625,6 +645,11 @@ class TestUsageSurface:
         assert code == 2
 
 
+# bird_length*bird_density underflows to 0 although each is positive
+TINY_BIRD_FLAGS = ["--mass", "1", "--length", "1e-200", "--bird-density", "1e-200",
+                   "--aircraft-density", "1", "--bird-speed", "10", "--angle", "90"]
+
+
 class TestExitCodes:
     """2 for an invalid flag value, NaN and inf included; 1 for a bad input file."""
 
@@ -654,8 +679,18 @@ class TestExitCodes:
             ["check-cert", "--force", "10", "--case", "swarm"],
             ["sweep", *SWEEP_BASE, "--param", "wing_span", "--values", "1"],
             ["matrix", "--iterations", str(10**400)],
+            ["force", *TINY_BIRD_FLAGS, "--aircraft-speed", "10"],
+            ["force-stationary", *TINY_BIRD_FLAGS],
+            ["force", *FORCE_FLAGS, "--mass", "1e300", "--length", "1e-300",
+             "--aircraft-density", "1e10"],
+            ["sweep", *SWEEP_BASE, "--mass", "1e-300", "--param", "bird_mass", "--values", "1e10"],
+            ["sweep", *SWEEP_BASE, "--mass", "1e300", "--length", "1e-300", "--aircraft-density",
+             "1e10", "--param", "bird_mass", "--values", "1"],
         ],
-        ids=["check-cert --case", "sweep --param", "matrix --iterations 10**400"],
+        ids=["check-cert --case", "sweep --param", "matrix --iterations 10**400",
+             "force divisor underflow", "force-stationary divisor underflow",
+             "force beyond float range", "sweep percent change beyond float range",
+             "sweep base force beyond float range"],
     )
     def test_bad_value_gets_one_usage_error_line(self, capsys, argv):
         code, out, err = run_cli(argv, capsys)

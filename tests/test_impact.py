@@ -308,3 +308,50 @@ class TestScenarioValidation:
     def test_invalid_field_rejected(self, field, value):
         with pytest.raises(InvalidParameterError, match=field):
             BASE._replace(**{field: value})
+
+
+class TestResultsStayFinite:
+    """Finite inputs whose force leaves float range raise rather than return inf or nan."""
+
+    TINY_BIRD = BASE._replace(bird_length=1e-200, bird_density=1e-200)
+
+    def test_underflowing_divisor_rejected_by_both_models(self):
+        message = "bird_length*bird_density underflows to 0 for 1e-200 m and 1e-200 kg/m^3"
+        with pytest.raises(InvalidParameterError) as moving:
+            impact_force(self.TINY_BIRD)
+        with pytest.raises(InvalidParameterError) as stationary:
+            impact_force_stationary(1.0, 10.0, 1e-200, 1e-200, 1.0, 90.0)
+        assert str(moving.value) == str(stationary.value) == message
+
+    @pytest.mark.parametrize("fields, quantity, value", [
+        (dict(bird_mass=1e300, bird_length=1e-300, aircraft_density=1e10), "force", "inf"),
+        # 0 * inf: the overflowing product times sin(0)
+        (dict(bird_mass=1e300, aircraft_density=1e10, impact_angle=0.0), "force", "nan"),
+        (dict(bird_density=1e300, aircraft_density=1e-300), "penetration_depth", "inf"),
+        (dict(bird_mass=1e300, bird_speed=1e300), "kinetic_energy", "inf"),
+    ])
+    def test_overflowing_moving_model_rejected(self, fields, quantity, value):
+        with pytest.raises(InvalidParameterError) as raised:
+            impact_force(BASE._replace(**fields))
+        assert str(raised.value) == f"{quantity} leaves float range for these inputs: got {value}"
+
+    def test_overflowing_stationary_model_rejected(self):
+        with pytest.raises(InvalidParameterError, match="force .*: got inf$"):
+            impact_force_stationary(1e300, 1e10, 0.22, 1230.0, 2780.0, 90.0)
+
+    def test_infinite_base_force_rejected(self):
+        with pytest.raises(InvalidParameterError, match="force .*: got inf$"):
+            sensitivity_table(BASE._replace(bird_mass=1e300, bird_length=1e-300), "bird_mass",
+                              [1.0])
+
+    def test_percent_change_beyond_float_range_rejected(self):
+        with pytest.raises(InvalidParameterError, match="percent_change .*: got inf$"):
+            sensitivity_table(BASE._replace(bird_mass=1e-300), "bird_mass", [1e10])
+
+    def test_percent_change_survives_an_overflowing_numerator(self):
+        # a force of 1e307 N: 100*(force - base) overflows, (force - base)/base*100 does not
+        base = BASE._replace(bird_density=1.0)  # a divisor below 1 keeps the numerator finite
+        base_force = impact_force(base).force
+        (row,) = sensitivity_table(base, "bird_mass", [base.bird_mass * 1e307 / base_force])
+        assert math.isfinite(row.percent_change)
+        assert row.percent_change == pytest.approx(100.0 * (row.force / base_force - 1.0))

@@ -1,0 +1,213 @@
+"""The range checks that each record's generated __init__ runs inline.
+
+A differential test draws every field of each range-checked record from plain
+and hostile values alike and compares construction with an oracle: this
+file's own literal table of ranges, run through errors.require in declaration
+order, then the record's __post_init__ on the raw fields. A profiler then
+checks that valid plain inputs reach errors.require not at all.
+"""
+
+import math
+import random
+import sys
+import warnings
+
+import pytest
+
+from birdstrike import errors
+from birdstrike.errors import InvalidParameterError, require
+from birdstrike.harness import TestScenario as Scenario  # aliased so pytest does not collect it
+from birdstrike.impact import CertificationLimits, ImpactScenario
+from birdstrike.kinematics import (DragParams, DropPlan, impact_velocity_from_drop,
+                                   impact_velocity_from_timing)
+from birdstrike.materials import MaterialSpec
+from birdstrike.projectile import Cylinder, Ellipsoid, ProjectileSpec
+from birdstrike.species import BirdSpecies
+
+INF = math.inf
+FLOAT_MAX = sys.float_info.max
+
+# record: [(field, kind, lo, hi, above)] in declaration order; kind is float,
+# int (require's integer=True) or str (must be a string).
+ORACLE = {
+    ImpactScenario: [("bird_mass", float, 0.0, INF, False),
+                     ("bird_length", float, 0.0, INF, True),
+                     ("bird_density", float, 0.0, INF, True),
+                     ("bird_speed", float, 0.0, INF, False),
+                     ("aircraft_speed", float, 0.0, INF, False),
+                     ("aircraft_density", float, 0.0, INF, True),
+                     ("impact_angle", float, 0.0, 90.0, False)],
+    DragParams: [("projectile_mass", float, 0.0, INF, True),
+                 ("drag_coefficient", float, 0.0, INF, True),
+                 ("reference_area", float, 0.0, INF, True), ("air_density", float, 0.0, INF, True),
+                 ("gravity", float, 0.0, INF, True)],
+    DropPlan: [("original_impact_velocity", float, 0.0, INF, False),
+               ("original_drop_height", float, 0.0, INF, False),
+               ("scale_factor", float, 1.0, INF, False),
+               ("scaled_impact_velocity", float, 0.0, INF, False),
+               ("scaled_drop_height", float, 0.0, INF, False), ("gravity", float, 0.0, INF, True)],
+    CertificationLimits: [("single_bird_force", float, 0.0, INF, True),
+                          ("flock_force", float, 0.0, INF, True)],
+    Cylinder: [("radius", float, 0.0, INF, True), ("height", float, 0.0, INF, True)],
+    Ellipsoid: [("a", float, 0.0, INF, True), ("b", float, 0.0, INF, True),
+                ("c", float, 0.0, INF, True)],
+    MaterialSpec: [("density", float, 0.0, INF, True), ("thickness", float, 0.0, INF, True)],
+    BirdSpecies: [("mass", float, 0.0, INF, True), ("length", float, 0.0, INF, True),
+                  ("body_density", float, 0.0, INF, True),
+                  ("flight_speed", float, 0.0, INF, False)],
+    ProjectileSpec: [("varying_factor", str, None, None, None), ("serial", int, 1, INF, False),
+                     ("solid_material_density", float, 0.0, INF, True),
+                     ("infill_fraction", float, 0.0, 1.0, False),
+                     ("effective_density", float, 0.0, INF, False),
+                     ("mass", float, 0.0, INF, False)],
+    Scenario: [("id", str, None, None, None), ("specimen_material", str, None, None, None),
+               ("case_number", int, 1, 7, False), ("projectile_serial", int, 1, 5, False),
+               ("drop_height", float, 0.0, INF, True),
+               ("nominal_impact_velocity", float, 0.0, INF, False),
+               ("impact_angle", float, 0.0, 90.0, True), ("iterations", int, 1, INF, False)],
+}
+# Fields the tables do not check, each given a fixed value.
+OTHER_FIELDS = {DropPlan: {"species_name": "Starling"}, MaterialSpec: {"name": "CFRP"},
+                BirdSpecies: {"name": "Starling"},
+                ProjectileSpec: {"shape": Cylinder(0.02, 0.22)}}
+
+
+class Float(float):
+    """A float subclass: never on the inline path, accepted by require."""
+
+
+# A field that __post_init__ ties to the others, and how to make it agree.
+DERIVED = {
+    DropPlan: ("scaled_impact_velocity",
+               lambda values: values["original_impact_velocity"] / values["scale_factor"]),
+    ProjectileSpec: ("mass", lambda values: values["effective_density"] * values["shape"].volume()),
+}
+
+
+def draw(rng, kind, lo, hi):
+    """Mostly a plain value at or within the range, else one a check must not mistake."""
+    if rng.random() < 7 / 8:
+        if kind is str:
+            return rng.choice(["baseline", "CFRP", ""])
+        if kind is int:
+            return rng.randint(lo, min(hi, lo + 10))
+        if hi < INF:
+            return rng.choice([lo, hi, rng.uniform(lo, hi)])
+        return rng.choice([lo, rng.uniform(lo, lo + 10.0),
+                           lo + rng.random() * 10.0 ** rng.randint(-300, 300)])
+    return rng.choice([
+        rng.uniform(-1e3, 1e3), -0.0, 0.0, 5e-324, -5e-324, 2.2e-308, rng.randint(-3, 10), 0, 1,
+        True, False, 10**400, int(FLOAT_MAX), int(FLOAT_MAX) + 2**971, math.nan, INF, -INF,
+        "7", Float(rng.choice([0.5, 2.0, -1.0, math.nan])), None, FLOAT_MAX, 90.0, 90.5, 1.5,
+    ])
+
+
+def oracle_error(record, values):
+    """The first message of the oracle's require sequence, then of __post_init__, or None."""
+    name = values.get("name", "")
+    try:
+        for field, kind, lo, hi, above in ORACLE[record]:
+            value = values[field]
+            if kind is str:
+                if not isinstance(value, str):
+                    raise InvalidParameterError(f"{field} must be a string, got {value!r}")
+            else:
+                require(field, value, lo, hi, above=above, integer=kind is int, context=name)
+        raw = object.__new__(record)
+        raw.__dict__.update(values)
+        if hasattr(record, "__post_init__"):
+            raw.__post_init__()
+    except InvalidParameterError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("record", list(ORACLE), ids=lambda record: record.__name__)
+def test_generated_checks_match_the_oracle(record):
+    assert [field for field, *_ in ORACLE[record]] == list(record._ranges)
+    rng = random.Random(f"record checks {record.__name__}")
+    built = 0
+    for _ in range(4000):
+        values = dict(OTHER_FIELDS.get(record, {}))
+        values.update((field, draw(rng, kind, lo, hi)) for field, kind, lo, hi, _ in ORACLE[record])
+        values = {field: values[field] for field in record._fields}
+        if record in DERIVED and rng.random() < 0.5:
+            field, derive = DERIVED[record]
+            try:
+                values[field] = derive(values)
+            except (TypeError, ArithmeticError):  # a hostile input: keep the drawn value
+                pass
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # BirdSpecies warns on an odd body density
+            want = oracle_error(record, values)
+            try:
+                record(**values)
+                got = None
+            except InvalidParameterError as exc:
+                got = str(exc)
+        assert got == want, values
+        built += got is None
+    assert built >= 250  # both outcomes are well covered
+
+
+def require_calls(action) -> int:
+    """The number of calls to errors.require while action() runs."""
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code is errors.require.__code__:
+            calls += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        action()
+    finally:
+        sys.setprofile(previous)
+    return calls
+
+
+DRAG = DragParams(0.0108, 1.15, 3.14159e-4)
+VALID = {
+    ImpactScenario: lambda: ImpactScenario(0.085, 0.22, 1230.0, 22.35, 90.0, 2780.0, 90.0),
+    DragParams: lambda: DragParams(0.0108, 1.15, 3.14159e-4),
+    DropPlan: lambda: DropPlan("Starling", 112.35, 631.0, 15.0, 7.49, 2.8, 10.0),
+    CertificationLimits: lambda: CertificationLimits(2255.0, 4819.0),
+    Cylinder: lambda: Cylinder(0.02, 0.22),
+    Ellipsoid: lambda: Ellipsoid(0.11, 0.02, 0.02),
+    MaterialSpec: lambda: MaterialSpec("CFRP", 1167.6, 0.002),
+    BirdSpecies: lambda: BirdSpecies("Starling", 0.085, 0.22, 1230.0, 22.35),
+    ProjectileSpec: lambda: ProjectileSpec(5, Ellipsoid(0.11, 0.02, 0.02), 1040.0, 0.15, 156.0,
+                                           0.02875185596565379, "Bird shape"),
+    Scenario: lambda: Scenario("baseline", 1, 1, 2.8, 7.49, 90.0, "CFRP", 15),
+}
+
+
+def test_every_range_checked_record_is_covered():
+    assert set(VALID) == set(ORACLE)
+
+
+@pytest.mark.parametrize("record", list(VALID), ids=lambda record: record.__name__)
+def test_valid_plain_values_make_no_call(record):
+    assert require_calls(VALID[record]) == 0
+
+
+def test_drop_velocity_checks_only_the_height():
+    assert require_calls(lambda: impact_velocity_from_drop(2.8, DRAG)) == 1
+    assert require_calls(lambda: impact_velocity_from_timing(0.8, DRAG)) == 1
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: ImpactScenario(0.085, 0.22, 1230.0, 22.35, 90.0, 2780.0, 90.5),
+     "impact_angle must be within [0, 90], got 90.5"),
+    (lambda: DragParams(0.0108, 1.15, math.nan), "reference_area must be > 0, got nan"),
+    (lambda: MaterialSpec("CFRP", -1.0, 0.002), "density must be > 0, got -1.0 (CFRP)"),
+    (lambda: Scenario("baseline", 1, 1, 2.8, 7.49, 90.0, 5, 15.0),
+     "specimen_material must be a string, got 5"),
+    (lambda: impact_velocity_from_drop(-1.0, DRAG), "height must be >= 0, got -1.0"),
+])
+def test_invalid_value_still_raises(build, message):
+    with pytest.raises(InvalidParameterError) as raised:
+        build()
+    assert str(raised.value) == message
