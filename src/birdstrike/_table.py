@@ -1,6 +1,6 @@
-"""The CSV table reader and name lookup shared by the species, materials and
-measurements files, and the JSON reader shared by the matrix and projectile
-descriptor files.
+"""The CSV table reader shared by the species, materials and measurements files,
+the loader (read_named) and lookup (find_named) of the named species and
+materials records, and the JSON reader of the matrix and descriptor files.
 
 Every input CSV follows the same rules: the first row is the header and must
 equal the format's column names once each cell is stripped; blank or
@@ -137,6 +137,20 @@ def read_json(path, build):
         raise ParseError(f"{path}: missing field {exc}") from exc
     except (InvalidParameterError, TypeError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
+
+
+def read_named(path, columns: Columns, build, kind: str) -> list:
+    """build(*cells) for each row of a CSV file whose first column is the name. A
+    repeated name, or an InvalidParameterError from build, is a ParseError naming the row."""
+    items = {}
+    for row_no, (name, *values) in read_table(path, columns):
+        if name in items:
+            raise ParseError(f"{path}: row {row_no}: duplicate {kind} name {name!r}")
+        try:
+            items[name] = build(name, *values)
+        except InvalidParameterError as exc:
+            raise ParseError(f"{path}: row {row_no}: {exc}") from exc
+    return list(items.values())
 
 
 def find_named(items, name: str, kind: str):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -18,6 +19,7 @@ from .errors import BirdstrikeError, InvalidParameterError, ParseError, Stationa
 from .harness import (
     DEFAULT_ITERATIONS,
     VelocitySplit,
+    _check_reference_settings,
     build_test_matrix,
     conformance_report,
     ingest_measurements,
@@ -259,6 +261,9 @@ def cmd_drop_velocity(args) -> int:
         print(f"terminal_velocity_m_s: {terminal_velocity(params)!r}")
     else:
         velocity = ideal_impact_velocity(args.height, gravity)
+        if not velocity < math.inf:
+            raise InvalidParameterError(f"height {args.height!r} gives an impact velocity "
+                                        f"sqrt(2*g*h) beyond float range at gravity {gravity!r}")
         print("model: ideal")
     print(f"impact_velocity_m_s: {velocity!r}")
     return 0
@@ -291,26 +296,31 @@ def cmd_analyze(args) -> int:
     if args.measurements is None:
         raise InvalidParameterError(
             "no measurements file: pass --measurements or set it in the config")
+    _check_reference_settings(gravity, scale, args.cruise)
     matrix = read_matrix(args.matrix) if args.matrix else build_test_matrix()
     materials = builtin_materials() if args.materials is None else load_materials(args.materials)
     projectiles = {spec.serial: spec for spec in _projectile_set(args)}
     references = {}
     for scenario in matrix.scenarios:
+        # The flags are checked above, so an error here is a data error in one of
+        # the files: a material the list lacks, or a value the model cannot take.
         try:
             material = find_material(materials, scenario.specimen_material)
-        except KeyError as exc:  # a material the list lacks: a data error in one of the files
+            references[scenario.id] = theoretical_reference(
+                scenario,
+                projectiles[scenario.projectile_serial],
+                material,
+                gravity=gravity,
+                split=split,
+                scale_factor=scale,
+                cruise_speed=args.cruise,
+                use_nominal_velocity=args.use_nominal,
+            )
+        except (KeyError, InvalidParameterError) as exc:
+            if not (args.matrix or args.materials):
+                raise
             raise ParseError(f"{args.matrix or args.materials}: scenario {scenario.id!r}: "
                              f"{exc.args[0]}") from exc
-        references[scenario.id] = theoretical_reference(
-            scenario,
-            projectiles[scenario.projectile_serial],
-            material,
-            gravity=gravity,
-            split=split,
-            scale_factor=scale,
-            cruise_speed=args.cruise,
-            use_nominal_velocity=args.use_nominal,
-        )
     measurements = ingest_measurements(args.measurements, matrix, strict=args.strict)
     try:
         report = conformance_report(matrix, references, measurements)
@@ -321,7 +331,7 @@ def cmd_analyze(args) -> int:
     for scenario_id, (nominal, recomputed) in sorted(mismatches.items()):
         print(
             f"note: scenario {scenario_id}: stored nominal velocity {nominal:g} m/s "
-            f"differs from sqrt(2*g*h) = {recomputed:.2f} m/s; kept verbatim",
+            f"differs from sqrt(2*g*h) = {recomputed:.3g} m/s; kept verbatim",
             file=sys.stderr,
         )
     return 0

@@ -36,15 +36,6 @@ MEASUREMENTS_VELOCITY_COLUMN = "impact_velocity_m_s"
 _MEASUREMENTS_COLUMNS = tuple(zip(MEASUREMENTS_CSV_HEADER, (str.strip, int, float)))
 _MEASUREMENTS_VELOCITY = ((MEASUREMENTS_VELOCITY_COLUMN, float),)
 
-REPORT_CSV_HEADER = (
-    "scenario_id",
-    "theoretical_n",
-    "experimental_mean_n",
-    "experimental_std_n",
-    "percent_error",
-    "percent_conformance",
-)
-
 # Stored nominal velocities are print-rounded; gaps beyond this are flagged
 # as genuine inconsistencies rather than rounding.
 NOMINAL_VELOCITY_TOLERANCE = 0.05  # m/s
@@ -67,12 +58,18 @@ class TestScenario(Record):
                    iterations=(1, math.inf, False))
 
 
+# The matrix JSON file format: each TestScenario field and its key, in file order.
+_SCENARIO_KEYS = dict(zip(TestScenario._fields, (
+    "id", "case_number", "projectile_serial", "drop_height_m", "nominal_impact_velocity_m_s",
+    "impact_angle_deg", "specimen_material", "iterations")))
+
+
 class TestMatrix(Record):
     scenarios: tuple[TestScenario, ...]
     iterations_per_scenario: int = DEFAULT_ITERATIONS
+    _ranges = dict(iterations_per_scenario=(1, math.inf, False))
 
     def __post_init__(self) -> None:
-        require("iterations_per_scenario", self.iterations_per_scenario, 1, integer=True)
         if not self.scenarios:
             raise InvalidParameterError("a test matrix needs at least one scenario")
         by_id = {}
@@ -129,19 +126,8 @@ def matrix_to_json(matrix: TestMatrix) -> str:
     """Deterministic JSON rendering (identical matrices render byte-identical)."""
     payload = {
         "iterations_per_scenario": matrix.iterations_per_scenario,
-        "scenarios": [
-            {
-                "id": s.id,
-                "case_number": s.case_number,
-                "projectile_serial": s.projectile_serial,
-                "drop_height_m": s.drop_height,
-                "nominal_impact_velocity_m_s": s.nominal_impact_velocity,
-                "impact_angle_deg": s.impact_angle,
-                "specimen_material": s.specimen_material,
-                "iterations": s.iterations,
-            }
-            for s in matrix.scenarios
-        ],
+        "scenarios": [{key: getattr(scenario, field) for field, key in _SCENARIO_KEYS.items()}
+                      for scenario in matrix.scenarios],
     }
     return json.dumps(payload, indent=2) + "\n"
 
@@ -153,19 +139,8 @@ def write_matrix(matrix: TestMatrix, path) -> None:
 
 def read_matrix(path) -> TestMatrix:
     def build(payload) -> TestMatrix:
-        scenarios = tuple(
-            TestScenario(
-                id=row["id"],
-                case_number=row["case_number"],
-                projectile_serial=row["projectile_serial"],
-                drop_height=row["drop_height_m"],
-                nominal_impact_velocity=row["nominal_impact_velocity_m_s"],
-                impact_angle=row["impact_angle_deg"],
-                specimen_material=row["specimen_material"],
-                iterations=row["iterations"],
-            )
-            for row in payload["scenarios"]
-        )
+        scenarios = tuple(TestScenario(*[row[key] for key in _SCENARIO_KEYS.values()])
+                          for row in payload["scenarios"])
         return TestMatrix(scenarios, payload["iterations_per_scenario"])
 
     return read_json(path, build)
@@ -223,16 +198,17 @@ def theoretical_reference(
     projectile's mass, length and effective density and the specimen density.
     An aircraft speed of 0 (cruise_speed 0) selects the stationary-aircraft model.
     """
-    require("gravity", gravity, above=True)
-    require("scale_factor", scale_factor, 1.0)
-    require("cruise_speed", cruise_speed)
+    _check_reference_settings(gravity, scale_factor, cruise_speed)
     if projectile.mass == 0:
         return 0.0
-    velocity = (
-        scenario.nominal_impact_velocity
-        if use_nominal_velocity
-        else ideal_impact_velocity(scenario.drop_height, gravity)
-    )
+    if use_nominal_velocity:
+        velocity = scenario.nominal_impact_velocity
+    else:
+        velocity = ideal_impact_velocity(scenario.drop_height, gravity)
+        if not velocity < math.inf:
+            raise InvalidParameterError(
+                f"drop_height {scenario.drop_height!r} gives an impact velocity sqrt(2*g*h) "
+                f"beyond float range at gravity {gravity!r}")
     if split is VelocitySplit.ALL_AIRCRAFT:
         aircraft_speed = velocity
     else:
@@ -248,6 +224,15 @@ def theoretical_reference(
         impact_angle=scenario.impact_angle,
     )
     return _force_any_speed(model_scenario)
+
+
+def _check_reference_settings(gravity: float, scale_factor: float, cruise_speed: float) -> None:
+    """theoretical_reference's range checks of the settings, which no scenario
+    changes; analyze makes them before its scenario loop, so an error in the
+    loop is one of the data."""
+    require("gravity", gravity, above=True)
+    require("scale_factor", scale_factor, 1.0)
+    require("cruise_speed", cruise_speed)
 
 
 class MeasurementSet(Record):
@@ -418,6 +403,13 @@ class ScenarioConformance(Record):
     percent_conformance_abs: float  # 100 - |percent_error|, secondary metric
 
 
+# The report file format: each ScenarioConformance field and its key, in file order.
+_REPORT_KEYS = dict(zip(ScenarioConformance._fields, (
+    "scenario_id", "theoretical_n", "experimental_mean_n", "experimental_std_n", "percent_error",
+    "percent_conformance", "percent_conformance_abs")))
+REPORT_CSV_HEADER = tuple(_REPORT_KEYS.values())[:-1]  # the CSV has no abs column
+
+
 class ConformanceReport(Record):
     scenarios: tuple[ScenarioConformance, ...]
     overall_mean_conformance: float
@@ -468,35 +460,18 @@ def render_report_csv(report: ConformanceReport) -> str:
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(REPORT_CSV_HEADER)
     for row in report.scenarios:
-        writer.writerow(
-            [
-                row.scenario_id,
-                repr(row.theoretical_force),
-                repr(row.experimental_mean),
-                repr(row.experimental_std),
-                repr(row.percent_error),
-                repr(row.percent_conformance),
-            ]
-        )
-    writer.writerow(["OVERALL", "", "", "", "", repr(report.overall_mean_conformance)])
+        scenario_id, *numbers = tuple(row._asdict().values())[:len(REPORT_CSV_HEADER)]
+        writer.writerow([scenario_id, *map(repr, numbers)])
+    writer.writerow(["OVERALL", *[""] * (len(REPORT_CSV_HEADER) - 2),
+                     repr(report.overall_mean_conformance)])
     return buffer.getvalue()
 
 
 def render_report_json(report: ConformanceReport) -> str:
     """JSON rendering mirroring the CSV fields plus the secondary abs metric."""
     payload = {
-        "scenarios": [
-            {
-                "scenario_id": row.scenario_id,
-                "theoretical_n": row.theoretical_force,
-                "experimental_mean_n": row.experimental_mean,
-                "experimental_std_n": row.experimental_std,
-                "percent_error": row.percent_error,
-                "percent_conformance": row.percent_conformance,
-                "percent_conformance_abs": row.percent_conformance_abs,
-            }
-            for row in report.scenarios
-        ],
+        "scenarios": [{key: getattr(row, field) for field, key in _REPORT_KEYS.items()}
+                      for row in report.scenarios],
         "overall_mean_conformance": report.overall_mean_conformance,
         "overall_mean_conformance_abs": report.overall_mean_conformance_abs,
     }

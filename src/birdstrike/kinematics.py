@@ -81,7 +81,7 @@ class DragParams(Record):
 
 
 def ideal_impact_velocity(height: float, gravity: float = GRAVITY_STANDARD) -> float:
-    """Drag-free impact velocity sqrt(2*g*h)."""
+    """Drag-free impact velocity sqrt(2*g*h); inf where 2*g*h overflows."""
     require("height", height)
     require("gravity", gravity, above=True)
     return math.sqrt(2.0 * gravity * height)
@@ -95,7 +95,12 @@ def required_drop_height(
     require("aircraft_speed", aircraft_speed)
     require("gravity", gravity, above=True)
     v = bird_speed + aircraft_speed
-    return v * v / (2.0 * gravity)
+    height = v * v / (2.0 * gravity)
+    if height < math.inf:
+        return height
+    raise InvalidParameterError(
+        f"bird_speed {bird_speed!r} and aircraft_speed {aircraft_speed!r} give a drop height "
+        f"(v_bird + v_aircraft)^2/(2*g) beyond float range at gravity {gravity!r}")
 
 
 def make_drop_plan(

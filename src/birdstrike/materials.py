@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 from ._record import POSITIVE, Record
-from ._table import find_named, read_table
-from .errors import InvalidParameterError, ParseError
+from ._table import find_named, read_named
 
 ALUMINIUM_DENSITY = 2780.0   # kg/m^3, 2024-T3 handbook value
 CFRP_DENSITY_RATIO = 0.42    # CFRP sheet density relative to the aluminium specimen
@@ -34,15 +33,7 @@ def builtin_materials() -> list[MaterialSpec]:
 def load_materials(path) -> list[MaterialSpec]:
     """Load a materials override CSV (MATERIALS_CSV_HEADER columns); a duplicate
     name or an invalid value raises ParseError naming the row."""
-    materials: dict[str, MaterialSpec] = {}
-    for row_no, (name, *numbers) in read_table(path, _MATERIALS_COLUMNS):
-        if name in materials:
-            raise ParseError(f"{path}: row {row_no}: duplicate material name {name!r}")
-        try:
-            materials[name] = MaterialSpec(name, *numbers)
-        except InvalidParameterError as exc:
-            raise ParseError(f"{path}: row {row_no}: {exc}") from exc
-    return list(materials.values())
+    return read_named(path, _MATERIALS_COLUMNS, MaterialSpec, "material")
 
 
 def find_material(materials: list[MaterialSpec], name: str) -> MaterialSpec:

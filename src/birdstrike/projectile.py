@@ -148,24 +148,21 @@ def generate_projectile_set(
     ]
 
 
+# The descriptor JSON file format: each "shape" name and its record, whose fields are the
+# "dims_m" keys; then each other ProjectileSpec field and its key, in file order, with
+# "shape" and "dims_m" after the first.
+_SHAPES = {"cylinder": Cylinder, "ellipsoid": Ellipsoid}
+_DESCRIPTOR_KEYS = dict(serial="serial", infill_fraction="infill_fraction",
+                        solid_material_density="solid_density_kg_m3",
+                        effective_density="effective_density_kg_m3", mass="mass_kg",
+                        varying_factor="varying_factor")
+
+
 def geometry_payload(spec: ProjectileSpec) -> dict:
     """Plain-dict form of a projectile descriptor (the JSON file schema)."""
-    if isinstance(spec.shape, Cylinder):
-        shape_name = "cylinder"
-        dims = {"radius": spec.shape.radius, "height": spec.shape.height}
-    else:
-        shape_name = "ellipsoid"
-        dims = {"a": spec.shape.a, "b": spec.shape.b, "c": spec.shape.c}
-    return {
-        "serial": spec.serial,
-        "shape": shape_name,
-        "dims_m": dims,
-        "infill_fraction": spec.infill_fraction,
-        "solid_density_kg_m3": spec.solid_material_density,
-        "effective_density_kg_m3": spec.effective_density,
-        "mass_kg": spec.mass,
-        "varying_factor": spec.varying_factor,
-    }
+    shape_name = next(name for name, shape in _SHAPES.items() if isinstance(spec.shape, shape))
+    first, *rest = ((key, getattr(spec, field)) for field, key in _DESCRIPTOR_KEYS.items())
+    return dict([first, ("shape", shape_name), ("dims_m", spec.shape._asdict()), *rest])
 
 
 def export_geometry(spec: ProjectileSpec, path) -> None:
@@ -180,20 +177,12 @@ def load_geometry(path) -> ProjectileSpec:
     def build(payload) -> ProjectileSpec:
         shape_name = payload["shape"]
         dims = payload["dims_m"]
-        if shape_name == "cylinder":
-            shape: Shape = Cylinder(dims["radius"], dims["height"])
-        elif shape_name == "ellipsoid":
-            shape = Ellipsoid(dims["a"], dims["b"], dims["c"])
-        else:
+        if not isinstance(shape_name, str) or shape_name not in _SHAPES:
             raise InvalidParameterError(f"unknown shape {shape_name!r}")
-        return ProjectileSpec(
-            serial=payload["serial"],
-            shape=shape,
-            solid_material_density=payload["solid_density_kg_m3"],
-            infill_fraction=payload["infill_fraction"],
-            effective_density=payload["effective_density_kg_m3"],
-            mass=payload["mass_kg"],
-            varying_factor=payload["varying_factor"],
-        )
+        shape = _SHAPES[shape_name](*[dims[key] for key in _SHAPES[shape_name]._fields])
+        # the keys are read in field order, which is not file order
+        return ProjectileSpec(shape=shape, **{field: payload[_DESCRIPTOR_KEYS[field]]
+                                              for field in ProjectileSpec._fields
+                                              if field in _DESCRIPTOR_KEYS})
 
     return read_json(path, build)

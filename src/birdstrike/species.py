@@ -9,8 +9,7 @@ import warnings
 from importlib import resources
 
 from ._record import NON_NEGATIVE, POSITIVE, Record
-from ._table import find_named, read_table
-from .errors import InvalidParameterError, ParseError
+from ._table import find_named, read_named
 
 # Body densities outside this band are suspicious for real birds but not
 # fatal: constructing such a record warns and keeps it, so exotic test
@@ -48,17 +47,7 @@ def load_species_registry(path) -> list[BirdSpecies]:
     An empty file yields an empty registry. Duplicate names, malformed numbers
     and invariant violations raise ParseError naming the offending row.
     """
-    registry: list[BirdSpecies] = []
-    seen: set[str] = set()
-    for row_no, (name, *numbers) in read_table(path, _SPECIES_COLUMNS):
-        if name in seen:
-            raise ParseError(f"{path}: row {row_no}: duplicate species name {name!r}")
-        try:
-            registry.append(BirdSpecies(name, *numbers))
-        except InvalidParameterError as exc:
-            raise ParseError(f"{path}: row {row_no}: {exc}") from exc
-        seen.add(name)
-    return registry
+    return read_named(path, _SPECIES_COLUMNS, BirdSpecies, "species")
 
 
 def bundled_species_registry() -> list[BirdSpecies]:

@@ -16,7 +16,8 @@ import pytest
 
 from birdstrike import errors
 from birdstrike.errors import InvalidParameterError, require
-from birdstrike.harness import TestScenario as Scenario  # aliased so pytest does not collect it
+# aliased so pytest does not collect them
+from birdstrike.harness import TestMatrix as Matrix, TestScenario as Scenario
 from birdstrike.impact import CertificationLimits, ImpactScenario
 from birdstrike.kinematics import (DragParams, DropPlan, impact_velocity_from_drop,
                                    impact_velocity_from_timing)
@@ -65,11 +66,13 @@ ORACLE = {
                ("drop_height", float, 0.0, INF, True),
                ("nominal_impact_velocity", float, 0.0, INF, False),
                ("impact_angle", float, 0.0, 90.0, True), ("iterations", int, 1, INF, False)],
+    Matrix: [("iterations_per_scenario", int, 1, INF, False)],
 }
 # Fields the tables do not check, each given a fixed value.
 OTHER_FIELDS = {DropPlan: {"species_name": "Starling"}, MaterialSpec: {"name": "CFRP"},
                 BirdSpecies: {"name": "Starling"},
-                ProjectileSpec: {"shape": Cylinder(0.02, 0.22)}}
+                ProjectileSpec: {"shape": Cylinder(0.02, 0.22)},
+                Matrix: {"scenarios": (Scenario("baseline", 1, 1, 2.8, 7.49, 90.0, "CFRP", 15),)}}
 
 
 class Float(float):
@@ -181,6 +184,7 @@ VALID = {
     ProjectileSpec: lambda: ProjectileSpec(5, Ellipsoid(0.11, 0.02, 0.02), 1040.0, 0.15, 156.0,
                                            0.02875185596565379, "Bird shape"),
     Scenario: lambda: Scenario("baseline", 1, 1, 2.8, 7.49, 90.0, "CFRP", 15),
+    Matrix: lambda: Matrix(OTHER_FIELDS[Matrix]["scenarios"], 15),
 }
 
 
