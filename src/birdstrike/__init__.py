@@ -24,7 +24,6 @@ from .harness import (
     render_report_json,
     scenario_stats,
     theoretical_reference,
-    write_matrix,
 )
 from .impact import (
     CertificationLimits,

@@ -1,6 +1,7 @@
 """The CSV table reader shared by the species, materials and measurements files,
 the loader (read_named) and lookup (find_named) of the named species and
-materials records, and the JSON reader of the matrix and descriptor files.
+materials records, the JSON reader of the matrix and descriptor files, and
+the CSV writer (render_csv) of the report, plan and sweep outputs.
 
 Every input CSV follows the same rules: the first row is the header and must
 equal the format's column names once each cell is stripped; blank or
@@ -30,6 +31,7 @@ one read buffer ahead of its row, so it names only the file.
 from __future__ import annotations
 
 import csv
+import io
 import json
 from itertools import count, islice
 from typing import Callable, Iterator, Sequence
@@ -121,6 +123,13 @@ def _rows_one_by_one(path, spec: Columns, batch: list[list[str]], first: int):
                 ) from None
         else:
             yield row_no, tuple(cells)
+
+
+def render_csv(rows) -> str:
+    """The rows as CSV text with "\n" line ends, each cell quoted as the csv module needs."""
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows(rows)
+    return buffer.getvalue()
 
 
 def read_json(path, build):

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
+import warnings
 from pathlib import Path
 
+from ._table import render_csv
 from .errors import BirdstrikeError, InvalidParameterError, ParseError, StationaryAircraftError
 from .harness import (
     DEFAULT_ITERATIONS,
@@ -175,6 +176,11 @@ def _emit(rendered: str, out) -> None:
         sys.stdout.write(rendered)
 
 
+def _note(message, *_warning_details) -> None:
+    """Print a data-quality note to stderr; main installs it as warnings.showwarning."""
+    print(f"note: {message}", file=sys.stderr)
+
+
 def _scenario_from_flags(args) -> ImpactScenario:
     return ImpactScenario(args.mass, args.length, args.bird_density, args.bird_speed,
                           args.aircraft_speed, args.aircraft_density, args.angle)
@@ -217,13 +223,12 @@ def cmd_plan(args) -> int:
         for species in selected
     ]
     if _format(args, PLAN_FORMATS) == "csv":
-        print("species,original_impact_velocity_m_s,original_drop_height_m,"
-              "scaled_impact_velocity_m_s,scaled_drop_height_m,flags")
-        for plan in plans:
-            flags = "; ".join(plan_flags(plan))
-            print(f"{plan.species_name},{plan.original_impact_velocity!r},"
-                  f"{plan.original_drop_height!r},{plan.scaled_impact_velocity!r},"
-                  f"{plan.scaled_drop_height!r},{flags}")
+        sys.stdout.write(render_csv([
+            ("species", "original_impact_velocity_m_s", "original_drop_height_m",
+             "scaled_impact_velocity_m_s", "scaled_drop_height_m", "flags"),
+            *((plan.species_name, repr(plan.original_impact_velocity),
+               repr(plan.original_drop_height), repr(plan.scaled_impact_velocity),
+               repr(plan.scaled_drop_height), "; ".join(plan_flags(plan))) for plan in plans)]))
     else:
         print(f"{'species':<18} {'original_v_m_s':>14} {'original_h_m':>12} "
               f"{'scaled_v_m_s':>12} {'scaled_h_m':>10}  flags")
@@ -261,9 +266,6 @@ def cmd_drop_velocity(args) -> int:
         print(f"terminal_velocity_m_s: {terminal_velocity(params)!r}")
     else:
         velocity = ideal_impact_velocity(args.height, gravity)
-        if not velocity < math.inf:
-            raise InvalidParameterError(f"height {args.height!r} gives an impact velocity "
-                                        f"sqrt(2*g*h) beyond float range at gravity {gravity!r}")
         print("model: ideal")
     print(f"impact_velocity_m_s: {velocity!r}")
     return 0
@@ -301,10 +303,11 @@ def cmd_analyze(args) -> int:
     materials = builtin_materials() if args.materials is None else load_materials(args.materials)
     projectiles = {spec.serial: spec for spec in _projectile_set(args)}
     references = {}
-    for scenario in matrix.scenarios:
-        # The flags are checked above, so an error here is a data error in one of
-        # the files: a material the list lacks, or a value the model cannot take.
-        try:
+    # The flags are checked above, so an error here is a data error in one of the
+    # files: a material the list lacks, or a value the model cannot take.
+    try:
+        for scenario in matrix.scenarios:
+            where = f"scenario {scenario.id!r}: "
             material = find_material(materials, scenario.specimen_material)
             references[scenario.id] = theoretical_reference(
                 scenario,
@@ -316,24 +319,21 @@ def cmd_analyze(args) -> int:
                 cruise_speed=args.cruise,
                 use_nominal_velocity=args.use_nominal,
             )
-        except (KeyError, InvalidParameterError) as exc:
-            if not (args.matrix or args.materials):
-                raise
-            raise ParseError(f"{args.matrix or args.materials}: scenario {scenario.id!r}: "
-                             f"{exc.args[0]}") from exc
+        where = ""  # nominal_velocity_mismatches names the scenario itself
+        mismatches = nominal_velocity_mismatches(matrix, gravity)
+    except (KeyError, InvalidParameterError) as exc:
+        if not (args.matrix or args.materials):
+            raise
+        raise ParseError(f"{args.matrix or args.materials}: {where}{exc.args[0]}") from exc
     measurements = ingest_measurements(args.measurements, matrix, strict=args.strict)
     try:
         report = conformance_report(matrix, references, measurements)
     except InvalidParameterError as exc:  # the files do not cover the matrix: a data error
         raise ParseError(f"{args.measurements}: {exc}") from exc
     _emit(render_report_csv(report) if fmt == "csv" else render_report_json(report), args.out)
-    mismatches = nominal_velocity_mismatches(matrix, gravity)
     for scenario_id, (nominal, recomputed) in sorted(mismatches.items()):
-        print(
-            f"note: scenario {scenario_id}: stored nominal velocity {nominal:g} m/s "
-            f"differs from sqrt(2*g*h) = {recomputed:.3g} m/s; kept verbatim",
-            file=sys.stderr,
-        )
+        _note(f"scenario {scenario_id}: stored nominal velocity {nominal:g} m/s "
+              f"differs from sqrt(2*g*h) = {recomputed:.3g} m/s; kept verbatim")
     return 0
 
 
@@ -359,12 +359,12 @@ def cmd_sweep(args) -> int:
     if not values:
         raise InvalidParameterError("--values is empty")
     rows = sensitivity_table(scenario, args.param, values)
-    lines = ["value,force_n,percent_change"]
-    lines += [f"{row.value!r},{row.force!r},{row.percent_change!r}" for row in rows]
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(render_csv([("value", "force_n", "percent_change"),
+                      *((repr(row.value), repr(row.force), repr(row.percent_change))
+                        for row in rows)]), args.out)
     note = PUBLISHED_DELTA_NOTES.get(args.param)
     if note:
-        print(f"note: {note}", file=sys.stderr)
+        _note(note)
     return 0
 
 
@@ -485,7 +485,11 @@ def main(argv=None) -> int:
         for key, dest in CONFIG_KEYS.items():
             if key in config and getattr(args, dest, False) is None:
                 setattr(args, dest, config[key])
-        return args.func(args)
+        with warnings.catch_warnings():
+            # the library's data-quality warnings; -W error still turns any other into an error
+            warnings.simplefilter("always", UserWarning)
+            warnings.showwarning = _note
+            return args.func(args)
     except InvalidParameterError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -10,8 +10,6 @@ forces and theory-vs-experiment conformance reports:
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 import operator
@@ -21,7 +19,7 @@ from itertools import repeat
 from typing import Mapping, Sequence
 
 from ._record import NON_NEGATIVE, POSITIVE, TEXT, Record
-from ._table import read_json, read_table
+from ._table import read_json, read_table, render_csv
 from .errors import InvalidParameterError, ParseError, require
 from .impact import ImpactScenario, _force_any_speed
 from .kinematics import (DEFAULT_SCALE_FACTOR, GRAVITY_PRESETS, GRAVITY_STANDARD,
@@ -31,10 +29,8 @@ from .projectile import ProjectileSpec
 
 DEFAULT_ITERATIONS = 15
 
-MEASUREMENTS_CSV_HEADER = ("scenario_id", "iteration", "force_n")
-MEASUREMENTS_VELOCITY_COLUMN = "impact_velocity_m_s"
-_MEASUREMENTS_COLUMNS = tuple(zip(MEASUREMENTS_CSV_HEADER, (str.strip, int, float)))
-_MEASUREMENTS_VELOCITY = ((MEASUREMENTS_VELOCITY_COLUMN, float),)
+_MEASUREMENTS_COLUMNS = (("scenario_id", str.strip), ("iteration", int), ("force_n", float))
+_MEASUREMENTS_VELOCITY = (("impact_velocity_m_s", float),)
 
 # Stored nominal velocities are print-rounded; gaps beyond this are flagged
 # as genuine inconsistencies rather than rounding.
@@ -77,7 +73,7 @@ class TestMatrix(Record):
             if scenario.id in by_id:
                 raise InvalidParameterError(f"duplicate scenario id {scenario.id!r}")
             by_id[scenario.id] = scenario
-        object.__setattr__(self, "_by_id", by_id)
+        self.__dict__.update(_by_id=by_id)
 
     @property
     def total_iterations(self) -> int:
@@ -132,11 +128,6 @@ def matrix_to_json(matrix: TestMatrix) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def write_matrix(matrix: TestMatrix, path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(matrix_to_json(matrix))
-
-
 def read_matrix(path) -> TestMatrix:
     def build(payload) -> TestMatrix:
         scenarios = tuple(TestScenario(*[row[key] for key in _SCENARIO_KEYS.values()])
@@ -154,10 +145,15 @@ def nominal_velocity_mismatches(
     Returns {scenario_id: (nominal, recomputed)}. With the default matrix and
     g = 10 only scenario 2.1 is flagged: its published velocity was carried
     over from the species plan instead of being recomputed for the 2.0 m drop.
+    A drop height whose sqrt(2*g*h) leaves float range raises, naming its scenario.
     """
+    require("gravity", gravity, above=True)
     mismatches = {}
     for scenario in matrix.scenarios:
-        recomputed = ideal_impact_velocity(scenario.drop_height, gravity)
+        try:
+            recomputed = ideal_impact_velocity(scenario.drop_height, gravity)
+        except InvalidParameterError as exc:
+            raise InvalidParameterError(f"scenario {scenario.id!r}: {exc}") from None
         if abs(recomputed - scenario.nominal_impact_velocity) > NOMINAL_VELOCITY_TOLERANCE:
             mismatches[scenario.id] = (scenario.nominal_impact_velocity, recomputed)
     return mismatches
@@ -205,10 +201,6 @@ def theoretical_reference(
         velocity = scenario.nominal_impact_velocity
     else:
         velocity = ideal_impact_velocity(scenario.drop_height, gravity)
-        if not velocity < math.inf:
-            raise InvalidParameterError(
-                f"drop_height {scenario.drop_height!r} gives an impact velocity sqrt(2*g*h) "
-                f"beyond float range at gravity {gravity!r}")
     if split is VelocitySplit.ALL_AIRCRAFT:
         aircraft_speed = velocity
     else:
@@ -308,7 +300,7 @@ def ingest_measurements(
             if add_velocity is not None:
                 velocity = cells[3]
                 if not 0.0 <= velocity < math.inf:
-                    require(MEASUREMENTS_VELOCITY_COLUMN, velocity)
+                    require("impact_velocity_m_s", velocity)
                 add_velocity(velocity)
     except InvalidParameterError as exc:
         raise ParseError(f"{path}: row {row_no}: {exc}") from None
@@ -456,15 +448,13 @@ def _mean(values: list[float]) -> float:
 
 def render_report_csv(report: ConformanceReport) -> str:
     """CSV rendering: one row per scenario plus a final OVERALL row."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(REPORT_CSV_HEADER)
+    rows = [REPORT_CSV_HEADER]
     for row in report.scenarios:
         scenario_id, *numbers = tuple(row._asdict().values())[:len(REPORT_CSV_HEADER)]
-        writer.writerow([scenario_id, *map(repr, numbers)])
-    writer.writerow(["OVERALL", *[""] * (len(REPORT_CSV_HEADER) - 2),
-                     repr(report.overall_mean_conformance)])
-    return buffer.getvalue()
+        rows.append([scenario_id, *map(repr, numbers)])
+    rows.append(["OVERALL", *[""] * (len(REPORT_CSV_HEADER) - 2),
+                 repr(report.overall_mean_conformance)])
+    return render_csv(rows)
 
 
 def render_report_json(report: ConformanceReport) -> str:

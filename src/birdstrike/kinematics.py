@@ -81,10 +81,14 @@ class DragParams(Record):
 
 
 def ideal_impact_velocity(height: float, gravity: float = GRAVITY_STANDARD) -> float:
-    """Drag-free impact velocity sqrt(2*g*h); inf where 2*g*h overflows."""
+    """Drag-free impact velocity sqrt(2*g*h)."""
     require("height", height)
     require("gravity", gravity, above=True)
-    return math.sqrt(2.0 * gravity * height)
+    velocity = math.sqrt(2.0 * gravity * height)
+    if velocity < math.inf:
+        return velocity
+    raise InvalidParameterError(f"height {height!r} gives an impact velocity sqrt(2*g*h) "
+                                f"beyond float range at gravity {gravity!r}")
 
 
 def required_drop_height(
@@ -115,7 +119,7 @@ def make_drop_plan(
     original_velocity = bird_speed + aircraft_speed
     original_height = required_drop_height(bird_speed, aircraft_speed, gravity)
     scaled_velocity = original_velocity / scale_factor
-    scaled_height = scaled_velocity * scaled_velocity / (2.0 * gravity)
+    scaled_height = required_drop_height(scaled_velocity, 0.0, gravity)
     return DropPlan(
         species_name=species_name,
         original_impact_velocity=original_velocity,
@@ -208,13 +212,13 @@ PUBLISHED_PLANS = {
     "Herring Gull": PublishedPlan(107.88, 582.0, 7.19, 2.6),
 }
 
-# Agreement bands for the cross-check, matching the print precision of the
-# published columns.
-PLAN_TOLERANCES = {
-    "original_velocity": 0.01,  # m/s
-    "original_height": 1.0,     # m
-    "scaled_velocity": 0.01,    # m/s
-    "scaled_height": 0.1,       # m
+# The cross-check: each DropPlan field, in PublishedPlan field order, and its
+# label, unit and agreement band (the print precision of the published column).
+_PLAN_CHECKS = {
+    "original_impact_velocity": ("original impact velocity", "m/s", 0.01),
+    "original_drop_height": ("original drop-height", "m", 1.0),
+    "scaled_impact_velocity": ("scaled impact velocity", "m/s", 0.01),
+    "scaled_drop_height": ("scaled drop-height", "m", 0.1),
 }
 
 
@@ -230,17 +234,9 @@ def plan_flags(plan: DropPlan) -> list[str]:
     if reference is None or not math.isclose(plan.gravity, GRAVITY_PRESETS["paper"]):
         return []
     flags = []
-    checks = (
-        ("original impact velocity", "m/s", plan.original_impact_velocity,
-         reference.original_velocity, PLAN_TOLERANCES["original_velocity"]),
-        ("original drop-height", "m", plan.original_drop_height,
-         reference.original_height, PLAN_TOLERANCES["original_height"]),
-        ("scaled impact velocity", "m/s", plan.scaled_impact_velocity,
-         reference.scaled_velocity, PLAN_TOLERANCES["scaled_velocity"]),
-        ("scaled drop-height", "m", plan.scaled_drop_height,
-         reference.scaled_height, PLAN_TOLERANCES["scaled_height"]),
-    )
-    for label, unit, computed, published, tolerance in checks:
+    for published, (field, (label, unit, tolerance)) in zip(reference._asdict().values(),
+                                                            _PLAN_CHECKS.items()):
+        computed = getattr(plan, field)
         if abs(computed - published) > tolerance:
             flags.append(
                 f"published {label} {published:g} {unit} is inconsistent with "

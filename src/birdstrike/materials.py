@@ -10,8 +10,7 @@ CFRP_DENSITY_RATIO = 0.42    # CFRP sheet density relative to the aluminium spec
 SPECIMEN_THICKNESS = 0.002   # m, representative air-taxi fuselage skin gauge
 CRUISE_SPEED = 90.0          # m/s (175 kt), mid-range air-taxi cruise speed
 
-MATERIALS_CSV_HEADER = ("name", "density_kg_m3", "thickness_m")
-_MATERIALS_COLUMNS = tuple(zip(MATERIALS_CSV_HEADER, (str.strip, float, float)))
+_MATERIALS_COLUMNS = (("name", str.strip), ("density_kg_m3", float), ("thickness_m", float))
 
 
 class MaterialSpec(Record):
@@ -31,8 +30,8 @@ def builtin_materials() -> list[MaterialSpec]:
 
 
 def load_materials(path) -> list[MaterialSpec]:
-    """Load a materials override CSV (MATERIALS_CSV_HEADER columns); a duplicate
-    name or an invalid value raises ParseError naming the row."""
+    """Load a materials override CSV (columns name,density_kg_m3,thickness_m); a
+    duplicate name or an invalid value raises ParseError naming the row."""
     return read_named(path, _MATERIALS_COLUMNS, MaterialSpec, "material")
 
 

@@ -127,25 +127,21 @@ def generate_projectile_set(
         cylinder_radius_for(base.mass, base.body_density, base.length), DIMENSION_SIG_FIGS
     )
     height = round_sig(base.length, DIMENSION_SIG_FIGS)
-
-    def cylinder_spec(serial: int, r: float, h: float, infill: float, label: str) -> ProjectileSpec:
+    short = round_sig(height * LENGTH_VARIANT_SCALE, DIMENSION_SIG_FIGS)
+    rows = (  # serial, shape, infill, varying-factor label
+        (1, Cylinder(radius, height), BASELINE_INFILL, "Base model"),
+        (2, Cylinder(radius, height), DENSE_INFILL, "Bird density & bird mass (Infill)"),
+        (3, Cylinder(radius * RADIUS_VARIANT_SCALE, height), BASELINE_INFILL,
+         "Bird radius (& bird mass)"),
+        (4, Cylinder(radius, short), BASELINE_INFILL, "Bird length (& bird mass)"),
+        (5, Ellipsoid(height / 2.0, radius, radius), BASELINE_INFILL, "Bird shape"),
+    )
+    specs = []
+    for serial, shape, infill, label in rows:
         density = effective_density(solid_density, infill, shell_fraction)
-        shape = Cylinder(r, h)
-        return ProjectileSpec(serial, shape, solid_density, infill,
-                              density, density * shape.volume(), label)
-
-    baseline_density = effective_density(solid_density, BASELINE_INFILL, shell_fraction)
-    ellipsoid = Ellipsoid(height / 2.0, radius, radius)
-    return [
-        cylinder_spec(1, radius, height, BASELINE_INFILL, "Base model"),
-        cylinder_spec(2, radius, height, DENSE_INFILL, "Bird density & bird mass (Infill)"),
-        cylinder_spec(3, radius * RADIUS_VARIANT_SCALE, height, BASELINE_INFILL,
-                      "Bird radius (& bird mass)"),
-        cylinder_spec(4, radius, round_sig(height * LENGTH_VARIANT_SCALE, DIMENSION_SIG_FIGS),
-                      BASELINE_INFILL, "Bird length (& bird mass)"),
-        ProjectileSpec(5, ellipsoid, solid_density, BASELINE_INFILL, baseline_density,
-                       baseline_density * ellipsoid.volume(), "Bird shape"),
-    ]
+        specs.append(ProjectileSpec(serial, shape, solid_density, infill,
+                                    density, density * shape.volume(), label))
+    return specs
 
 
 # The descriptor JSON file format: each "shape" name and its record, whose fields are the

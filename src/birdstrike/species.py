@@ -16,8 +16,8 @@ from ._table import find_named, read_named
 # inputs stay usable.
 PLAUSIBLE_BODY_DENSITY = (500.0, 2000.0)  # kg/m^3
 
-SPECIES_CSV_HEADER = ("name", "mass_kg", "length_m", "density_kg_m3", "flight_speed_m_s")
-_SPECIES_COLUMNS = tuple(zip(SPECIES_CSV_HEADER, (str.strip, float, float, float, float)))
+_SPECIES_COLUMNS = (("name", str.strip), ("mass_kg", float), ("length_m", float),
+                    ("density_kg_m3", float), ("flight_speed_m_s", float))
 
 
 class BirdSpecies(Record):
@@ -37,12 +37,13 @@ class BirdSpecies(Record):
             warnings.warn(
                 f"{self.name or 'species'}: body_density {self.body_density} kg/m^3 "
                 f"outside plausible range [{lo:g}, {hi:g}]",
-                stacklevel=2,
+                stacklevel=3,  # past __post_init__ and __init__ to the caller
             )
 
 
 def load_species_registry(path) -> list[BirdSpecies]:
-    """Load species records from a CSV file with SPECIES_CSV_HEADER columns.
+    """Load species records from a CSV file with the columns
+    name,mass_kg,length_m,density_kg_m3,flight_speed_m_s.
 
     An empty file yields an empty registry. Duplicate names, malformed numbers
     and invariant violations raise ParseError naming the offending row.

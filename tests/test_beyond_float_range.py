@@ -1,11 +1,12 @@
 """Finite inputs whose drag-free velocity or drop height leaves float range.
 
 sqrt(2*g*h) and (v_bird + v_aircraft)^2/(2*g) overflow for finite heights and
-speeds near float range. required_drop_height raises, naming its inputs.
-ideal_impact_velocity returns inf, which theoretical_reference and the
-drop-velocity command turn into an error naming the height, rather than pass
-it on to a model field that then takes the blame: a usage error (exit 2) for
-a flag, a data error (exit 1) naming the scenario for a matrix file.
+speeds near float range. required_drop_height raises, naming its inputs, and
+ideal_impact_velocity raises, naming the height, so theoretical_reference,
+nominal_velocity_mismatches and the drop-velocity command never pass inf on
+to a model field that then takes the blame. The CLI reports it as a usage
+error (exit 2) for a flag, and as a data error (exit 1) naming the scenario
+for a matrix file, with --use-nominal too.
 """
 
 import json
@@ -17,8 +18,9 @@ import pytest
 from birdstrike import errors
 from birdstrike.cli import main
 from birdstrike.errors import InvalidParameterError
-from birdstrike.harness import VelocitySplit, build_test_matrix, theoretical_reference, write_matrix
-from birdstrike.kinematics import make_drop_plan, required_drop_height
+from birdstrike.harness import (VelocitySplit, build_test_matrix, matrix_to_json,
+                                nominal_velocity_mismatches, theoretical_reference)
+from birdstrike.kinematics import ideal_impact_velocity, make_drop_plan, required_drop_height
 from birdstrike.materials import ALUMINIUM_2024_T3
 
 HUGE = 1.7e308
@@ -63,7 +65,7 @@ class TestLibrary:
     @pytest.mark.parametrize("split", list(VelocitySplit))
     def test_reference_names_the_drop_height(self, projectile_set, split):
         scenario = build_test_matrix().scenarios[0]._replace(drop_height=HUGE)
-        message = ("drop_height 1.7e+308 gives an impact velocity sqrt(2*g*h) beyond float "
+        message = ("height 1.7e+308 gives an impact velocity sqrt(2*g*h) beyond float "
                    "range at gravity 9.80665")
         with pytest.raises(InvalidParameterError, match=f"^{re.escape(message)}$"):
             theoretical_reference(scenario, projectile_set[0], ALUMINIUM_2024_T3, split=split)
@@ -74,6 +76,24 @@ class TestLibrary:
                                         use_nominal_velocity=True)
         assert theoretical_reference(scenario._replace(drop_height=HUGE), projectile_set[0],
                                      ALUMINIUM_2024_T3, use_nominal_velocity=True) == nominal
+
+    def test_ideal_velocity_names_the_height(self):
+        message = ("height 1.7e+308 gives an impact velocity sqrt(2*g*h) beyond float range "
+                   "at gravity 9.81")
+        with pytest.raises(InvalidParameterError, match=f"^{re.escape(message)}$"):
+            ideal_impact_velocity(HUGE, 9.81)
+
+    def test_mismatches_name_the_scenario(self):
+        matrix = build_test_matrix()
+        huge = matrix._replace(scenarios=(
+            *matrix.scenarios[:2], matrix.scenarios[2]._replace(drop_height=HUGE),
+            *matrix.scenarios[3:]))
+        message = ("scenario '2.1': height 1.7e+308 gives an impact velocity sqrt(2*g*h) beyond "
+                   "float range at gravity 10.0")
+        with pytest.raises(InvalidParameterError, match=f"^{re.escape(message)}$"):
+            nominal_velocity_mismatches(huge)
+        with pytest.raises(InvalidParameterError, match=r"^gravity must be > 0, got 0\.0$"):
+            nominal_velocity_mismatches(huge, 0.0)
 
 
 class TestFlags:
@@ -101,7 +121,7 @@ def files(tmp_path):
 
     def make(height):
         path = tmp_path / "matrix.json"
-        write_matrix(matrix, path)
+        path.write_text(matrix_to_json(matrix), encoding="utf-8")
         payload = json.loads(path.read_text(encoding="utf-8"))
         payload["scenarios"][2]["drop_height_m"] = height
         path.write_text(json.dumps(payload, indent=2), encoding="utf-8")
@@ -118,7 +138,7 @@ class TestAnalyzeMatrixFile:
     def test_huge_drop_height_is_a_data_error(self, capsys, files, split):
         matrix, measurements = files(HUGE)
         assert run(analyze(matrix, measurements, "--split", split), capsys) == (
-            1, "", f"error: {matrix}: scenario '2.1': drop_height 1.7e+308 gives an impact "
+            1, "", f"error: {matrix}: scenario '2.1': height 1.7e+308 gives an impact "
                    "velocity sqrt(2*g*h) beyond float range at gravity 9.80665\n")
 
     @pytest.mark.parametrize("flag, value, message", [
@@ -130,6 +150,12 @@ class TestAnalyzeMatrixFile:
     def test_bad_flag_stays_a_usage_error(self, capsys, files, height, flag, value, message):
         assert run(analyze(*files(height), flag, value), capsys) == (
             2, "", f"usage error: {message}\n")
+
+    def test_huge_drop_height_with_nominal_velocities_is_a_data_error(self, capsys, files):
+        matrix, measurements = files(HUGE)
+        assert run(analyze(matrix, measurements, "--use-nominal"), capsys) == (
+            1, "", f"error: {matrix}: scenario '2.1': height 1.7e+308 gives an impact "
+                   "velocity sqrt(2*g*h) beyond float range at gravity 9.80665\n")
 
     def test_huge_recomputed_velocity_note_is_bounded(self, capsys, files):
         code, out, err = run(analyze(*files(1e300), "--use-nominal", "--gravity", "paper"), capsys)

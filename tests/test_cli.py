@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -180,6 +181,26 @@ class TestPlanCommand:
         _, first, _ = run_cli(["plan", "--all", "--gravity", "paper", "--format", "csv"], capsys)
         _, second, _ = run_cli(["plan", "--all", "--gravity", "paper", "--format", "csv"], capsys)
         assert first == second
+
+    def test_csv_quotes_names_with_commas_and_quotes(self, capsys, tmp_path):
+        registry = tmp_path / "species.csv"
+        registry.write_text("name,mass_kg,length_m,density_kg_m3,flight_speed_m_s\n"
+                            '"Gull, Herring",1.1,0.6,1000,14\n"Dove ""Rock""",0.35,0.33,1000,13\n',
+                            encoding="utf-8")
+        code, out, err = run_cli(["plan", "--all", "--registry", str(registry),
+                                  "--format", "csv"], capsys)
+        assert (code, err) == (0, "")
+        rows = list(csv.reader(io.StringIO(out)))
+        assert [len(row) for row in rows] == [6, 6, 6]
+        assert [row[0] for row in rows[1:]] == ["Gull, Herring", 'Dove "Rock"']
+
+    def test_implausible_registry_density_is_one_note(self, capsys, tmp_path):
+        registry = tmp_path / "species.csv"
+        registry.write_text("name,mass_kg,length_m,density_kg_m3,flight_speed_m_s\n"
+                            "Rock,1.0,0.3,3000,12\n", encoding="utf-8")
+        code, _, err = run_cli(["plan", "--all", "--registry", str(registry)], capsys)
+        assert (code, err) == (0, "note: Rock: body_density 3000.0 kg/m^3 outside plausible "
+                                  "range [500, 2000]\n")
 
 
 class TestDropVelocityCommand:
@@ -404,6 +425,18 @@ class TestAnalyzeCommand:
         assert (code, out) == (1, "")
         assert err == f"error: {materials_path}: scenario '6': unknown material 'CFRP'\n"
 
+    def test_unknown_scenario_id_is_a_note(self, capsys, analysis_fixture):
+        matrix_path, measurements_path = analysis_fixture
+        with measurements_path.open("a", encoding="utf-8") as handle:
+            handle.write("x,1,3.0\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # as under python -W error
+            code, out, err = run_cli(["analyze", "--matrix", str(matrix_path),
+                                      "--measurements", str(measurements_path)], capsys)
+        assert code == 0 and out.startswith("scenario_id,")
+        assert err.splitlines()[0] == (
+            f"note: {measurements_path}: row 137: scenario id 'x' not in matrix")
+
     def test_missing_measurements_exits_two(self, capsys):
         code, _, _ = run_cli(["analyze"], capsys)
         assert code == 2
@@ -608,6 +641,12 @@ class TestConfigFile:
         assert err.startswith(f"usage error: {key} must be ")
         assert err.count("\n") == 1
 
+    def test_line_without_equals_exits_two(self, capsys, tmp_path):
+        config = tmp_path / "config.txt"
+        config.write_text("gravity = paper\nscale_factor 15\n", encoding="utf-8")
+        assert run_cli(["--config", str(config), "matrix"], capsys) == (
+            2, "", f"usage error: {config}: line 2: expected key = value\n")
+
     def test_unknown_key_exits_two(self, capsys, tmp_path):
         config = tmp_path / "config.txt"
         config.write_text("mystery = 1\n", encoding="utf-8")
@@ -697,6 +736,20 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err.startswith("usage error: ")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv, message", [
+        (["plan", "--all", "--gravity", "abc"],
+         "gravity must be paper, standard or a number, got 'abc'"),
+        (["sweep", *SWEEP_BASE, "--param", "bird_mass", "--values", ","], "--values is empty"),
+        # the flag leaves sqrt(2*g*h) beyond float range on the built-in matrix
+        (["analyze", "--measurements", "forces.csv", "--gravity", "1e308"],
+         "height 2.8 gives an impact velocity sqrt(2*g*h) beyond float range at gravity 1e+308"),
+        (["analyze", "--measurements", "forces.csv", "--gravity", "1e308", "--use-nominal"],
+         "scenario 'baseline': height 2.8 gives an impact velocity sqrt(2*g*h) beyond float "
+         "range at gravity 1e+308"),
+    ], ids=["gravity abc", "values ,", "analyze gravity 1e308", "analyze nominal gravity 1e308"])
+    def test_usage_error_message(self, capsys, argv, message):
+        assert run_cli(argv, capsys) == (2, "", f"usage error: {message}\n")
 
     @pytest.mark.parametrize(
         "bad_file, edit",
@@ -886,6 +939,7 @@ def test_module_entry_point_runs():
         [sys.executable, "-m", "birdstrike", "plan", "--all", "--gravity", "paper"],
         capture_output=True,
         text=True,
+        encoding="utf-8",
         timeout=60,
     )
     assert result.returncode == 0
@@ -898,5 +952,6 @@ def test_cli_import_leaves_decimal_unloaded():
     code = "import sys, birdstrike.cli; print(sorted({'decimal', 'numbers'} & set(sys.modules)))"
     package_root = str(Path(birdstrike.__file__).resolve().parent.parent)
     result = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
-                            timeout=60, env={**os.environ, "PYTHONPATH": package_root})
+                            encoding="utf-8", timeout=60,
+                            env={**os.environ, "PYTHONPATH": package_root})
     assert (result.returncode, result.stdout, result.stderr) == (0, "[]\n", "")

@@ -15,7 +15,7 @@ import pytest
 
 from birdstrike.cli import main
 from birdstrike.errors import ParseError
-from birdstrike.harness import build_test_matrix, read_matrix, write_matrix
+from birdstrike.harness import build_test_matrix, matrix_to_json, read_matrix
 from birdstrike.projectile import export_geometry, load_geometry
 
 MATRIX_SHA256 = "8f222b2d8d6ea4a63a1bab233bbbc4848e463eaaa3e56dd5dc0dd53aabcaa577"
@@ -69,7 +69,7 @@ DIMS_KEYS = {1: ["radius", "height"], 5: ["a", "b", "c"]}  # SN1 is a cylinder, 
 
 def test_key_lists_match_the_written_files(tmp_path, projectile_set):
     path = tmp_path / "matrix.json"
-    write_matrix(build_test_matrix(), path)
+    path.write_text(matrix_to_json(build_test_matrix()), encoding="utf-8")
     payload = json.loads(path.read_text(encoding="utf-8"))
     assert list(payload) == MATRIX_TOP_KEYS
     assert list(payload["scenarios"][0]) == SCENARIO_KEYS
@@ -89,7 +89,7 @@ def expect_missing(path, load, key):
                                         *(("scenario", key) for key in SCENARIO_KEYS)])
 def test_matrix_without_a_key(tmp_path, where, key):
     path = tmp_path / "matrix.json"
-    write_matrix(build_test_matrix(), path)
+    path.write_text(matrix_to_json(build_test_matrix()), encoding="utf-8")
     payload = json.loads(path.read_text(encoding="utf-8"))
     del (payload if where == "top" else payload["scenarios"][-1])[key]
     path.write_text(json.dumps(payload), encoding="utf-8")

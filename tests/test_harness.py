@@ -23,7 +23,6 @@ from birdstrike.harness import (
     render_report_json,
     scenario_stats,
     theoretical_reference,
-    write_matrix,
 )
 from birdstrike.materials import find_material
 from birdstrike.projectile import generate_projectile_set
@@ -112,7 +111,7 @@ class TestBuildMatrix:
 
     def test_json_round_trip(self, default_matrix, tmp_path):
         path = tmp_path / "matrix.json"
-        write_matrix(default_matrix, path)
+        path.write_text(matrix_to_json(default_matrix), encoding="utf-8")
         assert read_matrix(path) == default_matrix
 
     def test_read_rejects_bad_file(self, tmp_path):

@@ -100,7 +100,7 @@ def fresh_cli_imports(*argv: str) -> list[str]:
     """Modules a fresh `python -S -m birdstrike argv` imports, from -X importtime."""
     called = subprocess.run(
         [sys.executable, "-S", "-X", "importtime", "-m", "birdstrike", *argv],
-        env=fresh_env(), capture_output=True, text=True, timeout=60)
+        env=fresh_env(), capture_output=True, text=True, encoding="utf-8", timeout=60)
     assert called.returncode == 0, called.stderr
     return [line.rsplit("|", 1)[1].strip() for line in called.stderr.splitlines()
             if line.startswith("import time:")]
@@ -111,7 +111,7 @@ def test_cli_does_not_load_dataclasses():
     loaded = subprocess.run(
         [sys.executable, "-S", "-c",
          "import sys, birdstrike.cli; print('dataclasses' in sys.modules)"],
-        env=fresh_env(), capture_output=True, text=True, timeout=60)
+        env=fresh_env(), capture_output=True, text=True, encoding="utf-8", timeout=60)
     assert (loaded.returncode, loaded.stdout) == (0, "False\n"), loaded.stderr
     imported = fresh_cli_imports("check-cert", "--force", "10", "--case", "flock")
     assert "birdstrike.cli" in imported and "dataclasses" not in imported

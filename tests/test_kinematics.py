@@ -231,7 +231,7 @@ class TestImpactVelocityFromDrop:
         vt = terminal_velocity(PARAMS_A)
         velocity = impact_velocity_from_drop(height, PARAMS_A)
         assert 0.0 <= velocity <= vt
-        assert velocity == pytest.approx(min(vt, ideal_impact_velocity(height, 9.81)),
+        assert velocity == pytest.approx(min(vt, math.sqrt(2.0 * 9.81 * height)),
                                          rel=1e-14, abs=1e-150)
 
     @pytest.mark.parametrize("params, height", [

@@ -52,5 +52,6 @@ def test_cli_examples_exit_zero(tmp_path):
     assert commands
     for args in commands:
         result = subprocess.run([sys.executable, "-m", "birdstrike", *args], cwd=tmp_path,
-                                env=env, capture_output=True, text=True, timeout=60)
+                                env=env, capture_output=True, text=True, encoding="utf-8",
+                                timeout=60)
         assert result.returncode == 0, (shlex.join(["birdstrike", *args]), result.stderr)

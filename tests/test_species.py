@@ -92,6 +92,12 @@ def test_implausible_density_warns_but_loads():
         BirdSpecies("Lead Bird", 0.1, 0.2, 5000.0, 10.0)
 
 
+def test_implausible_density_warning_names_the_caller():
+    with pytest.warns(UserWarning, match="outside plausible range") as caught:
+        BirdSpecies("Lead Bird", 0.1, 0.2, 5000.0, 10.0)
+    assert caught[0].filename == __file__
+
+
 def test_invariants_enforced():
     with pytest.raises(InvalidParameterError, match="length"):
         BirdSpecies("X", 0.1, 0.0, 1000.0, 10.0)
