@@ -2,8 +2,10 @@
 
 Exit codes: 0 success; 2 for an invalid flag or config value, including any
 InvalidParameterError the library raises on one; 1 for a bad input file
-(ParseError), the singular moving-aircraft model, or I/O. A key=value config
-file (BIRDSTRIKE_CONFIG or --config) supplies defaults; flags override.
+(ParseError), the singular moving-aircraft model, or I/O. analyze runs in
+stages, and an error in a stage names every input file that stage read; if
+none was given, a flag is at fault (exit 2). A key=value config file
+(BIRDSTRIKE_CONFIG or --config) supplies defaults; flags override.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import json
 import os
 import sys
 import warnings
+from contextlib import contextmanager
 from pathlib import Path
 
 from ._table import render_csv
@@ -147,12 +150,18 @@ def _choices_help(what: str, accepted) -> str:
     return f"{what}: {' or '.join(accepted)} (default {accepted[0]})"
 
 
-def _lookup(find, items, name):
-    """find(items, name), with an unknown name as a usage error."""
+@contextmanager
+def _blame(*paths, prefix=""):
+    """Turn an InvalidParameterError or KeyError in the block into a ParseError
+    naming every given path, or into a usage error when no path was given."""
     try:
-        return find(items, name)
-    except KeyError as exc:
-        raise InvalidParameterError(str(exc.args[0])) from exc
+        yield
+    except (InvalidParameterError, KeyError) as exc:
+        message = f"{prefix}{exc.args[0]}"
+        given = ", ".join(path for path in paths if path)
+        if not given:
+            raise InvalidParameterError(message) from exc
+        raise ParseError(f"{given}: {message}") from exc
 
 
 def _registry(args):
@@ -162,7 +171,8 @@ def _registry(args):
 
 
 def _projectile_set(args):
-    base = _lookup(find_species, _registry(args), args.species)
+    with _blame():
+        base = find_species(_registry(args), args.species)
     return generate_projectile_set(base, args.solid_density, args.shell_fraction)
 
 
@@ -215,7 +225,8 @@ def cmd_plan(args) -> int:
     if args.all:
         selected = registry
     else:
-        selected = [_lookup(find_species, registry, name) for name in args.species]
+        with _blame():
+            selected = [find_species(registry, name) for name in args.species]
     if not selected:
         raise InvalidParameterError("nothing to plan: pass --species NAME (repeatable) or --all")
     plans = [
@@ -302,34 +313,21 @@ def cmd_analyze(args) -> int:
     matrix = read_matrix(args.matrix) if args.matrix else build_test_matrix()
     materials = builtin_materials() if args.materials is None else load_materials(args.materials)
     projectiles = {spec.serial: spec for spec in _projectile_set(args)}
-    references = {}
-    # The flags are checked above, so an error here is a data error in one of the
-    # files: a material the list lacks, or a value the model cannot take.
-    try:
-        for scenario in matrix.scenarios:
-            where = f"scenario {scenario.id!r}: "
-            material = find_material(materials, scenario.specimen_material)
-            references[scenario.id] = theoretical_reference(
-                scenario,
-                projectiles[scenario.projectile_serial],
-                material,
-                gravity=gravity,
-                split=split,
-                scale_factor=scale,
-                cruise_speed=args.cruise,
-                use_nominal_velocity=args.use_nominal,
-            )
-        where = ""  # nominal_velocity_mismatches names the scenario itself
+    with _blame(args.matrix):
         mismatches = nominal_velocity_mismatches(matrix, gravity)
-    except (KeyError, InvalidParameterError) as exc:
-        if not (args.matrix or args.materials):
-            raise
-        raise ParseError(f"{args.matrix or args.materials}: {where}{exc.args[0]}") from exc
+    references = {}
+    for scenario in matrix.scenarios:
+        prefix = f"scenario {scenario.id!r}: "
+        with _blame(args.matrix, args.materials, prefix=prefix):
+            material = find_material(materials, scenario.specimen_material)
+        with _blame(args.matrix, args.materials, args.registry, prefix=prefix):
+            references[scenario.id] = theoretical_reference(
+                scenario, projectiles[scenario.projectile_serial], material, gravity=gravity,
+                split=split, scale_factor=scale, cruise_speed=args.cruise,
+                use_nominal_velocity=args.use_nominal)
     measurements = ingest_measurements(args.measurements, matrix, strict=args.strict)
-    try:
+    with _blame(args.measurements):  # the files do not cover the matrix
         report = conformance_report(matrix, references, measurements)
-    except InvalidParameterError as exc:  # the files do not cover the matrix: a data error
-        raise ParseError(f"{args.measurements}: {exc}") from exc
     _emit(render_report_csv(report) if fmt == "csv" else render_report_json(report), args.out)
     for scenario_id, (nominal, recomputed) in sorted(mismatches.items()):
         _note(f"scenario {scenario_id}: stored nominal velocity {nominal:g} m/s "
@@ -412,8 +410,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("plan", parents=[registry, gravity, cruise],
                        help="drop heights and scaled velocities per species")
-    p.add_argument("--species", action="append", default=[], help="species name (repeatable)")
-    p.add_argument("--all", action="store_true", help="plan every species in the registry")
+    group = p.add_mutually_exclusive_group()
+    group.add_argument("--species", action="append", default=[], help="species name (repeatable)")
+    group.add_argument("--all", action="store_true", help="plan every species in the registry")
     p.add_argument("--format", help=_choices_help("output format", PLAN_FORMATS))
     p.set_defaults(func=cmd_plan)
 

@@ -220,8 +220,8 @@ def theoretical_reference(
 
 def _check_reference_settings(gravity: float, scale_factor: float, cruise_speed: float) -> None:
     """theoretical_reference's range checks of the settings, which no scenario
-    changes; analyze makes them before its scenario loop, so an error in the
-    loop is one of the data."""
+    changes; analyze makes them first. A later stage's error names every input
+    file that stage read; if none was given, a flag is at fault (exit 2)."""
     require("gravity", gravity, above=True)
     require("scale_factor", scale_factor, 1.0)
     require("cruise_speed", cruise_speed)
@@ -237,6 +237,10 @@ class MeasurementSet(Record):
     def __post_init__(self) -> None:
         if not self.forces:
             raise InvalidParameterError(f"scenario {self.scenario_id!r}: forces must be non-empty")
+        if self.impact_velocities is not None and len(self.impact_velocities) != len(self.forces):
+            raise InvalidParameterError(
+                f"scenario {self.scenario_id!r}: {len(self.impact_velocities)} impact velocities "
+                f"for {len(self.forces)} forces")
         for force in self.forces:
             if not 0.0 <= force < math.inf:  # once per row: call only to raise
                 require("force", force, context=f"scenario {self.scenario_id!r}")

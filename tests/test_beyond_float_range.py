@@ -4,9 +4,11 @@ sqrt(2*g*h) and (v_bird + v_aircraft)^2/(2*g) overflow for finite heights and
 speeds near float range. required_drop_height raises, naming its inputs, and
 ideal_impact_velocity raises, naming the height, so theoretical_reference,
 nominal_velocity_mismatches and the drop-velocity command never pass inf on
-to a model field that then takes the blame. The CLI reports it as a usage
-error (exit 2) for a flag, and as a data error (exit 1) naming the scenario
-for a matrix file, with --use-nominal too.
+to a model field that then takes the blame. analyze checks every drop
+velocity before its scenario loop, and an error there names the scenario and
+the one input file that stage read, the matrix (exit 1, with --use-nominal
+too); if no matrix file was given, a flag is at fault (exit 2), whatever
+other files were given.
 """
 
 import json

@@ -162,6 +162,13 @@ class TestPlanCommand:
         assert code == 2
         assert "Dodo" in err
 
+    @pytest.mark.parametrize("argv", [["--all", "--species", "Nope"],
+                                      ["--species", "Starling", "--all"]])
+    def test_species_with_all_exits_two(self, capsys, argv):
+        code, out, err = run_cli(["plan", *argv], capsys)
+        assert (code, out) == (2, "")
+        assert "not allowed with argument" in err
+
     def test_no_selection_exits_two(self, capsys):
         code, _, _ = run_cli(["plan"], capsys)
         assert code == 2
@@ -424,6 +431,27 @@ class TestAnalyzeCommand:
                                   "--materials", str(materials_path)], capsys)
         assert (code, out) == (1, "")
         assert err == f"error: {materials_path}: scenario '6': unknown material 'CFRP'\n"
+
+    @pytest.mark.parametrize("matrix_given", [True, False], ids=["matrix file", "built-in matrix"])
+    def test_force_overflow_names_every_file_the_model_read(self, capsys, analysis_fixture,
+                                                           tmp_path, matrix_given):
+        matrix_path, measurements_path = analysis_fixture
+        materials_path = tmp_path / "big.csv"
+        materials_path.write_text("name,density_kg_m3,thickness_m\n"
+                                  "Aluminium-2024-T3,1.7e308,0.002\nCFRP,1168,0.002\n",
+                                  encoding="utf-8")
+        registry_path = tmp_path / "reg.csv"
+        registry_path.write_text("name,mass_kg,length_m,density_kg_m3,flight_speed_m_s\n"
+                                 "Big,1000,1.0,1000,20\n", encoding="utf-8")
+        argv = ["analyze", "--measurements", str(measurements_path), "--materials",
+                str(materials_path), "--registry", str(registry_path), "--species", "Big"]
+        files = [materials_path, registry_path]
+        if matrix_given:
+            argv += ["--matrix", str(matrix_path)]
+            files.insert(0, matrix_path)
+        assert run_cli(argv, capsys) == (
+            1, "", f"error: {', '.join(map(str, files))}: scenario 'baseline': force leaves "
+                   "float range for these inputs: got inf\n")
 
     def test_unknown_scenario_id_is_a_note(self, capsys, analysis_fixture):
         matrix_path, measurements_path = analysis_fixture
@@ -741,14 +769,24 @@ class TestExitCodes:
         (["plan", "--all", "--gravity", "abc"],
          "gravity must be paper, standard or a number, got 'abc'"),
         (["sweep", *SWEEP_BASE, "--param", "bird_mass", "--values", ","], "--values is empty"),
-        # the flag leaves sqrt(2*g*h) beyond float range on the built-in matrix
+        # the flag leaves sqrt(2*g*h) beyond float range on the built-in matrix; a materials
+        # file is not read by that stage, so it takes no blame
         (["analyze", "--measurements", "forces.csv", "--gravity", "1e308"],
-         "height 2.8 gives an impact velocity sqrt(2*g*h) beyond float range at gravity 1e+308"),
+         "scenario 'baseline': height 2.8 gives an impact velocity sqrt(2*g*h) beyond float "
+         "range at gravity 1e+308"),
         (["analyze", "--measurements", "forces.csv", "--gravity", "1e308", "--use-nominal"],
          "scenario 'baseline': height 2.8 gives an impact velocity sqrt(2*g*h) beyond float "
          "range at gravity 1e+308"),
-    ], ids=["gravity abc", "values ,", "analyze gravity 1e308", "analyze nominal gravity 1e308"])
-    def test_usage_error_message(self, capsys, argv, message):
+        (["analyze", "--measurements", "forces.csv", "--materials", "mats.csv",
+          "--gravity", "1e308"],
+         "scenario 'baseline': height 2.8 gives an impact velocity sqrt(2*g*h) beyond float "
+         "range at gravity 1e+308"),
+    ], ids=["gravity abc", "values ,", "analyze gravity 1e308", "analyze nominal gravity 1e308",
+            "analyze materials gravity 1e308"])
+    def test_usage_error_message(self, capsys, tmp_path, monkeypatch, argv, message):
+        monkeypatch.chdir(tmp_path)  # holds the materials file that one case reads
+        (tmp_path / "mats.csv").write_text("name,density_kg_m3,thickness_m\n"
+                                           "Aluminium-2024-T3,2780,0.002\n", encoding="utf-8")
         assert run_cli(argv, capsys) == (2, "", f"usage error: {message}\n")
 
     @pytest.mark.parametrize(

@@ -364,7 +364,7 @@ class TestMeasurementSetChecks:
     def build(column, values):
         if column == "force":
             return MeasurementSet("s", values)
-        return MeasurementSet("s", (1.0, 2.0, 3.0), values)
+        return MeasurementSet("s", (1.0,) * len(values), values)
 
     @pytest.mark.parametrize("column", ["force", "impact_velocity"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.5],

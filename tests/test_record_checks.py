@@ -17,7 +17,7 @@ import pytest
 from birdstrike import errors
 from birdstrike.errors import InvalidParameterError, require
 # aliased so pytest does not collect them
-from birdstrike.harness import TestMatrix as Matrix, TestScenario as Scenario
+from birdstrike.harness import MeasurementSet, TestMatrix as Matrix, TestScenario as Scenario
 from birdstrike.impact import CertificationLimits, ImpactScenario
 from birdstrike.kinematics import (DragParams, DropPlan, impact_velocity_from_drop,
                                    impact_velocity_from_timing)
@@ -210,6 +210,9 @@ def test_drop_velocity_checks_only_the_height():
     (lambda: Scenario("baseline", 1, 1, 2.8, 7.49, 90.0, 5, 15.0),
      "specimen_material must be a string, got 5"),
     (lambda: impact_velocity_from_drop(-1.0, DRAG), "height must be >= 0, got -1.0"),
+    (lambda: MeasurementSet("a", (1.0, 2.0), (5.0,)),
+     "scenario 'a': 1 impact velocities for 2 forces"),
+    (lambda: MeasurementSet("a", (1.0, 2.0), ()), "scenario 'a': 0 impact velocities for 2 forces"),
 ])
 def test_invalid_value_still_raises(build, message):
     with pytest.raises(InvalidParameterError) as raised:
