@@ -4,8 +4,10 @@ Exit codes: 0 success; 2 for an invalid flag or config value, including any
 InvalidParameterError the library raises on one; 1 for a bad input file
 (ParseError), the singular moving-aircraft model, or I/O. analyze runs in
 stages, and an error in a stage names every input file that stage read; if
-none was given, a flag is at fault (exit 2). A key=value config file
-(BIRDSTRIKE_CONFIG or --config) supplies defaults; flags override.
+none was given, a flag is at fault (exit 2). A velocity beyond float range
+blames --matrix only if the built-in matrix passes at the same gravity. A
+key=value config file (BIRDSTRIKE_CONFIG or --config) supplies defaults;
+flags override.
 """
 
 from __future__ import annotations
@@ -313,8 +315,11 @@ def cmd_analyze(args) -> int:
     matrix = read_matrix(args.matrix) if args.matrix else build_test_matrix()
     materials = builtin_materials() if args.materials is None else load_materials(args.materials)
     projectiles = {spec.serial: spec for spec in _projectile_set(args)}
-    with _blame(args.matrix):
+    try:
         mismatches = nominal_velocity_mismatches(matrix, gravity)
+    except InvalidParameterError as exc:
+        nominal_velocity_mismatches(build_test_matrix(), gravity)  # raises if a flag is at fault
+        raise ParseError(f"{args.matrix}: {exc}") from exc
     references = {}
     for scenario in matrix.scenarios:
         prefix = f"scenario {scenario.id!r}: "

@@ -249,26 +249,17 @@ class MeasurementSet(Record):
                 require("impact_velocity", velocity, context=f"scenario {self.scenario_id!r}")
 
 
-def ingest_measurements(
-    path, matrix: TestMatrix | None = None, strict: bool = False
-) -> list[MeasurementSet]:
+def ingest_measurements(path, matrix: TestMatrix, strict: bool = False) -> list[MeasurementSet]:
     """Read a measurements CSV, grouped by scenario in first-appearance order.
 
-    Forces and velocities must be finite and >= 0. With a matrix supplied,
-    each of its scenarios in the file must have rows numbered 1..iterations
-    once each, and unknown scenario ids warn (or raise in strict mode).
+    Forces and velocities must be finite and >= 0. Every row is checked against
+    the matrix: each of its scenarios in the file must have rows numbered
+    1..iterations once each, and unknown scenario ids warn (or raise in strict mode).
     """
-    forces: dict[str, list[float]] = {}
-    velocities: dict[str, list[float]] = {}
-    # Per matrix scenario, one flag per iteration number seen (a list of the
-    # numbers would hold an int per row); it also tells unknown ids apart. The
-    # flags grow with the rows (to twice the highest iteration yet, at most the
-    # declared count), so a huge declared count allocates nothing up front.
-    declared = {} if matrix is None else {s.id: s.iterations for s in matrix.scenarios}
-    seen = {scenario_id: bytearray(1) for scenario_id in declared}
-    # Per scenario id, on first sight: (its flags, or None when unknown or with
-    # no matrix; forces.append; velocities.append, or None without that column),
-    # so a row costs one dict lookup.
+    # Per scenario id, from its first row: (one flag per iteration number seen, or
+    # None for an id not in the matrix; forces; velocities, or None without that
+    # column). The flags grow with the rows, to twice the highest iteration yet and
+    # at most the declared count, so a huge declared count allocates nothing up front.
     entries: dict[str, tuple] = {}
     row_no = 0
     try:
@@ -278,50 +269,41 @@ def ingest_measurements(
                 require("force_n", force)
             entry = entries.get(scenario_id)
             if entry is None:
-                add_velocity = None
-                if len(cells) > len(_MEASUREMENTS_COLUMNS):
-                    add_velocity = velocities.setdefault(scenario_id, []).append
                 entry = entries[scenario_id] = (
-                    seen.get(scenario_id), forces.setdefault(scenario_id, []).append, add_velocity)
-            flags, add_force, add_velocity = entry
-            if flags is not None:
-                if 0 < iteration < len(flags) and not flags[iteration]:
-                    flags[iteration] = 1
-                elif len(flags) <= iteration <= declared[scenario_id]:
-                    flags += bytes(min(2 * iteration, declared[scenario_id] + 1) - len(flags))
-                    flags[iteration] = 1
-                else:
-                    raise ParseError(
-                        f"{path}: row {row_no}: scenario {scenario_id!r}: iteration "
-                        f"{iteration} repeats or is outside 1..{declared[scenario_id]}"
-                    )
-            elif matrix is not None:
+                    bytearray(1) if scenario_id in matrix._by_id else None, [],
+                    [] if len(cells) > len(_MEASUREMENTS_COLUMNS) else None)
+            flags, forces, velocities = entry
+            if flags is None:
                 message = f"{path}: row {row_no}: scenario id {scenario_id!r} not in matrix"
                 if strict:
                     raise ParseError(message)
                 warnings.warn(message, stacklevel=2)
-            add_force(force)
-            if add_velocity is not None:
+            elif 0 < iteration < len(flags) and not flags[iteration]:
+                flags[iteration] = 1
+            else:
+                declared = matrix._by_id[scenario_id].iterations
+                if not len(flags) <= iteration <= declared:
+                    raise ParseError(f"{path}: row {row_no}: scenario {scenario_id!r}: iteration "
+                                     f"{iteration} repeats or is outside 1..{declared}")
+                flags += bytes(min(2 * iteration, declared + 1) - len(flags))
+                flags[iteration] = 1
+            forces.append(force)
+            if velocities is not None:
                 velocity = cells[3]
                 if not 0.0 <= velocity < math.inf:
                     require("impact_velocity_m_s", velocity)
-                add_velocity(velocity)
+                velocities.append(velocity)
     except InvalidParameterError as exc:
         raise ParseError(f"{path}: row {row_no}: {exc}") from None
-    if matrix is not None:
-        for scenario_id, values in forces.items():
-            try:
-                expected = matrix.scenario(scenario_id).iterations
-            except KeyError:
-                continue
-            if len(values) != expected:
-                raise ParseError(f"{path}: scenario {scenario_id!r} has {len(values)} "
+    for scenario_id, (flags, forces, _) in entries.items():
+        if flags is not None:
+            expected = matrix.scenario(scenario_id).iterations
+            if len(forces) != expected:
+                raise ParseError(f"{path}: scenario {scenario_id!r} has {len(forces)} "
                                  f"iterations, matrix expects {expected}")
-    return [
-        _checked_measurement_set(scenario_id, tuple(values),
-                                 tuple(velocities[scenario_id]) if velocities else None)
-        for scenario_id, values in forces.items()
-    ]
+    return [_checked_measurement_set(scenario_id, tuple(forces),
+                                     None if velocities is None else tuple(velocities))
+            for scenario_id, (_, forces, velocities) in entries.items()]
 
 
 def _checked_measurement_set(scenario_id: str, forces: tuple[float, ...],

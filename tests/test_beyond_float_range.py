@@ -7,8 +7,8 @@ nominal_velocity_mismatches and the drop-velocity command never pass inf on
 to a model field that then takes the blame. analyze checks every drop
 velocity before its scenario loop, and an error there names the scenario and
 the one input file that stage read, the matrix (exit 1, with --use-nominal
-too); if no matrix file was given, a flag is at fault (exit 2), whatever
-other files were given.
+too). If no matrix file was given, or the built-in matrix fails at the same
+gravity, a flag is at fault (exit 2), whatever other files were given.
 """
 
 import json
@@ -147,6 +147,9 @@ class TestAnalyzeMatrixFile:
         ("--scale", "0.5", "scale_factor must be >= 1, got 0.5"),
         ("--gravity", "-1", "gravity must be > 0, got -1.0"),
         ("--cruise", "-1", "cruise_speed must be >= 0, got -1.0"),
+        # the built-in matrix fails at this gravity too: the line reads as without --matrix
+        ("--gravity", "1e308", "scenario 'baseline': height 2.8 gives an impact velocity "
+                               "sqrt(2*g*h) beyond float range at gravity 1e+308"),
     ])
     @pytest.mark.parametrize("height", [2.0, HUGE])
     def test_bad_flag_stays_a_usage_error(self, capsys, files, height, flag, value, message):

@@ -88,3 +88,21 @@ def test_cli_reaches_every_timed_function(reached, tmp_path, capsys):
     expected = {f"{layer}.{name}" for layer, names in TIMED.items() for name in names}
     expected |= {f"{owner.__name__}.{attr}" for owner, attr in METHODS}
     assert expected - reached == set()
+
+
+def test_ingest_looks_up_each_present_scenario_once(monkeypatch, tmp_path):
+    # perfbench/run.py reports harness.TestMatrix.scenario.calls_per_row from a traced
+    # ingest of this 135-row file: one lookup per matrix scenario in it, not one per row
+    matrix = harness.build_test_matrix()
+    measurements = tmp_path / "forces.csv"
+    measurements.write_text(MEASUREMENTS, encoding="utf-8")
+    lookups = []
+    scenario = harness.TestMatrix.scenario
+
+    def counted(self, scenario_id):
+        lookups.append(scenario_id)
+        return scenario(self, scenario_id)
+    monkeypatch.setattr(harness.TestMatrix, "scenario", counted)
+    sets = harness.ingest_measurements(measurements, matrix, strict=True)
+    assert sum(len(measurement.forces) for measurement in sets) == 135
+    assert sorted(lookups) == sorted(s.id for s in matrix.scenarios)

@@ -3,6 +3,7 @@ import math
 import random
 import re
 import tracemalloc
+import warnings
 
 import pytest
 
@@ -258,16 +259,16 @@ class TestIngestMeasurements:
         assert checks == []
         assert sets == [MeasurementSet(s.scenario_id, s.forces, s.impact_velocities) for s in sets]
 
-    def test_empty_file(self, tmp_path):
+    def test_empty_file(self, default_matrix, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("", encoding="utf-8")
-        assert ingest_measurements(path) == []
+        assert ingest_measurements(path, default_matrix) == []
 
-    def test_negative_force_rejected(self, tmp_path):
+    def test_negative_force_rejected(self, default_matrix, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("scenario_id,iteration,force_n\nbaseline,1,-2\n", encoding="utf-8")
         with pytest.raises(ParseError, match="force_n"):
-            ingest_measurements(path)
+            ingest_measurements(path, default_matrix)
 
     @pytest.mark.parametrize(
         "row, message",
@@ -325,17 +326,95 @@ class TestIngestMeasurements:
             tracemalloc.stop()
         assert peak < 1_000_000
 
-    def test_without_matrix_no_count_validation(self, tmp_path):
-        path = tmp_path / "loose.csv"
-        path.write_text("scenario_id,iteration,force_n\nanything,1,5\n", encoding="utf-8")
-        sets = ingest_measurements(path)
-        assert sets[0].scenario_id == "anything"
-
-    def test_bad_header_rejected(self, tmp_path):
+    def test_bad_header_rejected(self, default_matrix, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("id,n,force\nbaseline,1,5\n", encoding="utf-8")
         with pytest.raises(ParseError, match="header"):
-            ingest_measurements(path)
+            ingest_measurements(path, default_matrix)
+
+
+class TestIngestRandomised:
+    """Ingest against a seeded random small matrix, with the rows shuffled."""
+
+    @staticmethod
+    def campaign(seed, tmp_path):
+        """(rng, matrix, rows, write): a matrix of 1 to 4 scenarios of 2 to 6 iterations
+        each, one row per iteration as (scenario id, iteration, force, velocity or None)
+        in random order, and write(rows), which saves rows as a measurements CSV and
+        returns its path."""
+        rng = random.Random(seed)
+        base = build_test_matrix().scenarios[0]
+        ids = rng.sample(["baseline", "1", "2.1", "s", "case 4"], rng.randint(1, 4))
+        matrix = Matrix(tuple(base._replace(id=i, iterations=rng.randint(2, 6)) for i in ids), 6)
+        with_velocity = rng.random() < 0.5
+        rows = [(s.id, n, round(rng.uniform(0.0, 500.0), 3),
+                 round(rng.uniform(5.0, 9.0), 4) if with_velocity else None)
+                for s in matrix.scenarios for n in range(1, s.iterations + 1)]
+        rng.shuffle(rows)
+
+        def write(rows):
+            path = tmp_path / "measurements.csv"
+            header = "scenario_id,iteration,force_n" + ",impact_velocity_m_s" * with_velocity
+            path.write_text("".join(f"{','.join(str(c) for c in row if c is not None)}\n"
+                                    for row in [(header,), *rows]), encoding="utf-8")
+            return path
+        return rng, matrix, rows, write
+
+    @staticmethod
+    def oracle(rows):
+        """The rows grouped by scenario id in first-appearance order, in row order."""
+        groups = {}
+        for scenario_id, _, force, velocity in rows:
+            groups.setdefault(scenario_id, []).append((force, velocity))
+        return [MeasurementSet(scenario_id, tuple(f for f, _ in group),
+                               None if group[0][1] is None else tuple(v for _, v in group))
+                for scenario_id, group in groups.items()]
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_shuffled_rows_group_like_the_oracle(self, tmp_path, seed):
+        _, matrix, rows, write = self.campaign(seed, tmp_path)
+        assert ingest_measurements(write(rows), matrix, strict=True) == self.oracle(rows)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_a_dropped_row_breaks_the_count(self, tmp_path, seed):
+        rng, matrix, rows, write = self.campaign(seed, tmp_path)
+        scenario_id = rows.pop(rng.randrange(len(rows)))[0]
+        expected = matrix.scenario(scenario_id).iterations
+        path = write(rows)
+        message = (f"{path}: scenario {scenario_id!r} has {expected - 1} iterations, "
+                   f"matrix expects {expected}")
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            ingest_measurements(path, matrix)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_a_duplicated_row_repeats_at_its_row_number(self, tmp_path, seed):
+        rng, matrix, rows, write = self.campaign(seed, tmp_path)
+        copy = rng.choice(rows)
+        rows.insert(rng.randint(0, len(rows)), copy)
+        row_no = 2 + max(index for index, row in enumerate(rows) if row == copy)  # after the header
+        path = write(rows)
+        message = (f"{path}: row {row_no}: scenario {copy[0]!r}: iteration {copy[1]} repeats "
+                   f"or is outside 1..{matrix.scenario(copy[0]).iterations}")
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            ingest_measurements(path, matrix)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_unknown_ids_warn_once_per_row_or_raise_when_strict(self, tmp_path, seed):
+        rng, matrix, rows, write = self.campaign(seed, tmp_path)
+        for _ in range(rng.randint(1, 3)):
+            unknown = (rng.choice(["x", "2.3", "base line"]), rng.randint(-1, 9),
+                       rows[0][2], rows[0][3])
+            rows.insert(rng.randint(0, len(rows)), unknown)
+        path = write(rows)
+        known = {scenario.id for scenario in matrix.scenarios}
+        notes = [f"{path}: row {index + 2}: scenario id {row[0]!r} not in matrix"
+                 for index, row in enumerate(rows) if row[0] not in known]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert ingest_measurements(path, matrix) == self.oracle(rows)
+        assert [str(warning.message) for warning in caught] == notes
+        with pytest.raises(ParseError, match=f"^{re.escape(notes[0])}$"):
+            ingest_measurements(path, matrix, strict=True)
 
 
 class TestScenarioStats:

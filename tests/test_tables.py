@@ -1,13 +1,18 @@
 """The CSV rules shared by the species, materials and measurements files."""
 
 import csv
+from functools import partial
 
 import pytest
 
 from birdstrike.errors import ParseError
-from birdstrike.harness import ingest_measurements
+from birdstrike.harness import TestMatrix as Matrix, build_test_matrix, ingest_measurements
 from birdstrike.materials import load_materials
 from birdstrike.species import load_species_registry
+
+# Measurements are read against a matrix; this one's only scenario, baseline, has 1 iteration.
+ingest = partial(ingest_measurements,
+                 matrix=Matrix(build_test_matrix(iterations_per_scenario=1).scenarios[:1], 1))
 
 # loader, header, a good row, the good row with one bad cell, that cell's column
 FORMATS = [
@@ -22,12 +27,12 @@ FORMATS = [
         id="materials",
     ),
     pytest.param(
-        ingest_measurements, "scenario_id,iteration,force_n",
+        ingest, "scenario_id,iteration,force_n",
         "baseline,1,5", "baseline,first,5", "iteration",
         id="measurements",
     ),
     pytest.param(
-        ingest_measurements, "scenario_id,iteration,force_n,impact_velocity_m_s",
+        ingest, "scenario_id,iteration,force_n,impact_velocity_m_s",
         "baseline,1,5,7.3", "baseline,1,5,fast", "impact_velocity_m_s",
         id="measurements-velocity",
     ),
