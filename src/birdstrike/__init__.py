@@ -68,7 +68,6 @@ from .projectile import (
     effective_density,
     export_geometry,
     generate_projectile_set,
-    load_geometry,
     round_sig,
 )
 from .species import (

@@ -1,7 +1,8 @@
 """The CSV table reader shared by the species, materials and measurements files,
 the loader (read_named) and lookup (find_named) of the named species and
-materials records, the JSON reader of the matrix and descriptor files, and
-the CSV writer (render_csv) of the report, plan and sweep outputs.
+materials records, the JSON reader of the matrix file (descriptor files are
+written, never read), and the CSV writer (render_csv) of the report, plan and
+sweep outputs.
 
 Every input CSV follows the same rules: the first row is the header and must
 equal the format's column names once each cell is stripped; blank or
@@ -133,7 +134,7 @@ def render_csv(rows) -> str:
 
 
 def read_json(path, build):
-    """build(payload) for the JSON file at path. A file that does not load, or a
+    """build(payload) for the matrix JSON file at path. A file that does not load, or a
     KeyError, InvalidParameterError or TypeError from build, is a ParseError naming it."""
     with open(path, encoding="utf-8") as handle:
         try:

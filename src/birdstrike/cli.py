@@ -62,6 +62,7 @@ from .kinematics import (
 from .materials import CRUISE_SPEED, builtin_materials, find_material, load_materials
 from .projectile import (
     ABS_FILAMENT_DENSITY,
+    effective_density,
     export_geometry,
     generate_projectile_set,
     geometry_payload,
@@ -175,7 +176,9 @@ def _registry(args):
 def _projectile_set(args):
     with _blame():
         base = find_species(_registry(args), args.species)
-    return generate_projectile_set(base, args.solid_density, args.shell_fraction)
+    effective_density(args.solid_density, 0.0, args.shell_fraction)  # a bad flag is not the file's
+    with _blame(args.registry, prefix=f"species {base.name!r}: "):
+        return generate_projectile_set(base, args.solid_density, args.shell_fraction)
 
 
 def _emit(rendered: str, out) -> None:
@@ -318,7 +321,10 @@ def cmd_analyze(args) -> int:
     try:
         mismatches = nominal_velocity_mismatches(matrix, gravity)
     except InvalidParameterError as exc:
-        nominal_velocity_mismatches(build_test_matrix(), gravity)  # raises if a flag is at fault
+        try:
+            nominal_velocity_mismatches(build_test_matrix(), gravity)
+        except InvalidParameterError:
+            raise exc from None  # a flag is at fault, shown in the given matrix's terms
         raise ParseError(f"{args.matrix}: {exc}") from exc
     references = {}
     for scenario in matrix.scenarios:

@@ -11,7 +11,6 @@ import json
 import math
 
 from ._record import NON_NEGATIVE, POSITIVE, TEXT, Record
-from ._table import read_json
 from .errors import InvalidParameterError, require
 from .species import BirdSpecies
 
@@ -37,11 +36,16 @@ def round_sig(value: float, digits: int) -> float:
 
 
 def cylinder_radius_for(mass: float, body_density: float, length: float) -> float:
-    """Radius of the cylinder with the given mass, density and length."""
+    """Radius of the cylinder with the given mass, density and length, if finite and > 0."""
     require("mass", mass, above=True)
     require("body_density", body_density, above=True)
     require("length", length, above=True)
-    return math.sqrt(mass / (body_density * math.pi * length))
+    denominator = body_density * math.pi * length  # 0 if the product underflows
+    radius = math.sqrt(mass / denominator) if denominator else math.inf
+    if not 0.0 < radius < math.inf:
+        raise InvalidParameterError(f"mass {mass!r}, body_density {body_density!r} and length "
+                                    f"{length!r} give no finite cylinder radius > 0")
+    return radius
 
 
 def effective_density(
@@ -90,25 +94,27 @@ Shape = Cylinder | Ellipsoid
 
 
 class ProjectileSpec(Record):
-    """One manufactured surrogate projectile."""
+    """One manufactured surrogate projectile; its mass is derived, not stored."""
 
     serial: int
     shape: Shape
     solid_material_density: float  # kg/m^3
     infill_fraction: float
     effective_density: float       # kg/m^3
-    mass: float                    # kg
     varying_factor: str
     _ranges = dict(varying_factor=TEXT, serial=(1, math.inf, False),
                    solid_material_density=POSITIVE, infill_fraction=(0.0, 1.0, False),
-                   effective_density=NON_NEGATIVE, mass=NON_NEGATIVE)
+                   effective_density=NON_NEGATIVE)
 
     def __post_init__(self) -> None:
-        expected = self.effective_density * self.shape.volume()
-        if abs(self.mass - expected) > 1e-9 * max(abs(expected), 1e-300):
-            raise InvalidParameterError(
-                f"mass {self.mass} does not equal effective_density * volume ({expected})"
-            )
+        mass = self.mass
+        if not mass < math.inf:  # inf, or nan from 0 * inf
+            require("mass", mass)
+
+    @property
+    def mass(self) -> float:
+        """kg: effective density times the shape's volume."""
+        return self.effective_density * self.shape.volume()
 
 
 def generate_projectile_set(
@@ -139,46 +145,22 @@ def generate_projectile_set(
     specs = []
     for serial, shape, infill, label in rows:
         density = effective_density(solid_density, infill, shell_fraction)
-        specs.append(ProjectileSpec(serial, shape, solid_density, infill,
-                                    density, density * shape.volume(), label))
+        specs.append(ProjectileSpec(serial, shape, solid_density, infill, density, label))
     return specs
 
 
-# The descriptor JSON file format: each "shape" name and its record, whose fields are the
-# "dims_m" keys; then each other ProjectileSpec field and its key, in file order, with
-# "shape" and "dims_m" after the first.
-_SHAPES = {"cylinder": Cylinder, "ellipsoid": Ellipsoid}
-_DESCRIPTOR_KEYS = dict(serial="serial", infill_fraction="infill_fraction",
-                        solid_material_density="solid_density_kg_m3",
-                        effective_density="effective_density_kg_m3", mass="mass_kg",
-                        varying_factor="varying_factor")
-
-
 def geometry_payload(spec: ProjectileSpec) -> dict:
-    """Plain-dict form of a projectile descriptor (the JSON file schema)."""
-    shape_name = next(name for name, shape in _SHAPES.items() if isinstance(spec.shape, shape))
-    first, *rest = ((key, getattr(spec, field)) for field, key in _DESCRIPTOR_KEYS.items())
-    return dict([first, ("shape", shape_name), ("dims_m", spec.shape._asdict()), *rest])
+    """Plain-dict form of a projectile descriptor (the JSON file schema), in file order."""
+    return {"serial": spec.serial, "shape": type(spec.shape).__name__.lower(),
+            "dims_m": spec.shape._asdict(), "infill_fraction": spec.infill_fraction,
+            "solid_density_kg_m3": spec.solid_material_density,
+            "effective_density_kg_m3": spec.effective_density, "mass_kg": spec.mass,
+            "varying_factor": spec.varying_factor}
 
 
 def export_geometry(spec: ProjectileSpec, path) -> None:
-    """Write a projectile descriptor JSON; load_geometry reads it back exactly."""
+    """Write a projectile descriptor JSON file. Descriptors are write-only: the
+    package never reads one back."""
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(geometry_payload(spec), handle, indent=2)
         handle.write("\n")
-
-
-def load_geometry(path) -> ProjectileSpec:
-    """Read a projectile descriptor written by export_geometry."""
-    def build(payload) -> ProjectileSpec:
-        shape_name = payload["shape"]
-        dims = payload["dims_m"]
-        if not isinstance(shape_name, str) or shape_name not in _SHAPES:
-            raise InvalidParameterError(f"unknown shape {shape_name!r}")
-        shape = _SHAPES[shape_name](*[dims[key] for key in _SHAPES[shape_name]._fields])
-        # the keys are read in field order, which is not file order
-        return ProjectileSpec(shape=shape, **{field: payload[_DESCRIPTOR_KEYS[field]]
-                                              for field in ProjectileSpec._fields
-                                              if field in _DESCRIPTOR_KEYS})
-
-    return read_json(path, build)

@@ -8,7 +8,8 @@ to a model field that then takes the blame. analyze checks every drop
 velocity before its scenario loop, and an error there names the scenario and
 the one input file that stage read, the matrix (exit 1, with --use-nominal
 too). If no matrix file was given, or the built-in matrix fails at the same
-gravity, a flag is at fault (exit 2), whatever other files were given.
+gravity, a flag is at fault (exit 2), whatever other files were given, and the
+message names a scenario of the matrix that was read.
 """
 
 import json
@@ -155,6 +156,15 @@ class TestAnalyzeMatrixFile:
     def test_bad_flag_stays_a_usage_error(self, capsys, files, height, flag, value, message):
         assert run(analyze(*files(height), flag, value), capsys) == (
             2, "", f"usage error: {message}\n")
+
+    def test_bad_flag_names_a_scenario_of_the_given_matrix(self, capsys, files):
+        matrix, measurements = files(2.0)
+        payload = json.loads(matrix.read_text(encoding="utf-8"))
+        payload["scenarios"] = [s for s in payload["scenarios"] if s["id"] != "baseline"]
+        matrix.write_text(json.dumps(payload), encoding="utf-8")
+        assert run(analyze(matrix, measurements, "--gravity", "1e308"), capsys) == (
+            2, "", "usage error: scenario '1': height 2.8 gives an impact velocity sqrt(2*g*h) "
+                   "beyond float range at gravity 1e+308\n")
 
     def test_huge_drop_height_with_nominal_velocities_is_a_data_error(self, capsys, files):
         matrix, measurements = files(HUGE)

@@ -37,7 +37,7 @@ from birdstrike.kinematics import (
     terminal_velocity,
 )
 from birdstrike.materials import find_material
-from birdstrike.projectile import geometry_payload, load_geometry
+from birdstrike.projectile import generate_projectile_set, geometry_payload
 
 
 def run_cli(argv, capsys):
@@ -301,18 +301,56 @@ class TestDesignCommand:
         assert payload[0]["dims_m"]["radius"] == 0.01
         assert payload[4]["shape"] == "ellipsoid"
 
-    def test_out_directory_files(self, capsys, tmp_path):
+    def test_out_directory_files(self, capsys, tmp_path, starling):
         out_dir = tmp_path / "designs"
         code, out, _ = run_cli(["design", "--species", "Starling", "--out", str(out_dir)], capsys)
         assert code == 0
         paths = sorted(out_dir.glob("projectile_sn*.json"))
-        assert len(paths) == 5
-        specs = [load_geometry(path) for path in paths]
-        assert [spec.serial for spec in specs] == [1, 2, 3, 4, 5]
+        assert [json.loads(path.read_text(encoding="utf-8")) for path in paths] == [
+            geometry_payload(spec) for spec in generate_projectile_set(starling)]
 
     def test_unknown_species_exits_two(self, capsys):
         code, _, _ = run_cli(["design", "--species", "Roc"], capsys)
         assert code == 2
+
+
+# Registry species that no finite cylinder radius > 0 can size: body_density * pi * length
+# underflows to 0, or mass / (body_density * pi * length) overflows.
+UNSIZABLE_SPECIES = {"Tiny": ("1e+300", "1e-300", "1e-300"), "Wide": ("1e+300", "1e-10", "1.0")}
+
+
+@pytest.mark.parametrize("command", [["design"], ["analyze", "--measurements", "forces.csv"]],
+                         ids=["design", "analyze"])
+class TestUnsizableRegistrySpecies:
+    @pytest.fixture()
+    def registry(self, tmp_path):
+        path = tmp_path / "reg.csv"
+        path.write_text("name,mass_kg,length_m,density_kg_m3,flight_speed_m_s\n"
+                        "Tiny,1e300,1e-300,1e-300,20\nWide,1e300,1,1e-10,20\n",
+                        encoding="utf-8")
+        return path
+
+    @pytest.mark.parametrize("species", list(UNSIZABLE_SPECIES))
+    def test_is_one_data_error_naming_the_species(self, capsys, registry, command, species):
+        mass, density, length = UNSIZABLE_SPECIES[species]
+        code, out, err = run_cli([*command, "--registry", str(registry),
+                                  "--species", species], capsys)
+        assert (code, out) == (1, "")
+        # the registry's implausible body densities are notes; the one other line is the error
+        assert [line for line in err.splitlines() if not line.startswith("note: ")] == [
+            f"error: {registry}: species {species!r}: mass {mass}, body_density {density} and "
+            f"length {length} give no finite cylinder radius > 0"]
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--solid-density", "-1", "solid_density must be > 0, got -1.0"),
+        ("--shell-fraction", "2", "shell_fraction must be within [0, 1], got 2.0"),
+    ])
+    def test_bad_flag_stays_a_usage_error(self, capsys, registry, command, flag, value, message):
+        code, out, err = run_cli([*command, "--registry", str(registry),
+                                  "--species", "Tiny", flag, value], capsys)
+        assert (code, out) == (2, "")
+        assert [line for line in err.splitlines() if not line.startswith("note: ")] == [
+            f"usage error: {message}"]
 
 
 class TestMatrixCommand:

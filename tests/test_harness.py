@@ -163,7 +163,7 @@ class TestTheoreticalReference:
 
     def test_zero_mass_projectile_gives_zero(self, default_matrix, starling, materials):
         hollow = generate_projectile_set(starling)[0]
-        hollow = hollow._replace(infill_fraction=0.0, effective_density=0.0, mass=0.0)
+        hollow = hollow._replace(infill_fraction=0.0, effective_density=0.0)
         aluminium = find_material(materials, "Aluminium-2024-T3")
         assert theoretical_reference(
             default_matrix.scenario("baseline"), hollow, aluminium, gravity=10.0

@@ -69,7 +69,6 @@ def scenario_row(**fields):
 
 
 def spec_row(**fields):
-    fields.setdefault("mass", fields["effective_density"] * CYLINDER.volume())
     return ProjectileSpec(shape=CYLINDER, varying_factor="x", **fields)
 
 
@@ -174,7 +173,7 @@ ROWS = {
                        effective_density=156.0),
         dict(infill_fraction=1.0, effective_density=0.0),
         dict(serial=0, solid_material_density=0.0, infill_fraction=1.5,
-             effective_density=-1.0, mass=-1.0),
+             effective_density=-1.0),
     ),
     "BirdSpecies": (
         lambda **fields: BirdSpecies("x", **fields),
