@@ -9,24 +9,23 @@ equal the format's column names once each cell is stripped; blank or
 whitespace-only rows are skipped; every other row has exactly one cell per
 column; and each cell is converted by its column's kind (str.strip, int or
 float). Errors are ParseErrors naming the file, the row (the header is row 1)
-and, for a bad cell, the column.
+and, for a bad cell, the column. A file that is not UTF-8 is one too, naming
+only the file: a decode error can surface one read buffer ahead of its row.
 
-A row is tested for blankness only when it fails the column count or a
-conversion, not on every row. That skips every blank row all the same: each
-format has a numeric column, and int and float reject an empty or
-whitespace-only cell.
-
-Rows are read in batches of BATCH_ROWS. When every row of a batch has one
-cell per column, each column is converted in one map over the batch, with no
-Python loop per cell. A batch with a row of another width (a blank row, too
-many or too few cells) or a cell its kind rejects goes instead through the
-per-row loop, which skips blank rows, names the first bad row and column, and
-yields the rows before it first, so a caller's error on an earlier row of the
-batch still comes first.
-
-A file that is not UTF-8, or that the csv module cannot parse (such as a cell
-over its field size limit), is a ParseError too. A decode error can surface
-one read buffer ahead of its row, so it names only the file.
+After csv.reader reads the header, lines are read BATCH_ROWS at a time. A plain
+batch (no quote, CR or NUL, and no longer than csv.field_size_limit()) is cut
+by one str.split on commas, each line end made a cell of its own. When the line
+ends fall at every width+1-th cell, each line has one cell per column, as
+csv.reader would split it (every format has two or more, so an empty line
+fails), and each column is a slice of the cells. The first batch that fails
+this goes with the rest of the file to csv.reader, so quoted cells, CR line
+ends, NUL and over-long cells (a ParseError naming the row) mean what the csv
+module says; its rows are transposed into columns when each has one cell per
+column. Each column is converted in one map. A batch with a row of another
+width or a cell its kind rejects goes to a per-row loop that names the first
+bad row and column after yielding the rows before it, so a caller's error on an
+earlier row comes first. Only that loop looks for blank rows, and it skips them
+all: each format has a numeric column, which rejects a blank cell.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from itertools import count, islice
+from itertools import chain, islice
 from typing import Callable, Iterator, Sequence
 
 from .errors import InvalidParameterError, ParseError
@@ -48,12 +47,12 @@ def _names(columns: Columns) -> tuple[str, ...]:
     return tuple(name for name, _ in columns)
 
 
-def read_table(path, columns: Columns, optional: Columns = ()) -> Iterator[tuple[int, tuple]]:
-    """Yield (row number, converted cells) for each data row of a CSV file.
+def read_batches(path, columns: Columns,
+                 optional: Columns = ()) -> Iterator[tuple[Sequence[int], list]]:
+    """Yield (row numbers, converted columns) for each batch of data rows of a CSV file.
 
-    columns are (name, kind) pairs. The optional columns may follow them in
-    the header, all or none; rows then carry their cells too. An empty file
-    yields nothing.
+    columns are (name, kind) pairs; the optional ones may follow them in the header, all
+    or none, and batches then carry their columns too. An empty file yields nothing.
     """
     row_no = 1
     try:
@@ -74,24 +73,39 @@ def read_table(path, columns: Columns, optional: Columns = ()) -> Iterator[tuple
                 raise ParseError(f"{path}: expected header {expected}, got {','.join(header)!r}")
             width = len(spec)
             row_no = 2
+            rows = None  # a csv.reader over the rest of the file, once a batch is not plain
             while True:
-                batch: list[list[str]] = []
-                failed = None
-                try:
-                    batch.extend(islice(reader, BATCH_ROWS))
-                except csv.Error as exc:  # batch keeps the rows read before the bad one
-                    failed = exc
-                converted = None
-                if set(map(len, batch)) == {width}:
+                failed = by_column = converted = None
+                if rows is None:
+                    batch = list(islice(handle, BATCH_ROWS))
+                    text = "".join(batch)
+                    cells = text.replace("\n", ",\n,").split(",")  # each line's cells, then "\n"
+                    if (cells[width::width + 1] == ["\n"] * len(batch)
+                            and len(text) <= csv.field_size_limit()
+                            and not any(char in text for char in '"\r\0')):
+                        by_column = [cells[j:-1:width + 1] for j in range(width)]
+                    else:
+                        rows = csv.reader(chain(batch, handle))
+                if rows is not None:
+                    batch = []
+                    try:
+                        batch.extend(islice(rows, BATCH_ROWS))
+                    except csv.Error as exc:  # batch keeps the rows read before the bad one
+                        failed = exc
+                    if set(map(len, batch)) == {width}:
+                        by_column = zip(*batch)
+                if by_column is not None:
                     try:
                         converted = [list(map(kind, column))
-                                     for (_, kind), column in zip(spec, zip(*batch))]
+                                     for (_, kind), column in zip(spec, by_column)]
                     except ValueError:
                         pass
                 if converted is None:
+                    if rows is None:  # a plain batch: csv.reader splits it the same way
+                        batch = list(csv.reader(batch))
                     yield from _rows_one_by_one(path, spec, batch, row_no)
                 else:
-                    yield from zip(count(row_no), zip(*converted))
+                    yield range(row_no, row_no + len(batch)), converted
                 row_no += len(batch)
                 if failed is not None:
                     raise failed
@@ -103,8 +117,14 @@ def read_table(path, columns: Columns, optional: Columns = ()) -> Iterator[tuple
         raise ParseError(f"{path}: row {row_no}: {exc}") from None
 
 
+def read_table(path, columns: Columns, optional: Columns = ()) -> Iterator[tuple[int, tuple]]:
+    """Yield (row number, converted cells) for each data row: read_batches a row at a time."""
+    for numbers, converted in read_batches(path, columns, optional):
+        yield from zip(numbers, zip(*converted))
+
+
 def _rows_one_by_one(path, spec: Columns, batch: list[list[str]], first: int):
-    """The per-row path for a batch that failed the width or conversion test."""
+    """The per-row path for a batch that failed the width or conversion test, a row a batch."""
     width = len(spec)
     for row_no, row in enumerate(batch, start=first):
         # A blank row is looked for only once a row fails: see the module docstring.
@@ -123,7 +143,7 @@ def _rows_one_by_one(path, spec: Columns, batch: list[list[str]], first: int):
                     f"{path}: row {row_no}, column {name}: not a number: {cell!r}"
                 ) from None
         else:
-            yield row_no, tuple(cells)
+            yield (row_no,), [(cell,) for cell in cells]
 
 
 def render_csv(rows) -> str:

@@ -19,7 +19,7 @@ from itertools import repeat
 from typing import Mapping, Sequence
 
 from ._record import NON_NEGATIVE, POSITIVE, TEXT, Record
-from ._table import read_json, read_table, render_csv
+from ._table import read_batches, read_json, render_csv
 from .errors import InvalidParameterError, ParseError, require
 from .impact import ImpactScenario, _force_any_speed
 from .kinematics import (DEFAULT_SCALE_FACTOR, GRAVITY_PRESETS, GRAVITY_STANDARD,
@@ -263,36 +263,38 @@ def ingest_measurements(path, matrix: TestMatrix, strict: bool = False) -> list[
     entries: dict[str, tuple] = {}
     row_no = 0
     try:
-        for row_no, cells in read_table(path, _MEASUREMENTS_COLUMNS, _MEASUREMENTS_VELOCITY):
-            scenario_id, iteration, force = cells[0], cells[1], cells[2]
-            if not 0.0 <= force < math.inf:  # once per row: call only to raise
-                require("force_n", force)
-            entry = entries.get(scenario_id)
-            if entry is None:
-                entry = entries[scenario_id] = (
-                    bytearray(1) if scenario_id in matrix._by_id else None, [],
-                    [] if len(cells) > len(_MEASUREMENTS_COLUMNS) else None)
-            flags, forces, velocities = entry
-            if flags is None:
-                message = f"{path}: row {row_no}: scenario id {scenario_id!r} not in matrix"
-                if strict:
-                    raise ParseError(message)
-                warnings.warn(message, stacklevel=2)
-            elif 0 < iteration < len(flags) and not flags[iteration]:
-                flags[iteration] = 1
-            else:
-                declared = matrix._by_id[scenario_id].iterations
-                if not len(flags) <= iteration <= declared:
-                    raise ParseError(f"{path}: row {row_no}: scenario {scenario_id!r}: iteration "
-                                     f"{iteration} repeats or is outside 1..{declared}")
-                flags += bytes(min(2 * iteration, declared + 1) - len(flags))
-                flags[iteration] = 1
-            forces.append(force)
-            if velocities is not None:
-                velocity = cells[3]
-                if not 0.0 <= velocity < math.inf:
-                    require("impact_velocity_m_s", velocity)
-                velocities.append(velocity)
+        for numbers, columns in read_batches(path, _MEASUREMENTS_COLUMNS, _MEASUREMENTS_VELOCITY):
+            if len(columns) == len(_MEASUREMENTS_COLUMNS):
+                columns.append(repeat(None))  # no velocity column
+            for row_no, scenario_id, iteration, force, velocity in zip(numbers, *columns):
+                if not 0.0 <= force < math.inf:  # once per row: call only to raise
+                    require("force_n", force)
+                entry = entries.get(scenario_id)
+                if entry is None:
+                    entry = entries[scenario_id] = (
+                        bytearray(1) if scenario_id in matrix._by_id else None, [],
+                        None if velocity is None else [])
+                flags, forces, velocities = entry
+                if flags is None:
+                    message = f"{path}: row {row_no}: scenario id {scenario_id!r} not in matrix"
+                    if strict:
+                        raise ParseError(message)
+                    warnings.warn(message, stacklevel=2)
+                elif 0 < iteration < len(flags) and not flags[iteration]:
+                    flags[iteration] = 1
+                else:
+                    declared = matrix._by_id[scenario_id].iterations
+                    if not len(flags) <= iteration <= declared:
+                        raise ParseError(f"{path}: row {row_no}: scenario {scenario_id!r}: "
+                                         f"iteration {iteration} repeats or is outside "
+                                         f"1..{declared}")
+                    flags += bytes(min(2 * iteration, declared + 1) - len(flags))
+                    flags[iteration] = 1
+                forces.append(force)
+                if velocities is not None:
+                    if not 0.0 <= velocity < math.inf:
+                        require("impact_velocity_m_s", velocity)
+                    velocities.append(velocity)
     except InvalidParameterError as exc:
         raise ParseError(f"{path}: row {row_no}: {exc}") from None
     for scenario_id, (flags, forces, _) in entries.items():

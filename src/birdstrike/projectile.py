@@ -23,7 +23,7 @@ DIMENSION_SIG_FIGS = 2         # manufacturing resolution of the projectile set
 
 
 def round_sig(value: float, digits: int) -> float:
-    """Round to `digits` significant figures, halves away from zero."""
+    """Round to `digits` significant figures, halves away from zero; raise past float range."""
     require("digits", digits, 1, integer=True)
     if value == 0 or not math.isfinite(value):
         return value
@@ -32,7 +32,10 @@ def round_sig(value: float, digits: int) -> float:
     from decimal import ROUND_HALF_UP, Decimal
 
     quantum = Decimal(1).scaleb(int(math.floor(math.log10(abs(value)))) - digits + 1)
-    return float(Decimal(repr(value)).quantize(quantum, rounding=ROUND_HALF_UP))
+    rounded = float(Decimal(repr(value)).quantize(quantum, rounding=ROUND_HALF_UP))
+    if math.isinf(rounded):
+        raise InvalidParameterError(f"{value!r} rounded to {digits} significant digits overflows")
+    return rounded
 
 
 def cylinder_radius_for(mass: float, body_density: float, length: float) -> float:

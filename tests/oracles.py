@@ -5,11 +5,13 @@ the governing rate dv/dt = g - k*v^2 (k = rho*C_d*A/(2*m)) is integrated
 directly with classical fourth-order Runge-Kutta, jointly with dy/dt = v, and
 the fall distance, fall time and impact velocity are evaluated to 60 digits
 with decimal. For the conformance statistics, the sample variance is computed
-exactly in rational arithmetic.
+exactly in rational arithmetic. For the CSV tables, csv.reader reads the rows
+one at a time.
 """
 
 from __future__ import annotations
 
+import csv
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -115,3 +117,38 @@ def decimal_drop(height: float, mass: float, drag_coefficient: float,
         c = (g * Decimal(height) / (vt * vt)).exp()
         root = (c * c - 1).sqrt()
         return float(vt / g * (c + root).ln()), float(vt * root / c)
+
+
+def csv_rows(path, columns) -> tuple[list[tuple[int, tuple]], str | None]:
+    """A CSV table read one row at a time by csv.reader, under the input CSV rules.
+
+    The header is row 1 and is not checked. A row whose cells are all blank is
+    skipped; any other row must have one cell per (name, kind) column, each
+    converted by its kind. Returns the (row number, cells) of the rows before
+    the first bad one, and that row's error message (None if there is none),
+    in the package's wording.
+    """
+    rows = []
+    row_no = 2
+    with open(path, newline="", encoding="utf-8") as handle:
+        reader = csv.reader(handle)
+        next(reader)
+        while True:
+            try:
+                row = next(reader, None)
+            except csv.Error as exc:
+                return rows, f"{path}: row {row_no}: {exc}"
+            if row is None:
+                return rows, None
+            if "".join(row).strip():
+                if len(row) != len(columns):
+                    return rows, (f"{path}: row {row_no}: expected {len(columns)} columns, "
+                                  f"got {len(row)}")
+                cells = []
+                for (name, kind), cell in zip(columns, row):
+                    try:
+                        cells.append(kind(cell))
+                    except ValueError:
+                        return rows, f"{path}: row {row_no}, column {name}: not a number: {cell!r}"
+                rows.append((row_no, tuple(cells)))
+            row_no += 1

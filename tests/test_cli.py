@@ -341,6 +341,18 @@ class TestUnsizableRegistrySpecies:
             f"error: {registry}: species {species!r}: mass {mass}, body_density {density} and "
             f"length {length} give no finite cylinder radius > 0"]
 
+    def test_length_that_rounds_past_float_range_names_the_species(self, capsys, tmp_path,
+                                                                     command):
+        registry = tmp_path / "long.csv"
+        registry.write_text("name,mass_kg,length_m,density_kg_m3,flight_speed_m_s\n"
+                            "Long,1e300,1.7976931348623157e308,1e-300,20\n", encoding="utf-8")
+        code, out, err = run_cli([*command, "--registry", str(registry), "--species", "Long"],
+                                 capsys)
+        assert (code, out) == (1, "")
+        assert [line for line in err.splitlines() if not line.startswith("note: ")] == [
+            f"error: {registry}: species 'Long': 1.7976931348623157e+308 rounded to 2 "
+            "significant digits overflows"]
+
     @pytest.mark.parametrize("flag, value, message", [
         ("--solid-density", "-1", "solid_density must be > 0, got -1.0"),
         ("--shell-fraction", "2", "shell_fraction must be within [0, 1], got 2.0"),

@@ -2,6 +2,7 @@ import json
 import math
 import random
 import re
+import sys
 
 import pytest
 
@@ -33,6 +34,15 @@ class TestRoundSig:
     def test_invalid_digits(self):
         with pytest.raises(InvalidParameterError):
             round_sig(1.0, 0)
+
+    @pytest.mark.parametrize("value", [sys.float_info.max, -sys.float_info.max])
+    def test_rounding_past_float_range_raises(self, value):
+        # 1.7976931348623157e308 to 2 digits is 1.8e308, which no float holds
+        with pytest.raises(InvalidParameterError,
+                           match=f"^{re.escape(repr(value))} rounded to 2 significant digits "
+                                 "overflows$"):
+            round_sig(value, 2)
+        assert round_sig(value, 17) == value
 
 
 class TestVolumes:

@@ -2,9 +2,11 @@
 found, named and ordered as if the rows were read one by one.
 
 Each fault goes at the first data row, either side of a batch boundary and in
-the last, partial batch of a file several batches long.
+the last, partial batch of a file several batches long. The rows read, or the
+error, must match those of csv.reader reading the file one row at a time.
 """
 
+import csv
 import hashlib
 import random
 import re
@@ -12,9 +14,11 @@ import warnings
 
 import pytest
 
-from birdstrike._table import BATCH_ROWS
+from birdstrike._table import BATCH_ROWS, read_table
 from birdstrike.errors import ParseError
 from birdstrike.harness import (
+    _MEASUREMENTS_COLUMNS,
+    _MEASUREMENTS_VELOCITY,
     build_test_matrix,
     conformance_report,
     ingest_measurements,
@@ -23,6 +27,7 @@ from birdstrike.harness import (
     theoretical_reference,
 )
 from birdstrike.materials import find_material
+from oracles import csv_rows
 
 HEADER = "scenario_id,iteration,force_n,impact_velocity_m_s"
 ITERATIONS = (3 * BATCH_ROWS + BATCH_ROWS // 2) // 9 + 1  # nine scenarios: 3.5 batches of rows
@@ -95,6 +100,64 @@ def test_bad_row_named(tmp_path, where, line, message):
                                             iteration=iteration)
     with pytest.raises(ParseError, match=f"^{re.escape(expected)}$"):
         ingest_measurements(path, MATRIX, strict=True)
+
+
+def lines_text(lines, end="\n"):
+    return "".join(line + end for line in lines)
+
+
+def inserted(line):
+    return lambda rows, index: lines_text([HEADER, *rows[:index], line, *rows[index:]])
+
+
+def crlf_from(rows, index):
+    return lines_text([HEADER, *rows[:index]]) + lines_text(rows[index:], "\r\n")
+
+
+def lone_cr_ending(rows, index):
+    rows[index:index + 2] = [f"{rows[index]}\r{rows[index + 1]}"]
+    return lines_text([HEADER, *rows])
+
+
+def no_final_newline(rows, index):
+    return lines_text([HEADER, *rows[:index + 1]])[:-1]
+
+
+LIMIT = csv.field_size_limit()
+# Each fault makes the file text from the shuffled data rows and a POSITIONS index.
+FAULTS = {
+    "quoted comma in an id": inserted('"base,line",1,20.0,7.3'),
+    "quoted comma in a number": inserted('baseline,1,"20,5",7.3'),
+    "quoted newline in an id": inserted('"base\nline",1,20.0,7.3'),
+    "quoted newline in a number": inserted('baseline,1,"20\n",7.3'),
+    "quoted cells": inserted('"baseline","1","20.0","7.3"'),
+    "unclosed quote": inserted('"baseline,1,20.0,7.3'),
+    "CRLF from here": crlf_from,
+    "lone CR ending a row": lone_cr_ending,
+    "lone CR inside a row": inserted("baseline,1\r,20.0,7.3"),
+    "NUL in an id": inserted("base\0line,1,20.0,7.3"),
+    "NUL in a number": inserted("baseline,1,20\0,7.3"),
+    "cell at the field size limit": inserted("x" * LIMIT + ",1,20.0,7.3"),
+    "cell over the field size limit": inserted("x" * (LIMIT + 1) + ",1,20.0,7.3"),
+    "whitespace-padded cells": inserted(" baseline ,\t1 , 20.0 ,7.3 "),
+    "blank line": inserted(""),
+    "no final newline": no_final_newline,
+    "too many cells": inserted("baseline,1,5,7.3,9"),
+    "too few cells": inserted("baseline,1"),
+}
+
+
+@pytest.mark.parametrize("where", POSITIONS)
+@pytest.mark.parametrize("fault", FAULTS)
+def test_rows_match_a_per_row_csv_reader(tmp_path, where, fault):
+    path = tmp_path / "measurements.csv"
+    path.write_bytes(FAULTS[fault](data_rows(), POSITIONS[where]).encode())
+    rows, error = [], None
+    try:
+        rows.extend(read_table(path, _MEASUREMENTS_COLUMNS, _MEASUREMENTS_VELOCITY))
+    except ParseError as exc:
+        error = str(exc)
+    assert (rows, error) == csv_rows(path, (*_MEASUREMENTS_COLUMNS, *_MEASUREMENTS_VELOCITY))
 
 
 @pytest.mark.parametrize("where", ["first row", "first of a batch", "last partial batch"])
