@@ -5,8 +5,8 @@ repr, no assignment, and namedtuple's _fields, _asdict() and _replace().
 A record declares each range once: _ranges maps a field to (lo, hi, above) as
 errors.require takes them, or to TEXT for a str; a name field ends each message.
 A plain float (int for a field annotated "int") in range passes the __init__'s
-inline test with no call. Anything else goes to _check, which calls require on
-each field in turn, so what is accepted and every message are require's.
+inline test with no call, by the guard rule of errors.require. Anything else
+goes to _check, which calls require on each field in turn.
 """
 
 import math
@@ -42,7 +42,8 @@ class Record:
         checks = tuple((n, kinds[n], *bounds) for n, bounds in getattr(cls, "_ranges", {}).items())
         guard = " and ".join(_guard(*check) for check in checks)
         lines = [f"if not ({guard}):", "    _check(_checks, locals())"] if guard else []
-        lines.append("self.__dict__.update({" + ", ".join(f"{n!r}: {n}" for n in names) + "})")
+        # Each field stored by key; no field is named __dict, as a class body mangles __names.
+        lines += ["__dict = self.__dict__", *(f"__dict[{n!r}] = {n}" for n in names)]
         if hasattr(cls, "__post_init__"):
             lines.append("self.__post_init__()")
         namespace = {"_defaults": defaults, "_checks": checks, "_check": _check}

@@ -12,20 +12,21 @@ float). Errors are ParseErrors naming the file, the row (the header is row 1)
 and, for a bad cell, the column. A file that is not UTF-8 is one too, naming
 only the file: a decode error can surface one read buffer ahead of its row.
 
-After csv.reader reads the header, lines are read BATCH_ROWS at a time. A plain
-batch (no quote, CR or NUL, and no longer than csv.field_size_limit()) is cut
-by one str.split on commas, each line end made a cell of its own. When the line
-ends fall at every width+1-th cell, each line has one cell per column, as
-csv.reader would split it (every format has two or more, so an empty line
-fails), and each column is a slice of the cells. The first batch that fails
-this goes with the rest of the file to csv.reader, so quoted cells, CR line
-ends, NUL and over-long cells (a ParseError naming the row) mean what the csv
-module says; its rows are transposed into columns when each has one cell per
-column. Each column is converted in one map. A batch with a row of another
-width or a cell its kind rejects goes to a per-row loop that names the first
-bad row and column after yielding the rows before it, so a caller's error on an
-earlier row comes first. Only that loop looks for blank rows, and it skips them
-all: each format has a numeric column, which rejects a blank cell.
+After csv.reader reads the header, lines are read BATCH_ROWS at a time, and a
+batch's CRLF line ends are made LF. A plain batch (no quote, lone CR or NUL, and
+no longer than csv.field_size_limit()) is cut by one str.split on commas, each
+line end made a cell of its own. When the line ends fall at every width+1-th
+cell, each line has one cell per column, as csv.reader would split it (every
+format has two or more, so an empty line fails), and each column is a slice of
+the cells. The first batch that fails this goes with the rest of the file to
+csv.reader, so quoted cells, lone CR line ends, NUL and over-long cells (a
+ParseError naming the row) mean what the csv module says; its rows are
+transposed into columns when each has one cell per column. Each column is
+converted in one map. A batch with a row of another width or a cell its kind
+rejects goes to a per-row loop that names the first bad row and column after
+yielding the rows before it, so a caller's error on an earlier row comes first.
+Only that loop looks for blank rows, and it skips them all: each format has a
+numeric column, which rejects a blank cell.
 """
 
 from __future__ import annotations
@@ -79,6 +80,8 @@ def read_batches(path, columns: Columns,
                 if rows is None:
                     batch = list(islice(handle, BATCH_ROWS))
                     text = "".join(batch)
+                    if "\r" in text:  # CRLF ends made LF: a lone CR stays, and fails the test
+                        text = text.replace("\r\n", "\n")
                     cells = text.replace("\n", ",\n,").split(",")  # each line's cells, then "\n"
                     if (cells[width::width + 1] == ["\n"] * len(batch)
                             and len(text) <= csv.field_size_limit()

@@ -32,6 +32,12 @@ def require(name: str, value: float, lo: float = 0.0, hi: float = math.inf, *,
     NaN and +-inf are always rejected, and so is an int too large for a
     float. With integer=True the value must also be an int (not a bool, nor a
     float such as 2.0). context, when given, ends the message.
+
+    The guard rule: a hot path calls require only when its own inline test
+    fails, as in `if not (x.__class__ is float and 0.0 <= x < math.inf)`. A
+    plain float in range then costs no call, and every other value (an int, a
+    bool, a float subclass, nan, inf, out of range, not a number) comes here,
+    so what is accepted and every message are still require's.
     """
     try:
         if integer and (not isinstance(value, int) or isinstance(value, bool)):

@@ -28,12 +28,8 @@ from ._record import NON_NEGATIVE, POSITIVE, Record
 from .errors import InvalidParameterError, StationaryAircraftError, require
 
 
-def _sin_deg(angle: float) -> float:
-    return math.sin(math.radians(angle))
-
-
 def _bird_divisor(s: ImpactScenario) -> float:
-    """bird_length*bird_density, the divisor of both force models."""
+    """bird_length*bird_density, the divisor of both force models, or the error when it is 0."""
     divisor = s.bird_length * s.bird_density
     if divisor == 0.0:
         raise InvalidParameterError(f"bird_length*bird_density underflows to 0 for "
@@ -110,13 +106,13 @@ def impact_force(scenario: ImpactScenario) -> ImpactResult:
             "penetration depth is singular at aircraft speed 0; "
             "use the stationary-aircraft model (impact_force_stationary)"
         )
-    sin_theta = _sin_deg(s.impact_angle)
+    sin_theta = math.sin(math.radians(s.impact_angle))
     v = s.bird_speed * sin_theta + s.aircraft_speed
     energy = 0.5 * s.bird_mass * v * v
     depth = s.bird_length * (s.bird_density / s.aircraft_density) * (v / s.aircraft_speed)
     force = (
         0.5 * s.bird_mass * s.aircraft_density * s.aircraft_speed * v * sin_theta
-        / _bird_divisor(s)
+        / (s.bird_length * s.bird_density or _bird_divisor(s))  # which raises on 0
     )
     if not (energy < math.inf and depth < math.inf and force < math.inf):  # all >= 0 or nan
         raise _not_finite(total_speed=v, kinetic_energy=energy, penetration_depth=depth,
@@ -142,7 +138,7 @@ def impact_force_stationary(
 
 def _stationary_force(s: ImpactScenario) -> float:
     """The stationary-aircraft force of an already validated scenario."""
-    sin_theta = _sin_deg(s.impact_angle)
+    sin_theta = math.sin(math.radians(s.impact_angle))
     force = (
         0.5 * s.bird_mass * s.bird_speed * s.bird_speed * s.aircraft_density * sin_theta ** 3
         / _bird_divisor(s)
@@ -163,7 +159,8 @@ def check_certification(
     force: float, case: str, limits: CertificationLimits = DEFAULT_LIMITS
 ) -> CertificationVerdict:
     """Compare a force against the single-bird or flock threshold."""
-    require("force", force)
+    if not (force.__class__ is float and 0.0 <= force < math.inf):
+        require("force", force)
     if case not in CERTIFICATION_CASES:
         raise InvalidParameterError(
             f"case must be {' or '.join(map(repr, CERTIFICATION_CASES))}, got {case!r}")

@@ -77,7 +77,8 @@ class DragParams(Record):
             raise InvalidParameterError(
                 f"fall-distance scale 2*m/(rho*C_d*A) = v_t^2/g must be finite and > 0, "
                 f"got {scale!r}")
-        self.__dict__.update(_terminal_velocity=vt, _distance_scale=scale)
+        attributes = self.__dict__
+        attributes["_terminal_velocity"], attributes["_distance_scale"] = vt, scale
 
 
 def ideal_impact_velocity(height: float, gravity: float = GRAVITY_STANDARD) -> float:
@@ -153,7 +154,8 @@ def fall_time_for_drop(height: float, params: DragParams) -> float:
     t(h) from the module docstring, x*v_t/g taken as h/v_t (finite wherever t is),
     then one Newton step on drag_fall_distance: the round trip holds to rounding.
     """
-    require("height", height)
+    if not (height.__class__ is float and 0.0 <= height < math.inf):
+        require("height", height)
     vt, g = params._terminal_velocity, params.gravity
     x = g * height / (vt * vt)
     if x == 0.0:  # h = 0, or so small that x underflows to 0
@@ -171,16 +173,14 @@ def impact_velocity_from_drop(height: float, params: DragParams) -> float:
 
     Below the drag-free sqrt(2*g*h) for positive drag, to rounding as drag vanishes.
     """
-    return _velocity_after(fall_time_for_drop(height, params), params)
+    fall_time, vt = fall_time_for_drop(height, params), params._terminal_velocity
+    return vt * math.tanh(params.gravity * fall_time / vt)
 
 
 def impact_velocity_from_timing(fall_time: float, params: DragParams) -> float:
     """Impact speed from a recorded release-to-impact time: v_t*tanh(g*t/v_t)."""
-    require("time", fall_time)
-    return _velocity_after(fall_time, params)
-
-
-def _velocity_after(fall_time: float, params: DragParams) -> float:  # fall_time validated
+    if not (fall_time.__class__ is float and 0.0 <= fall_time < math.inf):
+        require("time", fall_time)
     vt = params._terminal_velocity
     return vt * math.tanh(params.gravity * fall_time / vt)
 

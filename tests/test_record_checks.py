@@ -4,7 +4,9 @@ A differential test draws every field of each range-checked record from plain
 and hostile values alike and compares construction with an oracle: this
 file's own literal table of ranges, run through errors.require in declaration
 order, then the record's __post_init__ on the raw fields. A profiler then
-checks that valid plain inputs reach errors.require not at all.
+checks that valid plain inputs reach errors.require not at all, in the records
+and in the drop-chain functions that check their argument inline, and those
+functions are checked to accept, reject and word each error as require does.
 """
 
 import math
@@ -18,9 +20,9 @@ from birdstrike import errors
 from birdstrike.errors import InvalidParameterError, require
 # aliased so pytest does not collect them
 from birdstrike.harness import MeasurementSet, TestMatrix as Matrix, TestScenario as Scenario
-from birdstrike.impact import CertificationLimits, ImpactScenario
-from birdstrike.kinematics import (DragParams, DropPlan, impact_velocity_from_drop,
-                                   impact_velocity_from_timing)
+from birdstrike.impact import CertificationLimits, ImpactScenario, check_certification
+from birdstrike.kinematics import (DragParams, DropPlan, fall_time_for_drop,
+                                   impact_velocity_from_drop, impact_velocity_from_timing)
 from birdstrike.materials import MaterialSpec
 from birdstrike.projectile import Cylinder, Ellipsoid, ProjectileSpec
 from birdstrike.species import BirdSpecies
@@ -196,8 +198,37 @@ def test_valid_plain_values_make_no_call(record):
 
 
 def test_drop_velocity_checks_only_the_height():
-    assert require_calls(lambda: impact_velocity_from_drop(2.8, DRAG)) == 1
-    assert require_calls(lambda: impact_velocity_from_timing(0.8, DRAG)) == 1
+    assert require_calls(lambda: impact_velocity_from_drop(2.8, DRAG)) == 0
+    assert require_calls(lambda: impact_velocity_from_timing(0.8, DRAG)) == 0
+    assert require_calls(lambda: fall_time_for_drop(2.8, DRAG)) == 0
+    assert require_calls(lambda: check_certification(1996.4, "single-bird")) == 0
+
+
+# Each function that checks its argument inline, by the name require gives it.
+INLINE_GUARDS = {
+    "height": lambda value: fall_time_for_drop(value, DRAG),
+    "time": lambda value: impact_velocity_from_timing(value, DRAG),
+    "force": lambda value: check_certification(value, "flock"),
+}
+
+
+def message_of(action):
+    """The InvalidParameterError message of action(), or None when it raises none."""
+    try:
+        action()
+    except InvalidParameterError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("value", [math.nan, INF, -INF, -1.0, -0.0, 3, True, "2.8", None],
+                         ids=repr)
+@pytest.mark.parametrize("name", list(INLINE_GUARDS))
+def test_inline_guard_accepts_and_rejects_as_require_does(name, value):
+    want = message_of(lambda: require(name, value))
+    assert message_of(lambda: INLINE_GUARDS[name](value)) == want
+    if want is not None:  # an error of require's, raised by a call to require
+        assert require_calls(lambda: message_of(lambda: INLINE_GUARDS[name](value))) == 1
 
 
 @pytest.mark.parametrize("build, message", [

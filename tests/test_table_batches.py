@@ -160,6 +160,21 @@ def test_rows_match_a_per_row_csv_reader(tmp_path, where, fault):
     assert (rows, error) == csv_rows(path, (*_MEASUREMENTS_COLUMNS, *_MEASUREMENTS_VELOCITY))
 
 
+@pytest.mark.parametrize("lone_cr, readers", [(False, 1), (True, 2)],
+                         ids=["CRLF", "CRLF and a lone CR in the last batch"])
+def test_crlf_file_is_split_without_csv_reader(tmp_path, monkeypatch, lone_cr, readers):
+    rows = data_rows()
+    if lone_cr:
+        rows[-2:] = [f"{rows[-2]}\r{rows[-1]}"]
+    path = tmp_path / "measurements.csv"
+    path.write_bytes(lines_text([HEADER, *rows], "\r\n").encode())
+    want = csv_rows(path, (*_MEASUREMENTS_COLUMNS, *_MEASUREMENTS_VELOCITY))
+    calls, reader = [], csv.reader
+    monkeypatch.setattr(csv, "reader", lambda *args: calls.append(args) or reader(*args))
+    assert (list(read_table(path, _MEASUREMENTS_COLUMNS, _MEASUREMENTS_VELOCITY)), None) == want
+    assert len(calls) == readers  # the header's, then the last batch's when it has a lone CR
+
+
 @pytest.mark.parametrize("where", ["first row", "first of a batch", "last partial batch"])
 def test_earlier_row_error_beats_later_bad_cell_in_the_batch(tmp_path, where):
     index = POSITIONS[where]
