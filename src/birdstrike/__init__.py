@@ -13,6 +13,7 @@ from .harness import (
     TestMatrix,
     TestScenario,
     VelocitySplit,
+    analyze,
     build_test_matrix,
     conformance_report,
     ingest_measurements,

@@ -2,12 +2,10 @@
 
 Exit codes: 0 success; 2 for an invalid flag or config value, including any
 InvalidParameterError the library raises on one; 1 for a bad input file
-(ParseError), the singular moving-aircraft model, or I/O. analyze runs in
-stages, and an error in a stage names every input file that stage read; if
-none was given, a flag is at fault (exit 2). A velocity beyond float range
-blames --matrix only if the built-in matrix passes at the same gravity. A
-key=value config file (BIRDSTRIKE_CONFIG or --config) supplies defaults;
-flags override.
+(ParseError), the singular moving-aircraft model, or I/O. harness.analyze names
+the inputs a failing stage read and the CLI blames their files; if none was
+given, a flag is at fault (exit 2). A key=value config file (BIRDSTRIKE_CONFIG
+or --config) supplies defaults; flags override.
 """
 
 from __future__ import annotations
@@ -26,15 +24,12 @@ from .harness import (
     DEFAULT_ITERATIONS,
     VelocitySplit,
     _check_reference_settings,
+    analyze,
     build_test_matrix,
-    conformance_report,
-    ingest_measurements,
     matrix_to_json,
-    nominal_velocity_mismatches,
     read_matrix,
     render_report_csv,
     render_report_json,
-    theoretical_reference,
 )
 from .impact import (
     CERTIFICATION_CASES,
@@ -59,7 +54,7 @@ from .kinematics import (
     plan_flags,
     terminal_velocity,
 )
-from .materials import CRUISE_SPEED, builtin_materials, find_material, load_materials
+from .materials import CRUISE_SPEED, builtin_materials, load_materials
 from .projectile import (
     ABS_FILAMENT_DENSITY,
     effective_density,
@@ -314,31 +309,19 @@ def cmd_analyze(args) -> int:
     if args.measurements is None:
         raise InvalidParameterError(
             "no measurements file: pass --measurements or set it in the config")
-    _check_reference_settings(gravity, scale, args.cruise)
+    _check_reference_settings(gravity, scale, args.cruise)  # before any file is read
     matrix = read_matrix(args.matrix) if args.matrix else build_test_matrix()
     materials = builtin_materials() if args.materials is None else load_materials(args.materials)
-    projectiles = {spec.serial: spec for spec in _projectile_set(args)}
+    projectiles = _projectile_set(args)
+    files = {**vars(args), "projectiles": args.registry, "measurements_path": args.measurements}
     try:
-        mismatches = nominal_velocity_mismatches(matrix, gravity)
-    except InvalidParameterError as exc:
-        try:
-            nominal_velocity_mismatches(build_test_matrix(), gravity)
-        except InvalidParameterError:
-            raise exc from None  # a flag is at fault, shown in the given matrix's terms
-        raise ParseError(f"{args.matrix}: {exc}") from exc
-    references = {}
-    for scenario in matrix.scenarios:
-        prefix = f"scenario {scenario.id!r}: "
-        with _blame(args.matrix, args.materials, prefix=prefix):
-            material = find_material(materials, scenario.specimen_material)
-        with _blame(args.matrix, args.materials, args.registry, prefix=prefix):
-            references[scenario.id] = theoretical_reference(
-                scenario, projectiles[scenario.projectile_serial], material, gravity=gravity,
-                split=split, scale_factor=scale, cruise_speed=args.cruise,
-                use_nominal_velocity=args.use_nominal)
-    measurements = ingest_measurements(args.measurements, matrix, strict=args.strict)
-    with _blame(args.measurements):  # the files do not cover the matrix
-        report = conformance_report(matrix, references, measurements)
+        report, mismatches = analyze(
+            matrix, projectiles, materials, args.measurements, gravity=gravity, split=split,
+            scale_factor=scale, cruise_speed=args.cruise, use_nominal_velocity=args.use_nominal,
+            strict=args.strict)
+    except InvalidParameterError as exc:  # blame the files of the inputs its stage read
+        with _blame(*map(files.get, exc.inputs)):
+            raise
     _emit(render_report_csv(report) if fmt == "csv" else render_report_json(report), args.out)
     for scenario_id, (nominal, recomputed) in sorted(mismatches.items()):
         _note(f"scenario {scenario_id}: stored nominal velocity {nominal:g} m/s "

@@ -14,6 +14,7 @@ import json
 import math
 import operator
 import warnings
+from contextlib import suppress
 from enum import Enum
 from itertools import repeat
 from typing import Mapping, Sequence
@@ -24,7 +25,7 @@ from .errors import InvalidParameterError, ParseError, require
 from .impact import ImpactScenario, _force_any_speed
 from .kinematics import (DEFAULT_SCALE_FACTOR, GRAVITY_PRESETS, GRAVITY_STANDARD,
                          ideal_impact_velocity)
-from .materials import CRUISE_SPEED, MaterialSpec
+from .materials import CRUISE_SPEED, MaterialSpec, find_material
 from .projectile import ProjectileSpec
 
 DEFAULT_ITERATIONS = 15
@@ -219,9 +220,7 @@ def theoretical_reference(
 
 
 def _check_reference_settings(gravity: float, scale_factor: float, cruise_speed: float) -> None:
-    """theoretical_reference's range checks of the settings, which no scenario
-    changes; analyze makes them first. A later stage's error names every input
-    file that stage read; if none was given, a flag is at fault (exit 2)."""
+    """theoretical_reference's range checks of the settings; analyze makes them first."""
     require("gravity", gravity, above=True)
     require("scale_factor", scale_factor, 1.0)
     require("cruise_speed", cruise_speed)
@@ -432,6 +431,43 @@ def _mean(values: list[float]) -> float:
     except OverflowError:
         k = len(values).bit_length()
         return math.ldexp(math.fsum(math.ldexp(v, -k) for v in values) / len(values), k)
+
+
+def analyze(matrix: TestMatrix, projectiles: Sequence[ProjectileSpec],
+            materials: Sequence[MaterialSpec], measurements_path, *, gravity=GRAVITY_STANDARD,
+            split=VelocitySplit.SCALED_CRUISE, scale_factor=DEFAULT_SCALE_FACTOR,
+            cruise_speed=CRUISE_SPEED, use_nominal_velocity=False,
+            strict=False) -> tuple[ConformanceReport, dict[str, tuple[float, float]]]:
+    """Run analyze's stages (settings, velocities, each scenario's material and reference,
+    ingest, report) for the report and nominal_velocity_mismatches. A stage's
+    InvalidParameterError or KeyError becomes one whose .inputs names the arguments it read."""
+    prefix, inputs = "", ()
+    try:
+        _check_reference_settings(gravity, scale_factor, cruise_speed)
+        try:
+            mismatches = nominal_velocity_mismatches(matrix, gravity)
+        except InvalidParameterError:
+            with suppress(InvalidParameterError):  # blame the matrix only if the built-in passes
+                nominal_velocity_mismatches(build_test_matrix(), gravity)
+                inputs = ("matrix",)
+            raise
+        by_serial = {spec.serial: spec for spec in projectiles}
+        references = {}
+        for scenario in matrix.scenarios:
+            prefix, inputs = f"scenario {scenario.id!r}: ", ("matrix", "materials")
+            material = find_material(materials, scenario.specimen_material)
+            inputs += ("projectiles",)
+            references[scenario.id] = theoretical_reference(
+                scenario, by_serial[scenario.projectile_serial], material, gravity, split,
+                scale_factor, cruise_speed, use_nominal_velocity)
+        prefix, inputs = "", ("measurements_path",)
+        report = conformance_report(matrix, references,
+                                    ingest_measurements(measurements_path, matrix, strict))
+    except (InvalidParameterError, KeyError) as exc:
+        error = InvalidParameterError(f"{prefix}{exc.args[0]}")
+        error.inputs = inputs
+        raise error from exc
+    return report, mismatches
 
 
 def render_report_csv(report: ConformanceReport) -> str:

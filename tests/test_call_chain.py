@@ -9,6 +9,7 @@ namespace that binds the function, so calls between modules are seen too.
 import functools
 import importlib
 import sys
+from collections import Counter
 
 import pytest
 
@@ -36,15 +37,12 @@ MEASUREMENTS = "scenario_id,iteration,force_n,impact_velocity_m_s\n" + "".join(
     for scenario in harness.build_test_matrix().scenarios for n in range(1, 16))
 
 
-@pytest.fixture()
-def reached(monkeypatch):
-    """The names of the wrapped functions called so far."""
-    called = set()
-
+def install(monkeypatch, record):
+    """Wrap each timed function and method so that each call runs record(its name) first."""
     def wrap(function, name):
         @functools.wraps(function)
         def wrapper(*args, **kwargs):
-            called.add(name)
+            record(name)
             return function(*args, **kwargs)
         return wrapper
 
@@ -61,6 +59,13 @@ def reached(monkeypatch):
                         monkeypatch.setattr(namespace, attr, wrapper)
     for owner, attr in METHODS:
         monkeypatch.setattr(owner, attr, wrap(getattr(owner, attr), f"{owner.__name__}.{attr}"))
+
+
+@pytest.fixture()
+def reached(monkeypatch):
+    """The names of the wrapped functions called so far."""
+    called = set()
+    install(monkeypatch, called.add)
     return called
 
 
@@ -106,3 +111,17 @@ def test_ingest_looks_up_each_present_scenario_once(monkeypatch, tmp_path):
     sets = harness.ingest_measurements(measurements, matrix, strict=True)
     assert sum(len(measurement.forces) for measurement in sets) == 135
     assert sorted(lookups) == sorted(s.id for s in matrix.scenarios)
+
+
+def test_analyze_models_and_looks_up_each_scenario_once(monkeypatch, tmp_path, projectile_set,
+                                                         materials):
+    # perfbench/run.py reports materials.find_material.calls per analyze pass: one per scenario
+    measurements = tmp_path / "forces.csv"
+    measurements.write_text(MEASUREMENTS, encoding="utf-8")
+    calls = []
+    install(monkeypatch, calls.append)
+    harness.analyze(harness.build_test_matrix(), projectile_set, materials, measurements,
+                    strict=True)
+    counts = Counter(calls)
+    assert (counts["harness.theoretical_reference"], counts["materials.find_material"],
+            counts["TestMatrix.scenario"]) == (9, 9, 9)

@@ -831,8 +831,15 @@ class TestExitCodes:
           "--gravity", "1e308"],
          "scenario 'baseline': height 2.8 gives an impact velocity sqrt(2*g*h) beyond float "
          "range at gravity 1e+308"),
+        # the flags are checked before any file is read, so a missing file is not reported
+        (["analyze", "--measurements", "forces.csv", "--matrix", "missing.json", "--cruise", "-1"],
+         "cruise_speed must be >= 0, got -1.0"),
+        (["analyze", "--measurements", "forces.csv", "--materials", "missing.csv",
+          "--scale", "0.5"],
+         "scale_factor must be >= 1, got 0.5"),
     ], ids=["gravity abc", "values ,", "analyze gravity 1e308", "analyze nominal gravity 1e308",
-            "analyze materials gravity 1e308"])
+            "analyze materials gravity 1e308", "analyze missing matrix cruise -1",
+            "analyze missing materials scale 0.5"])
     def test_usage_error_message(self, capsys, tmp_path, monkeypatch, argv, message):
         monkeypatch.chdir(tmp_path)  # holds the materials file that one case reads
         (tmp_path / "mats.csv").write_text("name,density_kg_m3,thickness_m\n"

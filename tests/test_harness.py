@@ -13,6 +13,7 @@ from birdstrike.harness import (
     TestMatrix as Matrix,  # aliased so pytest does not try to collect them
     TestScenario as Scenario,
     VelocitySplit,
+    analyze,
     build_test_matrix,
     conformance_report,
     ingest_measurements,
@@ -25,8 +26,11 @@ from birdstrike.harness import (
     scenario_stats,
     theoretical_reference,
 )
-from birdstrike.materials import find_material
+from birdstrike.impact import PUBLISHED_DELTA_NOTES
+from birdstrike.kinematics import GRAVITY_PRESETS
+from birdstrike.materials import ALUMINIUM_2024_T3, CFRP, MaterialSpec, find_material
 from birdstrike.projectile import generate_projectile_set
+from birdstrike.species import BirdSpecies
 
 
 def measurements_csv(tmp_path, matrix, force_for=lambda s, i: 5.0, with_velocity=False):
@@ -619,7 +623,6 @@ class TestConformanceReport:
 
 class TestReportRendering:
     def full_report(self, matrix, projectiles, materials, tmp_path):
-        aluminium = find_material(materials, "Aluminium-2024-T3")
         by_serial = {spec.serial: spec for spec in projectiles}
         references = {
             s.id: theoretical_reference(
@@ -631,8 +634,8 @@ class TestReportRendering:
         path = measurements_csv(
             tmp_path, matrix, force_for=lambda s, i: round(references[s.id] * 0.93, 6)
         )
-        measurements = ingest_measurements(path, matrix)
-        return conformance_report(matrix, references, measurements)
+        report, _ = analyze(matrix, projectiles, materials, path, gravity=10.0)
+        return report
 
     def test_csv_has_ten_data_rows_and_exact_header(
         self, default_matrix, projectile_set, materials, tmp_path
@@ -672,6 +675,153 @@ class TestReportRendering:
         assert first["theoretical_n"] == report.scenarios[0].theoretical_force
         assert first["percent_conformance_abs"] == report.scenarios[0].percent_conformance_abs
         assert payload["overall_mean_conformance"] == report.overall_mean_conformance
+
+
+def hand_written_pipeline(matrix, projectiles, materials, path, *,
+                          gravity=GRAVITY_PRESETS["standard"], strict=False, **settings):
+    """The analyze stages written out one call each: the reference analyze must equal."""
+    mismatches = nominal_velocity_mismatches(matrix, gravity)
+    by_serial = {spec.serial: spec for spec in projectiles}
+    references = {
+        s.id: theoretical_reference(s, by_serial[s.projectile_serial],
+                                    find_material(materials, s.specimen_material),
+                                    gravity=gravity, **settings)
+        for s in matrix.scenarios
+    }
+    measurements = ingest_measurements(path, matrix, strict=strict)
+    return conformance_report(matrix, references, measurements), mismatches
+
+
+class TestAnalyze:
+    """analyze runs the stages in order, and a stage's error names the arguments it read."""
+
+    VELOCITY = ("scenario {!r}: height {} gives an impact velocity sqrt(2*g*h) beyond float "
+                "range at gravity {}")
+
+    @pytest.fixture()
+    def path(self, tmp_path, default_matrix):
+        return measurements_csv(tmp_path, default_matrix, force_for=lambda s, i: 15.0 + i / 8)
+
+    @staticmethod
+    def error(*args, **settings):
+        """analyze's error as (.inputs, message, the type of the error it was raised from)."""
+        with pytest.raises(InvalidParameterError) as caught:
+            analyze(*args, **settings)
+        error = caught.value
+        return error.inputs, str(error), type(error.__cause__)
+
+    @staticmethod
+    def huge_height(matrix, scenario_id="2.1"):
+        return Matrix(tuple(s._replace(drop_height=1.7e308) if s.id == scenario_id else s
+                            for s in matrix.scenarios))
+
+    @pytest.mark.parametrize("settings", [
+        {},
+        dict(gravity=10.0, split=VelocitySplit.ALL_AIRCRAFT, scale_factor=20.0,
+             cruise_speed=0.0, use_nominal_velocity=True, strict=True),
+    ], ids=["defaults", "every setting"])
+    def test_equals_the_hand_written_pipeline(self, default_matrix, projectile_set, materials,
+                                              path, settings):
+        result = analyze(default_matrix, projectile_set, materials, path, **settings)
+        assert result == hand_written_pipeline(default_matrix, projectile_set, materials, path,
+                                               **settings)
+
+    @pytest.mark.parametrize("setting, message", [
+        (dict(gravity=-1.0), "gravity must be > 0, got -1.0"),
+        (dict(scale_factor=0.5), "scale_factor must be >= 1, got 0.5"),
+        (dict(cruise_speed=-1.0), "cruise_speed must be >= 0, got -1.0"),
+    ])
+    def test_a_setting_names_no_input(self, default_matrix, projectile_set, materials, path,
+                                      setting, message):
+        # checked before the matrix, whose velocity would fail next
+        matrix = self.huge_height(default_matrix)
+        assert self.error(matrix, projectile_set, materials, path, **setting) == (
+            (), message, InvalidParameterError)
+
+    @pytest.mark.parametrize("use_nominal", [False, True])
+    def test_a_velocity_names_the_matrix(self, default_matrix, projectile_set, materials, path,
+                                         use_nominal):
+        matrix = self.huge_height(default_matrix)
+        assert self.error(matrix, projectile_set, materials, path,
+                          use_nominal_velocity=use_nominal) == (
+            ("matrix",), self.VELOCITY.format("2.1", "1.7e+308", "9.80665"),
+            InvalidParameterError)
+
+    @pytest.mark.parametrize("without", [None, "baseline"], ids=["built-in", "given"])
+    def test_a_velocity_the_built_in_matrix_shares_names_no_input(
+            self, default_matrix, projectile_set, materials, path, without):
+        # the message is the given matrix's own, naming its first scenario
+        matrix = Matrix(tuple(s for s in default_matrix.scenarios if s.id != without))
+        assert self.error(matrix, projectile_set, materials, path, gravity=1e308) == (
+            (), self.VELOCITY.format(matrix.scenarios[0].id, "2.8", "1e+308"),
+            InvalidParameterError)
+
+    def test_a_missing_material_names_the_matrix_and_materials(self, default_matrix,
+                                                                 projectile_set, path):
+        assert self.error(default_matrix, projectile_set, [ALUMINIUM_2024_T3], path) == (
+            ("matrix", "materials"), "scenario '6': unknown material 'CFRP'", KeyError)
+
+    def test_a_reference_names_every_input_the_model_read(self, default_matrix, path):
+        materials = [MaterialSpec(ALUMINIUM_2024_T3.name, 1.7e308, 0.002), CFRP]
+        projectiles = generate_projectile_set(BirdSpecies("Big", 1000.0, 1.0, 1000.0, 20.0))
+        assert self.error(default_matrix, projectiles, materials, path) == (
+            ("matrix", "materials", "projectiles"),
+            "scenario 'baseline': force leaves float range for these inputs: got inf",
+            InvalidParameterError)
+
+    def test_a_report_names_the_measurements(self, default_matrix, projectile_set, materials,
+                                             tmp_path):
+        path = measurements_csv(tmp_path, Matrix(default_matrix.scenarios[:-1]))
+        assert self.error(default_matrix, projectile_set, materials, path) == (
+            ("measurements_path",), "no measurements for scenario '7'", InvalidParameterError)
+
+    def test_ingest_parse_error_passes_through(self, default_matrix, projectile_set, materials,
+                                                path):
+        path.write_text(path.read_text(encoding="utf-8").replace("baseline,2,", "baseline,1,"),
+                        encoding="utf-8")
+        with pytest.raises(ParseError) as direct:
+            ingest_measurements(path, default_matrix)
+        with pytest.raises(ParseError) as caught:
+            analyze(default_matrix, projectile_set, materials, path)
+        assert type(caught.value) is ParseError
+        assert str(caught.value) == str(direct.value)
+        assert not hasattr(caught.value, "inputs")
+
+    def test_unknown_id_warns_and_raises_when_strict(self, default_matrix, projectile_set,
+                                                     materials, path):
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write("nosuch,1,5.0\n")
+        message = f"{path}: row 137: scenario id 'nosuch' not in matrix"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            analyze(default_matrix, projectile_set, materials, path)
+        assert [str(warning.message) for warning in caught] == [message]
+        with pytest.raises(ParseError) as error:
+            analyze(default_matrix, projectile_set, materials, path, strict=True)
+        assert str(error.value) == message
+
+
+@pytest.mark.parametrize("gravity", ["standard", "paper"])
+@pytest.mark.parametrize("param, scenario_id, split", [
+    ("bird_density", "3", VelocitySplit.SCALED_CRUISE),
+    ("aircraft_density", "6", VelocitySplit.SCALED_CRUISE),
+    ("impact_angle", "5", VelocitySplit.ALL_AIRCRAFT),
+])
+def test_published_delta_note_states_the_model(default_matrix, projectile_set, materials,
+                                                param, scenario_id, split, gravity):
+    # the note's "predicts N%" against the scenario that varies param alone
+    by_serial = {spec.serial: spec for spec in projectile_set}
+
+    def reference(scenario):
+        return theoretical_reference(
+            scenario, by_serial[scenario.projectile_serial],
+            find_material(materials, scenario.specimen_material),
+            gravity=GRAVITY_PRESETS[gravity], split=split)
+
+    predicted = re.search(r"predicts ([-+]?\d+)%", PUBLISHED_DELTA_NOTES[param])
+    ratio = reference(default_matrix.scenario(scenario_id)) / reference(
+        default_matrix.scenario("baseline"))
+    assert round(100.0 * (ratio - 1.0)) == int(predicted.group(1))
 
 
 class TestScenarioValidation:

@@ -19,14 +19,12 @@ from birdstrike.errors import ParseError
 from birdstrike.harness import (
     _MEASUREMENTS_COLUMNS,
     _MEASUREMENTS_VELOCITY,
+    analyze,
     build_test_matrix,
-    conformance_report,
     ingest_measurements,
     render_report_csv,
     render_report_json,
-    theoretical_reference,
 )
-from birdstrike.materials import find_material
 from oracles import csv_rows
 
 HEADER = "scenario_id,iteration,force_n,impact_velocity_m_s"
@@ -215,13 +213,7 @@ def test_report_digest_on_a_shuffled_multi_batch_file(tmp_path, projectile_set, 
             for s in matrix.scenarios for i in range(1, 556)]
     rng.shuffle(rows)
     path = write(tmp_path, rows)
-    by_serial = {spec.serial: spec for spec in projectile_set}
-    references = {
-        s.id: theoretical_reference(s, by_serial[s.projectile_serial],
-                                    find_material(materials, s.specimen_material))
-        for s in matrix.scenarios
-    }
-    report = conformance_report(matrix, references, ingest_measurements(path, matrix, strict=True))
+    report, _ = analyze(matrix, projectile_set, materials, path, strict=True)
     digests = [hashlib.sha256(render(report).encode()).hexdigest()
                for render in (render_report_csv, render_report_json)]
     assert digests == [REPORT_CSV_SHA256, REPORT_JSON_SHA256]
