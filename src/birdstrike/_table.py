@@ -195,4 +195,4 @@ def find_named(items, name: str, kind: str):
     for item in items:
         if item.name.casefold() == folded:
             return item
-    raise KeyError(f"unknown {kind} {name!r}")
+    raise InvalidParameterError(f"unknown {kind} {name!r}")

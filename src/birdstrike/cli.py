@@ -125,16 +125,6 @@ def _scale(args) -> float:
         raise InvalidParameterError(f"scale_factor must be a number, got {args.scale!r}") from None
 
 
-def _split(args) -> VelocitySplit:
-    text = VelocitySplit.SCALED_CRUISE.value if args.split is None else args.split
-    try:
-        return VelocitySplit(text)
-    except ValueError:
-        raise InvalidParameterError(
-            f"velocity_split must be one of {[s.value for s in VelocitySplit]}, got {text!r}"
-        ) from None
-
-
 def _format(args, accepted: tuple[str, ...]) -> str:
     """The output format; the first accepted one is the default."""
     text = accepted[0] if args.format is None else args.format
@@ -144,18 +134,18 @@ def _format(args, accepted: tuple[str, ...]) -> str:
 
 
 def _choices_help(what: str, accepted) -> str:
-    """Help text for a value checked by _split or _format; the first is the default."""
+    """Help text for a value checked by the library or _format; the first is the default."""
     return f"{what}: {' or '.join(accepted)} (default {accepted[0]})"
 
 
 @contextmanager
 def _blame(*paths, prefix=""):
-    """Turn an InvalidParameterError or KeyError in the block into a ParseError
-    naming every given path, or into a usage error when no path was given."""
+    """Turn an InvalidParameterError in the block into a ParseError naming
+    every given path, or into a usage error when no path was given."""
     try:
         yield
-    except (InvalidParameterError, KeyError) as exc:
-        message = f"{prefix}{exc.args[0]}"
+    except InvalidParameterError as exc:
+        message = f"{prefix}{exc}"
         given = ", ".join(path for path in paths if path)
         if not given:
             raise InvalidParameterError(message) from exc
@@ -169,8 +159,7 @@ def _registry(args):
 
 
 def _projectile_set(args):
-    with _blame():
-        base = find_species(_registry(args), args.species)
+    base = find_species(_registry(args), args.species)
     effective_density(args.solid_density, 0.0, args.shell_fraction)  # a bad flag is not the file's
     with _blame(args.registry, prefix=f"species {base.name!r}: "):
         return generate_projectile_set(base, args.solid_density, args.shell_fraction)
@@ -222,11 +211,7 @@ def cmd_plan(args) -> int:
     gravity = _gravity(args)
     scale = _scale(args)
     registry = _registry(args)
-    if args.all:
-        selected = registry
-    else:
-        with _blame():
-            selected = [find_species(registry, name) for name in args.species]
+    selected = registry if args.all else [find_species(registry, name) for name in args.species]
     if not selected:
         raise InvalidParameterError("nothing to plan: pass --species NAME (repeatable) or --all")
     plans = [
@@ -304,12 +289,12 @@ def cmd_matrix(args) -> int:
 def cmd_analyze(args) -> int:
     gravity = _gravity(args)
     scale = _scale(args)
-    split = _split(args)
+    split = VelocitySplit.SCALED_CRUISE if args.split is None else args.split
     fmt = _format(args, REPORT_FORMATS)
     if args.measurements is None:
         raise InvalidParameterError(
             "no measurements file: pass --measurements or set it in the config")
-    _check_reference_settings(gravity, scale, args.cruise)  # before any file is read
+    _check_reference_settings(gravity, split, scale, args.cruise)  # before any file is read
     matrix = read_matrix(args.matrix) if args.matrix else build_test_matrix()
     materials = builtin_materials() if args.materials is None else load_materials(args.materials)
     projectiles = _projectile_set(args)

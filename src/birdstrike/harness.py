@@ -88,7 +88,7 @@ class TestMatrix(Record):
         try:
             return self._by_id[scenario_id]
         except KeyError:
-            raise KeyError(f"unknown scenario id {scenario_id!r}") from None
+            raise InvalidParameterError(f"unknown scenario id {scenario_id!r}") from None
 
 
 # Default matrix rows: the shared baseline plus one variant per case (case 2
@@ -182,7 +182,7 @@ def theoretical_reference(
     projectile: ProjectileSpec,
     specimen: MaterialSpec,
     gravity: float = GRAVITY_STANDARD,
-    split: VelocitySplit = VelocitySplit.SCALED_CRUISE,
+    split: VelocitySplit | str = VelocitySplit.SCALED_CRUISE,
     scale_factor: float = DEFAULT_SCALE_FACTOR,
     cruise_speed: float = CRUISE_SPEED,
     use_nominal_velocity: bool = False,
@@ -195,7 +195,7 @@ def theoretical_reference(
     projectile's mass, length and effective density and the specimen density.
     An aircraft speed of 0 (cruise_speed 0) selects the stationary-aircraft model.
     """
-    _check_reference_settings(gravity, scale_factor, cruise_speed)
+    split = _check_reference_settings(gravity, split, scale_factor, cruise_speed)
     if projectile.mass == 0:
         return 0.0
     if use_nominal_velocity:
@@ -219,11 +219,15 @@ def theoretical_reference(
     return _force_any_speed(model_scenario)
 
 
-def _check_reference_settings(gravity: float, scale_factor: float, cruise_speed: float) -> None:
-    """theoretical_reference's range checks of the settings; analyze makes them first."""
+def _check_reference_settings(gravity, split, scale_factor, cruise_speed) -> VelocitySplit:
+    """theoretical_reference's checks of the settings, split first; analyze makes them first."""
+    if split not in tuple(VelocitySplit):  # a member, or its value: members are strs
+        raise InvalidParameterError(
+            f"velocity_split must be one of {[s.value for s in VelocitySplit]}, got {split!r}")
     require("gravity", gravity, above=True)
     require("scale_factor", scale_factor, 1.0)
     require("cruise_speed", cruise_speed)
+    return VelocitySplit(split)
 
 
 class MeasurementSet(Record):
@@ -440,10 +444,10 @@ def analyze(matrix: TestMatrix, projectiles: Sequence[ProjectileSpec],
             strict=False) -> tuple[ConformanceReport, dict[str, tuple[float, float]]]:
     """Run analyze's stages (settings, velocities, each scenario's material and reference,
     ingest, report) for the report and nominal_velocity_mismatches. A stage's
-    InvalidParameterError or KeyError becomes one whose .inputs names the arguments it read."""
+    InvalidParameterError becomes one whose .inputs names the arguments it read."""
     prefix, inputs = "", ()
     try:
-        _check_reference_settings(gravity, scale_factor, cruise_speed)
+        split = _check_reference_settings(gravity, split, scale_factor, cruise_speed)
         try:
             mismatches = nominal_velocity_mismatches(matrix, gravity)
         except InvalidParameterError:
@@ -457,14 +461,17 @@ def analyze(matrix: TestMatrix, projectiles: Sequence[ProjectileSpec],
             prefix, inputs = f"scenario {scenario.id!r}: ", ("matrix", "materials")
             material = find_material(materials, scenario.specimen_material)
             inputs += ("projectiles",)
+            serial = scenario.projectile_serial
+            if serial not in by_serial:
+                raise InvalidParameterError(f"unknown projectile serial {serial}")
             references[scenario.id] = theoretical_reference(
-                scenario, by_serial[scenario.projectile_serial], material, gravity, split,
-                scale_factor, cruise_speed, use_nominal_velocity)
+                scenario, by_serial[serial], material, gravity, split, scale_factor,
+                cruise_speed, use_nominal_velocity)
         prefix, inputs = "", ("measurements_path",)
         report = conformance_report(matrix, references,
                                     ingest_measurements(measurements_path, matrix, strict))
-    except (InvalidParameterError, KeyError) as exc:
-        error = InvalidParameterError(f"{prefix}{exc.args[0]}")
+    except InvalidParameterError as exc:
+        error = InvalidParameterError(f"{prefix}{exc}")
         error.inputs = inputs
         raise error from exc
     return report, mismatches

@@ -102,12 +102,17 @@ class TestBuildMatrix:
         with pytest.raises(ParseError, match="projectile_serial"):
             read_matrix(path)
 
+    def test_unknown_scenario_id_rejected(self, default_matrix):
+        with pytest.raises(InvalidParameterError) as caught:
+            default_matrix.scenario("nosuch")
+        assert str(caught.value) == "unknown scenario id 'nosuch'"
+
     def test_unknown_material_rejected(self, default_matrix, materials):
         # A matrix file may name any specimen; the lookup analyze makes for it
         # is what refuses one that is not among the materials.
         baseline = default_matrix.scenario("baseline")
         scenario = baseline._replace(specimen_material="Unobtainium")
-        with pytest.raises(KeyError, match="unknown material 'Unobtainium'"):
+        with pytest.raises(InvalidParameterError, match="unknown material 'Unobtainium'"):
             find_material(materials, scenario.specimen_material)
         assert find_material(materials, baseline.specimen_material).name == "Aluminium-2024-T3"
 
@@ -195,6 +200,23 @@ class TestTheoreticalReference:
             / (sn1.shape.length * sn1.effective_density)
         )
         assert force == pytest.approx(expected, rel=1e-12)
+
+    def test_a_split_value_is_its_member(self, default_matrix, projectile_set, materials):
+        args = (default_matrix.scenario("baseline"), projectile_set[0],
+                find_material(materials, "Aluminium-2024-T3"))
+        forces = {split: theoretical_reference(*args, split=split) for split in VelocitySplit}
+        assert len(set(forces.values())) == 2  # the baseline tells the splits apart
+        for split, force in forces.items():
+            assert theoretical_reference(*args, split=split.value).hex() == force.hex()
+
+    @pytest.mark.parametrize("split", ["bogus", "All-Aircraft", "", None, 1])
+    def test_an_unknown_split_is_rejected(self, default_matrix, projectile_set, materials,
+                                          split):
+        with pytest.raises(InvalidParameterError) as caught:
+            theoretical_reference(default_matrix.scenario("baseline"), projectile_set[0],
+                                  materials[0], split=split)
+        assert str(caught.value) == ("velocity_split must be one of "
+                                     f"['scaled-cruise', 'all-aircraft'], got {split!r}")
 
     def test_low_drop_clamps_scaled_cruise_split(self, default_matrix, projectile_set, materials):
         # 1.5 m at g=10 gives 5.48 m/s < 6 m/s scaled cruise: whole velocity is
@@ -730,6 +752,8 @@ class TestAnalyze:
         (dict(gravity=-1.0), "gravity must be > 0, got -1.0"),
         (dict(scale_factor=0.5), "scale_factor must be >= 1, got 0.5"),
         (dict(cruise_speed=-1.0), "cruise_speed must be >= 0, got -1.0"),
+        (dict(split="bogus"),
+         "velocity_split must be one of ['scaled-cruise', 'all-aircraft'], got 'bogus'"),
     ])
     def test_a_setting_names_no_input(self, default_matrix, projectile_set, materials, path,
                                       setting, message):
@@ -759,7 +783,23 @@ class TestAnalyze:
     def test_a_missing_material_names_the_matrix_and_materials(self, default_matrix,
                                                                  projectile_set, path):
         assert self.error(default_matrix, projectile_set, [ALUMINIUM_2024_T3], path) == (
-            ("matrix", "materials"), "scenario '6': unknown material 'CFRP'", KeyError)
+            ("matrix", "materials"), "scenario '6': unknown material 'CFRP'",
+            InvalidParameterError)
+
+    def test_a_missing_projectile_names_the_matrix_materials_and_projectiles(
+            self, default_matrix, projectile_set, materials, path):
+        assert self.error(default_matrix, projectile_set[:2], materials, path) == (
+            ("matrix", "materials", "projectiles"),
+            "scenario '1': unknown projectile serial 3", InvalidParameterError)
+
+    def test_a_split_value_is_its_member(self, default_matrix, projectile_set, materials,
+                                         path):
+        def report(split):  # repr round-trips each float, so equal text is equal bits
+            return render_report_json(analyze(default_matrix, projectile_set, materials, path,
+                                              split=split)[0])
+
+        by_member = report(VelocitySplit.ALL_AIRCRAFT)
+        assert report("all-aircraft") == by_member != report(VelocitySplit.SCALED_CRUISE)
 
     def test_a_reference_names_every_input_the_model_read(self, default_matrix, path):
         materials = [MaterialSpec(ALUMINIUM_2024_T3.name, 1.7e308, 0.002), CFRP]

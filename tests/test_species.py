@@ -137,7 +137,7 @@ def test_every_bundled_species_gives_finite_positive_force(registry):
 
 def test_find_species_case_insensitive(registry):
     assert find_species(registry, "starling").name == "Starling"
-    with pytest.raises(KeyError):
+    with pytest.raises(InvalidParameterError):
         find_species(registry, "Dodo")
 
 
