@@ -1,6 +1,8 @@
 """Record, the base of the package's frozen value types: a generated __init__
 that checks the field ranges and runs __post_init__, field-wise ==, hash and
-repr, no assignment, and namedtuple's _fields, _asdict() and _replace().
+repr, no assignment, and namedtuple's _fields, _asdict() and _replace(). The
+__init__ is compiled on its first lookup (a construction or inspect.signature),
+not at import, with the same checks and messages.
 
 A record declares each range once: _ranges maps a field to (lo, hi, above) as
 errors.require takes them, or to TEXT for a str; a name field ends each message.
@@ -33,6 +35,20 @@ def _guard(name, kind, lo, hi, above) -> str:
     return f"{name}.__class__ is {kind} and {lo!r} {op} {name} <= {min(hi, sys.float_info.max)!r}"
 
 
+class _LazyInit:
+    """A record's __init__ until first looked up: compiles it, installs it on the class."""
+
+    def __init__(self, source: str, namespace: dict) -> None:
+        self.source, self.namespace = source, namespace
+
+    def __get__(self, instance, owner):
+        exec(self.source, self.namespace)  # two threads may race here: each compiles once
+        init = self.namespace["__init__"]
+        init.__qualname__ = f"{owner.__qualname__}.__init__"
+        owner.__init__ = init
+        return init.__get__(instance, owner)
+
+
 class Record:
     def __init_subclass__(cls) -> None:
         cls._fields = names = tuple(cls.__annotations__)
@@ -47,9 +63,8 @@ class Record:
         if hasattr(cls, "__post_init__"):
             lines.append("self.__post_init__()")
         namespace = {"_defaults": defaults, "_checks": checks, "_check": _check}
-        exec(f"def __init__(self{params}):" + "".join(f"\n    {line}" for line in lines), namespace)
-        cls.__init__ = namespace["__init__"]
-        cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
+        source = f"def __init__(self{params}):" + "".join(f"\n    {line}" for line in lines)
+        cls.__init__ = _LazyInit(source, namespace)
 
     def _asdict(self) -> dict:
         return {name: self.__dict__[name] for name in self._fields}

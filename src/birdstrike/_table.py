@@ -31,9 +31,7 @@ numeric column, which rejects a blank cell.
 
 from __future__ import annotations
 
-import csv
 import io
-import json
 from itertools import chain, islice
 from typing import Callable, Iterator, Sequence
 
@@ -55,6 +53,9 @@ def read_batches(path, columns: Columns,
     columns are (name, kind) pairs; the optional ones may follow them in the header, all
     or none, and batches then carry their columns too. An empty file yields nothing.
     """
+    # csv and json are imported where used, as decimal is in projectile.round_sig: the
+    # commands that read and write neither (force, check-cert, ...) skip their import.
+    import csv
     row_no = 1
     try:
         with open(path, newline="", encoding="utf-8") as handle:
@@ -151,6 +152,7 @@ def _rows_one_by_one(path, spec: Columns, batch: list[list[str]], first: int):
 
 def render_csv(rows) -> str:
     """The rows as CSV text with "\n" line ends, each cell quoted as the csv module needs."""
+    import csv
     buffer = io.StringIO()
     csv.writer(buffer, lineterminator="\n").writerows(rows)
     return buffer.getvalue()
@@ -159,6 +161,7 @@ def render_csv(rows) -> str:
 def read_json(path, build):
     """build(payload) for the matrix JSON file at path. A file that does not load, or a
     KeyError, InvalidParameterError or TypeError from build, is a ParseError naming it."""
+    import json
     with open(path, encoding="utf-8") as handle:
         try:
             payload = json.load(handle)

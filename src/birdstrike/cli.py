@@ -5,13 +5,14 @@ InvalidParameterError the library raises on one; 1 for a bad input file
 (ParseError), the singular moving-aircraft model, or I/O. harness.analyze names
 the inputs a failing stage read and the CLI blames their files; if none was
 given, a flag is at fault (exit 2). A key=value config file (BIRDSTRIKE_CONFIG
-or --config) supplies defaults; flags override.
+or --config) supplies defaults; flags override. When the first argument names a
+subcommand, the parser is built for that subcommand alone, with the same usage,
+help and error text as the full parser.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import warnings
@@ -75,6 +76,9 @@ CONFIG_KEYS = {
     "velocity_split": "split",
     "format": "format",
 }
+# The subcommands, in the order the full parser lists them.
+_COMMANDS = ("force", "force-stationary", "plan", "drop-velocity", "design", "matrix",
+             "analyze", "check-cert", "sweep")
 # The formats each command accepts; the first is the default.
 PLAN_FORMATS = ("text", "csv")
 REPORT_FORMATS = ("csv", "json")
@@ -277,6 +281,7 @@ def cmd_design(args) -> int:
             export_geometry(spec, path)
             print(path)
     else:
+        import json  # imported where used, as in _table
         print(json.dumps([geometry_payload(spec) for spec in specs], indent=2))
     return 0
 
@@ -345,117 +350,118 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    # Flags shared by several commands, each declared once.
-    bird = argparse.ArgumentParser(add_help=False)
-    for flag, help in (("--mass", "bird mass, kg"), ("--length", "bird length, m"),
-                       ("--bird-density", "bird body density, kg/m^3"),
-                       ("--aircraft-density", "specimen density, kg/m^3"),
-                       ("--bird-speed", "bird speed, m/s"),
-                       ("--angle", "impact angle, degrees (90 = head-on)")):
-        bird.add_argument(flag, type=float, required=True, help=help)
-    moving = argparse.ArgumentParser(add_help=False, parents=[bird])
-    moving.add_argument("--aircraft-speed", type=float, required=True, help="aircraft speed, m/s")
-    gravity = argparse.ArgumentParser(add_help=False)
-    gravity.add_argument("--gravity", help="standard, paper or a number (m/s^2)")
-    cruise = argparse.ArgumentParser(add_help=False)
-    cruise.add_argument("--scale",
-                        help=f"velocity scale factor (default {DEFAULT_SCALE_FACTOR:g})")
-    cruise.add_argument("--cruise", type=float, default=CRUISE_SPEED,
-                        help=f"aircraft cruise speed, m/s (default {CRUISE_SPEED:g})")
-    registry = argparse.ArgumentParser(add_help=False)
-    registry.add_argument("--registry", help="species CSV path (default: bundled set)")
-    projectile = argparse.ArgumentParser(add_help=False, parents=[registry])
-    projectile.add_argument("--species", default="Starling",
-                            help="projectile base species (default Starling)")
-    projectile.add_argument("--solid-density", type=float, default=ABS_FILAMENT_DENSITY,
-                            help="solid filament density, kg/m^3")
-    projectile.add_argument("--shell-fraction", type=float, default=0.0,
-                            help="solid shell volume fraction (default 0: pure infill)")
+def _build_parser(command=None) -> argparse.ArgumentParser:
+    """The CLI's parser, with every subcommand or only the named one."""
+    # Flags shared by several commands, each declared once as (flag, add_argument options).
+    bird = [(flag, dict(type=float, required=True, help=help))
+            for flag, help in (("--mass", "bird mass, kg"), ("--length", "bird length, m"),
+                               ("--bird-density", "bird body density, kg/m^3"),
+                               ("--aircraft-density", "specimen density, kg/m^3"),
+                               ("--bird-speed", "bird speed, m/s"),
+                               ("--angle", "impact angle, degrees (90 = head-on)"))]
+    moving = [*bird, ("--aircraft-speed",
+                      dict(type=float, required=True, help="aircraft speed, m/s"))]
+    gravity = [("--gravity", dict(help="standard, paper or a number (m/s^2)"))]
+    cruise = [("--scale", dict(help=f"velocity scale factor (default {DEFAULT_SCALE_FACTOR:g})")),
+              ("--cruise", dict(type=float, default=CRUISE_SPEED,
+                                help=f"aircraft cruise speed, m/s (default {CRUISE_SPEED:g})"))]
+    registry = [("--registry", dict(help="species CSV path (default: bundled set)"))]
+    projectile = [
+        *registry,
+        ("--species", dict(default="Starling", help="projectile base species (default Starling)")),
+        ("--solid-density", dict(type=float, default=ABS_FILAMENT_DENSITY,
+                                 help="solid filament density, kg/m^3")),
+        ("--shell-fraction", dict(type=float, default=0.0,
+                                  help="solid shell volume fraction (default 0: pure infill)"))]
 
     parser = argparse.ArgumentParser(
         prog="birdstrike",
         description="Bird-strike impact force model and drop-test engineering toolkit.",
     )
     parser.add_argument("--config", help=f"config file path (default: ${CONFIG_ENV_VAR})")
-    sub = parser.add_subparsers(dest="command", required=True)
+    # The lean parser names every command in its usage line, as the full one does.
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar=command and "{" + ",".join(_COMMANDS) + "}")
 
-    p = sub.add_parser("force", parents=[moving], help="impact force for one scenario")
-    p.set_defaults(func=cmd_force)
+    def add(name, func, *shared, help):
+        """The subparser of command name, its shared flags first; None if not built."""
+        if command in (None, name):
+            p = sub.add_parser(name, help=help)
+            for flag, options in shared:
+                p.add_argument(flag, **options)
+            p.set_defaults(func=func)
+            return p
 
-    p = sub.add_parser("force-stationary", parents=[bird],
-                       help="impact force on a stationary aircraft")
-    p.set_defaults(func=cmd_force_stationary)
+    add("force", cmd_force, *moving, help="impact force for one scenario")
+    add("force-stationary", cmd_force_stationary, *bird,
+        help="impact force on a stationary aircraft")
 
-    p = sub.add_parser("plan", parents=[registry, gravity, cruise],
-                       help="drop heights and scaled velocities per species")
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--species", action="append", default=[], help="species name (repeatable)")
-    group.add_argument("--all", action="store_true", help="plan every species in the registry")
-    p.add_argument("--format", help=_choices_help("output format", PLAN_FORMATS))
-    p.set_defaults(func=cmd_plan)
+    if p := add("plan", cmd_plan, *registry, *gravity, *cruise,
+                help="drop heights and scaled velocities per species"):
+        group = p.add_mutually_exclusive_group()
+        group.add_argument("--species", action="append", default=[],
+                           help="species name (repeatable)")
+        group.add_argument("--all", action="store_true", help="plan every species in the registry")
+        p.add_argument("--format", help=_choices_help("output format", PLAN_FORMATS))
 
-    p = sub.add_parser("drop-velocity", parents=[gravity],
-                       help="impact velocity from drop height or fall time")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--height", type=float, help="drop height, m")
-    group.add_argument("--time", type=float, help="recorded fall time, s")
-    p.add_argument("--mass", type=float, help="projectile mass, kg (drag model)")
-    p.add_argument("--cd", type=float, help="drag coefficient (drag model)")
-    p.add_argument("--area", type=float, help="frontal reference area, m^2 (drag model)")
-    p.add_argument("--air-density", type=float,
-                   help=f"air density, kg/m^3 (drag model; default {DEFAULT_AIR_DENSITY:g})")
-    p.set_defaults(func=cmd_drop_velocity)
+    if p := add("drop-velocity", cmd_drop_velocity, *gravity,
+                help="impact velocity from drop height or fall time"):
+        group = p.add_mutually_exclusive_group(required=True)
+        group.add_argument("--height", type=float, help="drop height, m")
+        group.add_argument("--time", type=float, help="recorded fall time, s")
+        p.add_argument("--mass", type=float, help="projectile mass, kg (drag model)")
+        p.add_argument("--cd", type=float, help="drag coefficient (drag model)")
+        p.add_argument("--area", type=float, help="frontal reference area, m^2 (drag model)")
+        p.add_argument("--air-density", type=float,
+                       help=f"air density, kg/m^3 (drag model; default {DEFAULT_AIR_DENSITY:g})")
 
-    p = sub.add_parser("design", parents=[projectile],
-                       help="generate the five-projectile descriptor set")
-    p.add_argument("--out", help="directory for projectile_sn*.json files (default: stdout)")
-    p.set_defaults(func=cmd_design)
+    if p := add("design", cmd_design, *projectile,
+                help="generate the five-projectile descriptor set"):
+        p.add_argument("--out", help="directory for projectile_sn*.json files (default: stdout)")
 
-    p = sub.add_parser("matrix", help="generate the drop-test matrix")
-    p.add_argument("--iterations", type=int, default=DEFAULT_ITERATIONS,
-                   help=f"iterations per scenario (default {DEFAULT_ITERATIONS})")
-    p.add_argument("--out", help="output JSON path (default: stdout)")
-    p.set_defaults(func=cmd_matrix)
+    if p := add("matrix", cmd_matrix, help="generate the drop-test matrix"):
+        p.add_argument("--iterations", type=int, default=DEFAULT_ITERATIONS,
+                       help=f"iterations per scenario (default {DEFAULT_ITERATIONS})")
+        p.add_argument("--out", help="output JSON path (default: stdout)")
 
-    p = sub.add_parser("analyze", parents=[gravity, cruise, projectile],
-                       help="conformance report from measured forces")
-    p.add_argument("--measurements", help="measurements CSV path")
-    p.add_argument("--matrix", help="matrix JSON path (default: built-in matrix)")
-    p.add_argument("--split", help=_choices_help("velocity split convention",
-                                                 [s.value for s in VelocitySplit]))
-    p.add_argument("--use-nominal", action="store_true",
-                   help="use stored nominal velocities instead of sqrt(2*g*h)")
-    p.add_argument("--materials", help="materials CSV path (default: built-in)")
-    p.add_argument("--strict", action="store_true",
-                   help="unknown scenario ids in the measurements are errors")
-    p.add_argument("--format", help=_choices_help("report format", REPORT_FORMATS))
-    p.add_argument("--out", help="report path (default: stdout)")
-    p.set_defaults(func=cmd_analyze)
+    if p := add("analyze", cmd_analyze, *gravity, *cruise, *projectile,
+                help="conformance report from measured forces"):
+        p.add_argument("--measurements", help="measurements CSV path")
+        p.add_argument("--matrix", help="matrix JSON path (default: built-in matrix)")
+        p.add_argument("--split", help=_choices_help("velocity split convention",
+                                                     [s.value for s in VelocitySplit]))
+        p.add_argument("--use-nominal", action="store_true",
+                       help="use stored nominal velocities instead of sqrt(2*g*h)")
+        p.add_argument("--materials", help="materials CSV path (default: built-in)")
+        p.add_argument("--strict", action="store_true",
+                       help="unknown scenario ids in the measurements are errors")
+        p.add_argument("--format", help=_choices_help("report format", REPORT_FORMATS))
+        p.add_argument("--out", help="report path (default: stdout)")
 
-    p = sub.add_parser("check-cert", help="compare a force against certification limits")
-    p.add_argument("--force", type=float, required=True, help="impact force, N")
-    p.add_argument("--case", required=True,
-                   help=f"certification case: {' or '.join(CERTIFICATION_CASES)}")
-    p.add_argument("--single-limit", type=float, default=DEFAULT_LIMITS.single_bird_force,
-                   help=f"single-bird threshold, N (default {DEFAULT_LIMITS.single_bird_force:g})")
-    p.add_argument("--flock-limit", type=float, default=DEFAULT_LIMITS.flock_force,
-                   help=f"flock threshold, N (default {DEFAULT_LIMITS.flock_force:g})")
-    p.set_defaults(func=cmd_check_cert)
+    if p := add("check-cert", cmd_check_cert, help="compare a force against certification limits"):
+        p.add_argument("--force", type=float, required=True, help="impact force, N")
+        p.add_argument("--case", required=True,
+                       help=f"certification case: {' or '.join(CERTIFICATION_CASES)}")
+        limits = DEFAULT_LIMITS
+        p.add_argument("--single-limit", type=float, default=limits.single_bird_force,
+                       help=f"single-bird threshold, N (default {limits.single_bird_force:g})")
+        p.add_argument("--flock-limit", type=float, default=limits.flock_force,
+                       help=f"flock threshold, N (default {limits.flock_force:g})")
 
-    p = sub.add_parser("sweep", parents=[moving],
-                       help="force sensitivity to one scenario parameter")
-    p.add_argument("--param", required=True,
-                   help="scenario field to vary: " + ", ".join(ImpactScenario._fields))
-    p.add_argument("--values", required=True, help="comma-separated values")
-    p.add_argument("--out", help="output CSV path (default: stdout)")
-    p.set_defaults(func=cmd_sweep)
+    if p := add("sweep", cmd_sweep, *moving, help="force sensitivity to one scenario parameter"):
+        p.add_argument("--param", required=True,
+                       help="scenario field to vary: " + ", ".join(ImpactScenario._fields))
+        p.add_argument("--values", required=True, help="comma-separated values")
+        p.add_argument("--out", help="output CSV path (default: stdout)")
 
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # A named command builds only its subparser; any other argv (--help, none, an unknown
+    # or abbreviated command, --config first) gets the full parser and its messages.
+    args = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
     try:
         config_path = args.config or os.environ.get(CONFIG_ENV_VAR)
         config = load_config(config_path) if config_path else {}

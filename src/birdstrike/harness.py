@@ -10,7 +10,6 @@ forces and theory-vs-experiment conformance reports:
 
 from __future__ import annotations
 
-import json
 import math
 import operator
 import warnings
@@ -121,6 +120,7 @@ def build_test_matrix(iterations_per_scenario: int = DEFAULT_ITERATIONS) -> Test
 
 def matrix_to_json(matrix: TestMatrix) -> str:
     """Deterministic JSON rendering (identical matrices render byte-identical)."""
+    import json  # imported where used, as in _table
     payload = {
         "iterations_per_scenario": matrix.iterations_per_scenario,
         "scenarios": [{key: getattr(scenario, field) for field, key in _SCENARIO_KEYS.items()}
@@ -490,6 +490,7 @@ def render_report_csv(report: ConformanceReport) -> str:
 
 def render_report_json(report: ConformanceReport) -> str:
     """JSON rendering mirroring the CSV fields plus the secondary abs metric."""
+    import json
     payload = {
         "scenarios": [{key: getattr(row, field) for field, key in _REPORT_KEYS.items()}
                       for row in report.scenarios],

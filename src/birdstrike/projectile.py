@@ -7,7 +7,6 @@ printed density is controlled through the infill fraction.
 
 from __future__ import annotations
 
-import json
 import math
 
 from ._record import NON_NEGATIVE, POSITIVE, TEXT, Record
@@ -164,6 +163,7 @@ def geometry_payload(spec: ProjectileSpec) -> dict:
 def export_geometry(spec: ProjectileSpec, path) -> None:
     """Write a projectile descriptor JSON file. Descriptors are write-only: the
     package never reads one back."""
+    import json  # imported where used, as in _table
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(geometry_payload(spec), handle, indent=2)
         handle.write("\n")

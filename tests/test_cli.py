@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -12,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import birdstrike
+from birdstrike import cli
 from birdstrike.cli import CONFIG_KEYS, main
 from birdstrike.harness import (
     build_test_matrix,
@@ -1050,3 +1052,73 @@ def test_cli_import_leaves_decimal_unloaded():
                             encoding="utf-8", timeout=60,
                             env={**os.environ, "PYTHONPATH": package_root})
     assert (result.returncode, result.stdout, result.stderr) == (0, "[]\n", "")
+
+
+# main builds only the subparser of a command named first. Each argv below is parsed by
+# that lean parser and by the full one; with [], ["--bogus"], ["--help"] and ["-h"] after
+# every command, the table covers a missing required flag, an unknown flag, a bad type and
+# an abbreviated flag.
+PARSE_CASES = {
+    "force": [FORCE_FLAGS, ["--mass", "x"], ["--aircraft-sp", "1"], [*FORCE_FLAGS, "extra"]],
+    "force-stationary": [FORCE_FLAGS, ["--angle", "x"], ["--ang", "90"]],
+    "plan": [["--species", "A", "--all"], ["--al"], ["--format"], ["--grav", "paper", "--all"]],
+    "drop-velocity": [["--height", "1", "--time", "1"], ["--height", "x"], ["--heig", "1"],
+                      ["--height", "1", "--area", "1e-4"]],
+    "design": [["--shell", "0.5"], ["--solid-density", "x"], ["--out"]],
+    "matrix": [["--iterations", "x"], ["--iter", "3"], ["--out"]],
+    "analyze": [["--measure", "m.csv"], ["--strict", "--bogus"], ["--split"], ["--s", "x"]],
+    "check-cert": [["--force", "x", "--case", "flock"], ["--forc", "10", "--case", "flock"],
+                   ["--force", "10"], ["--c", "flock", "--force", "1"]],
+    "sweep": [[*FORCE_FLAGS, "--param", "bird_mass"],
+              [*FORCE_FLAGS, "--par", "bird_mass", "--values", "1"]],
+}
+
+
+def subcommands(parser):
+    (commands,) = [action for action in parser._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    return commands.choices
+
+
+def parse(parser, argv, capsys):
+    try:
+        outcome = vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        outcome = exc.code
+    captured = capsys.readouterr()
+    return outcome, captured.out, captured.err
+
+
+@pytest.mark.parametrize("command", list(PARSE_CASES))
+def test_lean_parser_parses_and_fails_as_the_full_one(capsys, command):
+    lean, full = cli._build_parser(command), cli._build_parser()
+    assert list(subcommands(lean)) == [command] and command in subcommands(full)
+    assert subcommands(lean)[command].format_help() == subcommands(full)[command].format_help()
+    assert lean.format_usage() == full.format_usage()
+    for tail in ([], ["--bogus"], ["--help"], ["-h"], *PARSE_CASES[command]):
+        argv = [command, *tail]
+        assert parse(lean, argv, capsys) == parse(full, argv, capsys), argv
+
+
+def test_every_command_has_parse_cases():
+    # main picks the lean parser from cli._COMMANDS, which must name every subcommand
+    assert list(PARSE_CASES) == list(cli._COMMANDS) == list(subcommands(cli._build_parser()))
+
+
+@pytest.mark.parametrize("argv, command", [
+    ([], None), (["--help"], None), (["bogus"], None), (["forc"], None), (["-1", "force"], None),
+    (["--config", "x", "force"], None), (["check-cert", "--force", "10", "--case", "flock"],
+                                         "check-cert")])
+def test_main_builds_the_lean_parser_only_for_a_command_named_first(monkeypatch, capsys, argv,
+                                                                    command):
+    built, build = [], cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda *args: built.append(args) or build(*args))
+    run_cli(argv, capsys)
+    assert built == [(command,)]
+
+
+def test_main_reads_sys_argv_when_given_no_argv(monkeypatch, capsys):
+    argv = ["check-cert", "--force", "10", "--case", "flock"]
+    expected = run_cli(argv, capsys)
+    monkeypatch.setattr(sys, "argv", ["birdstrike", *argv])
+    assert run_cli(None, capsys) == expected and expected[0] == 0

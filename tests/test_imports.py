@@ -6,8 +6,9 @@ each module's syntax tree with ast and fails on any imported name that is
 never read, and on any module-level name with one leading underscore that no
 module in the package reads. __init__.py is skipped for imports: its imports
 are the package's public names. Last, a fresh interpreter checks that the CLI
-does not load dataclasses, whose import every CLI call would pay, and that
-`birdstrike matrix` does not load decimal.
+does not load dataclasses, whose import every CLI call would pay, that
+`birdstrike matrix` does not load decimal, and that json and csv load only
+for the commands that read or write JSON or CSV.
 """
 
 import ast
@@ -121,3 +122,28 @@ def test_matrix_does_not_load_decimal():
     # the default matrix is a constant table: only sizing projectiles needs decimal
     imported = fresh_cli_imports("matrix")
     assert "birdstrike.cli" in imported and "decimal" not in imported
+
+
+BIRD = ("--mass", "0.085", "--length", "0.22", "--bird-density", "1230",
+        "--aircraft-density", "2780", "--bird-speed", "22.35", "--angle", "90")
+
+
+# argv, the modules it must load and those it must not load
+JSON_AND_CSV = [
+    (("check-cert", "--force", "10", "--case", "flock"), (), ("json", "csv")),
+    (("force", *BIRD, "--aircraft-speed", "90"), (), ("json", "csv")),
+    (("force-stationary", *BIRD), (), ("json", "csv")),
+    (("drop-velocity", "--height", "2.8"), (), ("json", "csv")),
+    (("plan", "--all"), ("csv",), ("json",)),
+    (("sweep", *BIRD, "--aircraft-speed", "90", "--param", "aircraft_speed", "--values", "0,10"),
+     ("csv",), ("json",)),
+    (("matrix",), ("json",), ()),
+]
+
+
+@pytest.mark.parametrize("argv, loaded, unloaded", JSON_AND_CSV,
+                         ids=[argv[0] for argv, _, _ in JSON_AND_CSV])
+def test_json_and_csv_load_only_where_used(argv, loaded, unloaded):
+    imported = set(fresh_cli_imports(*argv))
+    assert "birdstrike.cli" in imported
+    assert set(loaded) <= imported and not set(unloaded) & imported
