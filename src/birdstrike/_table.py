@@ -1,16 +1,17 @@
 """The CSV table reader shared by the species, materials and measurements files,
 the loader (read_named) and lookup (find_named) of the named species and
 materials records, the JSON reader of the matrix file (descriptor files are
-written, never read), and the CSV writer (render_csv) of the report, plan and
-sweep outputs.
+written, never read), the CSV writer (render_csv) of the report, plan and sweep
+outputs, and the one writer (render_json) of every JSON output.
 
 Every input CSV follows the same rules: the first row is the header and must
 equal the format's column names once each cell is stripped; blank or
 whitespace-only rows are skipped; every other row has exactly one cell per
 column; and each cell is converted by its column's kind (str.strip, int or
 float). Errors are ParseErrors naming the file, the row (the header is row 1)
-and, for a bad cell, the column. A file that is not UTF-8 is one too, naming
-only the file: a decode error can surface one read buffer ahead of its row.
+and, for a bad cell, the column. Every input file is UTF-8, a leading byte-order
+mark skipped; one that is not is a ParseError too, naming only the file: a
+decode error can surface one read buffer ahead of its row.
 
 After csv.reader reads the header, lines are read BATCH_ROWS at a time, and a
 batch's CRLF line ends are made LF. A plain batch (no quote, lone CR or NUL, and
@@ -58,7 +59,7 @@ def read_batches(path, columns: Columns,
     import csv
     row_no = 1
     try:
-        with open(path, newline="", encoding="utf-8") as handle:
+        with open(path, newline="", encoding="utf-8-sig") as handle:
             reader = csv.reader(handle)
             header = next(reader, None)
             if header is None:
@@ -158,11 +159,17 @@ def render_csv(rows) -> str:
     return buffer.getvalue()
 
 
+def render_json(payload) -> str:
+    """The payload as JSON text, indented by 2 spaces, with a final newline."""
+    import json
+    return json.dumps(payload, indent=2) + "\n"
+
+
 def read_json(path, build):
     """build(payload) for the matrix JSON file at path. A file that does not load, or a
     KeyError, InvalidParameterError or TypeError from build, is a ParseError naming it."""
     import json
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8-sig") as handle:
         try:
             payload = json.load(handle)
         except ValueError as exc:  # bad JSON, an int past the digit limit, or bad UTF-8

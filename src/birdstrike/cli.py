@@ -19,7 +19,7 @@ import warnings
 from contextlib import contextmanager
 from pathlib import Path
 
-from ._table import render_csv
+from ._table import render_csv, render_json
 from .errors import BirdstrikeError, InvalidParameterError, ParseError, StationaryAircraftError
 from .harness import (
     DEFAULT_ITERATIONS,
@@ -88,7 +88,7 @@ def load_config(path) -> dict[str, str]:
     """Parse a key = value config file (# starts a comment)."""
     config: dict[str, str] = {}
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             for line_no, raw in enumerate(handle, start=1):
                 line = raw.split("#", 1)[0].strip()
                 if not line:
@@ -281,8 +281,7 @@ def cmd_design(args) -> int:
             export_geometry(spec, path)
             print(path)
     else:
-        import json  # imported where used, as in _table
-        print(json.dumps([geometry_payload(spec) for spec in specs], indent=2))
+        sys.stdout.write(render_json([geometry_payload(spec) for spec in specs]))
     return 0
 
 
@@ -484,7 +483,3 @@ def main(argv=None) -> int:
 
 def run() -> None:
     raise SystemExit(main())
-
-
-if __name__ == "__main__":
-    run()

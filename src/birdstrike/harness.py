@@ -19,7 +19,7 @@ from itertools import repeat
 from typing import Mapping, Sequence
 
 from ._record import NON_NEGATIVE, POSITIVE, TEXT, Record
-from ._table import read_batches, read_json, render_csv
+from ._table import read_batches, read_json, render_csv, render_json
 from .errors import InvalidParameterError, ParseError, require
 from .impact import ImpactScenario, _force_any_speed
 from .kinematics import (DEFAULT_SCALE_FACTOR, GRAVITY_PRESETS, GRAVITY_STANDARD,
@@ -120,13 +120,11 @@ def build_test_matrix(iterations_per_scenario: int = DEFAULT_ITERATIONS) -> Test
 
 def matrix_to_json(matrix: TestMatrix) -> str:
     """Deterministic JSON rendering (identical matrices render byte-identical)."""
-    import json  # imported where used, as in _table
-    payload = {
+    return render_json({
         "iterations_per_scenario": matrix.iterations_per_scenario,
         "scenarios": [{key: getattr(scenario, field) for field, key in _SCENARIO_KEYS.items()}
                       for scenario in matrix.scenarios],
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    })
 
 
 def read_matrix(path) -> TestMatrix:
@@ -244,11 +242,11 @@ class MeasurementSet(Record):
             raise InvalidParameterError(
                 f"scenario {self.scenario_id!r}: {len(self.impact_velocities)} impact velocities "
                 f"for {len(self.forces)} forces")
-        for force in self.forces:
-            if not 0.0 <= force < math.inf:  # once per row: call only to raise
+        for force in self.forces:  # the guard rule of errors.require
+            if not (force.__class__ is float and 0.0 <= force < math.inf):
                 require("force", force, context=f"scenario {self.scenario_id!r}")
         for velocity in self.impact_velocities or ():
-            if not 0.0 <= velocity < math.inf:
+            if not (velocity.__class__ is float and 0.0 <= velocity < math.inf):
                 require("impact_velocity", velocity, context=f"scenario {self.scenario_id!r}")
 
 
@@ -464,9 +462,10 @@ def analyze(matrix: TestMatrix, projectiles: Sequence[ProjectileSpec],
             serial = scenario.projectile_serial
             if serial not in by_serial:
                 raise InvalidParameterError(f"unknown projectile serial {serial}")
-            references[scenario.id] = theoretical_reference(
+            references[scenario.id] = reference = theoretical_reference(
                 scenario, by_serial[serial], material, gravity, split, scale_factor,
                 cruise_speed, use_nominal_velocity)
+            require("theoretical", reference, above=True)  # as the report's percent_error needs
         prefix, inputs = "", ("measurements_path",)
         report = conformance_report(matrix, references,
                                     ingest_measurements(measurements_path, matrix, strict))
@@ -490,11 +489,9 @@ def render_report_csv(report: ConformanceReport) -> str:
 
 def render_report_json(report: ConformanceReport) -> str:
     """JSON rendering mirroring the CSV fields plus the secondary abs metric."""
-    import json
-    payload = {
+    return render_json({
         "scenarios": [{key: getattr(row, field) for field, key in _REPORT_KEYS.items()}
                       for row in report.scenarios],
         "overall_mean_conformance": report.overall_mean_conformance,
         "overall_mean_conformance_abs": report.overall_mean_conformance_abs,
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    })

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 
 from ._record import NON_NEGATIVE, POSITIVE, TEXT, Record
+from ._table import render_json
 from .errors import InvalidParameterError, require
 from .species import BirdSpecies
 
@@ -109,6 +110,9 @@ class ProjectileSpec(Record):
                    effective_density=NON_NEGATIVE)
 
     def __post_init__(self) -> None:
+        if not isinstance(self.shape, Shape):
+            raise InvalidParameterError(
+                f"shape must be a Cylinder or Ellipsoid, got {self.shape!r}")
         mass = self.mass
         if not mass < math.inf:  # inf, or nan from 0 * inf
             require("mass", mass)
@@ -163,7 +167,5 @@ def geometry_payload(spec: ProjectileSpec) -> dict:
 def export_geometry(spec: ProjectileSpec, path) -> None:
     """Write a projectile descriptor JSON file. Descriptors are write-only: the
     package never reads one back."""
-    import json  # imported where used, as in _table
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(geometry_payload(spec), handle, indent=2)
-        handle.write("\n")
+        handle.write(render_json(geometry_payload(spec)))

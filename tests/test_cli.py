@@ -505,6 +505,31 @@ class TestAnalyzeCommand:
             1, "", f"error: {', '.join(map(str, files))}: scenario 'baseline': force leaves "
                    "float range for these inputs: got inf\n")
 
+    def test_zero_nominal_reference_names_only_the_matrix(self, capsys, analysis_fixture):
+        matrix_path, measurements_path = analysis_fixture
+        payload = json.loads(matrix_path.read_text(encoding="utf-8"))
+        payload["scenarios"][0]["nominal_impact_velocity_m_s"] = 0
+        matrix_path.write_text(json.dumps(payload), encoding="utf-8")
+        assert run_cli(["analyze", "--matrix", str(matrix_path), "--measurements",
+                        str(measurements_path), "--use-nominal"], capsys) == (
+            1, "", f"error: {matrix_path}: scenario 'baseline': theoretical must be > 0, "
+                   "got 0.0\n")
+
+    @pytest.mark.parametrize("quoted", [False, True], ids=["plain", "quoted"])
+    def test_measurements_with_a_leading_byte_order_mark(self, capsys, analysis_fixture,
+                                                         quoted):
+        matrix_path, measurements_path = analysis_fixture
+        if quoted:  # a quoted cell sends the rows to csv.reader
+            text = measurements_path.read_text(encoding="utf-8")
+            measurements_path.write_text(re.sub(r"(?m)^(\w[^,]*),", r'"\1",', text),
+                                         encoding="utf-8")
+        argv = ["analyze", "--matrix", str(matrix_path), "--measurements",
+                str(measurements_path), "--format", "json"]
+        plain = run_cli(argv, capsys)
+        assert plain[0] == 0
+        measurements_path.write_bytes(b"\xef\xbb\xbf" + measurements_path.read_bytes())
+        assert run_cli(argv, capsys) == plain
+
     def test_unknown_scenario_id_is_a_note(self, capsys, analysis_fixture):
         matrix_path, measurements_path = analysis_fixture
         with measurements_path.open("a", encoding="utf-8") as handle:
@@ -733,6 +758,15 @@ class TestConfigFile:
         code, _, err = run_cli(["--config", str(config), "matrix"], capsys)
         assert code == 2
         assert "mystery" in err
+
+    def test_leading_byte_order_mark_is_skipped(self, capsys, tmp_path):
+        config = tmp_path / "config.txt"
+        config.write_text("gravity = paper\nformat = csv\n", encoding="utf-8")
+        argv = ["--config", str(config), "plan", "--species", "Starling"]
+        plain = run_cli(argv, capsys)
+        config.write_text("\ufeffgravity = paper\nformat = csv\n", encoding="utf-8")
+        assert run_cli(argv, capsys) == plain
+        assert plain[0] == 0 and ",631.126125," in plain[1]  # 112.35^2 / (2*10)
 
     def test_config_not_utf8_exits_two(self, capsys, tmp_path):
         config = tmp_path / "config.txt"

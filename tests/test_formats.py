@@ -1,9 +1,11 @@
-"""The matrix and projectile descriptor file formats, pinned byte for byte.
+"""The matrix, descriptor, report and plan formats, pinned byte for byte.
 
-The golden digests are of the CLI's output for the default matrix and the
-Starling projectile set; any change to a key, its order or a value shows. The
-missing-key test deletes each key of the matrix file in turn and expects the
-one ParseError that names it. Descriptor files are written, never read back.
+The golden digests are of the CLI's output for the default matrix, the
+Starling projectile set, a fixed 135-row campaign's conformance report and
+the published-gravity plan of every species; any change to a key, its order
+or a value shows. The missing-key test deletes each key of the matrix file in
+turn and expects the one ParseError that names it. Descriptor files are
+written, never read back.
 """
 
 import contextlib
@@ -28,6 +30,9 @@ DESCRIPTOR_SHA256 = {
     4: "82f36966229ccb8a3a73967c3db4d837a961695d2bcf768f79300fb6585a9e7c",
     5: "b5abbbdc6fdac3dcab2b46856dabfe588f3e87adf47c8c0d96fe5e60c15eac17",
 }
+REPORT_CSV_SHA256 = "d8c31691eecb7b3b42197ca873c070639b364884bfa1530c550bdad089ab9743"
+REPORT_JSON_SHA256 = "2d2c448a29d9e2fad6eb50b010e252bf5637f3b8c3b92ae4b6a09a110662270a"
+PLAN_CSV_SHA256 = "bbe6bb550e9eeabbc9babbf7f3d15d1b16c06cc763650669a7c4f870d7023730"
 
 
 def stdout_of(argv) -> str:
@@ -58,6 +63,29 @@ def test_design_out_file_digests(tmp_path):
             for serial, path in zip(DESCRIPTOR_SHA256, paths)} == DESCRIPTOR_SHA256
 
 
+@pytest.fixture()
+def campaign(tmp_path):
+    """A fixed measurements file: 15 iterations of each default scenario, every force distinct."""
+    path = tmp_path / "forces.csv"
+    path.write_text("scenario_id,iteration,force_n\n" + "".join(
+        f"{scenario.id},{n},{12.5 + k + n / 16}\n"
+        for k, scenario in enumerate(build_test_matrix().scenarios) for n in range(1, 16)),
+        encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("fmt, digest", [("csv", REPORT_CSV_SHA256),
+                                         ("json", REPORT_JSON_SHA256)])
+def test_report_digest(campaign, fmt, digest):
+    assert sha256(stdout_of(["analyze", "--measurements", str(campaign),
+                             "--format", fmt]).encode()) == digest
+
+
+def test_plan_digest():
+    argv = ["plan", "--all", "--gravity", "paper", "--format", "csv"]
+    assert sha256(stdout_of(argv).encode()) == PLAN_CSV_SHA256
+
+
 MATRIX_TOP_KEYS = ["iterations_per_scenario", "scenarios"]
 SCENARIO_KEYS = ["id", "case_number", "projectile_serial", "drop_height_m",
                  "nominal_impact_velocity_m_s", "impact_angle_deg", "specimen_material",
@@ -77,6 +105,12 @@ def test_key_lists_match_the_written_files(tmp_path, projectile_set):
         export_geometry(projectile_set[serial - 1], path)
         payload = json.loads(path.read_text(encoding="utf-8"))
         assert (list(payload), list(payload["dims_m"])) == (DESCRIPTOR_KEYS, dims)
+
+
+def test_matrix_with_a_leading_byte_order_mark(tmp_path):
+    path = tmp_path / "matrix.json"
+    path.write_text("\ufeff" + matrix_to_json(build_test_matrix()), encoding="utf-8")
+    assert read_matrix(path) == build_test_matrix()
 
 
 def expect_missing(path, load, key):

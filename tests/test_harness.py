@@ -482,22 +482,38 @@ class TestMeasurementSetChecks:
 
     @pytest.mark.parametrize("column", ["force", "impact_velocity"])
     def test_string_raises_type_error(self, column):
-        with pytest.raises(TypeError) as caught:
+        with pytest.raises(InvalidParameterError) as caught:
             self.build(column, (2.0, "7", -3.0))
-        assert str(caught.value) == "'<=' not supported between instances of 'float' and 'str'"
+        assert str(caught.value) == f"{column} must be a number, got '7' (scenario 's')"
+
+    # An int beyond float range is rejected by require, as every public constructor does.
+    BEYOND = r"must be a number within float range, got 10{400} \(scenario 's'\)$"
 
     @pytest.mark.parametrize("column", ["force", "impact_velocity"])
-    @pytest.mark.parametrize("values", [(2.0, True, 5.0), (2.0, 10**400, 5.0), (1.7e308, 1.7e308)],
-                             ids=["bool", "int beyond float range", "sum overflows"])
+    @pytest.mark.parametrize("values", [(2.0, True, 5.0), (2.0, 10**400, 5.0), (1.7e308, 1.7e308),
+                                        (2.0, 3, 0)],
+                             ids=["bool", "int beyond float range", "sum overflows", "int"])
     def test_accepted_as_before(self, column, values):
+        if 10**400 in values:
+            with pytest.raises(InvalidParameterError, match=f"^{column} {self.BEYOND}"):
+                self.build(column, values)
+            return
         built = self.build(column, values)
         assert (built.forces if column == "force" else built.impact_velocities) == values
 
     @pytest.mark.parametrize("column", ["force", "impact_velocity"])
     @pytest.mark.parametrize("accepted", [True, 10**400], ids=["bool", "int beyond float range"])
     def test_accepted_value_does_not_stop_the_walk(self, column, accepted):
-        with pytest.raises(InvalidParameterError, match=r"got -3\.0 \(scenario 's'\)$"):
+        stop = r"got -3\.0 \(scenario 's'\)$" if accepted is True else self.BEYOND
+        with pytest.raises(InvalidParameterError, match=stop):
             self.build(column, (2.0, accepted, -3.0))
+
+    @pytest.mark.parametrize("column", ["force", "impact_velocity"])
+    @pytest.mark.parametrize("value", [None, b"7", [2.0]], ids=repr)
+    def test_non_number_is_require_error(self, column, value):
+        with pytest.raises(InvalidParameterError) as caught:
+            self.build(column, (2.0, value))
+        assert str(caught.value) == f"{column} must be a number, got {value!r} (scenario 's')"
 
 
 class TestPercentError:
@@ -808,6 +824,14 @@ class TestAnalyze:
             ("matrix", "materials", "projectiles"),
             "scenario 'baseline': force leaves float range for these inputs: got inf",
             InvalidParameterError)
+
+    def test_a_zero_reference_names_every_input_the_model_read(self, default_matrix,
+                                                               projectile_set, materials, path):
+        # a massless projectile gives a 0 N reference, which no report can divide by
+        hollow = projectile_set[0]._replace(infill_fraction=0.0, effective_density=0.0)
+        assert self.error(default_matrix, [hollow, *projectile_set[1:]], materials, path) == (
+            ("matrix", "materials", "projectiles"),
+            "scenario 'baseline': theoretical must be > 0, got 0.0", InvalidParameterError)
 
     def test_a_report_names_the_measurements(self, default_matrix, projectile_set, materials,
                                              tmp_path):

@@ -219,6 +219,12 @@ class TestProjectileSpecInvariants:
         with pytest.raises(InvalidParameterError, match=f"^mass must be >= 0, got {mass}$"):
             ProjectileSpec(1, Cylinder(1e200, 1e200), 1040.0, 0.15, density, "x")
 
+    @pytest.mark.parametrize("shape", ["x", None, 0.02, (0.02, 0.22)], ids=repr)
+    def test_shape_that_is_no_cylinder_or_ellipsoid_rejected(self, shape):
+        with pytest.raises(InvalidParameterError) as caught:
+            ProjectileSpec(1, shape, 1040.0, 0.15, 156.0, "x")
+        assert str(caught.value) == f"shape must be a Cylinder or Ellipsoid, got {shape!r}"
+
 
 def test_generate_set_respects_custom_solid_density():
     bird = BirdSpecies("Test Bird", 0.085, 0.22, 1230.0, 22.35)

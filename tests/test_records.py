@@ -26,7 +26,7 @@ from birdstrike.harness import TestMatrix as Matrix  # aliased so pytest does no
 from birdstrike.harness import TestScenario as Scenario
 from birdstrike.impact import (CertificationLimits, CertificationVerdict, ImpactResult,
                                ImpactScenario, SensitivityRow, sensitivity_table)
-from birdstrike.kinematics import DragParams, DropPlan, PublishedPlan, terminal_velocity
+from birdstrike.kinematics import DragParams, DropPlan, terminal_velocity
 from birdstrike.materials import MaterialSpec
 from birdstrike.projectile import Cylinder, Ellipsoid, ProjectileSpec
 from birdstrike.species import BirdSpecies
@@ -49,15 +49,12 @@ RECORDS = [
     (CertificationVerdict("flock", 10.0, 4819.0, True, 4809.0),
      "CertificationVerdict(case='flock', force=10.0, limit=4819.0, passed=True, margin=4809.0)"),
     (SensitivityRow(1.5, 20.0, -2.5), "SensitivityRow(value=1.5, force=20.0, percent_change=-2.5)"),
-    (DropPlan("Starling", 112.35, 631.0, 15.0, 7.49, 2.8, 10.0),
+    (DropPlan("Starling", 112.35, 631.0, 15.0, 2.8, 10.0),
      "DropPlan(species_name='Starling', original_impact_velocity=112.35, "
-     "original_drop_height=631.0, scale_factor=15.0, scaled_impact_velocity=7.49, scaled_drop_height=2.8, gravity=10.0)"),
+     "original_drop_height=631.0, scale_factor=15.0, scaled_drop_height=2.8, gravity=10.0)"),
     (DragParams(0.1, 1.0, 0.01),
      "DragParams(projectile_mass=0.1, drag_coefficient=1.0, reference_area=0.01, "
      "air_density=1.225, gravity=9.80665)"),
-    (PublishedPlan(103.41, 535.0, 6.89, 2.4),
-     "PublishedPlan(original_velocity=103.41, original_height=535.0, scaled_velocity=6.89, "
-     "scaled_height=2.4)"),
     (Scenario("baseline", 1, 1, 2.8, 7.49, 90.0, "CFRP", 15),
      "TestScenario(id='baseline', case_number=1, projectile_serial=1, drop_height=2.8, "
      "nominal_impact_velocity=7.49, impact_angle=90.0, specimen_material='CFRP', iterations=15)"),
@@ -92,7 +89,7 @@ def values(record):
 
 def test_every_record_class_is_covered():
     assert sorted(IDS) == sorted(cls.__name__ for cls in Record.__subclasses__())
-    assert len(IDS) == 18
+    assert len(IDS) == 17
 
 
 @pytest.mark.parametrize("record, text", RECORDS, ids=IDS)
@@ -123,7 +120,7 @@ def test_assignment_and_deletion_raise(record, _):
 def test_equality_is_per_class():
     assert ImpactResult(1, 2, 3, 4) != (1, 2, 3, 4)
     assert (1, 2, 3, 4) != ImpactResult(1, 2, 3, 4)
-    assert ImpactResult(1.0, 2.0, 3.0, 4.0) != PublishedPlan(1.0, 2.0, 3.0, 4.0)
+    assert Cylinder(1.0, 2.0) != CertificationLimits(1.0, 2.0)
     assert ImpactResult.__eq__(ImpactResult(1, 2, 3, 4), (1, 2, 3, 4)) is NotImplemented
 
 
@@ -219,7 +216,7 @@ for name, text in sorted(arguments.items(), key=lambda item: item[1].count("("))
     first, later = outcome(cls, args), outcome(cls, args)
     print(json.dumps([name, lazy, first, later, inspect.isfunction(cls.__dict__["__init__"])]))
 """
-BUILT_BY_CONSTANTS = {"CertificationLimits", "MaterialSpec", "PublishedPlan"}
+BUILT_BY_CONSTANTS = {"CertificationLimits", "MaterialSpec"}
 
 
 def fresh_python(code: str, *args: str) -> str:

@@ -80,6 +80,19 @@ class TestSharedCsvRules:
         ):
             loader(path)
 
+    @pytest.mark.parametrize("quote", [False, True], ids=["plain", "quoted"])
+    def test_leading_byte_order_mark_is_skipped(self, tmp_path, loader, header, good, bad,
+                                                column, quote):
+        if quote:  # a quoted cell sends the batch to csv.reader
+            good = '"{}",{}'.format(*good.split(",", 1))
+        plain = loader(write(tmp_path, f"{header}\n{good}\n"))
+        assert len(plain) == 1
+        assert loader(write(tmp_path, f"\ufeff{header}\n{good}\n")) == plain
+
+    def test_second_byte_order_mark_is_data(self, tmp_path, loader, header, good, bad, column):
+        with pytest.raises(ParseError, match=r"table\.csv: expected header"):
+            loader(write(tmp_path, f"\ufeff\ufeff{header}\n{good}\n"))
+
     def test_bad_utf8_names_the_file(self, tmp_path, loader, header, good, bad, column):
         # A decode error can surface a read buffer ahead of its row, so only the file is named.
         path = tmp_path / "table.csv"
@@ -92,3 +105,10 @@ class TestSharedCsvRules:
         path = write(tmp_path, f"{header}\n{good}\n\n{oversized},{good}\n")
         with pytest.raises(ParseError, match=r"table\.csv: row 4: field larger than field limit"):
             loader(path)
+
+
+def test_byte_order_mark_in_a_cell_is_data(tmp_path):
+    path = write(tmp_path, "\ufeffscenario_id,iteration,force_n\n\ufeffbaseline,1,5\n")
+    with pytest.raises(ParseError) as caught:
+        ingest(path, strict=True)
+    assert str(caught.value) == f"{path}: row 2: scenario id '\\ufeffbaseline' not in matrix"
