@@ -228,12 +228,13 @@ def cmd_plan(args) -> int:
              "scaled_impact_velocity_m_s", "scaled_drop_height_m", "flags"),
             *((plan.species_name, repr(plan.original_impact_velocity),
                repr(plan.original_drop_height), repr(plan.scaled_impact_velocity),
-               repr(plan.scaled_drop_height), "; ".join(plan_flags(plan))) for plan in plans)]))
+               repr(plan.scaled_drop_height), "; ".join(plan_flags(plan, args.cruise)))
+              for plan in plans)]))
     else:
         print(f"{'species':<18} {'original_v_m_s':>14} {'original_h_m':>12} "
               f"{'scaled_v_m_s':>12} {'scaled_h_m':>10}  flags")
         for plan in plans:
-            flags = "; ".join(plan_flags(plan)) or "-"
+            flags = "; ".join(plan_flags(plan, args.cruise)) or "-"
             print(f"{plan.species_name:<18} {plan.original_impact_velocity:>14.2f} "
                   f"{plan.original_drop_height:>12.2f} {plan.scaled_impact_velocity:>12.2f} "
                   f"{plan.scaled_drop_height:>10.2f}  {flags}")

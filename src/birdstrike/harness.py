@@ -256,6 +256,7 @@ def ingest_measurements(path, matrix: TestMatrix, strict: bool = False) -> list[
     Forces and velocities must be finite and >= 0. Every row is checked against
     the matrix: each of its scenarios in the file must have rows numbered
     1..iterations once each, and unknown scenario ids warn (or raise in strict mode).
+    Ingest holds one copy of the data: each scenario's lists go once its set is built.
     """
     # Per scenario id, from its first row: (one flag per iteration number seen, or
     # None for an id not in the matrix; forces; velocities, or None without that
@@ -298,15 +299,17 @@ def ingest_measurements(path, matrix: TestMatrix, strict: bool = False) -> list[
                     velocities.append(velocity)
     except InvalidParameterError as exc:
         raise ParseError(f"{path}: row {row_no}: {exc}") from None
-    for scenario_id, (flags, forces, _) in entries.items():
+    measurements = []
+    for scenario_id in list(entries):
+        flags, forces, velocities = entries.pop(scenario_id)
         if flags is not None:
             expected = matrix.scenario(scenario_id).iterations
             if len(forces) != expected:
                 raise ParseError(f"{path}: scenario {scenario_id!r} has {len(forces)} "
                                  f"iterations, matrix expects {expected}")
-    return [_checked_measurement_set(scenario_id, tuple(forces),
-                                     None if velocities is None else tuple(velocities))
-            for scenario_id, (_, forces, velocities) in entries.items()]
+        measurements.append(_checked_measurement_set(
+            scenario_id, tuple(forces), None if velocities is None else tuple(velocities)))
+    return measurements
 
 
 def _checked_measurement_set(scenario_id: str, forces: tuple[float, ...],

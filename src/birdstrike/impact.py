@@ -189,9 +189,10 @@ def sensitivity_table(
     base_force = _force_any_speed(base)
     if base_force == 0:
         raise InvalidParameterError("base scenario force is zero; percent change undefined")
-    rows = []
+    rows, fields = [], base._asdict()
     for value in values:
-        force = _force_any_speed(base._replace(**{parameter: value}))
+        fields[parameter] = value
+        force = _force_any_speed(ImpactScenario(**fields))
         change = 100.0 * (force - base_force) / base_force
         if not math.isfinite(change):  # 100*(force - base) can overflow where the ratio does not
             change = (force - base_force) / base_force * 100.0

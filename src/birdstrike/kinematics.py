@@ -16,6 +16,7 @@ import math
 
 from ._record import NON_NEGATIVE, POSITIVE, Record
 from .errors import InvalidParameterError, require
+from .materials import CRUISE_SPEED
 
 GRAVITY_PRESETS = {
     "standard": 9.80665,  # m/s^2
@@ -181,10 +182,10 @@ def impact_velocity_from_timing(fall_time: float, params: DragParams) -> float:
     return vt * math.tanh(params.gravity * fall_time / vt)
 
 
-# Published reference plans (1:15 velocity scale, tabulated at GRAVITY_PRESETS["paper"]),
-# each a tuple in _PLAN_CHECKS order. Used to cross-check computed plans: the Turkey
-# Vulture original height is known to be inconsistent with h = v^2/(2g) at any
-# constant g and is flagged by plan_flags rather than silently corrected.
+# Published reference plans (1:15 velocity scale and 90 m/s cruise, tabulated at
+# GRAVITY_PRESETS["paper"]), each a tuple in _PLAN_CHECKS order. Used to cross-check
+# computed plans: the Turkey Vulture original height is known to be inconsistent with
+# h = v^2/(2g) at any constant g and is flagged by plan_flags rather than silently corrected.
 PUBLISHED_PLANS = {
     "Common Grackle": (103.41, 535.0, 6.89, 2.4),
     "Starling": (112.35, 631.0, 7.49, 2.8),
@@ -199,6 +200,9 @@ PUBLISHED_PLANS = {
     "Herring Gull": (107.88, 582.0, 7.19, 2.6),
 }
 
+# The settings the published plans were tabulated with: (gravity, scale factor, cruise speed).
+_PUBLISHED_SETTINGS = (GRAVITY_PRESETS["paper"], DEFAULT_SCALE_FACTOR, CRUISE_SPEED)
+
 # The cross-check: each DropPlan field compared, and its label, unit and
 # agreement band (the print precision of the published column).
 _PLAN_CHECKS = {
@@ -209,16 +213,19 @@ _PLAN_CHECKS = {
 }
 
 
-def plan_flags(plan: DropPlan) -> list[str]:
+def plan_flags(plan: DropPlan, cruise_speed: float = CRUISE_SPEED) -> list[str]:
     """Inconsistency flags between a computed plan and the published reference.
 
     Species without a published reference yield no flags. The check only
-    engages for plans computed at the gravity the reference was tabulated
-    with; at any other gravity a mismatch would reflect the gravity choice,
-    not a data inconsistency.
+    engages for plans made at the settings the reference was tabulated with:
+    gravity 10 m/s^2, scale factor 15 and cruise speed 90 m/s. A DropPlan does
+    not store its cruise speed, so the caller passes the one it planned with.
+    Under any other setting a mismatch would reflect that choice, not a data
+    inconsistency.
     """
     reference = PUBLISHED_PLANS.get(plan.species_name)
-    if reference is None or not math.isclose(plan.gravity, GRAVITY_PRESETS["paper"]):
+    settings = (plan.gravity, plan.scale_factor, cruise_speed)
+    if reference is None or not all(map(math.isclose, settings, _PUBLISHED_SETTINGS)):
         return []
     flags = []
     for published, (field, (label, unit, tolerance)) in zip(reference, _PLAN_CHECKS.items()):

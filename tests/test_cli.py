@@ -186,6 +186,13 @@ class TestPlanCommand:
         vulture_line = next(line for line in out.splitlines() if "Turkey Vulture" in line)
         assert "708" in vulture_line
 
+    @pytest.mark.parametrize("setting", [["--scale", "10"], ["--cruise", "100"]])
+    def test_no_flags_away_from_the_published_settings(self, capsys, setting):
+        code, out, _ = run_cli(["plan", "--species", "Starling", "--gravity", "paper",
+                                *setting], capsys)
+        assert code == 0
+        assert out.splitlines()[1].endswith("  -")
+
     def test_byte_identical_runs(self, capsys):
         _, first, _ = run_cli(["plan", "--all", "--gravity", "paper", "--format", "csv"], capsys)
         _, second, _ = run_cli(["plan", "--all", "--gravity", "paper", "--format", "csv"], capsys)

@@ -1,8 +1,9 @@
 """The matrix, descriptor, report and plan formats, pinned byte for byte.
 
 The golden digests are of the CLI's output for the default matrix, the
-Starling projectile set, a fixed 135-row campaign's conformance report and
-the published-gravity plan of every species; any change to a key, its order
+Starling projectile set, a fixed 135-row campaign's conformance report, the
+published-gravity plan of every species and a sweep of the README bird over
+each scenario parameter; any change to a key, its order
 or a value shows. The missing-key test deletes each key of the matrix file in
 turn and expects the one ParseError that names it. Descriptor files are
 written, never read back.
@@ -33,6 +34,26 @@ DESCRIPTOR_SHA256 = {
 REPORT_CSV_SHA256 = "d8c31691eecb7b3b42197ca873c070639b364884bfa1530c550bdad089ab9743"
 REPORT_JSON_SHA256 = "2d2c448a29d9e2fad6eb50b010e252bf5637f3b8c3b92ae4b6a09a110662270a"
 PLAN_CSV_SHA256 = "bbe6bb550e9eeabbc9babbf7f3d15d1b16c06cc763650669a7c4f870d7023730"
+# `sweep` of the README bird, per swept parameter: its --values and the stdout digest.
+README_BIRD = ["--mass", "0.085", "--length", "0.22", "--bird-density", "1230",
+               "--aircraft-density", "2780", "--bird-speed", "22.35", "--aircraft-speed", "90",
+               "--angle", "90"]
+SWEEP_SHA256 = {
+    "bird_mass": ("0.05,0.085,0.12",
+                  "c7bd4b7a2b3a2f43bc8f8887e2b0eb3d22df2f8ce2209bf51908099aecbb0851"),
+    "bird_length": ("0.11,0.22,0.44",
+                    "8acf700fdc4784e4af57949aabf8533f400ff3b4de85b9deef885cbe1644cf4d"),
+    "bird_density": ("900,1230,1650",
+                     "5c2d561680e5732f2936a17b09a104f613590a01ec400d5e4f1189c84ee25b5c"),
+    "bird_speed": ("0,11.175,22.35,30",
+                   "04df51d79d64500c6ea82e0f87a325d4003f4b51b71b1fe07dd355fcdb011589"),
+    "aircraft_speed": ("0,6,45,90",
+                       "4aa80d4c089032b4929fc0fc68cb06b1376b3df8eff84d6bd48494f4fa2925fc"),
+    "aircraft_density": ("2780,1167.6",
+                         "81a349394f8968a3d35d35cc8575cbe5eed3a9dc95c6e58d72eac38fdaab57af"),
+    "impact_angle": ("0,30,50,90",
+                     "6cf681c7efa423e1e123bbcf812597b5eb114374b8103dd9be6c2b2d6c823097"),
+}
 
 
 def stdout_of(argv) -> str:
@@ -84,6 +105,14 @@ def test_report_digest(campaign, fmt, digest):
 def test_plan_digest():
     argv = ["plan", "--all", "--gravity", "paper", "--format", "csv"]
     assert sha256(stdout_of(argv).encode()) == PLAN_CSV_SHA256
+
+
+@pytest.mark.parametrize("param", SWEEP_SHA256)
+def test_sweep_digest(param):
+    values, digest = SWEEP_SHA256[param]
+    argv = ["sweep", *README_BIRD, "--param", param, "--values", values]
+    with contextlib.redirect_stderr(io.StringIO()):  # the published-delta notes
+        assert sha256(stdout_of(argv).encode()) == digest
 
 
 MATRIX_TOP_KEYS = ["iterations_per_scenario", "scenarios"]

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import random
@@ -263,9 +264,8 @@ class TestIngestMeasurements:
     def test_full_fixture(self, default_matrix, tmp_path):
         path = measurements_csv(tmp_path, default_matrix)
         sets = ingest_measurements(path, default_matrix)
-        assert len(sets) == 9
-        assert all(len(s.forces) == 15 for s in sets)
-        assert [s.scenario_id for s in sets] == [s.id for s in default_matrix.scenarios]
+        assert sets == [MeasurementSet(s.id, (5.0,) * 15) for s in default_matrix.scenarios]
+        assert all(s.impact_velocities is None for s in sets)  # no velocity column
 
     def test_velocity_column(self, default_matrix, tmp_path):
         path = measurements_csv(tmp_path, default_matrix, with_velocity=True)
@@ -322,7 +322,50 @@ class TestIngestMeasurements:
         )
         with pytest.warns(UserWarning, match="mystery"):
             sets = ingest_measurements(path, default_matrix)
-        assert len(sets) == 1
+        assert sets == [MeasurementSet("mystery", (5.0,))]
+
+    @pytest.mark.parametrize("with_velocity, digest", [
+        (False, "4b857b30d482cf67838fe30234c354838a1c3910d3a3fdc595d5ae1db186e0cd"),
+        (True, "bde4c01edce9004ee60b3706064bea31fab882a72d94066dda9366f5a63e8411"),
+    ], ids=["forces", "velocities"])
+    def test_sets_keep_their_order_and_bits(self, default_matrix, tmp_path, with_velocity,
+                                            digest):
+        # the default campaign's rows shuffled, with unknown ids among them (non-strict);
+        # the digest is of the sets' repr, every float at full precision
+        rng = random.Random(7)
+        rows = [(s.id, str(n)) for s in default_matrix.scenarios for n in range(1, 16)]
+        rows += [("mystery", "1"), ("2.3", "-4"), ("mystery", "1")]
+        rng.shuffle(rows)
+        path = tmp_path / "measurements.csv"
+        path.write_text("scenario_id,iteration,force_n" + ",impact_velocity_m_s" * with_velocity
+                        + "".join(f"\n{i},{n},{rng.uniform(0.0, 500.0)!r}"
+                                  + f",{rng.uniform(5.0, 9.0)!r}" * with_velocity
+                                  for i, n in rows) + "\n", encoding="utf-8")
+        with pytest.warns(UserWarning, match="not in matrix"):
+            sets = ingest_measurements(path, default_matrix)
+        assert [s.scenario_id for s in sets] == list(dict.fromkeys(i for i, _ in rows))
+        assert hashlib.sha256(repr(sets).encode()).hexdigest() == digest
+
+    def test_ingest_holds_one_copy_of_the_data(self, tmp_path):
+        # each scenario's lists are freed once its tuples exist, so the peak is the data
+        # plus about one scenario's lists, not the data twice (1.29 when every set was
+        # built after the last row)
+        matrix = build_test_matrix(iterations_per_scenario=10_000)
+        rng = random.Random(25)
+        rows = [(s.id, n) for s in matrix.scenarios for n in range(1, 10_001)]
+        rng.shuffle(rows)
+        path = tmp_path / "campaign.csv"
+        path.write_text("scenario_id,iteration,force_n,impact_velocity_m_s\n" + "".join(
+            f"{i},{n},{rng.uniform(1e3, 5e3)!r},{rng.uniform(5.0, 9.0)!r}\n" for i, n in rows),
+            encoding="utf-8")
+        tracemalloc.start()
+        try:
+            sets = ingest_measurements(path, matrix)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert [len(s.impact_velocities) for s in sets] == [10_000] * 9
+        assert peak / retained <= 1.2
 
     def test_unknown_scenario_strict_raises(self, default_matrix, tmp_path):
         path = tmp_path / "extra.csv"

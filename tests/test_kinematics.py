@@ -134,6 +134,20 @@ class TestPublishedPlanReproduction:
         plan = make_drop_plan(10.0, 90.0, 15.0, G_REF, "Archaeopteryx")
         assert plan_flags(plan) == []
 
+    @pytest.mark.parametrize("scale, cruise", [(10.0, 90.0), (15.0, 100.0), (10.0, 100.0)])
+    def test_no_flags_away_from_reference_scale_or_cruise(self, registry, scale, cruise):
+        # the published plans are at scale 15 and cruise 90 m/s: other values are a
+        # choice of settings, not a data inconsistency
+        for bird in registry:
+            plan = make_drop_plan(bird.flight_speed, cruise, scale, G_REF, bird.name)
+            assert plan_flags(plan, cruise) == []
+
+    def test_cruise_defaults_to_the_published_one(self, registry):
+        bird = next(bird for bird in registry if bird.name == "Turkey Vulture")
+        plan = make_drop_plan(bird.flight_speed, 90.0, 15.0, G_REF, bird.name)
+        assert plan_flags(plan) == plan_flags(plan, 90.0) != []
+        assert plan_flags(plan, 100.0) == []
+
     def test_no_flags_away_from_reference_gravity(self):
         # at standard gravity every height shifts ~2%; that is a gravity
         # choice, not a data inconsistency
