@@ -5,19 +5,21 @@ InvalidParameterError the library raises on one; 1 for a bad input file
 (ParseError), the singular moving-aircraft model, or I/O. harness.analyze names
 the inputs a failing stage read and the CLI blames their files; if none was
 given, a flag is at fault (exit 2). A key=value config file (BIRDSTRIKE_CONFIG
-or --config) supplies defaults; flags override. When the first argument names a
-subcommand, the parser is built for that subcommand alone, with the same usage,
-help and error text as the full parser.
+or --config) supplies defaults; flags override. A plain call (a subcommand, then
+its exact flags, each with a value that does not start with "-") is parsed from
+the flag table without argparse. Any other call that names a subcommand first
+builds the argparse parser for that subcommand alone, with the same usage, help
+and error text as the full parser.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 import warnings
 from contextlib import contextmanager
 from pathlib import Path
+from types import SimpleNamespace
 
 from ._table import render_csv, render_json
 from .errors import BirdstrikeError, InvalidParameterError, ParseError, StationaryAircraftError
@@ -76,9 +78,6 @@ CONFIG_KEYS = {
     "velocity_split": "split",
     "format": "format",
 }
-# The subcommands, in the order the full parser lists them.
-_COMMANDS = ("force", "force-stationary", "plan", "drop-velocity", "design", "matrix",
-             "analyze", "check-cert", "sweep")
 # The formats each command accepts; the first is the default.
 PLAN_FORMATS = ("text", "csv")
 REPORT_FORMATS = ("csv", "json")
@@ -215,7 +214,8 @@ def cmd_plan(args) -> int:
     gravity = _gravity(args)
     scale = _scale(args)
     registry = _registry(args)
-    selected = registry if args.all else [find_species(registry, name) for name in args.species]
+    selected = registry if args.all else [find_species(registry, name)
+                                           for name in args.species or ()]
     if not selected:
         raise InvalidParameterError("nothing to plan: pass --species NAME (repeatable) or --all")
     plans = [
@@ -350,29 +350,92 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _build_parser(command=None) -> argparse.ArgumentParser:
-    """The CLI's parser, with every subcommand or only the named one."""
-    # Flags shared by several commands, each declared once as (flag, add_argument options).
-    bird = [(flag, dict(type=float, required=True, help=help))
-            for flag, help in (("--mass", "bird mass, kg"), ("--length", "bird length, m"),
-                               ("--bird-density", "bird body density, kg/m^3"),
-                               ("--aircraft-density", "specimen density, kg/m^3"),
-                               ("--bird-speed", "bird speed, m/s"),
-                               ("--angle", "impact angle, degrees (90 = head-on)"))]
-    moving = [*bird, ("--aircraft-speed",
-                      dict(type=float, required=True, help="aircraft speed, m/s"))]
-    gravity = [("--gravity", dict(help="standard, paper or a number (m/s^2)"))]
-    cruise = [("--scale", dict(help=f"velocity scale factor (default {DEFAULT_SCALE_FACTOR:g})")),
-              ("--cruise", dict(type=float, default=CRUISE_SPEED,
-                                help=f"aircraft cruise speed, m/s (default {CRUISE_SPEED:g})"))]
-    registry = [("--registry", dict(help="species CSV path (default: bundled set)"))]
-    projectile = [
-        *registry,
-        ("--species", dict(default="Starling", help="projectile base species (default Starling)")),
-        ("--solid-density", dict(type=float, default=ABS_FILAMENT_DENSITY,
-                                 help="solid filament density, kg/m^3")),
-        ("--shell-fraction", dict(type=float, default=0.0,
-                                  help="solid shell volume fraction (default 0: pure infill)"))]
+# Flags shared by several commands, each declared once as (flag, add_argument options).
+_BIRD = [(flag, dict(type=float, required=True, help=help))
+         for flag, help in (("--mass", "bird mass, kg"), ("--length", "bird length, m"),
+                            ("--bird-density", "bird body density, kg/m^3"),
+                            ("--aircraft-density", "specimen density, kg/m^3"),
+                            ("--bird-speed", "bird speed, m/s"),
+                            ("--angle", "impact angle, degrees (90 = head-on)"))]
+_MOVING = [*_BIRD,
+           ("--aircraft-speed", dict(type=float, required=True, help="aircraft speed, m/s"))]
+_GRAVITY = [("--gravity", dict(help="standard, paper or a number (m/s^2)"))]
+_CRUISE = [("--scale", dict(help=f"velocity scale factor (default {DEFAULT_SCALE_FACTOR:g})")),
+           ("--cruise", dict(type=float, default=CRUISE_SPEED,
+                             help=f"aircraft cruise speed, m/s (default {CRUISE_SPEED:g})"))]
+_REGISTRY = [("--registry", dict(help="species CSV path (default: bundled set)"))]
+_PROJECTILE = [
+    *_REGISTRY,
+    ("--species", dict(default="Starling", help="projectile base species (default Starling)")),
+    ("--solid-density", dict(type=float, default=ABS_FILAMENT_DENSITY,
+                             help="solid filament density, kg/m^3")),
+    ("--shell-fraction", dict(type=float, default=0.0,
+                              help="solid shell volume fraction (default 0: pure infill)"))]
+
+# Each subcommand, in the order the full parser lists them: its function, its help, its
+# flags as (flag, add_argument options) in help order, and its mutually exclusive groups
+# as (required, flags). _build_parser and _parse_plain both read this one table.
+_COMMANDS = {
+    "force": (cmd_force, "impact force for one scenario", _MOVING, ()),
+    "force-stationary": (cmd_force_stationary, "impact force on a stationary aircraft", _BIRD, ()),
+    "plan": (cmd_plan, "drop heights and scaled velocities per species", [
+        *_REGISTRY, *_GRAVITY, *_CRUISE,
+        ("--species", dict(action="append", help="species name (repeatable)")),
+        ("--all", dict(action="store_true", help="plan every species in the registry")),
+        ("--format", dict(help=_choices_help("output format", PLAN_FORMATS)))],
+        [(False, ("--species", "--all"))]),
+    "drop-velocity": (cmd_drop_velocity, "impact velocity from drop height or fall time", [
+        *_GRAVITY,
+        ("--height", dict(type=float, help="drop height, m")),
+        ("--time", dict(type=float, help="recorded fall time, s")),
+        ("--mass", dict(type=float, help="projectile mass, kg (drag model)")),
+        ("--cd", dict(type=float, help="drag coefficient (drag model)")),
+        ("--area", dict(type=float, help="frontal reference area, m^2 (drag model)")),
+        ("--air-density", dict(type=float, help="air density, kg/m^3 (drag model; "
+                                                f"default {DEFAULT_AIR_DENSITY:g})"))],
+        [(True, ("--height", "--time"))]),
+    "design": (cmd_design, "generate the five-projectile descriptor set", [
+        *_PROJECTILE,
+        ("--out", dict(help="directory for projectile_sn*.json files (default: stdout)"))], ()),
+    "matrix": (cmd_matrix, "generate the drop-test matrix", [
+        ("--iterations", dict(type=int, default=DEFAULT_ITERATIONS,
+                              help=f"iterations per scenario (default {DEFAULT_ITERATIONS})")),
+        ("--out", dict(help="output JSON path (default: stdout)"))], ()),
+    "analyze": (cmd_analyze, "conformance report from measured forces", [
+        *_GRAVITY, *_CRUISE, *_PROJECTILE,
+        ("--measurements", dict(help="measurements CSV path")),
+        ("--matrix", dict(help="matrix JSON path (default: built-in matrix)")),
+        ("--split", dict(help=_choices_help("velocity split convention",
+                                            [s.value for s in VelocitySplit]))),
+        ("--use-nominal", dict(action="store_true",
+                               help="use stored nominal velocities instead of sqrt(2*g*h)")),
+        ("--materials", dict(help="materials CSV path (default: built-in)")),
+        ("--strict", dict(action="store_true",
+                          help="unknown scenario ids in the measurements are errors")),
+        ("--format", dict(help=_choices_help("report format", REPORT_FORMATS))),
+        ("--out", dict(help="report path (default: stdout)"))], ()),
+    "check-cert": (cmd_check_cert, "compare a force against certification limits", [
+        ("--force", dict(type=float, required=True, help="impact force, N")),
+        ("--case", dict(required=True,
+                        help=f"certification case: {' or '.join(CERTIFICATION_CASES)}")),
+        ("--single-limit", dict(type=float, default=DEFAULT_LIMITS.single_bird_force,
+                                help="single-bird threshold, N "
+                                     f"(default {DEFAULT_LIMITS.single_bird_force:g})")),
+        ("--flock-limit", dict(type=float, default=DEFAULT_LIMITS.flock_force,
+                               help="flock threshold, N "
+                                    f"(default {DEFAULT_LIMITS.flock_force:g})"))], ()),
+    "sweep": (cmd_sweep, "force sensitivity to one scenario parameter", [
+        *_MOVING,
+        ("--param", dict(required=True,
+                         help="scenario field to vary: " + ", ".join(ImpactScenario._fields))),
+        ("--values", dict(required=True, help="comma-separated values")),
+        ("--out", dict(help="output CSV path (default: stdout)"))], ()),
+}
+
+
+def _build_parser(command=None):
+    """The CLI's argparse parser, with every subcommand or only the named one."""
+    import argparse  # a plain argv (see _parse_plain) never needs it
 
     parser = argparse.ArgumentParser(
         prog="birdstrike",
@@ -382,86 +445,69 @@ def _build_parser(command=None) -> argparse.ArgumentParser:
     # The lean parser names every command in its usage line, as the full one does.
     sub = parser.add_subparsers(dest="command", required=True,
                                 metavar=command and "{" + ",".join(_COMMANDS) + "}")
-
-    def add(name, func, *shared, help):
-        """The subparser of command name, its shared flags first; None if not built."""
+    for name, (func, help, flags, groups) in _COMMANDS.items():
         if command in (None, name):
             p = sub.add_parser(name, help=help)
-            for flag, options in shared:
-                p.add_argument(flag, **options)
+            group_of = {}
+            for required, members in groups:
+                group = p.add_mutually_exclusive_group(required=required)
+                group_of.update(dict.fromkeys(members, group))
+            for flag, options in flags:
+                group_of.get(flag, p).add_argument(flag, **options)
             p.set_defaults(func=func)
-            return p
-
-    add("force", cmd_force, *moving, help="impact force for one scenario")
-    add("force-stationary", cmd_force_stationary, *bird,
-        help="impact force on a stationary aircraft")
-
-    if p := add("plan", cmd_plan, *registry, *gravity, *cruise,
-                help="drop heights and scaled velocities per species"):
-        group = p.add_mutually_exclusive_group()
-        group.add_argument("--species", action="append", default=[],
-                           help="species name (repeatable)")
-        group.add_argument("--all", action="store_true", help="plan every species in the registry")
-        p.add_argument("--format", help=_choices_help("output format", PLAN_FORMATS))
-
-    if p := add("drop-velocity", cmd_drop_velocity, *gravity,
-                help="impact velocity from drop height or fall time"):
-        group = p.add_mutually_exclusive_group(required=True)
-        group.add_argument("--height", type=float, help="drop height, m")
-        group.add_argument("--time", type=float, help="recorded fall time, s")
-        p.add_argument("--mass", type=float, help="projectile mass, kg (drag model)")
-        p.add_argument("--cd", type=float, help="drag coefficient (drag model)")
-        p.add_argument("--area", type=float, help="frontal reference area, m^2 (drag model)")
-        p.add_argument("--air-density", type=float,
-                       help=f"air density, kg/m^3 (drag model; default {DEFAULT_AIR_DENSITY:g})")
-
-    if p := add("design", cmd_design, *projectile,
-                help="generate the five-projectile descriptor set"):
-        p.add_argument("--out", help="directory for projectile_sn*.json files (default: stdout)")
-
-    if p := add("matrix", cmd_matrix, help="generate the drop-test matrix"):
-        p.add_argument("--iterations", type=int, default=DEFAULT_ITERATIONS,
-                       help=f"iterations per scenario (default {DEFAULT_ITERATIONS})")
-        p.add_argument("--out", help="output JSON path (default: stdout)")
-
-    if p := add("analyze", cmd_analyze, *gravity, *cruise, *projectile,
-                help="conformance report from measured forces"):
-        p.add_argument("--measurements", help="measurements CSV path")
-        p.add_argument("--matrix", help="matrix JSON path (default: built-in matrix)")
-        p.add_argument("--split", help=_choices_help("velocity split convention",
-                                                     [s.value for s in VelocitySplit]))
-        p.add_argument("--use-nominal", action="store_true",
-                       help="use stored nominal velocities instead of sqrt(2*g*h)")
-        p.add_argument("--materials", help="materials CSV path (default: built-in)")
-        p.add_argument("--strict", action="store_true",
-                       help="unknown scenario ids in the measurements are errors")
-        p.add_argument("--format", help=_choices_help("report format", REPORT_FORMATS))
-        p.add_argument("--out", help="report path (default: stdout)")
-
-    if p := add("check-cert", cmd_check_cert, help="compare a force against certification limits"):
-        p.add_argument("--force", type=float, required=True, help="impact force, N")
-        p.add_argument("--case", required=True,
-                       help=f"certification case: {' or '.join(CERTIFICATION_CASES)}")
-        limits = DEFAULT_LIMITS
-        p.add_argument("--single-limit", type=float, default=limits.single_bird_force,
-                       help=f"single-bird threshold, N (default {limits.single_bird_force:g})")
-        p.add_argument("--flock-limit", type=float, default=limits.flock_force,
-                       help=f"flock threshold, N (default {limits.flock_force:g})")
-
-    if p := add("sweep", cmd_sweep, *moving, help="force sensitivity to one scenario parameter"):
-        p.add_argument("--param", required=True,
-                       help="scenario field to vary: " + ", ".join(ImpactScenario._fields))
-        p.add_argument("--values", required=True, help="comma-separated values")
-        p.add_argument("--out", help="output CSV path (default: stdout)")
-
     return parser
+
+
+def _parse_plain(argv):
+    """The namespace the parser gives a plain argv; None for any other argv.
+
+    A plain argv is a command, then exact flags of that command, each value flag followed
+    by one value that does not start with "-". Every required flag and group is given and
+    no exclusive group twice. Everything else (--help, an error, an abbreviation,
+    --flag=value, a negative number, --config) goes to argparse and its messages.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    func, _, flags, groups = _COMMANDS[argv[0]]
+    declared, given = dict(flags), {}
+    words = iter(argv[1:])
+    for flag in words:
+        options = declared.get(flag)
+        if options is None:
+            return None
+        action = options.get("action")
+        if action == "store_true":
+            given[flag] = True
+            continue
+        text = next(words, "-")  # a missing value is declined as a "-" one is
+        if text.startswith("-"):
+            return None
+        try:
+            value = options.get("type", str)(text)
+        except ValueError:
+            return None
+        given[flag] = [*given.get(flag, ()), value] if action == "append" else value
+    if any(options.get("required") and flag not in given for flag, options in flags):
+        return None
+    for required, members in groups:
+        count = sum(flag in given for flag in members)
+        if count > 1 or required and not count:
+            return None
+    args = SimpleNamespace(config=None, command=argv[0], func=func)
+    for flag, options in flags:
+        default = False if options.get("action") == "store_true" else options.get("default")
+        setattr(args, flag[2:].replace("-", "_"), given.get(flag, default))
+    return args
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    # A named command builds only its subparser; any other argv (--help, none, an unknown
-    # or abbreviated command, --config first) gets the full parser and its messages.
-    args = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
+    # A plain argv needs no parser. Otherwise a named command builds only its subparser, and
+    # any other argv (--help, none, an unknown or abbreviated command, --config first) gets
+    # the full parser and its messages.
+    args = _parse_plain(argv)
+    if args is None:
+        args = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
     try:
         config_path = args.config or os.environ.get(CONFIG_ENV_VAR)
         config = load_config(config_path) if config_path else {}

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -1146,16 +1147,116 @@ def test_every_command_has_parse_cases():
     assert list(PARSE_CASES) == list(cli._COMMANDS) == list(subcommands(cli._build_parser()))
 
 
-@pytest.mark.parametrize("argv, command", [
-    ([], None), (["--help"], None), (["bogus"], None), (["forc"], None), (["-1", "force"], None),
-    (["--config", "x", "force"], None), (["check-cert", "--force", "10", "--case", "flock"],
-                                         "check-cert")])
-def test_main_builds_the_lean_parser_only_for_a_command_named_first(monkeypatch, capsys, argv,
-                                                                    command):
+def record_builds(monkeypatch):
+    """The argument tuples of every cli._build_parser call from now on."""
     built, build = [], cli._build_parser
     monkeypatch.setattr(cli, "_build_parser", lambda *args: built.append(args) or build(*args))
+    return built
+
+
+# A plain argv never reaches argparse, so these declined ones (an abbreviated flag and
+# --flag=value) stand for the argvs that build the lean parser.
+@pytest.mark.parametrize("argv, command", [
+    ([], None), (["--help"], None), (["bogus"], None), (["forc"], None), (["-1", "force"], None),
+    (["--config", "x", "force"], None), (["check-cert", "--forc", "10", "--case", "flock"],
+                                         "check-cert"),
+    (["check-cert", "--force=10", "--case", "flock"], "check-cert")])
+def test_main_builds_the_lean_parser_only_for_a_command_named_first(monkeypatch, capsys, argv,
+                                                                    command):
+    built = record_builds(monkeypatch)
     run_cli(argv, capsys)
     assert built == [(command,)]
+
+
+# One argv per subcommand, shaped as the benchmark's rotation shapes it; each is plain.
+PLAIN_ARGVS = {
+    "force": FORCE_FLAGS,
+    "force-stationary": FORCE_FLAGS[:10] + FORCE_FLAGS[12:],
+    "plan": ["--all", "--format", "csv", "--gravity", "paper", "--scale", "12.5"],
+    "drop-velocity": ["--time", "0.6", "--mass", "0.01", "--cd", "1.1", "--area", "3e-4",
+                      "--gravity", "standard"],
+    "design": ["--species", "Starling", "--shell-fraction", "0.1", "--out", "designs"],
+    "matrix": ["--iterations", "12", "--out", "matrix.json"],
+    "analyze": ["--measurements", "forces.csv", "--matrix", "matrix.json", "--gravity", "paper",
+                "--split", "all-aircraft", "--format", "json", "--strict", "--out", "r.json"],
+    "check-cert": ["--force", "1996.4", "--case", "single-bird"],
+    "sweep": [*FORCE_FLAGS, "--param", "bird_mass", "--values", "0.1,0.2"],
+}
+
+
+@pytest.mark.parametrize("command", list(PLAIN_ARGVS))
+def test_main_builds_no_parser_for_a_plain_argv(monkeypatch, capsys, tmp_path, command):
+    monkeypatch.chdir(tmp_path)  # design and matrix write their --out files
+    built = record_builds(monkeypatch)
+    run_cli([command, *PLAIN_ARGVS[command]], capsys)
+    assert built == []
+
+
+def comparable(namespace):
+    """A parse outcome's items, each value by repr: nan != nan, and 1 must not pass for 1.0."""
+    return sorted((key, repr(value)) for key, value in namespace.items())
+
+
+def parsed(parser, argv, capsys):
+    """vars() of what parser makes of argv, or None where it exits."""
+    try:
+        outcome = vars(parser.parse_args(argv))
+    except SystemExit:
+        outcome = None
+    capsys.readouterr()
+    return outcome
+
+
+# Values for a flag's seeded argvs: mostly ones its type takes, some ("-5" among them) not.
+GOOD_VALUES = {float: ["1", "2.5", "nan", "inf", "1e308", "0"], int: ["3", "12"],
+               None: ["paper", "Starling", "flock", "x y", ""]}
+ODD_VALUES = ["-5", "", "x", "1.5"]
+
+
+def seeded_argvs(parser, command, seed, count=100):
+    """Argvs of command's exact flags, with required ones mostly given, in shuffled order,
+    one flag sometimes repeated (plan's --species included)."""
+    rng = random.Random(f"{command}-{seed}")
+    actions = [action for action in subcommands(parser)[command]._actions
+               if action.option_strings != ["-h", "--help"]]
+    for _ in range(count):
+        chosen = [action for action in actions if rng.random() < (0.9 if action.required else 0.5)]
+        if chosen and rng.random() < 0.3:
+            chosen.append(rng.choice(chosen))
+        rng.shuffle(chosen)
+        argv, values = [command], []
+        for action in chosen:
+            argv.append(action.option_strings[0])
+            if action.nargs != 0:
+                pool = ODD_VALUES if rng.random() < 0.1 else GOOD_VALUES[action.type]
+                values.append(rng.choice(pool))
+                argv.append(values[-1])
+        yield argv, values
+
+
+@pytest.mark.parametrize("command", list(PARSE_CASES))
+def test_plain_parse_is_argparse_or_declines(capsys, command):
+    # _parse_plain returns what the lean parser returns, or None and leaves the argv to it
+    parser = cli._build_parser(command)
+    plain_argv = [command, *PLAIN_ARGVS[command]]
+    plain = cli._parse_plain(plain_argv)
+    assert plain is not None
+    assert comparable(vars(plain)) == comparable(parsed(parser, plain_argv, capsys))
+    for tail in ([], ["--bogus"], ["--help"], ["-h"], *PARSE_CASES[command]):
+        plain = cli._parse_plain([command, *tail])
+        assert plain is None or comparable(vars(plain)) == comparable(
+            parsed(parser, [command, *tail], capsys)), tail
+    accepted = 0
+    for seed in (1, 2, 3):
+        for argv, values in seeded_argvs(parser, command, seed):
+            plain, expected = cli._parse_plain(argv), parsed(parser, argv, capsys)
+            # plain exactly where argparse parses it and no value starts with "-"
+            if expected is None or "-5" in values:
+                assert plain is None, argv
+            else:
+                assert comparable(vars(plain)) == comparable(expected), argv
+                accepted += 1
+    assert accepted >= 30
 
 
 def test_main_reads_sys_argv_when_given_no_argv(monkeypatch, capsys):

@@ -7,8 +7,9 @@ never read, and on any module-level name with one leading underscore that no
 module in the package reads. __init__.py is skipped for imports: its imports
 are the package's public names. Last, a fresh interpreter checks that the CLI
 does not load dataclasses, whose import every CLI call would pay, that
-`birdstrike matrix` does not load decimal, and that json and csv load only
-for the commands that read or write JSON or CSV.
+`birdstrike matrix` does not load decimal, that json and csv load only
+for the commands that read or write JSON or CSV, and that a plain call of
+each subcommand does not load argparse.
 """
 
 import ast
@@ -20,6 +21,7 @@ from pathlib import Path
 import pytest
 
 import birdstrike
+from birdstrike.harness import build_test_matrix
 
 SOURCES = sorted(Path(birdstrike.__file__).parent.glob("*.py"))
 MODULES = [path for path in SOURCES if path.name != "__init__.py"]
@@ -97,11 +99,11 @@ def fresh_env() -> dict[str, str]:
     return env
 
 
-def fresh_cli_imports(*argv: str) -> list[str]:
+def fresh_cli_imports(*argv: str, cwd=None) -> list[str]:
     """Modules a fresh `python -S -m birdstrike argv` imports, from -X importtime."""
     called = subprocess.run(
         [sys.executable, "-S", "-X", "importtime", "-m", "birdstrike", *argv],
-        env=fresh_env(), capture_output=True, text=True, encoding="utf-8", timeout=60)
+        env=fresh_env(), cwd=cwd, capture_output=True, text=True, encoding="utf-8", timeout=60)
     assert called.returncode == 0, called.stderr
     return [line.rsplit("|", 1)[1].strip() for line in called.stderr.splitlines()
             if line.startswith("import time:")]
@@ -147,3 +149,27 @@ def test_json_and_csv_load_only_where_used(argv, loaded, unloaded):
     imported = set(fresh_cli_imports(*argv))
     assert "birdstrike.cli" in imported
     assert set(loaded) <= imported and not set(unloaded) & imported
+
+
+ARGPARSE = {"argparse", "gettext", "locale"}
+# A plain call of each subcommand; analyze reads the forces.csv the test writes.
+PLAIN_CALLS = [argv for argv, _, _ in JSON_AND_CSV] + [
+    ("design", "--species", "Starling"), ("analyze", "--measurements", "forces.csv")]
+
+
+@pytest.mark.parametrize("argv", PLAIN_CALLS, ids=[argv[0] for argv in PLAIN_CALLS])
+def test_plain_call_does_not_load_argparse(tmp_path, argv):
+    # argparse, with gettext and locale, costs a few ms of every call that is parsed by it
+    forces = ["scenario_id,iteration,force_n"] + [
+        f"{scenario.id},{n},19.5" for scenario in build_test_matrix().scenarios
+        for n in range(1, scenario.iterations + 1)]
+    (tmp_path / "forces.csv").write_text("\n".join(forces) + "\n", encoding="utf-8")
+    imported = set(fresh_cli_imports(*argv, cwd=tmp_path))
+    assert "birdstrike.cli" in imported and not ARGPARSE & imported
+
+
+@pytest.mark.parametrize("argv", [("check-cert", "--help"),
+                                  ("check-cert", "--forc", "10", "--case", "flock")],
+                         ids=["help", "abbreviated"])
+def test_declined_call_loads_argparse(argv):
+    assert "argparse" in fresh_cli_imports(*argv)
