@@ -35,7 +35,6 @@ from .impact import (
     check_certification,
     impact_force,
     impact_force_stationary,
-    scale_scenario,
     sensitivity_table,
 )
 from .kinematics import (

@@ -19,21 +19,20 @@ no longer than csv.field_size_limit()) is cut by one str.split on commas, each
 line end made a cell of its own. When the line ends fall at every width+1-th
 cell, each line has one cell per column, as csv.reader would split it (every
 format has two or more, so an empty line fails), and each column is a slice of
-the cells. The first batch that fails this goes with the rest of the file to
-csv.reader, so quoted cells, lone CR line ends, NUL and over-long cells (a
-ParseError naming the row) mean what the csv module says; its rows are
-transposed into columns when each has one cell per column. Each column is
-converted in one map. A batch with a row of another width or a cell its kind
-rejects goes to a per-row loop that names the first bad row and column after
-yielding the rows before it, so a caller's error on an earlier row comes first.
-Only that loop looks for blank rows, and it skips them all: each format has a
-numeric column, which rejects a blank cell.
+the cells, converted in one map. Any other batch goes, with the rest of the
+file, to csv.reader a row at a time, so quoted cells, lone CR line ends, NUL
+and over-long cells (a ParseError naming the row) mean what the csv module
+says. A plain batch with a row of another width or a cell its kind rejects goes
+row by row through csv.reader too. Row by row, the first bad row and column are
+named after the rows before it are yielded, so a caller's error on an earlier
+row comes first. Only that route looks for blank rows, and it skips them all:
+each format has a numeric column, which rejects a blank cell.
 """
 
 from __future__ import annotations
 
 import io
-from itertools import chain, islice
+from itertools import chain, count, islice
 from typing import Callable, Iterator, Sequence
 
 from .errors import InvalidParameterError, ParseError
@@ -57,7 +56,6 @@ def read_batches(path, columns: Columns,
     # csv and json are imported where used, as decimal is in projectile.round_sig: the
     # commands that read and write neither (force, check-cert, ...) skip their import.
     import csv
-    row_no = 1
     try:
         with open(path, newline="", encoding="utf-8-sig") as handle:
             reader = csv.reader(handle)
@@ -76,50 +74,33 @@ def read_batches(path, columns: Columns,
                 raise ParseError(f"{path}: expected header {expected}, got {','.join(header)!r}")
             width = len(spec)
             row_no = 2
-            rows = None  # a csv.reader over the rest of the file, once a batch is not plain
             while True:
-                failed = by_column = converted = None
-                if rows is None:
-                    batch = list(islice(handle, BATCH_ROWS))
-                    text = "".join(batch)
-                    if "\r" in text:  # CRLF ends made LF: a lone CR stays, and fails the test
-                        text = text.replace("\r\n", "\n")
-                    cells = text.replace("\n", ",\n,").split(",")  # each line's cells, then "\n"
-                    if (cells[width::width + 1] == ["\n"] * len(batch)
-                            and len(text) <= csv.field_size_limit()
-                            and not any(char in text for char in '"\r\0')):
-                        by_column = [cells[j:-1:width + 1] for j in range(width)]
-                    else:
-                        rows = csv.reader(chain(batch, handle))
-                if rows is not None:
-                    batch = []
-                    try:
-                        batch.extend(islice(rows, BATCH_ROWS))
-                    except csv.Error as exc:  # batch keeps the rows read before the bad one
-                        failed = exc
-                    if set(map(len, batch)) == {width}:
-                        by_column = zip(*batch)
-                if by_column is not None:
-                    try:
-                        converted = [list(map(kind, column))
-                                     for (_, kind), column in zip(spec, by_column)]
-                    except ValueError:
-                        pass
-                if converted is None:
-                    if rows is None:  # a plain batch: csv.reader splits it the same way
-                        batch = list(csv.reader(batch))
-                    yield from _rows_one_by_one(path, spec, batch, row_no)
+                batch = list(islice(handle, BATCH_ROWS))
+                text = "".join(batch)
+                if "\r" in text:  # CRLF ends made LF: a lone CR stays, and fails the test
+                    text = text.replace("\r\n", "\n")
+                cells = text.replace("\n", ",\n,").split(",")  # each line's cells, then "\n"
+                if not (cells[width::width + 1] == ["\n"] * len(batch)
+                        and len(text) <= csv.field_size_limit()
+                        and not any(char in text for char in '"\r\0')):
+                    yield from _rows_one_by_one(path, spec, csv.reader(chain(batch, handle)),
+                                                row_no)
+                    return
+                # No column slice is held: it would keep the cells alive through the next read.
+                try:
+                    converted = [list(map(kind, cells[j:-1:width + 1]))
+                                 for j, (_, kind) in enumerate(spec)]
+                except ValueError:  # csv.reader splits a plain batch the same way
+                    yield from _rows_one_by_one(path, spec, csv.reader(batch), row_no)
                 else:
                     yield range(row_no, row_no + len(batch)), converted
                 row_no += len(batch)
-                if failed is not None:
-                    raise failed
                 if len(batch) < BATCH_ROWS:
                     return
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
-    except csv.Error as exc:
-        raise ParseError(f"{path}: row {row_no}: {exc}") from None
+    except csv.Error as exc:  # the header's: _rows_one_by_one names the other rows
+        raise ParseError(f"{path}: row 1: {exc}") from None
 
 
 def read_table(path, columns: Columns, optional: Columns = ()) -> Iterator[tuple[int, tuple]]:
@@ -128,27 +109,31 @@ def read_table(path, columns: Columns, optional: Columns = ()) -> Iterator[tuple
         yield from zip(numbers, zip(*converted))
 
 
-def _rows_one_by_one(path, spec: Columns, batch: list[list[str]], first: int):
-    """The per-row path for a batch that failed the width or conversion test, a row a batch."""
+def _rows_one_by_one(path, spec: Columns, rows: Iterator[list[str]], row_no: int):
+    """Yield each row of a csv.reader but blank ones as a batch of one, the first numbered
+    row_no; a csv.Error or a bad row is a ParseError naming it, once the rows before it are."""
+    import csv
     width = len(spec)
-    for row_no, row in enumerate(batch, start=first):
-        # A blank row is looked for only once a row fails: see the module docstring.
+    for row_no in count(row_no):
+        try:
+            row = next(rows, None)
+        except csv.Error as exc:
+            raise ParseError(f"{path}: row {row_no}: {exc}") from None
+        if row is None:
+            return
+        if not "".join(row).strip():
+            continue
         if len(row) != width:
-            if not "".join(row).strip():
-                continue
             raise ParseError(f"{path}: row {row_no}: expected {width} columns, got {len(row)}")
         cells = []
         for (name, kind), cell in zip(spec, row):
             try:
                 cells.append(kind(cell))
             except ValueError:
-                if not "".join(row).strip():
-                    break
                 raise ParseError(
                     f"{path}: row {row_no}, column {name}: not a number: {cell!r}"
                 ) from None
-        else:
-            yield (row_no,), [(cell,) for cell in cells]
+        yield (row_no,), [(cell,) for cell in cells]
 
 
 def render_csv(rows) -> str:

@@ -7,9 +7,7 @@ the inputs a failing stage read and the CLI blames their files; if none was
 given, a flag is at fault (exit 2). A key=value config file (BIRDSTRIKE_CONFIG
 or --config) supplies defaults; flags override. A plain call (a subcommand, then
 its exact flags, each with a value that does not start with "-") is parsed from
-the flag table without argparse. Any other call that names a subcommand first
-builds the argparse parser for that subcommand alone, with the same usage, help
-and error text as the full parser.
+the flag table without argparse; any other call goes to the argparse parser.
 """
 
 from __future__ import annotations
@@ -372,7 +370,7 @@ _PROJECTILE = [
     ("--shell-fraction", dict(type=float, default=0.0,
                               help="solid shell volume fraction (default 0: pure infill)"))]
 
-# Each subcommand, in the order the full parser lists them: its function, its help, its
+# Each subcommand, in the order the parser lists them: its function, its help, its
 # flags as (flag, add_argument options) in help order, and its mutually exclusive groups
 # as (required, flags). _build_parser and _parse_plain both read this one table.
 _COMMANDS = {
@@ -433,8 +431,8 @@ _COMMANDS = {
 }
 
 
-def _build_parser(command=None):
-    """The CLI's argparse parser, with every subcommand or only the named one."""
+def _build_parser():
+    """The CLI's argparse parser."""
     import argparse  # a plain argv (see _parse_plain) never needs it
 
     parser = argparse.ArgumentParser(
@@ -442,19 +440,16 @@ def _build_parser(command=None):
         description="Bird-strike impact force model and drop-test engineering toolkit.",
     )
     parser.add_argument("--config", help=f"config file path (default: ${CONFIG_ENV_VAR})")
-    # The lean parser names every command in its usage line, as the full one does.
-    sub = parser.add_subparsers(dest="command", required=True,
-                                metavar=command and "{" + ",".join(_COMMANDS) + "}")
+    sub = parser.add_subparsers(dest="command", required=True)
     for name, (func, help, flags, groups) in _COMMANDS.items():
-        if command in (None, name):
-            p = sub.add_parser(name, help=help)
-            group_of = {}
-            for required, members in groups:
-                group = p.add_mutually_exclusive_group(required=required)
-                group_of.update(dict.fromkeys(members, group))
-            for flag, options in flags:
-                group_of.get(flag, p).add_argument(flag, **options)
-            p.set_defaults(func=func)
+        p = sub.add_parser(name, help=help)
+        group_of = {}
+        for required, members in groups:
+            group = p.add_mutually_exclusive_group(required=required)
+            group_of.update(dict.fromkeys(members, group))
+        for flag, options in flags:
+            group_of.get(flag, p).add_argument(flag, **options)
+        p.set_defaults(func=func)
     return parser
 
 
@@ -502,12 +497,9 @@ def _parse_plain(argv):
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    # A plain argv needs no parser. Otherwise a named command builds only its subparser, and
-    # any other argv (--help, none, an unknown or abbreviated command, --config first) gets
-    # the full parser and its messages.
     args = _parse_plain(argv)
     if args is None:
-        args = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
+        args = _build_parser().parse_args(argv)
     try:
         config_path = args.config or os.environ.get(CONFIG_ENV_VAR)
         config = load_config(config_path) if config_path else {}

@@ -75,14 +75,6 @@ class TestMatrix(Record):
             by_id[scenario.id] = scenario
         self.__dict__.update(_by_id=by_id)
 
-    @property
-    def total_iterations(self) -> int:
-        return sum(scenario.iterations for scenario in self.scenarios)
-
-    @property
-    def case_numbers(self) -> set[int]:
-        return {scenario.case_number for scenario in self.scenarios}
-
     def scenario(self, scenario_id: str) -> TestScenario:
         try:
             return self._by_id[scenario_id]
@@ -261,7 +253,9 @@ def ingest_measurements(path, matrix: TestMatrix, strict: bool = False) -> list[
     # Per scenario id, from its first row: (one flag per iteration number seen, or
     # None for an id not in the matrix; forces; velocities, or None without that
     # column). The flags grow with the rows, to twice the highest iteration yet and
-    # at most the declared count, so a huge declared count allocates nothing up front.
+    # at most the declared count: nothing is allocated up front, but one row's
+    # iteration sizes them, and a zeroed block of the added size is made first, so
+    # a matrix declaring 10**9 iterations lets one row take about 2 GB.
     entries: dict[str, tuple] = {}
     row_no = 0
     try:
@@ -290,7 +284,12 @@ def ingest_measurements(path, matrix: TestMatrix, strict: bool = False) -> list[
                         raise ParseError(f"{path}: row {row_no}: scenario {scenario_id!r}: "
                                          f"iteration {iteration} repeats or is outside "
                                          f"1..{declared}")
-                    flags += bytes(min(2 * iteration, declared + 1) - len(flags))
+                    try:
+                        flags += bytes(min(2 * iteration, declared + 1) - len(flags))
+                    except (OverflowError, MemoryError):
+                        raise ParseError(f"{path}: row {row_no}: scenario {scenario_id!r}: "
+                                         f"iteration {iteration} is too large to check "
+                                         "for repeats") from None
                     flags[iteration] = 1
                 forces.append(force)
                 if velocities is not None:

@@ -148,13 +148,6 @@ def _stationary_force(s: ImpactScenario) -> float:
     return force
 
 
-def scale_scenario(scenario: ImpactScenario, velocity_factor: float) -> ImpactScenario:
-    """Scale both speeds by the same factor; the force scales by its square."""
-    require("velocity_factor", velocity_factor, above=True)
-    return scenario._replace(bird_speed=scenario.bird_speed * velocity_factor,
-                             aircraft_speed=scenario.aircraft_speed * velocity_factor)
-
-
 def check_certification(
     force: float, case: str, limits: CertificationLimits = DEFAULT_LIMITS
 ) -> CertificationVerdict:

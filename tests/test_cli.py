@@ -1096,10 +1096,9 @@ def test_cli_import_leaves_decimal_unloaded():
     assert (result.returncode, result.stdout, result.stderr) == (0, "[]\n", "")
 
 
-# main builds only the subparser of a command named first. Each argv below is parsed by
-# that lean parser and by the full one; with [], ["--bogus"], ["--help"] and ["-h"] after
-# every command, the table covers a missing required flag, an unknown flag, a bad type and
-# an abbreviated flag.
+# Argvs that _parse_plain must decline or parse as argparse does: with [], ["--bogus"],
+# ["--help"] and ["-h"] after every command, the table covers a missing required flag, an
+# unknown flag, a bad type and an abbreviated flag.
 PARSE_CASES = {
     "force": [FORCE_FLAGS, ["--mass", "x"], ["--aircraft-sp", "1"], [*FORCE_FLAGS, "extra"]],
     "force-stationary": [FORCE_FLAGS, ["--angle", "x"], ["--ang", "90"]],
@@ -1122,28 +1121,8 @@ def subcommands(parser):
     return commands.choices
 
 
-def parse(parser, argv, capsys):
-    try:
-        outcome = vars(parser.parse_args(argv))
-    except SystemExit as exc:
-        outcome = exc.code
-    captured = capsys.readouterr()
-    return outcome, captured.out, captured.err
-
-
-@pytest.mark.parametrize("command", list(PARSE_CASES))
-def test_lean_parser_parses_and_fails_as_the_full_one(capsys, command):
-    lean, full = cli._build_parser(command), cli._build_parser()
-    assert list(subcommands(lean)) == [command] and command in subcommands(full)
-    assert subcommands(lean)[command].format_help() == subcommands(full)[command].format_help()
-    assert lean.format_usage() == full.format_usage()
-    for tail in ([], ["--bogus"], ["--help"], ["-h"], *PARSE_CASES[command]):
-        argv = [command, *tail]
-        assert parse(lean, argv, capsys) == parse(full, argv, capsys), argv
-
-
 def test_every_command_has_parse_cases():
-    # main picks the lean parser from cli._COMMANDS, which must name every subcommand
+    # _parse_plain reads cli._COMMANDS, which must name every subcommand
     assert list(PARSE_CASES) == list(cli._COMMANDS) == list(subcommands(cli._build_parser()))
 
 
@@ -1154,18 +1133,14 @@ def record_builds(monkeypatch):
     return built
 
 
-# A plain argv never reaches argparse, so these declined ones (an abbreviated flag and
-# --flag=value) stand for the argvs that build the lean parser.
-@pytest.mark.parametrize("argv, command", [
-    ([], None), (["--help"], None), (["bogus"], None), (["forc"], None), (["-1", "force"], None),
-    (["--config", "x", "force"], None), (["check-cert", "--forc", "10", "--case", "flock"],
-                                         "check-cert"),
-    (["check-cert", "--force=10", "--case", "flock"], "check-cert")])
-def test_main_builds_the_lean_parser_only_for_a_command_named_first(monkeypatch, capsys, argv,
-                                                                    command):
+@pytest.mark.parametrize("argv", [
+    [], ["--help"], ["bogus"], ["forc"], ["-1", "force"], ["--config", "x", "force"],
+    ["check-cert", "--forc", "10", "--case", "flock"],
+    ["check-cert", "--force=10", "--case", "flock"]])
+def test_main_builds_the_parser_only_for_a_declined_argv(monkeypatch, capsys, argv):
     built = record_builds(monkeypatch)
     run_cli(argv, capsys)
-    assert built == [(command,)]
+    assert built == [()]
 
 
 # One argv per subcommand, shaped as the benchmark's rotation shapes it; each is plain.
@@ -1236,8 +1211,8 @@ def seeded_argvs(parser, command, seed, count=100):
 
 @pytest.mark.parametrize("command", list(PARSE_CASES))
 def test_plain_parse_is_argparse_or_declines(capsys, command):
-    # _parse_plain returns what the lean parser returns, or None and leaves the argv to it
-    parser = cli._build_parser(command)
+    # _parse_plain returns what the parser returns, or None and leaves the argv to it
+    parser = cli._build_parser()
     plain_argv = [command, *PLAIN_ARGVS[command]]
     plain = cli._parse_plain(plain_argv)
     assert plain is not None

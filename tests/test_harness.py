@@ -49,9 +49,10 @@ def measurements_csv(tmp_path, matrix, force_for=lambda s, i: 5.0, with_velocity
 
 class TestBuildMatrix:
     def test_default_structure(self, default_matrix):
-        assert len(default_matrix.scenarios) == 9
-        assert default_matrix.case_numbers == {1, 2, 3, 4, 5, 6, 7}
-        assert default_matrix.total_iterations == 135
+        scenarios = default_matrix.scenarios
+        assert len(scenarios) == 9
+        assert {scenario.case_number for scenario in scenarios} == {1, 2, 3, 4, 5, 6, 7}
+        assert sum(scenario.iterations for scenario in scenarios) == 135
         assert [s.id for s in default_matrix.scenarios] == [
             "baseline", "1", "2.1", "2.2", "3", "4", "5", "6", "7",
         ]
@@ -78,7 +79,7 @@ class TestBuildMatrix:
 
     def test_single_iteration_matrix(self):
         matrix = build_test_matrix(iterations_per_scenario=1)
-        assert matrix.total_iterations == 9
+        assert [scenario.iterations for scenario in matrix.scenarios] == [1] * 9
 
     def test_rows_name_a_projectile_and_a_builtin_material(self, default_matrix,
                                                             registry, materials):
@@ -394,6 +395,18 @@ class TestIngestMeasurements:
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000
+
+    @pytest.mark.parametrize("iteration", [10**18, 10**19], ids=["no memory", "no index"])
+    def test_iteration_too_large_to_flag_rejected(self, tmp_path, iteration):
+        # the flags for a row's iteration cannot be allocated (10**18) or indexed (10**19)
+        path = tmp_path / "huge.csv"
+        path.write_text(f"scenario_id,iteration,force_n\nbaseline,{iteration},5.0\n",
+                        encoding="utf-8")
+        matrix = build_test_matrix(iterations_per_scenario=10**20)
+        message = (f"{path}: row 2: scenario 'baseline': iteration {iteration} is too large "
+                   "to check for repeats")
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            ingest_measurements(path, matrix)
 
     def test_bad_header_rejected(self, default_matrix, tmp_path):
         path = tmp_path / "bad.csv"

@@ -145,27 +145,47 @@ FAULTS = {
 }
 
 
-@pytest.mark.parametrize("where", POSITIONS)
-@pytest.mark.parametrize("fault", FAULTS)
-def test_rows_match_a_per_row_csv_reader(tmp_path, where, fault):
-    path = tmp_path / "measurements.csv"
-    path.write_bytes(FAULTS[fault](data_rows(), POSITIONS[where]).encode())
+def rows_and_error(path):
+    """The rows read_table reads from path, and its ParseError's message or None."""
     rows, error = [], None
     try:
         rows.extend(read_table(path, _MEASUREMENTS_COLUMNS, _MEASUREMENTS_VELOCITY))
     except ParseError as exc:
         error = str(exc)
+    return rows, error
+
+
+@pytest.mark.parametrize("where", POSITIONS)
+@pytest.mark.parametrize("fault", FAULTS)
+def test_rows_match_a_per_row_csv_reader(tmp_path, where, fault):
+    path = tmp_path / "measurements.csv"
+    path.write_bytes(FAULTS[fault](data_rows(), POSITIONS[where]).encode())
+    assert rows_and_error(path) == csv_rows(
+        path, (*_MEASUREMENTS_COLUMNS, *_MEASUREMENTS_VELOCITY))
+
+
+@pytest.mark.parametrize("line", ["x" * (LIMIT + 1) + ",1,20.0,7.3", "baseline,x,20.0,7.3"],
+                         ids=["over-long cell", "bad number"])
+def test_rows_read_one_by_one_are_numbered_to_the_end(tmp_path, line):
+    # a quoted cell in the first batch sends the rest of the file row by row; a bad row
+    # three batches on is still named by its own row
+    rows = with_line(POSITIONS["last partial batch"], line)
+    rows[5] = '"{}",{}'.format(*rows[5].split(",", 1))
+    path = write(tmp_path, rows)
+    rows, error = rows_and_error(path)
     assert (rows, error) == csv_rows(path, (*_MEASUREMENTS_COLUMNS, *_MEASUREMENTS_VELOCITY))
+    assert error.startswith(f"{path}: row {POSITIONS['last partial batch'] + 2}")
 
 
-@pytest.mark.parametrize("lone_cr, readers", [(False, 1), (True, 2)],
-                         ids=["CRLF", "CRLF and a lone CR in the last batch"])
-def test_crlf_file_is_split_without_csv_reader(tmp_path, monkeypatch, lone_cr, readers):
+@pytest.mark.parametrize("end, lone_cr, readers", [("\n", False, 1), ("\r\n", False, 1),
+                                                   ("\r\n", True, 2)],
+                         ids=["LF", "CRLF", "CRLF and a lone CR in the last batch"])
+def test_crlf_file_is_split_without_csv_reader(tmp_path, monkeypatch, end, lone_cr, readers):
     rows = data_rows()
     if lone_cr:
         rows[-2:] = [f"{rows[-2]}\r{rows[-1]}"]
     path = tmp_path / "measurements.csv"
-    path.write_bytes(lines_text([HEADER, *rows], "\r\n").encode())
+    path.write_bytes(lines_text([HEADER, *rows], end).encode())
     want = csv_rows(path, (*_MEASUREMENTS_COLUMNS, *_MEASUREMENTS_VELOCITY))
     calls, reader = [], csv.reader
     monkeypatch.setattr(csv, "reader", lambda *args: calls.append(args) or reader(*args))

@@ -27,7 +27,6 @@ from birdstrike.impact import (
     ImpactScenario,
     check_certification,
     impact_force_stationary,
-    scale_scenario,
     sensitivity_table,
 )
 from birdstrike.kinematics import (
@@ -85,10 +84,6 @@ ROWS = {
         dict(bird_mass=0.0, impact_angle=0.0),
         dict(bird_mass=-1.0, bird_speed=-1.0, bird_length=0.0, bird_density=0.0,
              aircraft_density=0.0, impact_angle=91.0),
-    ),
-    "scale_scenario": (
-        lambda velocity_factor: scale_scenario(SCENARIO, velocity_factor),
-        dict(velocity_factor=2.0), {}, dict(velocity_factor=0.0),
     ),
     "sensitivity_table": (
         lambda bird_mass: sensitivity_table(SCENARIO, "bird_mass", [bird_mass]),
