@@ -19,14 +19,14 @@ no longer than csv.field_size_limit()) is cut by one str.split on commas, each
 line end made a cell of its own. When the line ends fall at every width+1-th
 cell, each line has one cell per column, as csv.reader would split it (every
 format has two or more, so an empty line fails), and each column is a slice of
-the cells, converted in one map. Any other batch goes, with the rest of the
-file, to csv.reader a row at a time, so quoted cells, lone CR line ends, NUL
-and over-long cells (a ParseError naming the row) mean what the csv module
-says. A plain batch with a row of another width or a cell its kind rejects goes
-row by row through csv.reader too. Row by row, the first bad row and column are
-named after the rows before it are yielded, so a caller's error on an earlier
-row comes first. Only that route looks for blank rows, and it skips them all:
-each format has a numeric column, which rejects a blank cell.
+the cells, converted in one map. Any other batch, and a plain batch with a
+cell its kind rejects (a bad number, or a blank row such as ",,"), goes with the
+rest of the file to csv.reader a row at a time, so quoted cells, lone CR line
+ends, NUL and over-long cells (a ParseError naming the row) mean what the csv
+module says; no later batch is split. Row by row, the first bad row and column
+are named after the rows before it are yielded, so a caller's error on an
+earlier row comes first. Only that route looks for blank rows, and it skips them
+all: each format has a numeric column, which rejects a blank cell.
 """
 
 from __future__ import annotations
@@ -83,20 +83,18 @@ def read_batches(path, columns: Columns,
                 if not (cells[width::width + 1] == ["\n"] * len(batch)
                         and len(text) <= csv.field_size_limit()
                         and not any(char in text for char in '"\r\0')):
-                    yield from _rows_one_by_one(path, spec, csv.reader(chain(batch, handle)),
-                                                row_no)
-                    return
+                    break
                 # No column slice is held: it would keep the cells alive through the next read.
                 try:
                     converted = [list(map(kind, cells[j:-1:width + 1]))
                                  for j, (_, kind) in enumerate(spec)]
                 except ValueError:  # csv.reader splits a plain batch the same way
-                    yield from _rows_one_by_one(path, spec, csv.reader(batch), row_no)
-                else:
-                    yield range(row_no, row_no + len(batch)), converted
+                    break
+                yield range(row_no, row_no + len(batch)), converted
                 row_no += len(batch)
                 if len(batch) < BATCH_ROWS:
                     return
+            yield from _rows_one_by_one(path, spec, csv.reader(chain(batch, handle)), row_no)
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
     except csv.Error as exc:  # the header's: _rows_one_by_one names the other rows

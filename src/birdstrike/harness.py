@@ -443,13 +443,15 @@ def analyze(matrix: TestMatrix, projectiles: Sequence[ProjectileSpec],
             cruise_speed=CRUISE_SPEED, use_nominal_velocity=False,
             strict=False) -> tuple[ConformanceReport, dict[str, tuple[float, float]]]:
     """Run analyze's stages (settings, velocities, each scenario's material and reference,
-    ingest, report) for the report and nominal_velocity_mismatches. A stage's
-    InvalidParameterError becomes one whose .inputs names the arguments it read."""
+    ingest, report) for the report and nominal_velocity_mismatches, {} unless g = 10. A
+    stage's InvalidParameterError becomes one whose .inputs names the arguments it read."""
     prefix, inputs = "", ()
     try:
         split = _check_reference_settings(gravity, split, scale_factor, cruise_speed)
         try:
             mismatches = nominal_velocity_mismatches(matrix, gravity)
+            if not math.isclose(gravity, GRAVITY_PRESETS["paper"]):
+                mismatches = {}  # every matrix tabulates its nominal velocities at g = 10
         except InvalidParameterError:
             with suppress(InvalidParameterError):  # blame the matrix only if the built-in passes
                 nominal_velocity_mismatches(build_test_matrix(), gravity)

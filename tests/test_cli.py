@@ -538,6 +538,22 @@ class TestAnalyzeCommand:
         measurements_path.write_bytes(b"\xef\xbb\xbf" + measurements_path.read_bytes())
         assert run_cli(argv, capsys) == plain
 
+    @pytest.mark.parametrize("copy", [
+        lambda text: text.replace("\n", "\r\n"),
+        lambda text: re.sub(r"(?m)^(?!scenario_id)([^,]+),", r'"\1",', text),
+        lambda text: re.sub(r"(?m)^([^,]+),", r'"\1",', text),
+    ], ids=["CRLF", "quoted ids", "quoted header and ids"])
+    def test_crlf_and_quoted_copies_give_the_plain_report(self, capsys, analysis_fixture, copy):
+        matrix_path, measurements_path = analysis_fixture
+        argv = ["analyze", "--matrix", str(matrix_path), "--measurements",
+                str(measurements_path), "--format", "json"]
+        plain = run_cli(argv, capsys)
+        assert plain[0] == 0
+        text = measurements_path.read_bytes().decode("utf-8")
+        assert copy(text) != text
+        measurements_path.write_bytes(copy(text).encode("utf-8"))
+        assert run_cli(argv, capsys) == plain
+
     def test_unknown_scenario_id_is_a_note(self, capsys, analysis_fixture):
         matrix_path, measurements_path = analysis_fixture
         with measurements_path.open("a", encoding="utf-8") as handle:
@@ -795,11 +811,16 @@ class TestUsageSurface:
     def test_help_exists(self, subcommand, capsys):
         code, out, _ = run_cli([subcommand, "--help"], capsys)
         assert code == 0
-        assert "usage" in out
+        assert out.startswith(f"usage: birdstrike {subcommand} ")
 
     def test_unknown_flag_exits_two(self, capsys):
-        code, _, _ = run_cli(["matrix", "--bogus"], capsys)
-        assert code == 2
+        # the full usage line, naming every command, then argparse's error line
+        for argv in (["matrix", "--bogus"], ["force", *FORCE_FLAGS, "--bogus"]):
+            code, out, err = run_cli(argv, capsys)
+            assert (code, out) == (2, "")
+            assert err.startswith("usage: birdstrike ")
+            assert "{" + ",".join(self.SUBCOMMANDS) + "}" in err
+            assert err.splitlines()[-1] == "birdstrike: error: unrecognized arguments: --bogus"
 
     def test_unknown_subcommand_exits_two(self, capsys):
         code, _, _ = run_cli(["fly"], capsys)
@@ -863,6 +884,9 @@ class TestExitCodes:
         (["plan", "--all", "--gravity", "abc"],
          "gravity must be paper, standard or a number, got 'abc'"),
         (["sweep", *SWEEP_BASE, "--param", "bird_mass", "--values", ","], "--values is empty"),
+        # a value that starts with "-" goes to argparse, and the library rejects it
+        (["force", *["-5" if value == "22.35" else value for value in SWEEP_BASE]],
+         "bird_speed must be >= 0, got -5.0"),
         # the flag leaves sqrt(2*g*h) beyond float range on the built-in matrix; a materials
         # file is not read by that stage, so it takes no blame
         (["analyze", "--measurements", "forces.csv", "--gravity", "1e308"],
@@ -881,9 +905,9 @@ class TestExitCodes:
         (["analyze", "--measurements", "forces.csv", "--materials", "missing.csv",
           "--scale", "0.5"],
          "scale_factor must be >= 1, got 0.5"),
-    ], ids=["gravity abc", "values ,", "analyze gravity 1e308", "analyze nominal gravity 1e308",
-            "analyze materials gravity 1e308", "analyze missing matrix cruise -1",
-            "analyze missing materials scale 0.5"])
+    ], ids=["gravity abc", "values ,", "force bird-speed -5", "analyze gravity 1e308",
+            "analyze nominal gravity 1e308", "analyze materials gravity 1e308",
+            "analyze missing matrix cruise -1", "analyze missing materials scale 0.5"])
     def test_usage_error_message(self, capsys, tmp_path, monkeypatch, argv, message):
         monkeypatch.chdir(tmp_path)  # holds the materials file that one case reads
         (tmp_path / "mats.csv").write_text("name,density_kg_m3,thickness_m\n"
@@ -1085,6 +1109,38 @@ def test_module_entry_point_runs():
     assert "Starling" in result.stdout
 
 
+# Error calls whose one stderr line a separate process must print as main does: no traceback.
+PROCESS_ERRORS = {
+    "check-cert nan": (["check-cert", "--force", "nan", "--case", "flock"],
+                       2, "usage error: force must be >= 0, got nan"),
+    "drop-velocity negative height": (
+        ["drop-velocity", "--height", "-1", "--mass", "0.01", "--cd", "1", "--area", "1e-4"],
+        2, "usage error: height must be >= 0, got -1.0"),
+    "plan unknown species": (["plan", "--species", "Dodo"],
+                             2, "usage error: unknown species 'Dodo'"),
+    "design unknown species": (["design", "--species", "Dodo"],
+                               2, "usage error: unknown species 'Dodo'"),
+    "analyze unknown split": (
+        ["analyze", "--measurements", "forces.csv", "--split", "bogus"], 2,
+        "usage error: velocity_split must be one of ['scaled-cruise', 'all-aircraft'], "
+        "got 'bogus'"),
+    "analyze materials without CFRP": (
+        ["analyze", "--measurements", "forces.csv", "--materials", "mats.csv"],
+        1, "error: mats.csv: scenario '6': unknown material 'CFRP'"),
+}
+
+
+@pytest.mark.parametrize("argv, code, line", PROCESS_ERRORS.values(), ids=list(PROCESS_ERRORS))
+def test_error_is_one_line_in_a_process(tmp_path, argv, code, line):
+    (tmp_path / "mats.csv").write_text("name,density_kg_m3,thickness_m\n"
+                                       "Aluminium-2024-T3,2780,0.002\n", encoding="utf-8")
+    env = {key: value for key, value in os.environ.items() if key != "BIRDSTRIKE_CONFIG"}
+    env["PYTHONPATH"] = str(Path(birdstrike.__file__).resolve().parent.parent)
+    result = subprocess.run([sys.executable, "-m", "birdstrike", *argv], cwd=tmp_path, env=env,
+                            capture_output=True, text=True, encoding="utf-8", timeout=60)
+    assert (result.returncode, result.stdout, result.stderr) == (code, "", line + "\n")
+
+
 def test_cli_import_leaves_decimal_unloaded():
     # decimal is needed only to round projectile dimensions; -S keeps site
     # hooks from importing it first
@@ -1232,6 +1288,14 @@ def test_plain_parse_is_argparse_or_declines(capsys, command):
                 assert comparable(vars(plain)) == comparable(expected), argv
                 accepted += 1
     assert accepted >= 30
+
+
+@pytest.mark.parametrize("force", [["--forc", "1996.4"], ["--force=1996.4"]],
+                         ids=["abbreviated", "equals"])
+def test_a_call_argparse_parses_prints_the_plain_calls_output(capsys, force):
+    plain = run_cli(["check-cert", "--force", "1996.4", "--case", "single-bird"], capsys)
+    assert run_cli(["check-cert", *force, "--case", "single-bird"], capsys) == plain
+    assert plain[0] == 0 and plain[1]
 
 
 def test_main_reads_sys_argv_when_given_no_argv(monkeypatch, capsys):

@@ -193,6 +193,19 @@ def test_crlf_file_is_split_without_csv_reader(tmp_path, monkeypatch, end, lone_
     assert len(calls) == readers  # the header's, then the last batch's when it has a lone CR
 
 
+def test_a_blank_row_sends_the_rest_of_the_file_row_by_row(tmp_path, monkeypatch):
+    # a plain batch whose blank row float rejects goes to one csv.reader with the rest of
+    # the file, so a second blank row two batches on builds no third reader
+    rows = data_rows()
+    rows[5:5] = [",,,"]
+    rows[2 * BATCH_ROWS:2 * BATCH_ROWS] = [",,,"]
+    path = write(tmp_path, rows)
+    want = csv_rows(path, (*_MEASUREMENTS_COLUMNS, *_MEASUREMENTS_VELOCITY))
+    calls, reader = [], csv.reader
+    monkeypatch.setattr(csv, "reader", lambda *args: calls.append(args) or reader(*args))
+    assert (list(read_table(path, _MEASUREMENTS_COLUMNS, _MEASUREMENTS_VELOCITY)), None) == want
+    assert len(calls) == 2  # the header's, then the first blank row's batch and the rest
+
 @pytest.mark.parametrize("where", ["first row", "first of a batch", "last partial batch"])
 def test_earlier_row_error_beats_later_bad_cell_in_the_batch(tmp_path, where):
     index = POSITIONS[where]
