@@ -8,7 +8,8 @@ A record declares each range once: _ranges maps a field to (lo, hi, above) as
 errors.require takes them, or to TEXT for a str; a name field ends each message.
 A plain float (int for a field annotated "int") in range passes the __init__'s
 inline test with no call, by the guard rule of errors.require. Anything else
-goes to _check, which calls require on each field in turn.
+goes to _check, which calls require on each field in turn. find_named looks a
+species or material record up by name.
 """
 
 import math
@@ -88,3 +89,15 @@ class Record:
         raise AttributeError(f"cannot assign to or delete field {name!r}")
 
     __delattr__ = __setattr__
+
+
+def find_named(items, name: str, kind: str):
+    """Look an item up by its .name: exact match first, then case-insensitive."""
+    for item in items:
+        if item.name == name:
+            return item
+    folded = name.casefold()
+    for item in items:
+        if item.name.casefold() == folded:
+            return item
+    raise InvalidParameterError(f"unknown {kind} {name!r}")

@@ -1,8 +1,10 @@
 """The CSV table reader shared by the species, materials and measurements files,
-the loader (read_named) and lookup (find_named) of the named species and
-materials records, the JSON reader of the matrix file (descriptor files are
-written, never read), the CSV writer (render_csv) of the report, plan and sweep
-outputs, and the one writer (render_json) of every JSON output.
+the loader (read_named) of the named species and materials records, the JSON
+reader of the matrix file (descriptor files are written, never read), the CSV
+writer (render_csv) of the report, plan and sweep outputs, and the one writer
+(render_json) of every JSON output. The library imports it in the functions that
+read or write a file, so set-up (the modules, the bundled species, the default
+matrix and the projectile set) compiles none of it.
 
 Every input CSV follows the same rules: the first row is the header and must
 equal the format's column names once each cell is stripped; blank or
@@ -32,8 +34,8 @@ all: each format has a numeric column, which rejects a blank cell.
 from __future__ import annotations
 
 import io
+from collections.abc import Callable, Iterator, Sequence
 from itertools import chain, count, islice
-from typing import Callable, Iterator, Sequence
 
 from .errors import InvalidParameterError, ParseError
 
@@ -53,8 +55,8 @@ def read_batches(path, columns: Columns,
     columns are (name, kind) pairs; the optional ones may follow them in the header, all
     or none, and batches then carry their columns too. An empty file yields nothing.
     """
-    # csv and json are imported where used, as decimal is in projectile.round_sig: the
-    # commands that read and write neither (force, check-cert, ...) skip their import.
+    # csv and json are imported where used: the commands that read and write neither
+    # (force, check-cert, plan's text table, ...) skip their import.
     import csv
     try:
         with open(path, newline="", encoding="utf-8-sig") as handle:
@@ -177,15 +179,3 @@ def read_named(path, columns: Columns, build, kind: str) -> list:
         except InvalidParameterError as exc:
             raise ParseError(f"{path}: row {row_no}: {exc}") from exc
     return list(items.values())
-
-
-def find_named(items, name: str, kind: str):
-    """Look an item up by its .name: exact match first, then case-insensitive."""
-    for item in items:
-        if item.name == name:
-            return item
-    folded = name.casefold()
-    for item in items:
-        if item.name.casefold() == folded:
-            return item
-    raise InvalidParameterError(f"unknown {kind} {name!r}")

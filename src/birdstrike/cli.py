@@ -16,7 +16,6 @@ import os
 import sys
 import warnings
 from contextlib import contextmanager
-from pathlib import Path
 from types import SimpleNamespace
 
 from ._table import render_csv, render_json
@@ -273,6 +272,7 @@ def cmd_drop_velocity(args) -> int:
 def cmd_design(args) -> int:
     specs = _projectile_set(args)
     if args.out:
+        from pathlib import Path  # only --out needs it: every other call skips its import
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         for spec in specs:

@@ -13,13 +13,12 @@ from __future__ import annotations
 import math
 import operator
 import warnings
+from collections.abc import Mapping, Sequence
 from contextlib import suppress
 from enum import Enum
 from itertools import repeat
-from typing import Mapping, Sequence
 
 from ._record import NON_NEGATIVE, POSITIVE, TEXT, Record
-from ._table import read_batches, read_json, render_csv, render_json
 from .errors import InvalidParameterError, ParseError, require
 from .impact import ImpactScenario, _force_any_speed
 from .kinematics import (DEFAULT_SCALE_FACTOR, GRAVITY_PRESETS, GRAVITY_STANDARD,
@@ -112,6 +111,7 @@ def build_test_matrix(iterations_per_scenario: int = DEFAULT_ITERATIONS) -> Test
 
 def matrix_to_json(matrix: TestMatrix) -> str:
     """Deterministic JSON rendering (identical matrices render byte-identical)."""
+    from ._table import render_json
     return render_json({
         "iterations_per_scenario": matrix.iterations_per_scenario,
         "scenarios": [{key: getattr(scenario, field) for field, key in _SCENARIO_KEYS.items()}
@@ -120,6 +120,8 @@ def matrix_to_json(matrix: TestMatrix) -> str:
 
 
 def read_matrix(path) -> TestMatrix:
+    from ._table import read_json
+
     def build(payload) -> TestMatrix:
         scenarios = tuple(TestScenario(*[row[key] for key in _SCENARIO_KEYS.values()])
                           for row in payload["scenarios"])
@@ -250,6 +252,7 @@ def ingest_measurements(path, matrix: TestMatrix, strict: bool = False) -> list[
     1..iterations once each, and unknown scenario ids warn (or raise in strict mode).
     Ingest holds one copy of the data: each scenario's lists go once its set is built.
     """
+    from ._table import read_batches
     # Per scenario id, from its first row: (one flag per iteration number seen, or
     # None for an id not in the matrix; forces; velocities, or None without that
     # column). The flags grow with the rows, to twice the highest iteration yet and
@@ -482,6 +485,7 @@ def analyze(matrix: TestMatrix, projectiles: Sequence[ProjectileSpec],
 
 def render_report_csv(report: ConformanceReport) -> str:
     """CSV rendering: one row per scenario plus a final OVERALL row."""
+    from ._table import render_csv
     rows = [REPORT_CSV_HEADER]
     for row in report.scenarios:
         scenario_id, *numbers = tuple(row._asdict().values())[:len(REPORT_CSV_HEADER)]
@@ -493,6 +497,7 @@ def render_report_csv(report: ConformanceReport) -> str:
 
 def render_report_json(report: ConformanceReport) -> str:
     """JSON rendering mirroring the CSV fields plus the secondary abs metric."""
+    from ._table import render_json
     return render_json({
         "scenarios": [{key: getattr(row, field) for field, key in _REPORT_KEYS.items()}
                       for row in report.scenarios],

@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from ._record import POSITIVE, Record
-from ._table import find_named, read_named
+from ._record import POSITIVE, Record, find_named
 
 ALUMINIUM_DENSITY = 2780.0   # kg/m^3, 2024-T3 handbook value
 CFRP_DENSITY_RATIO = 0.42    # CFRP sheet density relative to the aluminium specimen
@@ -32,6 +31,7 @@ def builtin_materials() -> list[MaterialSpec]:
 def load_materials(path) -> list[MaterialSpec]:
     """Load a materials override CSV (columns name,density_kg_m3,thickness_m); a
     duplicate name or an invalid value raises ParseError naming the row."""
+    from ._table import read_named
     return read_named(path, _MATERIALS_COLUMNS, MaterialSpec, "material")
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 
 from ._record import NON_NEGATIVE, POSITIVE, TEXT, Record
-from ._table import render_json
 from .errors import InvalidParameterError, require
 from .species import BirdSpecies
 
@@ -23,16 +22,23 @@ DIMENSION_SIG_FIGS = 2         # manufacturing resolution of the projectile set
 
 
 def round_sig(value: float, digits: int) -> float:
-    """Round to `digits` significant figures, halves away from zero; raise past float range."""
+    """Round to `digits` significant figures, halves away from zero; raise past float range.
+    A non-float value passes errors.require first; 0, nan and inf are returned unchanged."""
     require("digits", digits, 1, integer=True)
+    if value.__class__ is not float:
+        require("value", value, -math.inf)
+        value = float(value)
     if value == 0 or not math.isfinite(value):
         return value
-    # imported here, not at module level: decimal (with numbers) takes about 2 ms
-    # to import, which every CLI command would pay at start-up
-    from decimal import ROUND_HALF_UP, Decimal
-
-    quantum = Decimal(1).scaleb(int(math.floor(math.log10(abs(value)))) - digits + 1)
-    rounded = float(Decimal(repr(value)).quantize(quantum, rounding=ROUND_HALF_UP))
+    # repr's digits, n * 10**e, rounded half up in integers: float() of a decimal string is
+    # correctly rounded, as float(Decimal) is, so decimal (2 ms to import) is not needed.
+    mantissa, _, exponent = repr(abs(value)).partition("e")
+    whole, _, fraction = mantissa.partition(".")
+    n, e = int(whole + fraction), int(exponent or 0) - len(fraction)
+    drop = max(len(str(n)) - digits, 0)
+    unit = 10 ** drop
+    n, e = (n + unit // 2) // unit, e + drop
+    rounded = math.copysign(float(f"{n}e{e}"), value)
     if math.isinf(rounded):
         raise InvalidParameterError(f"{value!r} rounded to {digits} significant digits overflows")
     return rounded
@@ -167,5 +173,6 @@ def geometry_payload(spec: ProjectileSpec) -> dict:
 def export_geometry(spec: ProjectileSpec, path) -> None:
     """Write a projectile descriptor JSON file. Descriptors are write-only: the
     package never reads one back."""
+    from ._table import render_json
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(render_json(geometry_payload(spec)))

@@ -6,10 +6,8 @@ All quantities are SI: kilograms, metres, kg/m^3, m/s.
 from __future__ import annotations
 
 import warnings
-from importlib import resources
 
-from ._record import NON_NEGATIVE, POSITIVE, Record
-from ._table import find_named, read_named
+from ._record import NON_NEGATIVE, POSITIVE, Record, find_named
 
 # Body densities outside this band are suspicious for real birds but not
 # fatal: constructing such a record warns and keeps it, so exotic test
@@ -18,6 +16,21 @@ PLAUSIBLE_BODY_DENSITY = (500.0, 2000.0)  # kg/m^3
 
 _SPECIES_COLUMNS = (("name", str.strip), ("mass_kg", float), ("length_m", float),
                     ("density_kg_m3", float), ("flight_speed_m_s", float))
+
+_BUNDLED_SPECIES = (
+    # name, mass, length, body density, flight speed
+    ("Common Grackle", 0.11, 0.31, 1130.0, 13.41),
+    ("Starling", 0.085, 0.22, 1230.0, 22.35),
+    ("House Sparrow", 0.028, 0.16, 1140.0, 12.77),
+    ("Mallard", 1.1, 0.57, 683.0, 29.06),
+    ("Turkey Vulture", 2.0, 0.72, 982.0, 26.82),
+    ("Laughing Gull", 0.32, 0.43, 592.0, 6.7),
+    ("Bald Eagle", 5.6, 0.9, 550.0, 20.12),
+    ("Canada Goose", 5.0, 0.92, 692.0, 17.88),
+    ("Rock Dove", 0.36, 0.33, 868.0, 36.11),
+    ("Ring-billed Gull", 0.52, 0.48, 862.0, 17.88),
+    ("Herring Gull", 1.15, 0.66, 616.0, 17.88),
+)
 
 
 class BirdSpecies(Record):
@@ -48,14 +61,13 @@ def load_species_registry(path) -> list[BirdSpecies]:
     An empty file yields an empty registry. Duplicate names, malformed numbers
     and invariant violations raise ParseError naming the offending row.
     """
+    from ._table import read_named
     return read_named(path, _SPECIES_COLUMNS, BirdSpecies, "species")
 
 
 def bundled_species_registry() -> list[BirdSpecies]:
-    """The species set shipped with the package (11 species)."""
-    ref = resources.files(__package__).joinpath("data/species.csv")
-    with resources.as_file(ref) as path:
-        return load_species_registry(path)
+    """The 11 bundled species, as fresh records built from the constant table _BUNDLED_SPECIES."""
+    return [BirdSpecies(*row) for row in _BUNDLED_SPECIES]
 
 
 def find_species(registry: list[BirdSpecies], name: str) -> BirdSpecies:

@@ -6,13 +6,14 @@ directly with classical fourth-order Runge-Kutta, jointly with dy/dt = v, and
 the fall distance, fall time and impact velocity are evaluated to 60 digits
 with decimal. For the conformance statistics, the sample variance is computed
 exactly in rational arithmetic. For the CSV tables, csv.reader reads the rows
-one at a time.
+one at a time. For significant-figure rounding, decimal quantizes the value's
+repr with ROUND_HALF_UP.
 """
 
 from __future__ import annotations
 
 import csv
-from decimal import Decimal, localcontext
+from decimal import ROUND_HALF_UP, Decimal, localcontext
 from fractions import Fraction
 
 
@@ -117,6 +118,18 @@ def decimal_drop(height: float, mass: float, drag_coefficient: float,
         c = (g * Decimal(height) / (vt * vt)).exp()
         root = (c * c - 1).sqrt()
         return float(vt / g * (c + root).ln()), float(vt * root / c)
+
+
+def decimal_round_sig(value: float, digits: int) -> float:
+    """A finite nonzero float to `digits` significant figures, halves away from zero, by
+    Decimal.quantize; inf, with the value's sign, where the result is past float range.
+
+    The last kept digit is placed by the exact exponent of repr(value) (adjusted()), not
+    by a float log10, which rounds up to the next power of ten just below one.
+    """
+    exact = Decimal(repr(value))
+    quantum = Decimal(1).scaleb(exact.adjusted() - digits + 1)
+    return float(exact.quantize(quantum, rounding=ROUND_HALF_UP))
 
 
 def csv_rows(path, columns) -> tuple[list[tuple[int, tuple]], str | None]:

@@ -6,10 +6,13 @@ each module's syntax tree with ast and fails on any imported name that is
 never read, and on any module-level name with one leading underscore that no
 module in the package reads. __init__.py is skipped for imports: its imports
 are the package's public names. Last, a fresh interpreter checks that the CLI
-does not load dataclasses, whose import every CLI call would pay, that
-`birdstrike matrix` does not load decimal, that json and csv load only
-for the commands that read or write JSON or CSV, and that a plain call of
-each subcommand does not load argparse.
+does not load dataclasses, pathlib, typing, re or importlib.resources, whose
+import every CLI call would pay, that no plain call of a subcommand loads
+decimal or argparse, that json and csv load only for the commands that read or
+write JSON or CSV, and that the set-up of every benchmark workload (the
+modules, the bundled species, the default matrix and the Starling projectiles)
+loads none of decimal, csv, importlib.resources, pathlib, typing or the
+package's own file reader, birdstrike._table.
 """
 
 import ast
@@ -109,6 +112,15 @@ def fresh_cli_imports(*argv: str, cwd=None) -> list[str]:
             if line.startswith("import time:")]
 
 
+def fresh_loads(code: str, names) -> list[str]:
+    """Those of names in sys.modules after a fresh `python -S -c code`."""
+    check = f"\nimport sys\nprint(*(name for name in {tuple(names)!r} if name in sys.modules))"
+    called = subprocess.run([sys.executable, "-S", "-c", code + check], env=fresh_env(),
+                            capture_output=True, text=True, encoding="utf-8", timeout=60)
+    assert called.returncode == 0, called.stderr
+    return called.stdout.split()
+
+
 def test_cli_does_not_load_dataclasses():
     # dataclasses (with inspect, ast and dis) cost about 10 ms of every CLI call's import
     loaded = subprocess.run(
@@ -126,6 +138,28 @@ def test_matrix_does_not_load_decimal():
     assert "birdstrike.cli" in imported and "decimal" not in imported
 
 
+def test_cli_import_loads_no_pathlib_typing_re_or_resources():
+    # each is a stdlib import of one to several ms that no module-level code needs
+    assert fresh_loads("import birdstrike.cli",
+                       ("importlib.resources", "pathlib", "typing", "re")) == []
+
+
+# The set-up of perfbench/worker.py's program_setup: its seven modules, then the
+# bundled species, the default matrix and the Starling projectile set.
+SETUP = """
+from birdstrike import errors, species, materials, impact, kinematics, projectile, harness
+registry = species.bundled_species_registry()
+harness.build_test_matrix()
+projectile.generate_projectile_set(species.find_species(registry, "Starling"))
+"""
+
+
+def test_setup_loads_no_decimal_csv_or_data_file_reader():
+    # birdstrike._table, the package's file reader and writer, loads where a file is used
+    assert fresh_loads(SETUP, ("decimal", "csv", "importlib.resources", "pathlib", "typing",
+                               "birdstrike._table")) == []
+
+
 BIRD = ("--mass", "0.085", "--length", "0.22", "--bird-density", "1230",
         "--aircraft-density", "2780", "--bird-speed", "22.35", "--angle", "90")
 
@@ -136,15 +170,21 @@ JSON_AND_CSV = [
     (("force", *BIRD, "--aircraft-speed", "90"), (), ("json", "csv")),
     (("force-stationary", *BIRD), (), ("json", "csv")),
     (("drop-velocity", "--height", "2.8"), (), ("json", "csv")),
-    (("plan", "--all"), ("csv",), ("json",)),
+    (("plan", "--all"), (), ("json", "csv")),
+    (("plan", "--all", "--format", "csv"), ("csv",), ("json",)),
     (("sweep", *BIRD, "--aircraft-speed", "90", "--param", "aircraft_speed", "--values", "0,10"),
      ("csv",), ("json",)),
     (("matrix",), ("json",), ()),
+    (("design", "--species", "Starling"), ("json",), ("csv",)),
 ]
 
 
+def call_id(argv) -> str:
+    return f"{argv[0]}-{argv[-1]}" if "--format" in argv else argv[0]
+
+
 @pytest.mark.parametrize("argv, loaded, unloaded", JSON_AND_CSV,
-                         ids=[argv[0] for argv, _, _ in JSON_AND_CSV])
+                         ids=[call_id(argv) for argv, _, _ in JSON_AND_CSV])
 def test_json_and_csv_load_only_where_used(argv, loaded, unloaded):
     imported = set(fresh_cli_imports(*argv))
     assert "birdstrike.cli" in imported
@@ -153,19 +193,30 @@ def test_json_and_csv_load_only_where_used(argv, loaded, unloaded):
 
 ARGPARSE = {"argparse", "gettext", "locale"}
 # A plain call of each subcommand; analyze reads the forces.csv the test writes.
-PLAIN_CALLS = [argv for argv, _, _ in JSON_AND_CSV] + [
-    ("design", "--species", "Starling"), ("analyze", "--measurements", "forces.csv")]
+PLAIN_CALLS = [argv for argv, _, _ in JSON_AND_CSV] + [("analyze", "--measurements", "forces.csv")]
 
 
-@pytest.mark.parametrize("argv", PLAIN_CALLS, ids=[argv[0] for argv in PLAIN_CALLS])
-def test_plain_call_does_not_load_argparse(tmp_path, argv):
-    # argparse, with gettext and locale, costs a few ms of every call that is parsed by it
+def plain_call_imports(tmp_path, argv) -> set[str]:
+    """The modules a fresh plain call imports, run in tmp_path beside a forces.csv."""
     forces = ["scenario_id,iteration,force_n"] + [
         f"{scenario.id},{n},19.5" for scenario in build_test_matrix().scenarios
         for n in range(1, scenario.iterations + 1)]
     (tmp_path / "forces.csv").write_text("\n".join(forces) + "\n", encoding="utf-8")
     imported = set(fresh_cli_imports(*argv, cwd=tmp_path))
-    assert "birdstrike.cli" in imported and not ARGPARSE & imported
+    assert "birdstrike.cli" in imported
+    return imported
+
+
+@pytest.mark.parametrize("argv", PLAIN_CALLS, ids=[call_id(argv) for argv in PLAIN_CALLS])
+def test_plain_call_does_not_load_argparse(tmp_path, argv):
+    # argparse, with gettext and locale, costs a few ms of every call that is parsed by it
+    assert not ARGPARSE & plain_call_imports(tmp_path, argv)
+
+
+@pytest.mark.parametrize("argv", PLAIN_CALLS, ids=[call_id(argv) for argv in PLAIN_CALLS])
+def test_plain_call_does_not_load_decimal(tmp_path, argv):
+    # decimal, with numbers, costs about 2 ms of start-up; projectile sizing rounds in ints
+    assert not {"decimal", "numbers"} & plain_call_imports(tmp_path, argv)
 
 
 @pytest.mark.parametrize("argv", [("check-cert", "--help"),

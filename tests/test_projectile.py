@@ -20,6 +20,32 @@ from birdstrike.projectile import (
 )
 from birdstrike.species import BirdSpecies
 
+from oracles import decimal_round_sig
+
+
+def round_sig_cases(seed: int = 29) -> list[tuple[float, int]]:
+    """Seeded (value, digits) pairs, digits 1 to 17, each value negated at random."""
+    rng = random.Random(seed)
+    cases = []
+    for _ in range(7000):  # 1 to 17 digits, leading digit at 1e-300 to 1e300
+        size = rng.randint(1, 17)
+        mantissa = rng.randrange(10 ** (size - 1), 10 ** size)
+        cases.append((float(f"{mantissa}e{rng.randint(-300, 300) - size + 1}"),
+                      rng.randint(1, 17)))
+    for _ in range(5000):  # subnormals: multiples of 5e-324 (2**-1074) below 2**-1022
+        cases.append((rng.randrange(1, 2 ** 52) * 5e-324, rng.randint(1, 17)))
+    for _ in range(6000):  # a 5 just past the last kept digit; 15 digits or fewer round-trip
+        digits = rng.randint(1, 14)
+        kept = rng.randrange(10 ** (digits - 1), 10 ** digits)
+        cases.append((float(f"{kept}5e{rng.randint(-300, 300) - digits}"), digits))
+    for _ in range(2000):  # all nines, whose float log10 can round up to a power of ten
+        size = rng.randint(1, 17)
+        cases.append((float(f"{'9' * size}e{rng.randint(-300, 300) - size + 1}"),
+                      rng.randint(1, 17)))
+    edges = (sys.float_info.max, sys.float_info.min, 5e-324)
+    cases += [(value, digits) for value in edges for digits in range(1, 18)]
+    return [(rng.choice((value, -value)), digits) for value, digits in cases]
+
 
 class TestRoundSig:
     def test_half_away_from_zero(self):
@@ -43,6 +69,44 @@ class TestRoundSig:
                                  "overflows$"):
             round_sig(value, 2)
         assert round_sig(value, 17) == value
+
+    def test_equals_decimal_quantize_on_seeded_values(self):
+        cases = round_sig_cases()
+        assert len(cases) >= 20_000
+        overflows = 0
+        for value, digits in cases:
+            expected = decimal_round_sig(value, digits)
+            if math.isinf(expected):
+                overflows += 1
+                with pytest.raises(InvalidParameterError, match="overflows$"):
+                    round_sig(value, digits)
+            else:
+                assert round_sig(value, digits) == expected, (value, digits)
+        assert overflows >= 2  # float max at 1 and 2 digits at least
+
+    def test_all_nines_keep_their_last_digit(self):
+        # a float log10 of this value reads 162.0, which would round it at 14 digits to 1e162
+        assert round_sig(9.99999999999999e161, 15) == 9.99999999999999e161
+
+    @pytest.mark.parametrize("value", [-0.0, math.inf, -math.inf])
+    def test_zero_and_inf_pass_through(self, value):
+        assert repr(round_sig(value, 2)) == repr(value)
+
+    def test_nan_passes_through(self):
+        assert math.isnan(round_sig(math.nan, 2))
+
+    @pytest.mark.parametrize("value, rounded", [(True, 1.0), (1234, 1200.0), (-5, -5.0)],
+                             ids=["bool", "int", "negative int"])
+    def test_a_number_that_is_not_a_float_is_rounded_as_float(self, value, rounded):
+        result = round_sig(value, 2)
+        assert result.__class__ is float and result == rounded
+
+    @pytest.mark.parametrize("value, bound", [("1.5", "a number"), (None, "a number"),
+                                              (10 ** 400, "a number within float range")],
+                             ids=["str", "None", "int past float range"])
+    def test_a_value_require_rejects_is_an_invalid_parameter(self, value, bound):
+        with pytest.raises(InvalidParameterError, match=f"^value must be {bound}, got "):
+            round_sig(value, 2)
 
 
 class TestVolumes:

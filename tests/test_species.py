@@ -3,6 +3,7 @@ import warnings
 
 import pytest
 
+from birdstrike._table import render_csv
 from birdstrike.errors import InvalidParameterError, ParseError
 from birdstrike.impact import ImpactScenario, impact_force
 from birdstrike.materials import (
@@ -115,6 +116,17 @@ def test_bundled_registry_is_clean():
     assert starling.length == 0.22
     assert starling.body_density == 1230.0
     assert starling.flight_speed == 22.35
+
+
+def test_bundled_table_reads_back_from_the_registry_format(tmp_path):
+    bundled = bundled_species_registry()
+    path = tmp_path / "species.csv"
+    rows = [HEADER.split(","), *(bird._asdict().values() for bird in bundled)]
+    path.write_text(render_csv(rows), encoding="utf-8")
+    assert load_species_registry(path) == bundled
+    assert len({bird.name for bird in bundled}) == 11
+    assert all(value.__class__ is float for bird in bundled
+               for value in (bird.mass, bird.length, bird.body_density, bird.flight_speed))
 
 
 def test_every_bundled_species_gives_finite_positive_force(registry):
