@@ -2,9 +2,9 @@
 the loader (read_named) of the named species and materials records, the JSON
 reader of the matrix file (descriptor files are written, never read), the CSV
 writer (render_csv) of the report, plan and sweep outputs, and the one writer
-(render_json) of every JSON output. The library imports it in the functions that
-read or write a file, so set-up (the modules, the bundled species, the default
-matrix and the projectile set) compiles none of it.
+(render_json) of every JSON output. The library and the CLI import it only where
+a file is read or written, so set-up, import birdstrike.cli and the calls that
+write no CSV or JSON (force, check-cert, plan's text table, ...) compile none of it.
 
 Every input CSV follows the same rules: the first row is the header and must
 equal the format's column names once each cell is stripped; blank or
@@ -159,6 +159,8 @@ def read_json(path, build):
             payload = json.load(handle)
         except ValueError as exc:  # bad JSON, an int past the digit limit, or bad UTF-8
             raise ParseError(f"{path}: {exc}") from exc
+        except RecursionError:  # its message is the interpreter's, and differs by version
+            raise ParseError(f"{path}: JSON nested too deeply") from None
     try:
         return build(payload)
     except KeyError as exc:

@@ -18,7 +18,6 @@ import warnings
 from contextlib import contextmanager
 from types import SimpleNamespace
 
-from ._table import render_csv, render_json
 from .errors import BirdstrikeError, InvalidParameterError, ParseError, StationaryAircraftError
 from .harness import (
     DEFAULT_ITERATIONS,
@@ -220,6 +219,7 @@ def cmd_plan(args) -> int:
         for species in selected
     ]
     if _format(args, PLAN_FORMATS) == "csv":
+        from ._table import render_csv  # the file layer loads only where CSV or JSON is written
         sys.stdout.write(render_csv([
             ("species", "original_impact_velocity_m_s", "original_drop_height_m",
              "scaled_impact_velocity_m_s", "scaled_drop_height_m", "flags"),
@@ -280,6 +280,7 @@ def cmd_design(args) -> int:
             export_geometry(spec, path)
             print(path)
     else:
+        from ._table import render_json
         sys.stdout.write(render_json([geometry_payload(spec) for spec in specs]))
     return 0
 
@@ -339,6 +340,7 @@ def cmd_sweep(args) -> int:
     if not values:
         raise InvalidParameterError("--values is empty")
     rows = sensitivity_table(scenario, args.param, values)
+    from ._table import render_csv
     _emit(render_csv([("value", "force_n", "percent_change"),
                       *((repr(row.value), repr(row.force), repr(row.percent_change))
                         for row in rows)]), args.out)

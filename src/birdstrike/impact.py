@@ -132,20 +132,8 @@ def impact_force_stationary(
 
     The inputs are validated as an ImpactScenario with aircraft speed 0.
     """
-    return _stationary_force(ImpactScenario(bird_mass, bird_length, bird_density, bird_speed,
-                                            0.0, aircraft_density, impact_angle))
-
-
-def _stationary_force(s: ImpactScenario) -> float:
-    """The stationary-aircraft force of an already validated scenario."""
-    sin_theta = math.sin(math.radians(s.impact_angle))
-    force = (
-        0.5 * s.bird_mass * s.bird_speed * s.bird_speed * s.aircraft_density * sin_theta ** 3
-        / _bird_divisor(s)
-    )
-    if not force < math.inf:  # force >= 0 or nan
-        raise _not_finite(force=force)
-    return force
+    return _force_any_speed(ImpactScenario(bird_mass, bird_length, bird_density, bird_speed,
+                                           0.0, aircraft_density, impact_angle))
 
 
 def check_certification(
@@ -161,11 +149,18 @@ def check_certification(
     return CertificationVerdict(case, force, limit, force <= limit, limit - force)
 
 
-def _force_any_speed(scenario: ImpactScenario) -> float:
+def _force_any_speed(s: ImpactScenario) -> float:
     """Force via the moving-aircraft model, or the stationary one at speed 0."""
-    if scenario.aircraft_speed == 0:
-        return _stationary_force(scenario)
-    return impact_force(scenario).force
+    if s.aircraft_speed != 0:
+        return impact_force(s).force
+    sin_theta = math.sin(math.radians(s.impact_angle))
+    force = (
+        0.5 * s.bird_mass * s.bird_speed * s.bird_speed * s.aircraft_density * sin_theta ** 3
+        / _bird_divisor(s)
+    )
+    if not force < math.inf:  # force >= 0 or nan
+        raise _not_finite(force=force)
+    return force
 
 
 def sensitivity_table(

@@ -3,17 +3,14 @@ import csv
 import io
 import json
 import math
-import os
 import random
 import re
 import subprocess
 import sys
 import warnings
-from pathlib import Path
 
 import pytest
 
-import birdstrike
 from birdstrike import cli
 from birdstrike.cli import CONFIG_KEYS, main
 from birdstrike.harness import (
@@ -41,6 +38,8 @@ from birdstrike.kinematics import (
 )
 from birdstrike.materials import find_material
 from birdstrike.projectile import generate_projectile_set, geometry_payload
+
+from fresh import fresh_env
 
 
 def run_cli(argv, capsys):
@@ -970,6 +969,13 @@ class TestUnreadableFiles:
         path, (code, out, err) = self.analyze(capsys, analysis_fixture, b"baseline,16,\xff\n")
         assert (code, out, err) == (1, "", f"error: {path}: not UTF-8 text (invalid start byte)\n")
 
+    def test_measurements_oversized_header_cell(self, capsys, tmp_path):
+        path = tmp_path / "forces.csv"
+        path.write_text(f"{self.OVERSIZED},iteration,force_n\n", encoding="utf-8")
+        code, out, err = run_cli(["analyze", "--measurements", str(path)], capsys)
+        assert (code, out, err) == (
+            1, "", f"error: {path}: row 1: field larger than field limit (131072)\n")
+
     def test_measurements_oversized_cell(self, capsys, analysis_fixture):
         tail = f"baseline,{self.OVERSIZED},5\n".encode()
         path, (code, out, err) = self.analyze(capsys, analysis_fixture, tail)
@@ -1100,6 +1106,7 @@ class TestStdoutIsTheLibraryResult:
 def test_module_entry_point_runs():
     result = subprocess.run(
         [sys.executable, "-m", "birdstrike", "plan", "--all", "--gravity", "paper"],
+        env=fresh_env(),
         capture_output=True,
         text=True,
         encoding="utf-8",
@@ -1127,6 +1134,9 @@ PROCESS_ERRORS = {
     "analyze materials without CFRP": (
         ["analyze", "--measurements", "forces.csv", "--materials", "mats.csv"],
         1, "error: mats.csv: scenario '6': unknown material 'CFRP'"),
+    "analyze matrix nested too deeply": (
+        ["analyze", "--measurements", "forces.csv", "--matrix", "deep.json"],
+        1, "error: deep.json: JSON nested too deeply"),
 }
 
 
@@ -1134,22 +1144,11 @@ PROCESS_ERRORS = {
 def test_error_is_one_line_in_a_process(tmp_path, argv, code, line):
     (tmp_path / "mats.csv").write_text("name,density_kg_m3,thickness_m\n"
                                        "Aluminium-2024-T3,2780,0.002\n", encoding="utf-8")
-    env = {key: value for key, value in os.environ.items() if key != "BIRDSTRIKE_CONFIG"}
-    env["PYTHONPATH"] = str(Path(birdstrike.__file__).resolve().parent.parent)
-    result = subprocess.run([sys.executable, "-m", "birdstrike", *argv], cwd=tmp_path, env=env,
-                            capture_output=True, text=True, encoding="utf-8", timeout=60)
+    (tmp_path / "deep.json").write_text("[" * 200000 + "]" * 200000, encoding="utf-8")
+    result = subprocess.run([sys.executable, "-m", "birdstrike", *argv], cwd=tmp_path,
+                            env=fresh_env(), capture_output=True, text=True, encoding="utf-8",
+                            timeout=60)
     assert (result.returncode, result.stdout, result.stderr) == (code, "", line + "\n")
-
-
-def test_cli_import_leaves_decimal_unloaded():
-    # decimal is needed only to round projectile dimensions; -S keeps site
-    # hooks from importing it first
-    code = "import sys, birdstrike.cli; print(sorted({'decimal', 'numbers'} & set(sys.modules)))"
-    package_root = str(Path(birdstrike.__file__).resolve().parent.parent)
-    result = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
-                            encoding="utf-8", timeout=60,
-                            env={**os.environ, "PYTHONPATH": package_root})
-    assert (result.returncode, result.stdout, result.stderr) == (0, "[]\n", "")
 
 
 # Argvs that _parse_plain must decline or parse as argparse does: with [], ["--bogus"],

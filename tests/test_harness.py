@@ -132,6 +132,13 @@ class TestBuildMatrix:
         with pytest.raises(ParseError):
             read_matrix(path)
 
+    def test_read_rejects_too_deep_nesting(self, tmp_path):
+        # json.load raises RecursionError, not ValueError, on a file nested this deep
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200000 + "]" * 200000, encoding="utf-8")
+        with pytest.raises(ParseError, match=f"^{re.escape(f'{path}: JSON nested too deeply')}$"):
+            read_matrix(path)
+
     @pytest.mark.parametrize("field, value", [("iterations", 2.0), ("case_number", 1.5),
                                               ("projectile_serial", True),
                                               ("iterations_per_scenario", 15.0)])

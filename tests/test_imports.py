@@ -1,22 +1,27 @@
-"""Every module in the package uses each name it imports, and every private
-module-level name is read somewhere in the package.
+"""Every module in the package uses each name it imports, every private
+module-level name is read somewhere in the package, and each CLI call loads
+only the modules it uses.
 
 Deleting code tends to leave an import or a private helper behind; this walks
 each module's syntax tree with ast and fails on any imported name that is
 never read, and on any module-level name with one leading underscore that no
 module in the package reads. __init__.py is skipped for imports: its imports
-are the package's public names. Last, a fresh interpreter checks that the CLI
-does not load dataclasses, pathlib, typing, re or importlib.resources, whose
-import every CLI call would pay, that no plain call of a subcommand loads
-decimal or argparse, that json and csv load only for the commands that read or
-write JSON or CSV, and that the set-up of every benchmark workload (the
-modules, the bundled species, the default matrix and the Starling projectiles)
-loads none of decimal, csv, importlib.resources, pathlib, typing or the
-package's own file reader, birdstrike._table.
+are the package's public names.
+
+Last, fresh interpreters check what is imported; each call runs once, and the
+tests of what it loads read that one run. `import birdstrike.cli` loads none
+of the modules that some call can skip, nor pathlib, typing, re or
+importlib.resources. PLAIN_CALLS is the CLI's import contract: for a plain call
+of each subcommand, the modules it must load and those it must not. The file
+layer (birdstrike._table, csv and json) loads only where CSV or JSON is read or
+written, and no plain call loads argparse, decimal or dataclasses. The set-up of every benchmark workload (the modules,
+the bundled species, the default matrix and the Starling projectiles) loads
+none of decimal, csv, importlib.resources, pathlib, typing or birdstrike._table.
+A call that the flag table declines (--help, an abbreviated flag) loads argparse.
 """
 
 import ast
-import os
+import functools
 import subprocess
 import sys
 from pathlib import Path
@@ -25,6 +30,8 @@ import pytest
 
 import birdstrike
 from birdstrike.harness import build_test_matrix
+
+from fresh import fresh_env
 
 SOURCES = sorted(Path(birdstrike.__file__).parent.glob("*.py"))
 MODULES = [path for path in SOURCES if path.name != "__init__.py"]
@@ -96,12 +103,6 @@ def test_package_reads_every_private_name():
     assert unread_private_names(sources) == []
 
 
-def fresh_env() -> dict[str, str]:
-    env = {key: value for key, value in os.environ.items() if key != "BIRDSTRIKE_CONFIG"}
-    env["PYTHONPATH"] = str(Path(birdstrike.__file__).resolve().parent.parent)
-    return env
-
-
 def fresh_cli_imports(*argv: str, cwd=None) -> list[str]:
     """Modules a fresh `python -S -m birdstrike argv` imports, from -X importtime."""
     called = subprocess.run(
@@ -113,35 +114,38 @@ def fresh_cli_imports(*argv: str, cwd=None) -> list[str]:
 
 
 def fresh_loads(code: str, names) -> list[str]:
-    """Those of names in sys.modules after a fresh `python -S -c code`."""
+    """Those of names in sys.modules after a fresh `python -S -c code`, which must exit 0
+    and print nothing to stderr."""
     check = f"\nimport sys\nprint(*(name for name in {tuple(names)!r} if name in sys.modules))"
     called = subprocess.run([sys.executable, "-S", "-c", code + check], env=fresh_env(),
                             capture_output=True, text=True, encoding="utf-8", timeout=60)
-    assert called.returncode == 0, called.stderr
+    assert (called.returncode, called.stderr) == (0, ""), called.stderr
     return called.stdout.split()
 
 
-def test_cli_does_not_load_dataclasses():
-    # dataclasses (with inspect, ast and dis) cost about 10 ms of every CLI call's import
-    loaded = subprocess.run(
-        [sys.executable, "-S", "-c",
-         "import sys, birdstrike.cli; print('dataclasses' in sys.modules)"],
-        env=fresh_env(), capture_output=True, text=True, encoding="utf-8", timeout=60)
-    assert (loaded.returncode, loaded.stdout) == (0, "False\n"), loaded.stderr
-    imported = fresh_cli_imports("check-cert", "--force", "10", "--case", "flock")
-    assert "birdstrike.cli" in imported and "dataclasses" not in imported
+# The modules that the plain-call table below keeps out of some call: each is a stdlib
+# import of one to several ms (dataclasses, with inspect, ast and dis, about 10 ms), or the
+# package's file layer.
+CLI_IMPORT_SKIPS = ("dataclasses", "decimal", "numbers", "argparse", "gettext", "locale",
+                    "csv", "json", "birdstrike._table")
+# Stdlib imports of one to several ms that no module-level code of the CLI needs.
+CLI_IMPORT_STDLIB_SKIPS = ("importlib.resources", "pathlib", "typing", "re")
 
 
-def test_matrix_does_not_load_decimal():
-    # the default matrix is a constant table: only sizing projectiles needs decimal
-    imported = fresh_cli_imports("matrix")
-    assert "birdstrike.cli" in imported and "decimal" not in imported
+@functools.cache
+def cli_import_loads() -> frozenset[str]:
+    """Those of the skips above that a fresh `import birdstrike.cli` loads: one run that
+    both tests of the import read."""
+    return frozenset(fresh_loads("import birdstrike.cli",
+                                 CLI_IMPORT_SKIPS + CLI_IMPORT_STDLIB_SKIPS))
+
+
+def test_cli_import_loads_no_module_a_call_can_skip():
+    assert set(CLI_IMPORT_SKIPS) & cli_import_loads() == set()
 
 
 def test_cli_import_loads_no_pathlib_typing_re_or_resources():
-    # each is a stdlib import of one to several ms that no module-level code needs
-    assert fresh_loads("import birdstrike.cli",
-                       ("importlib.resources", "pathlib", "typing", "re")) == []
+    assert set(CLI_IMPORT_STDLIB_SKIPS) & cli_import_loads() == set()
 
 
 # The set-up of perfbench/worker.py's program_setup: its seven modules, then the
@@ -162,61 +166,65 @@ def test_setup_loads_no_decimal_csv_or_data_file_reader():
 
 BIRD = ("--mass", "0.085", "--length", "0.22", "--bird-density", "1230",
         "--aircraft-density", "2780", "--bird-speed", "22.35", "--angle", "90")
+CSV_FILE, JSON_FILE = ("csv", "birdstrike._table"), ("json", "birdstrike._table")
+NO_FILE = ("csv", "json", "birdstrike._table")
 
-
-# argv, the modules it must load and those it must not load
-JSON_AND_CSV = [
-    (("check-cert", "--force", "10", "--case", "flock"), (), ("json", "csv")),
-    (("force", *BIRD, "--aircraft-speed", "90"), (), ("json", "csv")),
-    (("force-stationary", *BIRD), (), ("json", "csv")),
-    (("drop-velocity", "--height", "2.8"), (), ("json", "csv")),
-    (("plan", "--all"), (), ("json", "csv")),
-    (("plan", "--all", "--format", "csv"), ("csv",), ("json",)),
+# The CLI's import contract: a plain call of each subcommand, the modules it must load and
+# those it must not load. analyze reads the forces.csv the test writes.
+PLAIN_CALLS = [
+    (("check-cert", "--force", "10", "--case", "flock"), (), NO_FILE),
+    (("force", *BIRD, "--aircraft-speed", "90"), (), NO_FILE),
+    (("force-stationary", *BIRD), (), NO_FILE),
+    (("drop-velocity", "--height", "2.8"), (), NO_FILE),
+    (("plan", "--all"), (), NO_FILE),
+    (("plan", "--all", "--format", "csv"), CSV_FILE, ("json",)),
     (("sweep", *BIRD, "--aircraft-speed", "90", "--param", "aircraft_speed", "--values", "0,10"),
-     ("csv",), ("json",)),
-    (("matrix",), ("json",), ()),
-    (("design", "--species", "Starling"), ("json",), ("csv",)),
+     CSV_FILE, ("json",)),
+    (("matrix",), JSON_FILE, ("csv",)),
+    (("design", "--species", "Starling"), JSON_FILE, ("csv",)),
+    (("analyze", "--measurements", "forces.csv"), CSV_FILE, ("json",)),
 ]
-
 
 def call_id(argv) -> str:
     return f"{argv[0]}-{argv[-1]}" if "--format" in argv else argv[0]
 
 
-@pytest.mark.parametrize("argv, loaded, unloaded", JSON_AND_CSV,
-                         ids=[call_id(argv) for argv, _, _ in JSON_AND_CSV])
-def test_json_and_csv_load_only_where_used(argv, loaded, unloaded):
-    imported = set(fresh_cli_imports(*argv))
-    assert "birdstrike.cli" in imported
-    assert set(loaded) <= imported and not set(unloaded) & imported
-
-
-ARGPARSE = {"argparse", "gettext", "locale"}
-# A plain call of each subcommand; analyze reads the forces.csv the test writes.
-PLAIN_CALLS = [argv for argv, _, _ in JSON_AND_CSV] + [("analyze", "--measurements", "forces.csv")]
-
-
-def plain_call_imports(tmp_path, argv) -> set[str]:
-    """The modules a fresh plain call imports, run in tmp_path beside a forces.csv."""
+@pytest.fixture(scope="module")
+def plain_call_imports(tmp_path_factory):
+    """The modules a plain call imports, from one fresh run of it beside a forces.csv; the
+    tests of each call read that one run."""
+    cwd = tmp_path_factory.mktemp("plain-calls")
     forces = ["scenario_id,iteration,force_n"] + [
         f"{scenario.id},{n},19.5" for scenario in build_test_matrix().scenarios
         for n in range(1, scenario.iterations + 1)]
-    (tmp_path / "forces.csv").write_text("\n".join(forces) + "\n", encoding="utf-8")
-    imported = set(fresh_cli_imports(*argv, cwd=tmp_path))
-    assert "birdstrike.cli" in imported
-    return imported
+    (cwd / "forces.csv").write_text("\n".join(forces) + "\n", encoding="utf-8")
+    return functools.cache(lambda argv: frozenset(fresh_cli_imports(*argv, cwd=cwd)))
 
 
-@pytest.mark.parametrize("argv", PLAIN_CALLS, ids=[call_id(argv) for argv in PLAIN_CALLS])
-def test_plain_call_does_not_load_argparse(tmp_path, argv):
-    # argparse, with gettext and locale, costs a few ms of every call that is parsed by it
-    assert not ARGPARSE & plain_call_imports(tmp_path, argv)
+PLAIN_IDS = [call_id(argv) for argv, _, _ in PLAIN_CALLS]
 
 
-@pytest.mark.parametrize("argv", PLAIN_CALLS, ids=[call_id(argv) for argv in PLAIN_CALLS])
-def test_plain_call_does_not_load_decimal(tmp_path, argv):
+@pytest.mark.parametrize("argv, loaded, unloaded", PLAIN_CALLS, ids=PLAIN_IDS)
+def test_json_and_csv_load_only_where_used(plain_call_imports, argv, loaded, unloaded):
+    imported = plain_call_imports(argv)
+    assert ({"birdstrike.cli", *loaded} - imported, set(unloaded) & imported) == (set(), set())
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _, _ in PLAIN_CALLS], ids=PLAIN_IDS)
+def test_plain_call_does_not_load_argparse(plain_call_imports, argv):
+    # argparse, with gettext and locale, costs a few ms: the flag table parses a plain call
+    assert not {"argparse", "gettext", "locale"} & plain_call_imports(argv)
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _, _ in PLAIN_CALLS], ids=PLAIN_IDS)
+def test_plain_call_does_not_load_decimal(plain_call_imports, argv):
     # decimal, with numbers, costs about 2 ms of start-up; projectile sizing rounds in ints
-    assert not {"decimal", "numbers"} & plain_call_imports(tmp_path, argv)
+    assert not {"decimal", "numbers"} & plain_call_imports(argv)
+
+
+def test_cli_does_not_load_dataclasses(plain_call_imports):
+    assert [call_id(argv) for argv, _, _ in PLAIN_CALLS
+            if "dataclasses" in plain_call_imports(argv)] == []
 
 
 @pytest.mark.parametrize("argv", [("check-cert", "--help"),

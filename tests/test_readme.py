@@ -6,15 +6,15 @@ the ```sh blocks (with its backslash continuations) runs, in order, as
 135-row forces.csv the analyze example reads; each must exit 0.
 """
 
-import os
 import re
 import shlex
 import subprocess
 import sys
 from pathlib import Path
 
-import birdstrike
 from birdstrike.harness import build_test_matrix
+
+from fresh import fresh_env
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -46,12 +46,10 @@ def test_cli_examples_exit_zero(tmp_path):
         lines += [f"{scenario.id},{n},19.5" for n in range(1, scenario.iterations + 1)]
     assert len(lines) == 1 + 135
     (tmp_path / "forces.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    env = {key: value for key, value in os.environ.items() if key != "BIRDSTRIKE_CONFIG"}
-    env["PYTHONPATH"] = str(Path(birdstrike.__file__).resolve().parent.parent)
     commands = cli_examples()
     assert commands
     for args in commands:
         result = subprocess.run([sys.executable, "-m", "birdstrike", *args], cwd=tmp_path,
-                                env=env, capture_output=True, text=True, encoding="utf-8",
-                                timeout=60)
+                                env=fresh_env(), capture_output=True, text=True,
+                                encoding="utf-8", timeout=60)
         assert result.returncode == 0, (shlex.join(["birdstrike", *args]), result.stderr)

@@ -9,15 +9,12 @@ import argparse
 import inspect
 import json
 import math
-import os
 import re
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-import birdstrike
 from birdstrike._record import Record
 from birdstrike.cli import _build_parser
 from birdstrike.errors import InvalidParameterError
@@ -30,6 +27,8 @@ from birdstrike.kinematics import DragParams, DropPlan, terminal_velocity
 from birdstrike.materials import MaterialSpec
 from birdstrike.projectile import Cylinder, Ellipsoid, ProjectileSpec
 from birdstrike.species import BirdSpecies
+
+from fresh import fresh_env
 
 ROW = ScenarioConformance("s", 19.0, 18.0, 0.5, 5.0, 95.0, 95.0)
 ROW_REPR = ("ScenarioConformance(scenario_id='s', theoretical_force=19.0, experimental_mean=18.0, "
@@ -221,9 +220,8 @@ BUILT_BY_CONSTANTS = {"CertificationLimits", "MaterialSpec"}
 
 def fresh_python(code: str, *args: str) -> str:
     """The stdout of code run in a fresh interpreter, which must exit 0."""
-    env = {**os.environ, "PYTHONPATH": str(Path(birdstrike.__file__).resolve().parent.parent)}
-    called = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
-                            text=True, encoding="utf-8", timeout=60)
+    called = subprocess.run([sys.executable, "-c", code, *args], env=fresh_env(),
+                            capture_output=True, text=True, encoding="utf-8", timeout=60)
     assert called.returncode == 0, called.stderr
     return called.stdout
 
