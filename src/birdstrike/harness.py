@@ -61,8 +61,6 @@ _SCENARIO_KEYS = dict(zip(TestScenario._fields, (
 
 class TestMatrix(Record):
     scenarios: tuple[TestScenario, ...]
-    iterations_per_scenario: int = DEFAULT_ITERATIONS
-    _ranges = dict(iterations_per_scenario=(1, math.inf, False))
 
     def __post_init__(self) -> None:
         if not self.scenarios:
@@ -106,14 +104,13 @@ def build_test_matrix(iterations_per_scenario: int = DEFAULT_ITERATIONS) -> Test
     """
     require("iterations_per_scenario", iterations_per_scenario, 1, integer=True)
     scenarios = tuple(TestScenario(*row, iterations_per_scenario) for row in _DEFAULT_ROWS)
-    return TestMatrix(scenarios, iterations_per_scenario)
+    return TestMatrix(scenarios)
 
 
 def matrix_to_json(matrix: TestMatrix) -> str:
     """Deterministic JSON rendering (identical matrices render byte-identical)."""
     from ._table import render_json
     return render_json({
-        "iterations_per_scenario": matrix.iterations_per_scenario,
         "scenarios": [{key: getattr(scenario, field) for field, key in _SCENARIO_KEYS.items()}
                       for scenario in matrix.scenarios],
     })
@@ -125,7 +122,7 @@ def read_matrix(path) -> TestMatrix:
     def build(payload) -> TestMatrix:
         scenarios = tuple(TestScenario(*[row[key] for key in _SCENARIO_KEYS.values()])
                           for row in payload["scenarios"])
-        return TestMatrix(scenarios, payload["iterations_per_scenario"])
+        return TestMatrix(scenarios)
 
     return read_json(path, build)
 

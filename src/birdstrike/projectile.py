@@ -28,7 +28,7 @@ def round_sig(value: float, digits: int) -> float:
     if value.__class__ is not float:
         require("value", value, -math.inf)
         value = float(value)
-    if value == 0 or not math.isfinite(value):
+    if not math.isfinite(value):
         return value
     # repr's digits, n * 10**e, rounded half up in integers: float() of a decimal string is
     # correctly rounded, as float(Decimal) is, so decimal (2 ms to import) is not needed.

@@ -253,7 +253,7 @@ def test_criterion_08_conformance_algebra():
         Scenario("a", 1, 1, 2.8, 7.49, 90.0, "Aluminium-2024-T3", 2),
         Scenario("b", 2, 1, 2.0, 6.44, 90.0, "Aluminium-2024-T3", 2),
     )
-    matrix = Matrix(scenarios, 2)
+    matrix = Matrix(scenarios)
     fixture = conformance_report(
         matrix,
         {"a": 10.0, "b": 10.0},

@@ -380,7 +380,7 @@ class TestMatrixCommand:
         assert code == 0
         payload = json.loads(out)
         assert len(payload["scenarios"]) == 9
-        assert payload["iterations_per_scenario"] == 15
+        assert list(payload) == ["scenarios"]
         assert sum(s["iterations"] for s in payload["scenarios"]) == 135
 
     def test_byte_identical_runs(self, capsys):
@@ -392,7 +392,8 @@ class TestMatrixCommand:
         path = tmp_path / "matrix.json"
         code, _, _ = run_cli(["matrix", "--out", str(path)], capsys)
         assert code == 0
-        assert json.loads(path.read_text(encoding="utf-8"))["iterations_per_scenario"] == 15
+        scenarios = json.loads(path.read_text(encoding="utf-8"))["scenarios"]
+        assert [scenario["iterations"] for scenario in scenarios] == [15] * 9
 
     def test_single_iteration(self, capsys):
         code, out, _ = run_cli(["matrix", "--iterations", "1"], capsys)
@@ -464,12 +465,23 @@ class TestAnalyzeCommand:
     def test_duplicate_material_name_exits_one(self, capsys, analysis_fixture, tmp_path):
         _, measurements_path = analysis_fixture
         materials_path = tmp_path / "materials.csv"
-        materials_path.write_text("name,density_kg_m3,thickness_m\nCFRP,1168,0.002\n"
-                                  "CFRP,2780,0.002\n", encoding="utf-8")
+        materials_path.write_text("name,density_kg_m3\nCFRP,1168\nCFRP,2780\n", encoding="utf-8")
         code, out, err = run_cli(["analyze", "--measurements", str(measurements_path),
                                   "--materials", str(materials_path)], capsys)
         assert (code, out) == (1, "")
         assert err == f"error: {materials_path}: row 3: duplicate material name 'CFRP'\n"
+
+    def test_materials_file_with_a_thickness_column_exits_one(self, capsys, analysis_fixture,
+                                                               tmp_path):
+        _, measurements_path = analysis_fixture
+        materials_path = tmp_path / "materials.csv"
+        materials_path.write_text("name,density_kg_m3,thickness_m\nCFRP,1168,0.002\n",
+                                  encoding="utf-8")
+        code, out, err = run_cli(["analyze", "--measurements", str(measurements_path),
+                                  "--materials", str(materials_path)], capsys)
+        assert (code, out) == (1, "")
+        assert err == (f"error: {materials_path}: expected header 'name,density_kg_m3', "
+                       "got 'name,density_kg_m3,thickness_m'\n")
 
     def test_matrix_material_missing_from_materials_exits_one(self, capsys, analysis_fixture):
         matrix_path, measurements_path = analysis_fixture
@@ -484,8 +496,8 @@ class TestAnalyzeCommand:
                                                                  tmp_path):
         _, measurements_path = analysis_fixture
         materials_path = tmp_path / "materials.csv"
-        materials_path.write_text("name,density_kg_m3,thickness_m\n"
-                                  "Aluminium-2024-T3,2780,0.002\n", encoding="utf-8")
+        materials_path.write_text("name,density_kg_m3\n"
+                                  "Aluminium-2024-T3,2780\n", encoding="utf-8")
         code, out, err = run_cli(["analyze", "--measurements", str(measurements_path),
                                   "--materials", str(materials_path)], capsys)
         assert (code, out) == (1, "")
@@ -496,8 +508,8 @@ class TestAnalyzeCommand:
                                                            tmp_path, matrix_given):
         matrix_path, measurements_path = analysis_fixture
         materials_path = tmp_path / "big.csv"
-        materials_path.write_text("name,density_kg_m3,thickness_m\n"
-                                  "Aluminium-2024-T3,1.7e308,0.002\nCFRP,1168,0.002\n",
+        materials_path.write_text("name,density_kg_m3\n"
+                                  "Aluminium-2024-T3,1.7e308\nCFRP,1168\n",
                                   encoding="utf-8")
         registry_path = tmp_path / "reg.csv"
         registry_path.write_text("name,mass_kg,length_m,density_kg_m3,flight_speed_m_s\n"
@@ -909,8 +921,8 @@ class TestExitCodes:
             "analyze missing matrix cruise -1", "analyze missing materials scale 0.5"])
     def test_usage_error_message(self, capsys, tmp_path, monkeypatch, argv, message):
         monkeypatch.chdir(tmp_path)  # holds the materials file that one case reads
-        (tmp_path / "mats.csv").write_text("name,density_kg_m3,thickness_m\n"
-                                           "Aluminium-2024-T3,2780,0.002\n", encoding="utf-8")
+        (tmp_path / "mats.csv").write_text("name,density_kg_m3\n"
+                                           "Aluminium-2024-T3,2780\n", encoding="utf-8")
         assert run_cli(argv, capsys) == (2, "", f"usage error: {message}\n")
 
     @pytest.mark.parametrize(
@@ -926,8 +938,6 @@ class TestExitCodes:
             ("matrix", lambda text: text.replace('"case_number": 1', '"case_number": 1.5', 1)),
             ("matrix", lambda text: text.replace('"projectile_serial": 1',
                                                  '"projectile_serial": true', 1)),
-            ("matrix", lambda text: text.replace('"iterations_per_scenario": 15',
-                                                 '"iterations_per_scenario": 15.0')),
             ("matrix", lambda text: text.replace('"iterations": 15', f'"iterations": {10**400}',
                                                  1)),
             ("matrix", lambda text: text.replace('"iterations": 15', f'"iterations": 1{"0" * 5000}',
@@ -939,7 +949,7 @@ class TestExitCodes:
         ],
         ids=["matrix value", "matrix non-number", "empty matrix", "nan force",
              "duplicate iteration", "missing scenario", "float iterations", "float case number",
-             "bool serial", "float iterations per scenario", "iterations beyond float range",
+             "bool serial", "iterations beyond float range",
              "5001-digit iterations", "number specimen material", "number id", "null id"],
     )
     def test_bad_file_exits_one(self, capsys, analysis_fixture, bad_file, edit):
@@ -1142,8 +1152,8 @@ PROCESS_ERRORS = {
 
 @pytest.mark.parametrize("argv, code, line", PROCESS_ERRORS.values(), ids=list(PROCESS_ERRORS))
 def test_error_is_one_line_in_a_process(tmp_path, argv, code, line):
-    (tmp_path / "mats.csv").write_text("name,density_kg_m3,thickness_m\n"
-                                       "Aluminium-2024-T3,2780,0.002\n", encoding="utf-8")
+    (tmp_path / "mats.csv").write_text("name,density_kg_m3\n"
+                                       "Aluminium-2024-T3,2780\n", encoding="utf-8")
     (tmp_path / "deep.json").write_text("[" * 200000 + "]" * 200000, encoding="utf-8")
     result = subprocess.run([sys.executable, "-m", "birdstrike", *argv], cwd=tmp_path,
                             env=fresh_env(), capture_output=True, text=True, encoding="utf-8",

@@ -21,8 +21,8 @@ from birdstrike.errors import ParseError
 from birdstrike.harness import build_test_matrix, matrix_to_json, read_matrix
 from birdstrike.projectile import export_geometry
 
-MATRIX_SHA256 = "8f222b2d8d6ea4a63a1bab233bbbc4848e463eaaa3e56dd5dc0dd53aabcaa577"
-MATRIX_7_SHA256 = "ef87f34f49632d8b74b0cd0421aba03908d090dd2519c8a4ed36c43dad499075"
+MATRIX_SHA256 = "fdf61d034d3194cc41d3a2fd56679f24d166ae680b588c8c1b187e0cf9a424be"
+MATRIX_7_SHA256 = "598cd145f47bea43c88dba417a14aa74a5ea31fe9b04650665bf1f52c2fdc3a3"
 DESIGN_SHA256 = "91f664e27ee49356eac5e955809676ddf878472545b2e5a828efe1a73e41bc30"
 DESCRIPTOR_SHA256 = {
     1: "2313240e292cd2970a512e0e65cfa532499d5cb33a94221970b55bdb8eccc2b3",
@@ -115,7 +115,7 @@ def test_sweep_digest(param):
         assert sha256(stdout_of(argv).encode()) == digest
 
 
-MATRIX_TOP_KEYS = ["iterations_per_scenario", "scenarios"]
+MATRIX_TOP_KEYS = ["scenarios"]
 SCENARIO_KEYS = ["id", "case_number", "projectile_serial", "drop_height_m",
                  "nominal_impact_velocity_m_s", "impact_angle_deg", "specimen_material",
                  "iterations"]
@@ -140,6 +140,14 @@ def test_matrix_with_a_leading_byte_order_mark(tmp_path):
     path = tmp_path / "matrix.json"
     path.write_text("\ufeff" + matrix_to_json(build_test_matrix()), encoding="utf-8")
     assert read_matrix(path) == build_test_matrix()
+
+
+def test_matrix_with_the_old_top_level_count_loads(tmp_path):
+    # Older matrix files also carry "iterations_per_scenario"; each scenario's count is read.
+    path = tmp_path / "matrix.json"
+    payload = {"iterations_per_scenario": 99, **json.loads(matrix_to_json(build_test_matrix(4)))}
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    assert read_matrix(path) == build_test_matrix(4)
 
 
 def expect_missing(path, load, key):

@@ -140,14 +140,10 @@ class TestBuildMatrix:
             read_matrix(path)
 
     @pytest.mark.parametrize("field, value", [("iterations", 2.0), ("case_number", 1.5),
-                                              ("projectile_serial", True),
-                                              ("iterations_per_scenario", 15.0)])
+                                              ("projectile_serial", True)])
     def test_read_rejects_non_integer_count(self, default_matrix, tmp_path, field, value):
         payload = json.loads(matrix_to_json(default_matrix))
-        if field == "iterations_per_scenario":
-            payload[field] = value
-        else:
-            payload["scenarios"][0][field] = value
+        payload["scenarios"][0][field] = value
         path = tmp_path / "matrix.json"
         path.write_text(json.dumps(payload), encoding="utf-8")
         message = re.escape(f"{path}: {field} must be an integer, got {value!r}")
@@ -162,6 +158,13 @@ class TestNominalVelocities:
         nominal, recomputed = mismatches["2.1"]
         assert nominal == 6.44
         assert recomputed == pytest.approx(math.sqrt(40.0), rel=1e-12)
+
+    @pytest.mark.parametrize("nominal, flagged", [(0.05, False), (0.0499, True)])
+    def test_tolerance_band_edge(self, nominal, flagged):
+        # sqrt(2*10*0.0005) = 0.1: a nominal 0.05 m/s is exactly the tolerance off
+        matrix = Matrix((Scenario("low", 1, 1, 0.0005, nominal, 90.0, "CFRP", 1),))
+        assert nominal_velocity_mismatches(matrix, 10.0) == ({"low": (nominal, 0.1)} if flagged
+                                                              else {})
 
 
 class TestTheoreticalReference:
@@ -310,10 +313,16 @@ class TestIngestMeasurements:
          ("baseline,2,inf,7.3", "row 3: force_n must be >= 0, got inf"),
          ("baseline,2,5,nan", "row 3: impact_velocity_m_s must be >= 0, got nan"),
          ("baseline,2,5,-7.3", "row 3: impact_velocity_m_s must be >= 0, got -7.3"),
+         ("baseline,2,5,inf", "row 3: impact_velocity_m_s must be >= 0, got inf"),
+         ("baseline,0,5,7.3", "row 3: scenario 'baseline': iteration 0 repeats or is "
+                              "outside 1..2"),
          ("baseline,1,5,7.3", "row 3: scenario 'baseline': iteration 1 repeats or is "
                               "outside 1..2"),
          ("baseline,3,5,7.3", "row 3: scenario 'baseline': iteration 3 repeats or is "
-                              "outside 1..2")],
+                              "outside 1..2"),
+         # the flags have grown to the declared count, and no further
+         ("baseline,2,5,7.3\nbaseline,3,5,7.3", "row 4: scenario 'baseline': iteration 3 "
+                                                "repeats or is outside 1..2")],
     )
     def test_bad_row_rejected(self, tmp_path, row, message):
         path = tmp_path / "bad.csv"
@@ -328,9 +337,10 @@ class TestIngestMeasurements:
         path.write_text(
             "scenario_id,iteration,force_n\nmystery,1,5\n", encoding="utf-8"
         )
-        with pytest.warns(UserWarning, match="mystery"):
+        with pytest.warns(UserWarning, match="mystery") as caught:
             sets = ingest_measurements(path, default_matrix)
         assert sets == [MeasurementSet("mystery", (5.0,))]
+        assert caught[0].filename == __file__  # the warning names the caller
 
     @pytest.mark.parametrize("with_velocity, digest", [
         (False, "4b857b30d482cf67838fe30234c354838a1c3910d3a3fdc595d5ae1db186e0cd"),
@@ -434,7 +444,7 @@ class TestIngestRandomised:
         rng = random.Random(seed)
         base = build_test_matrix().scenarios[0]
         ids = rng.sample(["baseline", "1", "2.1", "s", "case 4"], rng.randint(1, 4))
-        matrix = Matrix(tuple(base._replace(id=i, iterations=rng.randint(2, 6)) for i in ids), 6)
+        matrix = Matrix(tuple(base._replace(id=i, iterations=rng.randint(2, 6)) for i in ids))
         with_velocity = rng.random() < 0.5
         rows = [(s.id, n, round(rng.uniform(0.0, 500.0), 3),
                  round(rng.uniform(5.0, 9.0), 4) if with_velocity else None)
@@ -519,6 +529,11 @@ class TestScenarioStats:
         mean, std = scenario_stats(MeasurementSet("x", (3.0,) * 10))
         assert mean == 3.0
         assert std == 0.0
+
+    def test_overflowing_sum_rescaled_by_the_largest_force(self):
+        # the sum overflows; scaled by 2**-k of the smallest force it would overflow again
+        forces = (1.5e308, 1.5e308, 1e-300)
+        assert scenario_stats(MeasurementSet("x", forces)) == (1e308, 8.660254037844386e307)
 
     def test_empty_set_rejected(self):
         with pytest.raises(InvalidParameterError):
@@ -629,7 +644,7 @@ def two_scenario_matrix():
         Scenario("a", 1, 1, 2.8, 7.49, 90.0, "Aluminium-2024-T3", 2),
         Scenario("b", 2, 1, 2.0, 6.44, 90.0, "Aluminium-2024-T3", 2),
     )
-    return Matrix(scenarios, 2)
+    return Matrix(scenarios)
 
 
 class TestConformanceReport:
@@ -653,9 +668,7 @@ class TestConformanceReport:
         assert report.overall_mean_conformance == 100.0
 
     def test_single_scenario_overall(self):
-        matrix = Matrix(
-            (Scenario("a", 1, 1, 2.8, 7.49, 90.0, "Aluminium-2024-T3", 1),), 1
-        )
+        matrix = Matrix((Scenario("a", 1, 1, 2.8, 7.49, 90.0, "Aluminium-2024-T3", 1),))
         report = conformance_report(matrix, {"a": 10.0}, [MeasurementSet("a", (8.0,))])
         assert report.overall_mean_conformance == report.scenarios[0].percent_conformance
 
@@ -883,7 +896,7 @@ class TestAnalyze:
         assert report("all-aircraft") == by_member != report(VelocitySplit.SCALED_CRUISE)
 
     def test_a_reference_names_every_input_the_model_read(self, default_matrix, path):
-        materials = [MaterialSpec(ALUMINIUM_2024_T3.name, 1.7e308, 0.002), CFRP]
+        materials = [MaterialSpec(ALUMINIUM_2024_T3.name, 1.7e308), CFRP]
         projectiles = generate_projectile_set(BirdSpecies("Big", 1000.0, 1.0, 1000.0, 20.0))
         assert self.error(default_matrix, projectiles, materials, path) == (
             ("matrix", "materials", "projectiles"),

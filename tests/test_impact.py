@@ -336,6 +336,12 @@ class TestResultsStayFinite:
             impact_force(BASE._replace(**fields))
         assert str(raised.value) == f"{quantity} leaves float range for these inputs: got {value}"
 
+    def test_overflowing_energy_alone_rejected(self):
+        # depth and force stay finite here; only the kinetic energy overflows
+        with pytest.raises(InvalidParameterError,
+                           match="^kinetic_energy leaves float range for these inputs: got inf$"):
+            impact_force(ImpactScenario(1.0, 1.0, 1000.0, 1e200, 1.0, 2780.0, 90.0))
+
     def test_overflowing_stationary_model_rejected(self):
         with pytest.raises(InvalidParameterError, match="force .*: got inf$"):
             impact_force_stationary(1e300, 1e10, 0.22, 1230.0, 2780.0, 90.0)
@@ -356,3 +362,9 @@ class TestResultsStayFinite:
         (row,) = sensitivity_table(base, "bird_mass", [base.bird_mass * 1e307 / base_force])
         assert math.isfinite(row.percent_change)
         assert row.percent_change == pytest.approx(100.0 * (row.force / base_force - 1.0))
+
+    def test_percent_change_fallback_takes_the_difference(self):
+        # 100*(force - base) overflows: the fallback's (force - base)/base*100 is 16900
+        base = ImpactScenario(1.0, 1.0, 1.0, 0.0, 1.0, 1e306, 90.0)
+        (row,) = sensitivity_table(base, "aircraft_density", [1.7e308])
+        assert (row.force, row.percent_change) == (8.5e307, 16900.0)

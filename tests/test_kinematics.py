@@ -120,6 +120,27 @@ class TestPublishedPlanReproduction:
                 misses.append(bird.name)
         assert misses == ["Turkey Vulture"]
 
+    def test_published_values_are_pinned(self):
+        digest = hashlib.sha256(repr(PUBLISHED_PLANS).encode()).hexdigest()
+        assert digest == "19fab3d3b0f2107fbba5ea5a50f6fb26ecb594d5116b6844c87272524862f495"
+
+    @pytest.mark.parametrize("changes, flagged", [
+        ({}, []),
+        (dict(original_drop_height=632.0), []),  # the 1 m band's edge
+        (dict(original_drop_height=632.5), ["original drop-height"]),
+        (dict(original_impact_velocity=112.355), []),
+        (dict(original_impact_velocity=112.365), ["original impact velocity"]),
+        (dict(original_impact_velocity=112.575),  # 7.505 m/s scaled
+         ["original impact velocity", "scaled impact velocity"]),
+        (dict(scaled_drop_height=2.85), []),
+        (dict(scaled_drop_height=2.95), ["scaled drop-height"]),
+    ])
+    def test_each_band_flags_only_past_it(self, changes, flagged):
+        # the Starling's published plan, each other value moved half a band or 1.5 bands off
+        plan = DropPlan("Starling", 112.35, 631.0, 15.0, 2.8, 10.0)._replace(**changes)
+        labels = [re.match(r"published (.+?) [\d.]+ ", flag).group(1) for flag in plan_flags(plan)]
+        assert labels == flagged
+
     def test_turkey_vulture_flagged(self, registry):
         for bird in registry:
             plan = make_drop_plan(bird.flight_speed, 90.0, 15.0, G_REF, bird.name)
@@ -181,6 +202,15 @@ class TestTerminalVelocity:
         with pytest.raises(InvalidParameterError):
             DragParams(projectile_mass=0.0, drag_coefficient=1.0,
                        reference_area=0.01, air_density=1.225, gravity=9.81)
+
+    @pytest.mark.parametrize("inputs, vt", [
+        ((0.0108, 1e-200, 1e-200), "inf"),  # rho*C_d*A underflows to 0
+        ((1e-300, 1e300, 1e10), "0.0"),     # 2*m*g/(rho*C_d*A) underflows to 0
+    ])
+    def test_terminal_velocity_outside_float_range_rejected(self, inputs, vt):
+        message = f"terminal velocity sqrt(2*m*g/(rho*C_d*A)) must be finite and > 0, got {vt}"
+        with pytest.raises(InvalidParameterError, match=f"^{re.escape(message)}$"):
+            DragParams(*inputs)
 
 
 class TestDragFallDistance:

@@ -187,6 +187,9 @@ class TestEffectiveDensity:
     def test_zero_infill_leaves_shell(self):
         assert effective_density(1000.0, 0.0, 0.3) == pytest.approx(300.0, rel=1e-12)
 
+    def test_shell_fraction_defaults_to_zero(self):
+        assert effective_density(1040.0, 0.15) == 156.0
+
     def test_monotone_in_infill(self):
         values = [effective_density(1040.0, infill / 10.0, 0.1) for infill in range(11)]
         assert all(a < b for a, b in zip(values, values[1:]))

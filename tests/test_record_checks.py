@@ -18,8 +18,8 @@ import pytest
 
 from birdstrike import errors
 from birdstrike.errors import InvalidParameterError, require
-# aliased so pytest does not collect them
-from birdstrike.harness import MeasurementSet, TestMatrix as Matrix, TestScenario as Scenario
+# aliased so pytest does not collect it
+from birdstrike.harness import MeasurementSet, TestScenario as Scenario
 from birdstrike.impact import CertificationLimits, ImpactScenario, check_certification
 from birdstrike.kinematics import (DragParams, DropPlan, fall_time_for_drop,
                                    impact_velocity_from_drop, impact_velocity_from_timing)
@@ -53,7 +53,7 @@ ORACLE = {
     Cylinder: [("radius", float, 0.0, INF, True), ("height", float, 0.0, INF, True)],
     Ellipsoid: [("a", float, 0.0, INF, True), ("b", float, 0.0, INF, True),
                 ("c", float, 0.0, INF, True)],
-    MaterialSpec: [("density", float, 0.0, INF, True), ("thickness", float, 0.0, INF, True)],
+    MaterialSpec: [("density", float, 0.0, INF, True)],
     BirdSpecies: [("mass", float, 0.0, INF, True), ("length", float, 0.0, INF, True),
                   ("body_density", float, 0.0, INF, True),
                   ("flight_speed", float, 0.0, INF, False)],
@@ -66,13 +66,11 @@ ORACLE = {
                ("drop_height", float, 0.0, INF, True),
                ("nominal_impact_velocity", float, 0.0, INF, False),
                ("impact_angle", float, 0.0, 90.0, True), ("iterations", int, 1, INF, False)],
-    Matrix: [("iterations_per_scenario", int, 1, INF, False)],
 }
 # Fields the tables do not check, each given a fixed value.
 OTHER_FIELDS = {DropPlan: {"species_name": "Starling"}, MaterialSpec: {"name": "CFRP"},
                 BirdSpecies: {"name": "Starling"},
-                ProjectileSpec: {"shape": Cylinder(0.02, 0.22)},
-                Matrix: {"scenarios": (Scenario("baseline", 1, 1, 2.8, 7.49, 90.0, "CFRP", 15),)}}
+                ProjectileSpec: {"shape": Cylinder(0.02, 0.22)}}
 
 
 class Float(float):
@@ -165,12 +163,11 @@ VALID = {
     CertificationLimits: lambda: CertificationLimits(2255.0, 4819.0),
     Cylinder: lambda: Cylinder(0.02, 0.22),
     Ellipsoid: lambda: Ellipsoid(0.11, 0.02, 0.02),
-    MaterialSpec: lambda: MaterialSpec("CFRP", 1167.6, 0.002),
+    MaterialSpec: lambda: MaterialSpec("CFRP", 1167.6),
     BirdSpecies: lambda: BirdSpecies("Starling", 0.085, 0.22, 1230.0, 22.35),
     ProjectileSpec: lambda: ProjectileSpec(5, Ellipsoid(0.11, 0.02, 0.02), 1040.0, 0.15, 156.0,
                                            "Bird shape"),
     Scenario: lambda: Scenario("baseline", 1, 1, 2.8, 7.49, 90.0, "CFRP", 15),
-    Matrix: lambda: Matrix(OTHER_FIELDS[Matrix]["scenarios"], 15),
 }
 
 
@@ -221,7 +218,7 @@ def test_inline_guard_accepts_and_rejects_as_require_does(name, value):
     (lambda: ImpactScenario(0.085, 0.22, 1230.0, 22.35, 90.0, 2780.0, 90.5),
      "impact_angle must be within [0, 90], got 90.5"),
     (lambda: DragParams(0.0108, 1.15, math.nan), "reference_area must be > 0, got nan"),
-    (lambda: MaterialSpec("CFRP", -1.0, 0.002), "density must be > 0, got -1.0 (CFRP)"),
+    (lambda: MaterialSpec("CFRP", -1.0), "density must be > 0, got -1.0 (CFRP)"),
     (lambda: Scenario("baseline", 1, 1, 2.8, 7.49, 90.0, 5, 15.0),
      "specimen_material must be a string, got 5"),
     (lambda: impact_velocity_from_drop(-1.0, DRAG), "height must be >= 0, got -1.0"),

@@ -35,7 +35,7 @@ ROW_REPR = ("ScenarioConformance(scenario_id='s', theoretical_force=19.0, experi
             "experimental_std=0.5, percent_error=5.0, percent_conformance=95.0, "
             "percent_conformance_abs=95.0)")
 ELLIPSOID = Ellipsoid(0.11, 0.02, 0.02)
-MATRIX = Matrix((Scenario("1", 1, 3, 2.8, 7.49, 90.0, "CFRP", 2),), 2)
+MATRIX = Matrix((Scenario("1", 1, 3, 2.8, 7.49, 90.0, "CFRP", 2),))
 SCENARIO = ImpactScenario(0.085, 0.22, 1230.0, 22.35, 90.0, 2780.0, 90.0)
 
 RECORDS = [
@@ -60,7 +60,7 @@ RECORDS = [
     (MATRIX,
      "TestMatrix(scenarios=(TestScenario(id='1', case_number=1, projectile_serial=3, "
      "drop_height=2.8, nominal_impact_velocity=7.49, impact_angle=90.0, "
-     "specimen_material='CFRP', iterations=2),), iterations_per_scenario=2)"),
+     "specimen_material='CFRP', iterations=2),))"),
     (MeasurementSet("s", (1.0, 2.5), (7.0, 7.5)),
      "MeasurementSet(scenario_id='s', forces=(1.0, 2.5), impact_velocities=(7.0, 7.5))"),
     (ROW, ROW_REPR),
@@ -76,8 +76,7 @@ RECORDS = [
     (BirdSpecies("Starling", 0.085, 0.22, 1230.0, 22.35),
      "BirdSpecies(name='Starling', mass=0.085, length=0.22, body_density=1230.0, "
      "flight_speed=22.35)"),
-    (MaterialSpec("CFRP", 1167.6, 0.002),
-     "MaterialSpec(name='CFRP', density=1167.6, thickness=0.002)"),
+    (MaterialSpec("CFRP", 1167.6), "MaterialSpec(name='CFRP', density=1167.6)"),
 ]
 IDS = [type(record).__name__ for record, _ in RECORDS]
 
@@ -144,9 +143,9 @@ def test_replace_recomputes_drag_caches():
 
 
 def test_matrix_lookup_table_is_not_a_field():
-    assert MATRIX._fields == ("scenarios", "iterations_per_scenario")
+    assert MATRIX._fields == ("scenarios",)
     assert MATRIX.scenario("1") is MATRIX.scenarios[0]
-    assert MATRIX._replace(iterations_per_scenario=3).scenario("1") is MATRIX.scenarios[0]
+    assert MATRIX._replace(scenarios=MATRIX.scenarios).scenario("1") is MATRIX.scenarios[0]
 
 
 def test_scenario_fields_are_the_sweep_parameters():
@@ -246,7 +245,7 @@ def test_first_construction_equals_a_later_one():
 
 def test_first_out_of_range_value_raises_as_a_later_one():
     outcomes = first_lookups("out-of-range")
-    assert len(outcomes) == 11
+    assert len(outcomes) == 10
     for name, (first, later) in outcomes.items():
         assert first == later and first[0] == "InvalidParameterError", name
         assert "nan" in first[1], name

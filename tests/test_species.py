@@ -1,3 +1,4 @@
+import hashlib
 import math
 import warnings
 
@@ -19,6 +20,8 @@ from birdstrike.species import (
 )
 
 HEADER = "name,mass_kg,length_m,density_kg_m3,flight_speed_m_s"
+# The bundled species in the registry CSV format: every value of every row is pinned.
+BUNDLED_CSV_SHA256 = "98e09d3d9546a15a743cf9abef11d45b054ea91b39319f0529fd57f2783c4b9e"
 
 
 def write_csv(tmp_path, *lines):
@@ -93,6 +96,19 @@ def test_implausible_density_warns_but_loads():
         BirdSpecies("Lead Bird", 0.1, 0.2, 5000.0, 10.0)
 
 
+@pytest.mark.parametrize("density, warns", [
+    (500.0, False), (2000.0, False),
+    (math.nextafter(500.0, 0.0), True), (math.nextafter(2000.0, math.inf), True),
+])
+def test_plausible_density_band_edges(density, warns):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        BirdSpecies("Edge Bird", 0.1, 0.2, density, 10.0)
+    assert [str(w.message) for w in caught] == (
+        [f"Edge Bird: body_density {density} kg/m^3 outside plausible range [500, 2000]"]
+        if warns else [])
+
+
 def test_implausible_density_warning_names_the_caller():
     with pytest.warns(UserWarning, match="outside plausible range") as caught:
         BirdSpecies("Lead Bird", 0.1, 0.2, 5000.0, 10.0)
@@ -123,6 +139,7 @@ def test_bundled_table_reads_back_from_the_registry_format(tmp_path):
     path = tmp_path / "species.csv"
     rows = [HEADER.split(","), *(bird._asdict().values() for bird in bundled)]
     path.write_text(render_csv(rows), encoding="utf-8")
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == BUNDLED_CSV_SHA256
     assert load_species_registry(path) == bundled
     assert len({bird.name for bird in bundled}) == 11
     assert all(value.__class__ is float for bird in bundled
@@ -157,34 +174,29 @@ def test_builtin_materials():
     materials = builtin_materials()
     aluminium = find_material(materials, "Aluminium-2024-T3")
     cfrp = find_material(materials, "CFRP")
-    assert aluminium.thickness == 0.002
-    assert cfrp.thickness == 0.002
     assert cfrp.density / aluminium.density == pytest.approx(0.42, rel=1e-12)
     assert all(material.density > 0 for material in materials)
 
 
 def test_materials_override_loader(tmp_path):
     path = tmp_path / "materials.csv"
-    path.write_text(
-        "name,density_kg_m3,thickness_m\nTitanium,4430,0.0015\n", encoding="utf-8"
-    )
+    path.write_text("name,density_kg_m3\nTitanium,4430\n", encoding="utf-8")
     materials = load_materials(path)
     assert len(materials) == 1
     assert materials[0].name == "Titanium"
     assert materials[0].density == 4430.0
-    assert materials[0].thickness == 0.0015
 
 
 def test_materials_loader_rejects_duplicate_names(tmp_path):
     path = tmp_path / "materials.csv"
-    path.write_text("name,density_kg_m3,thickness_m\nCFRP,1168,0.002\nTitanium,4430,0.0015\n"
-                    "CFRP,2780,0.002\n", encoding="utf-8")
+    path.write_text("name,density_kg_m3\nCFRP,1168\nTitanium,4430\nCFRP,2780\n",
+                    encoding="utf-8")
     with pytest.raises(ParseError, match=r"row 4: duplicate material name 'CFRP'$"):
         load_materials(path)
 
 
 def test_materials_loader_rejects_bad_rows(tmp_path):
     path = tmp_path / "materials.csv"
-    path.write_text("name,density_kg_m3,thickness_m\nFoam,-3,0.002\n", encoding="utf-8")
+    path.write_text("name,density_kg_m3\nFoam,-3\n", encoding="utf-8")
     with pytest.raises(ParseError, match="row 2"):
         load_materials(path)

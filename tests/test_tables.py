@@ -12,7 +12,7 @@ from birdstrike.species import load_species_registry
 
 # Measurements are read against a matrix; this one's only scenario, baseline, has 1 iteration.
 ingest = partial(ingest_measurements,
-                 matrix=Matrix(build_test_matrix(iterations_per_scenario=1).scenarios[:1], 1))
+                 matrix=Matrix(build_test_matrix(iterations_per_scenario=1).scenarios[:1]))
 
 # loader, header, a good row, the good row with one bad cell, that cell's column
 FORMATS = [
@@ -22,8 +22,7 @@ FORMATS = [
         id="species",
     ),
     pytest.param(
-        load_materials, "name,density_kg_m3,thickness_m",
-        "Titanium,4430,0.0015", "Titanium,dense,0.0015", "density_kg_m3",
+        load_materials, "name,density_kg_m3", "Titanium,4430", "Titanium,dense", "density_kg_m3",
         id="materials",
     ),
     pytest.param(

@@ -15,8 +15,7 @@ import pytest
 from birdstrike.errors import InvalidParameterError
 from birdstrike.harness import (
     MeasurementSet,
-    TestMatrix as Matrix,  # aliased so pytest does not try to collect them
-    TestScenario as Scenario,
+    TestScenario as Scenario,  # aliased so pytest does not try to collect it
     build_test_matrix,
     nominal_velocity_mismatches,
     percent_error,
@@ -176,8 +175,7 @@ ROWS = {
         dict(mass=0.0, length=0.0, body_density=-1.0, flight_speed=-1.0),
     ),
     "MaterialSpec": (
-        lambda **fields: MaterialSpec("x", **fields), dict(density=2780.0, thickness=0.002), {},
-        dict(density=0.0, thickness=0.0),
+        lambda **fields: MaterialSpec("x", **fields), dict(density=2780.0), {}, dict(density=0.0),
     ),
     "TestScenario": (
         scenario_row, dict(drop_height=2.8, nominal_impact_velocity=7.49, impact_angle=90.0,
@@ -193,11 +191,6 @@ ROWS = {
                            iterations=15),
         dict(drop_height=10**300, iterations=10**300),
         dict(drop_height=10**400, iterations=10**400),
-    ),
-    "TestMatrix": (
-        lambda iterations_per_scenario: Matrix((MATRIX_ROW,), iterations_per_scenario),
-        dict(iterations_per_scenario=15), dict(iterations_per_scenario=1),
-        dict(iterations_per_scenario=0),
     ),
     "build_test_matrix": (
         lambda iterations_per_scenario: build_test_matrix(
@@ -248,8 +241,7 @@ def test_range_check(build, valid, edges, bad):
 # be ints: a float such as 2.0 or a bool would otherwise pass the range check.
 # Each case is a row of ROWS and a field.
 INTEGER_FIELDS = [("TestScenario", "case_number"), ("TestScenario", "projectile_serial"),
-                  ("TestScenario", "iterations"), ("TestMatrix", "iterations_per_scenario"),
-                  ("build_test_matrix", "iterations_per_scenario"),
+                  ("TestScenario", "iterations"), ("build_test_matrix", "iterations_per_scenario"),
                   ("ProjectileSpec", "serial"), ("round_sig", "digits")]
 
 
