@@ -12,13 +12,13 @@ survives those, against the whole suite. The checkout itself is never edited.
 
     python tests/mutants.py                       # every module
     python tests/mutants.py harness impact        # these modules
-    python tests/mutants.py harness --line 240    # the mutants on one line
     python tests/mutants.py --list kinematics     # print the mutants, run none
 
 Each survivor is printed as `path:line:col: edit`; the exit status is 1 when any
-mutant survives, and 2 when the unmutated suite fails in the copy. A mutant that does not compile is skipped, and one that runs
-past the time limit or the memory limit counts as killed. This file is not
-collected by pytest (its name does not start with test_).
+mutant survives, and 2 when the unmutated suite fails in the copy. A mutant
+that does not compile is skipped, and one that runs past the time limit or the
+address-space limit (MEMORY_MB) counts as killed. This file is not collected
+by pytest (its name does not start with test_).
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = Path("src") / "birdstrike"
+MEMORY_MB = 2048  # address-space limit of each pytest run
 
 BINARY = {ast.Add: ("+", "-"), ast.Sub: ("-", "+"), ast.Mult: ("*", "/"), ast.Div: ("/", "*"),
           ast.FloorDiv: ("//", "/"), ast.Mod: ("%", "//"), ast.Pow: ("**", "*")}
@@ -177,16 +178,14 @@ def copy_checkout(into: Path) -> None:
             shutil.copytree(item, into / item.name, ignore=skip)
 
 
-def run_pytest(tree: Path, targets: list[str], timeout: float, memory_mb: int) -> str:
+def run_pytest(tree: Path, targets: list[str], timeout: float) -> str:
     """'pass', 'fail' or 'timeout' for pytest over targets in the copied tree."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     env.pop("BIRDSTRIKE_CONFIG", None)
     # The limit is set in the pytest process itself (and so holds for the interpreters
     # its tests start): preexec_fn is not safe with the job threads.
-    code = ("import sys, pytest\n"
-            f"if {memory_mb}:\n"
-            "    import resource\n"
-            f"    resource.setrlimit(resource.RLIMIT_AS, ({memory_mb} << 20, {memory_mb} << 20))\n"
+    code = ("import resource, sys, pytest\n"
+            f"resource.setrlimit(resource.RLIMIT_AS, ({MEMORY_MB} << 20, {MEMORY_MB} << 20))\n"
             "sys.exit(pytest.main(sys.argv[1:]))")
     process = subprocess.Popen(
         [sys.executable, "-c", code, "-x", "-q", "-p", "no:cacheprovider", *targets],
@@ -203,18 +202,14 @@ def run_pytest(tree: Path, targets: list[str], timeout: float, memory_mb: int) -
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("modules", nargs="*", help="module names (default: every module)")
-    parser.add_argument("--line", type=int, help="only the mutants on this line")
     parser.add_argument("--list", action="store_true", help="print the mutants and exit")
     parser.add_argument("--jobs", type=int, default=1, help="mutants run at once (default 1)")
     parser.add_argument("--workdir", type=Path, help="where the copies go (default: a temp dir)")
-    parser.add_argument("--memory-mb", type=int, default=2048,
-                        help="address-space limit of each pytest run, 0 for none")
     args = parser.parse_args(argv)
 
     names = args.modules or sorted(p.stem for p in (ROOT / PACKAGE).glob("*.py"))
     sources = {f"{name}.py": (ROOT / PACKAGE / f"{name}.py").read_bytes() for name in names}
-    mutants = [m for module, source in sources.items() for m in mutants_of(module, source)
-               if args.line in (None, m.line)]
+    mutants = [m for module, source in sources.items() for m in mutants_of(module, source)]
     if args.list:
         for m in mutants:
             print(f"{PACKAGE / m.module}:{m.line}:{m.col}: {m.edit}")
@@ -222,19 +217,18 @@ def main(argv: list[str] | None = None) -> int:
 
     work = Path(tempfile.mkdtemp(prefix="mutants-", dir=args.workdir))
     try:
-        return run_all(mutants, sources, work, args.jobs, args.memory_mb)
+        return run_all(mutants, sources, work, args.jobs)
     finally:
         shutil.rmtree(work)
 
 
-def run_all(mutants: list[Mutant], sources: dict[str, bytes], work: Path, jobs: int,
-            memory_mb: int) -> int:
+def run_all(mutants: list[Mutant], sources: dict[str, bytes], work: Path, jobs: int) -> int:
     """Run every mutant in copies of the checkout under work; print and count the survivors."""
     trees = [work / f"job{j}" for j in range(max(1, jobs))]
     for tree in trees:
         copy_checkout(tree)
     started = time.monotonic()
-    if run_pytest(trees[0], ["tests"], None, memory_mb) != "pass":
+    if run_pytest(trees[0], ["tests"], None) != "pass":
         print("the unmutated suite fails in the copy; nothing to compare", file=sys.stderr)
         return 2
     timeout = max(60.0, 5 * (time.monotonic() - started))
@@ -257,9 +251,9 @@ def run_all(mutants: list[Mutant], sources: dict[str, bytes], work: Path, jobs: 
             target, source = tree / PACKAGE / mutant.module, sources[mutant.module]
             target.write_bytes(mutant.apply(source))
             try:
-                outcome = run_pytest(tree, files[mutant.module], timeout, memory_mb)
+                outcome = run_pytest(tree, files[mutant.module], timeout)
                 if outcome == "pass" and files[mutant.module] != ["tests"]:
-                    outcome = run_pytest(tree, ["tests"], timeout, memory_mb)
+                    outcome = run_pytest(tree, ["tests"], timeout)
             finally:
                 target.write_bytes(source)
             with lock:
