@@ -96,6 +96,8 @@ def find_named(items, name: str, kind: str):
     for item in items:
         if item.name == name:
             return item
+    if not isinstance(name, str):  # after the exact match: the usual lookup costs no test
+        raise InvalidParameterError(f"{kind} name must be a string, got {name!r}")
     folded = name.casefold()
     for item in items:
         if item.name.casefold() == folded:

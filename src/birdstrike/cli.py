@@ -225,13 +225,13 @@ def cmd_plan(args) -> int:
              "scaled_impact_velocity_m_s", "scaled_drop_height_m", "flags"),
             *((plan.species_name, repr(plan.original_impact_velocity),
                repr(plan.original_drop_height), repr(plan.scaled_impact_velocity),
-               repr(plan.scaled_drop_height), "; ".join(plan_flags(plan, args.cruise)))
+               repr(plan.scaled_drop_height), "; ".join(plan_flags(plan)))
               for plan in plans)]))
     else:
         print(f"{'species':<18} {'original_v_m_s':>14} {'original_h_m':>12} "
               f"{'scaled_v_m_s':>12} {'scaled_h_m':>10}  flags")
         for plan in plans:
-            flags = "; ".join(plan_flags(plan, args.cruise)) or "-"
+            flags = "; ".join(plan_flags(plan)) or "-"
             print(f"{plan.species_name:<18} {plan.original_impact_velocity:>14.2f} "
                   f"{plan.original_drop_height:>12.2f} {plan.scaled_impact_velocity:>12.2f} "
                   f"{plan.scaled_drop_height:>10.2f}  {flags}")
@@ -312,7 +312,7 @@ def cmd_analyze(args) -> int:
         with _blame(*map(files.get, exc.inputs)):
             raise
     _emit(render_report_csv(report) if fmt == "csv" else render_report_json(report), args.out)
-    for scenario_id, (nominal, recomputed) in sorted(mismatches.items()):
+    for scenario_id, (nominal, recomputed) in mismatches.items():
         _note(f"scenario {scenario_id}: stored nominal velocity {nominal:g} m/s "
               f"differs from sqrt(2*g*h) = {recomputed:.3g} m/s; kept verbatim")
     return 0

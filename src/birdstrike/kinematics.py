@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 
-from ._record import NON_NEGATIVE, POSITIVE, Record
+from ._record import NON_NEGATIVE, POSITIVE, TEXT, Record
 from .errors import InvalidParameterError, require
 from .materials import CRUISE_SPEED
 
@@ -31,22 +31,36 @@ _LOG2 = math.log(2.0)
 
 
 class DropPlan(Record):
-    """Planned drop for one species: full-scale and velocity-scaled columns."""
+    """Planned drop for one species: its velocities and heights are derived, never stored."""
 
     species_name: str
-    original_impact_velocity: float  # m/s
-    original_drop_height: float      # m
+    bird_speed: float      # m/s
+    aircraft_speed: float  # m/s
     scale_factor: float
-    scaled_drop_height: float        # m
-    gravity: float                   # m/s^2
-    _ranges = dict(original_impact_velocity=NON_NEGATIVE, original_drop_height=NON_NEGATIVE,
-                   scale_factor=(1.0, math.inf, False), scaled_drop_height=NON_NEGATIVE,
-                   gravity=POSITIVE)
+    gravity: float         # m/s^2
+    _ranges = dict(scale_factor=(1.0, math.inf, False), bird_speed=NON_NEGATIVE,
+                   aircraft_speed=NON_NEGATIVE, gravity=POSITIVE, species_name=TEXT)
+
+    def __post_init__(self) -> None:  # the scaled height is no larger, as scale_factor >= 1
+        v = self.bird_speed + self.aircraft_speed
+        if not v * v / (2.0 * self.gravity) < math.inf:
+            required_drop_height(self.bird_speed, self.aircraft_speed, self.gravity)  # raises
 
     @property
-    def scaled_impact_velocity(self) -> float:
-        """m/s: the original impact velocity divided by the scale factor."""
+    def original_impact_velocity(self) -> float:  # m/s
+        return self.bird_speed + self.aircraft_speed
+
+    @property
+    def original_drop_height(self) -> float:  # m, drag-free
+        return required_drop_height(self.bird_speed, self.aircraft_speed, self.gravity)
+
+    @property
+    def scaled_impact_velocity(self) -> float:  # m/s, the original over the scale factor
         return self.original_impact_velocity / self.scale_factor
+
+    @property
+    def scaled_drop_height(self) -> float:  # m, drag-free
+        return required_drop_height(self.scaled_impact_velocity, 0.0, self.gravity)
 
 
 class DragParams(Record):
@@ -114,19 +128,7 @@ def make_drop_plan(
     species_name: str = "",
 ) -> DropPlan:
     """Full drop plan: original velocity/height plus the velocity-scaled pair."""
-    require("scale_factor", scale_factor, 1.0)
-    original_velocity = bird_speed + aircraft_speed
-    original_height = required_drop_height(bird_speed, aircraft_speed, gravity)
-    scaled_velocity = original_velocity / scale_factor
-    scaled_height = required_drop_height(scaled_velocity, 0.0, gravity)
-    return DropPlan(
-        species_name=species_name,
-        original_impact_velocity=original_velocity,
-        original_drop_height=original_height,
-        scale_factor=scale_factor,
-        scaled_drop_height=scaled_height,
-        gravity=gravity,
-    )
+    return DropPlan(species_name, bird_speed, aircraft_speed, scale_factor, gravity)
 
 
 def terminal_velocity(params: DragParams) -> float:
@@ -203,7 +205,7 @@ PUBLISHED_PLANS = {
 # The settings the published plans were tabulated with: (gravity, scale factor, cruise speed).
 _PUBLISHED_SETTINGS = (GRAVITY_PRESETS["paper"], DEFAULT_SCALE_FACTOR, CRUISE_SPEED)
 
-# The cross-check: each DropPlan field compared, and its label, unit and
+# The cross-check: each DropPlan value compared, and its label, unit and
 # agreement band (the print precision of the published column).
 _PLAN_CHECKS = {
     "original_impact_velocity": ("original impact velocity", "m/s", 0.01),
@@ -213,18 +215,16 @@ _PLAN_CHECKS = {
 }
 
 
-def plan_flags(plan: DropPlan, cruise_speed: float = CRUISE_SPEED) -> list[str]:
+def plan_flags(plan: DropPlan) -> list[str]:
     """Inconsistency flags between a computed plan and the published reference.
 
     Species without a published reference yield no flags. The check only
     engages for plans made at the settings the reference was tabulated with:
-    gravity 10 m/s^2, scale factor 15 and cruise speed 90 m/s. A DropPlan does
-    not store its cruise speed, so the caller passes the one it planned with.
-    Under any other setting a mismatch would reflect that choice, not a data
-    inconsistency.
+    gravity 10 m/s^2, scale factor 15 and aircraft (cruise) speed 90 m/s; under
+    any other setting a mismatch reflects that choice, not a data inconsistency.
     """
     reference = PUBLISHED_PLANS.get(plan.species_name)
-    settings = (plan.gravity, plan.scale_factor, cruise_speed)
+    settings = (plan.gravity, plan.scale_factor, plan.aircraft_speed)
     if reference is None or not all(map(math.isclose, settings, _PUBLISHED_SETTINGS)):
         return []
     flags = []

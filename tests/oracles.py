@@ -5,7 +5,8 @@ the governing rate dv/dt = g - k*v^2 (k = rho*C_d*A/(2*m)) is integrated
 directly with classical fourth-order Runge-Kutta, jointly with dy/dt = v, and
 the fall distance, fall time and impact velocity are evaluated to 60 digits
 with decimal. For the conformance statistics, the sample variance is computed
-exactly in rational arithmetic. For the CSV tables, csv.reader reads the rows
+exactly in rational arithmetic, and so is the conformance harness's reference
+force, from its closed form. For the CSV tables, csv.reader reads the rows
 one at a time. For significant-figure rounding, decimal quantizes the value's
 repr with ROUND_HALF_UP.
 """
@@ -13,6 +14,7 @@ repr with ROUND_HALF_UP.
 from __future__ import annotations
 
 import csv
+import math
 from decimal import ROUND_HALF_UP, Decimal, localcontext
 from fractions import Fraction
 
@@ -83,6 +85,30 @@ def exact_sample_std(values) -> float:
     with localcontext() as context:
         context.prec = 50
         return float((Decimal(variance.numerator) / Decimal(variance.denominator)).sqrt())
+
+
+def exact_reference_force(volume_per_length: Fraction, specimen_density: float,
+                          impact_angle: float, speed_squared: Fraction,
+                          scaled_cruise: Fraction | None) -> Fraction:
+    """The reference force of one scenario in exact rational arithmetic.
+
+    volume_per_length is the projectile's V/L (its mass over length times
+    density), speed_squared the impact velocity squared, and scaled_cruise
+    c = cruise/scale under the scaled-cruise split, None under all-aircraft.
+    With K = rho_a*(V/L)*sin(theta)/2, the force is K*c*((v - c)*sin(theta) + c)
+    under scaled-cruise with v >= c, and K*v^2 otherwise (the aircraft takes
+    the whole velocity). sin(theta) is taken once in floating point; v, where
+    needed, is the square root to 60 digits.
+    """
+    sin_theta = Fraction(math.sin(math.radians(impact_angle)))
+    k = Fraction(specimen_density) * volume_per_length * sin_theta / 2
+    c = scaled_cruise
+    if c is None or speed_squared <= c * c:
+        return k * speed_squared
+    with localcontext() as context:
+        context.prec = 60
+        v = Fraction((Decimal(speed_squared.numerator) / Decimal(speed_squared.denominator)).sqrt())
+    return k * c * ((v - c) * sin_theta + c)
 
 
 def _decimal_drag(mass: float, drag_coefficient: float, reference_area: float,

@@ -13,6 +13,7 @@ message names a scenario of the matrix that was read.
 """
 
 import json
+import math
 import re
 import sys
 
@@ -60,6 +61,19 @@ class TestLibrary:
             required_drop_height(1e200, 90.0)
         with pytest.raises(InvalidParameterError, match="^bird_speed 22.35 and aircraft_speed"):
             make_drop_plan(22.35, 90.0, gravity=1e-307)
+
+    def test_plan_checks_the_height_of_its_summed_speeds(self):
+        # each speed's own height is finite: only their sum's leaves float range
+        assert required_drop_height(1e154, 0.0) < math.inf
+        with pytest.raises(InvalidParameterError, match="^bird_speed 1e[+]154 and aircraft_speed "
+                                                        "1e[+]154 give a drop height"):
+            make_drop_plan(1e154, 1e154)
+
+    def test_plan_at_the_edge_of_float_range(self):
+        v = math.sqrt(0.9 * sys.float_info.max)  # v^2 is finite, v^2/(2*g) overflows for g < 0.45
+        with pytest.raises(InvalidParameterError, match="^bird_speed .* beyond float range"):
+            make_drop_plan(v, 0.0, 1.0, 0.4)
+        assert make_drop_plan(v, 0.0, 1.0, 0.5).original_drop_height == v * v
 
     def test_valid_drop_height_costs_no_extra_check(self):
         assert required_drop_height(22.35, 90.0, 10.0) == (22.35 + 90.0) ** 2 / 20.0

@@ -565,6 +565,22 @@ class TestAnalyzeCommand:
         measurements_path.write_bytes(copy(text).encode("utf-8"))
         assert run_cli(argv, capsys) == plain
 
+    def test_nominal_velocity_notes_follow_matrix_order(self, capsys, analysis_fixture):
+        matrix_path, measurements_path = analysis_fixture
+        payload = json.loads(matrix_path.read_text(encoding="utf-8"))
+        baseline = payload["scenarios"][0]
+        assert baseline["id"] == "baseline"  # listed before '2.1', sorted after it
+        baseline["nominal_impact_velocity_m_s"] = 7.0
+        matrix_path.write_text(json.dumps(payload), encoding="utf-8")
+        code, _, err = run_cli(["analyze", "--matrix", str(matrix_path), "--measurements",
+                                str(measurements_path), "--gravity", "paper"], capsys)
+        assert code == 0
+        assert err.splitlines() == [
+            "note: scenario baseline: stored nominal velocity 7 m/s differs from "
+            "sqrt(2*g*h) = 7.48 m/s; kept verbatim",
+            "note: scenario 2.1: stored nominal velocity 6.44 m/s differs from "
+            "sqrt(2*g*h) = 6.32 m/s; kept verbatim"]
+
     def test_unknown_scenario_id_is_a_note(self, capsys, analysis_fixture):
         matrix_path, measurements_path = analysis_fixture
         with measurements_path.open("a", encoding="utf-8") as handle:

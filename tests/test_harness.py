@@ -5,6 +5,7 @@ import random
 import re
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import pytest
 
@@ -30,8 +31,10 @@ from birdstrike.harness import (
 from birdstrike.impact import PUBLISHED_DELTA_NOTES
 from birdstrike.kinematics import GRAVITY_PRESETS
 from birdstrike.materials import ALUMINIUM_2024_T3, CFRP, MaterialSpec, find_material
-from birdstrike.projectile import generate_projectile_set
+from birdstrike.projectile import Cylinder, generate_projectile_set
 from birdstrike.species import BirdSpecies
+
+from oracles import exact_reference_force
 
 
 def measurements_csv(tmp_path, matrix, force_for=lambda s, i: 5.0, with_velocity=False):
@@ -978,3 +981,29 @@ class TestScenarioValidation:
     def test_drop_height_positive(self):
         with pytest.raises(InvalidParameterError, match="drop_height"):
             Scenario("x", 1, 1, 0.0, 7.49, 90.0, "Aluminium-2024-T3", 15)
+
+
+@pytest.mark.parametrize("use_nominal", [False, True])
+@pytest.mark.parametrize("gravity", [10.0, 9.80665])
+@pytest.mark.parametrize("split", list(VelocitySplit))
+def test_reference_matches_the_exact_closed_form(projectile_set, materials, split, gravity,
+                                                 use_nominal):
+    by_serial = {spec.serial: spec for spec in projectile_set}
+    below_c = []
+    for scenario in build_test_matrix().scenarios:
+        spec = by_serial[scenario.projectile_serial]
+        shape, pi = spec.shape, Fraction(math.pi)  # the float pi that the shapes' volumes use
+        volume_per_length = (pi * Fraction(shape.radius) ** 2 if isinstance(shape, Cylinder)
+                             else pi * Fraction(shape.b) * Fraction(shape.c) * 2 / 3)
+        speed_squared = (Fraction(scenario.nominal_impact_velocity) ** 2 if use_nominal
+                         else 2 * Fraction(gravity) * Fraction(scenario.drop_height))
+        c = Fraction(90, 15) if split is VelocitySplit.SCALED_CRUISE else None  # cruise / scale
+        if c is not None and speed_squared < c * c:
+            below_c.append(scenario.id)
+        specimen = find_material(materials, scenario.specimen_material)
+        exact = exact_reference_force(volume_per_length, specimen.density, scenario.impact_angle,
+                                      speed_squared, c)
+        got = theoretical_reference(scenario, spec, specimen, gravity=gravity, split=split,
+                                    use_nominal_velocity=use_nominal)
+        assert abs(Fraction(got) - exact) <= 4 * Fraction(math.ulp(got)), scenario.id
+    assert below_c == (["2.2"] if c else [])  # its 1.5 m drop gives about 5.5 m/s < c = 6 m/s

@@ -103,11 +103,21 @@ class TestMakeDropPlan:
             make_drop_plan(22.35, 90.0, 0.5, G_REF)
 
     def test_scaled_velocity_is_derived(self):
-        plan = DropPlan("X", 112.35, 631.0, 15.0, 2.8, 10.0)
-        assert plan.scaled_impact_velocity == 112.35 / 15.0
-        assert "scaled_impact_velocity" not in plan._fields
+        plan = DropPlan("X", 22.35, 90.0, 15.0, G_REF)
+        assert plan == make_drop_plan(22.35, 90.0, 15.0, G_REF, "X")
+        assert plan._fields == ("species_name", "bird_speed", "aircraft_speed", "scale_factor",
+                                "gravity")
+        assert plan.original_impact_velocity == 22.35 + 90.0
+        assert plan.original_drop_height == required_drop_height(22.35, 90.0, G_REF)
+        assert plan.scaled_impact_velocity == (22.35 + 90.0) / 15.0
+        assert plan.scaled_drop_height == required_drop_height((22.35 + 90.0) / 15.0, 0.0, G_REF)
         with pytest.raises(AttributeError):
             plan.scaled_impact_velocity = 9.0
+
+    @pytest.mark.parametrize("name", [5, None])
+    def test_species_name_must_be_a_string(self, name):
+        with pytest.raises(InvalidParameterError, match="^species_name must be a string, got "):
+            make_drop_plan(22.35, 90.0, 15.0, G_REF, name)
 
 
 class TestPublishedPlanReproduction:
@@ -125,19 +135,29 @@ class TestPublishedPlanReproduction:
         assert digest == "19fab3d3b0f2107fbba5ea5a50f6fb26ecb594d5116b6844c87272524862f495"
 
     @pytest.mark.parametrize("changes, flagged", [
-        ({}, []),
-        (dict(original_drop_height=632.0), []),  # the 1 m band's edge
-        (dict(original_drop_height=632.5), ["original drop-height"]),
-        (dict(original_impact_velocity=112.355), []),
-        (dict(original_impact_velocity=112.365), ["original impact velocity"]),
-        (dict(original_impact_velocity=112.575),  # 7.505 m/s scaled
-         ["original impact velocity", "scaled impact velocity"]),
-        (dict(scaled_drop_height=2.85), []),
-        (dict(scaled_drop_height=2.95), ["scaled drop-height"]),
+        (dict(original_impact_velocity=(0.01, False)), []),
+        (dict(original_impact_velocity=(-0.01, True)), ["original impact velocity"]),
+        (dict(original_drop_height=(-1.0, False)), []),
+        (dict(original_drop_height=(1.0, True)), ["original drop-height"]),
+        (dict(scaled_impact_velocity=(-0.01, False)), []),
+        (dict(scaled_impact_velocity=(0.01, True)), ["scaled impact velocity"]),
+        (dict(scaled_drop_height=(0.1, False)), []),
+        (dict(scaled_drop_height=(-0.1, True)), ["scaled drop-height"]),
     ])
-    def test_each_band_flags_only_past_it(self, changes, flagged):
-        # the Starling's published plan, each other value moved half a band or 1.5 bands off
-        plan = DropPlan("Starling", 112.35, 631.0, 15.0, 2.8, 10.0)._replace(**changes)
+    def test_each_band_flags_only_past_it(self, monkeypatch, changes, flagged):
+        # the Starling's published value for one check moved one band above or below the
+        # computed one: onto the band's edge, or one float past it
+        plan = make_drop_plan(22.35, 90.0, 15.0, G_REF, "Starling")
+        row = list(PUBLISHED_PLANS["Starling"])
+        for field, (offset, past) in changes.items():
+            computed, band = getattr(plan, field), abs(offset)
+            edge = computed + offset
+            while abs(computed - edge) > band:  # rounded past the edge: step back onto it
+                edge = math.nextafter(edge, computed)
+            assert abs(computed - edge) == band or band != 1.0  # the 1 m edge is exact
+            row[list(kinematics._PLAN_CHECKS).index(field)] = (
+                math.nextafter(edge, offset * math.inf) if past else edge)
+        monkeypatch.setitem(PUBLISHED_PLANS, "Starling", tuple(row))
         labels = [re.match(r"published (.+?) [\d.]+ ", flag).group(1) for flag in plan_flags(plan)]
         assert labels == flagged
 
@@ -161,13 +181,15 @@ class TestPublishedPlanReproduction:
         # choice of settings, not a data inconsistency
         for bird in registry:
             plan = make_drop_plan(bird.flight_speed, cruise, scale, G_REF, bird.name)
-            assert plan_flags(plan, cruise) == []
+            assert plan_flags(plan) == []
 
-    def test_cruise_defaults_to_the_published_one(self, registry):
-        bird = next(bird for bird in registry if bird.name == "Turkey Vulture")
-        plan = make_drop_plan(bird.flight_speed, 90.0, 15.0, G_REF, bird.name)
-        assert plan_flags(plan) == plan_flags(plan, 90.0) != []
-        assert plan_flags(plan, 100.0) == []
+    def test_flags_follow_the_plans_own_cruise(self):
+        plan = make_drop_plan(26.82, 90.0, 15.0, G_REF, "Turkey Vulture")
+        assert len(plan_flags(plan)) == 1
+        faster = plan._replace(aircraft_speed=100.0)  # every derived value moves with it
+        assert faster.original_drop_height == required_drop_height(26.82, 100.0, G_REF)
+        assert faster.scaled_drop_height == required_drop_height(126.82 / 15.0, 0.0, G_REF)
+        assert plan_flags(faster) == []
 
     def test_no_flags_away_from_reference_gravity(self):
         # at standard gravity every height shifts ~2%; that is a gravity

@@ -44,10 +44,9 @@ ORACLE = {
                  ("drag_coefficient", float, 0.0, INF, True),
                  ("reference_area", float, 0.0, INF, True), ("air_density", float, 0.0, INF, True),
                  ("gravity", float, 0.0, INF, True)],
-    DropPlan: [("original_impact_velocity", float, 0.0, INF, False),
-               ("original_drop_height", float, 0.0, INF, False),
-               ("scale_factor", float, 1.0, INF, False),
-               ("scaled_drop_height", float, 0.0, INF, False), ("gravity", float, 0.0, INF, True)],
+    DropPlan: [("scale_factor", float, 1.0, INF, False), ("bird_speed", float, 0.0, INF, False),
+               ("aircraft_speed", float, 0.0, INF, False), ("gravity", float, 0.0, INF, True),
+               ("species_name", str, None, None, None)],
     CertificationLimits: [("single_bird_force", float, 0.0, INF, True),
                           ("flock_force", float, 0.0, INF, True)],
     Cylinder: [("radius", float, 0.0, INF, True), ("height", float, 0.0, INF, True)],
@@ -68,7 +67,7 @@ ORACLE = {
                ("impact_angle", float, 0.0, 90.0, True), ("iterations", int, 1, INF, False)],
 }
 # Fields the tables do not check, each given a fixed value.
-OTHER_FIELDS = {DropPlan: {"species_name": "Starling"}, MaterialSpec: {"name": "CFRP"},
+OTHER_FIELDS = {MaterialSpec: {"name": "CFRP"},
                 BirdSpecies: {"name": "Starling"},
                 ProjectileSpec: {"shape": Cylinder(0.02, 0.22)}}
 
@@ -159,7 +158,7 @@ DRAG = DragParams(0.0108, 1.15, 3.14159e-4)
 VALID = {
     ImpactScenario: lambda: ImpactScenario(0.085, 0.22, 1230.0, 22.35, 90.0, 2780.0, 90.0),
     DragParams: lambda: DragParams(0.0108, 1.15, 3.14159e-4),
-    DropPlan: lambda: DropPlan("Starling", 112.35, 631.0, 15.0, 2.8, 10.0),
+    DropPlan: lambda: DropPlan("Starling", 22.35, 90.0, 15.0, 10.0),
     CertificationLimits: lambda: CertificationLimits(2255.0, 4819.0),
     Cylinder: lambda: Cylinder(0.02, 0.22),
     Ellipsoid: lambda: Ellipsoid(0.11, 0.02, 0.02),

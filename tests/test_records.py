@@ -48,9 +48,9 @@ RECORDS = [
     (CertificationVerdict("flock", 10.0, 4819.0, True, 4809.0),
      "CertificationVerdict(case='flock', force=10.0, limit=4819.0, passed=True, margin=4809.0)"),
     (SensitivityRow(1.5, 20.0, -2.5), "SensitivityRow(value=1.5, force=20.0, percent_change=-2.5)"),
-    (DropPlan("Starling", 112.35, 631.0, 15.0, 2.8, 10.0),
-     "DropPlan(species_name='Starling', original_impact_velocity=112.35, "
-     "original_drop_height=631.0, scale_factor=15.0, scaled_drop_height=2.8, gravity=10.0)"),
+    (DropPlan("Starling", 22.35, 90.0, 15.0, 10.0),
+     "DropPlan(species_name='Starling', bird_speed=22.35, aircraft_speed=90.0, "
+     "scale_factor=15.0, gravity=10.0)"),
     (DragParams(0.1, 1.0, 0.01),
      "DragParams(projectile_mass=0.1, drag_coefficient=1.0, reference_area=0.01, "
      "air_density=1.225, gravity=9.80665)"),

@@ -170,6 +170,14 @@ def test_find_species_case_insensitive(registry):
         find_species(registry, "Dodo")
 
 
+@pytest.mark.parametrize("find, kind", [(find_species, "species"), (find_material, "material")])
+@pytest.mark.parametrize("name", [5, None, b"CFRP", ("Starling",)])
+def test_lookup_by_non_string_name_rejected(registry, find, kind, name):
+    items = registry if kind == "species" else builtin_materials()
+    with pytest.raises(InvalidParameterError, match=f"^{kind} name must be a string, got "):
+        find(items, name)
+
+
 def test_builtin_materials():
     materials = builtin_materials()
     aluminium = find_material(materials, "Aluminium-2024-T3")

@@ -97,11 +97,10 @@ ROWS = {
         dict(force=100.0), dict(force=0.0), dict(force=-1.0),
     ),
     "DropPlan": (
-        DropPlan, dict(species_name="x", original_impact_velocity=15.0, original_drop_height=11.0,
-                       scale_factor=1.0, scaled_drop_height=11.0, gravity=9.81),
-        {},
-        dict(original_impact_velocity=-1.0, original_drop_height=-1.0, scale_factor=0.5,
-             scaled_drop_height=-1.0, gravity=0.0),
+        DropPlan, dict(species_name="x", bird_speed=15.0, aircraft_speed=90.0, scale_factor=1.0,
+                       gravity=9.81),
+        dict(bird_speed=0.0, aircraft_speed=0.0),
+        dict(bird_speed=-1.0, aircraft_speed=-1.0, scale_factor=0.5, gravity=0.0),
     ),
     "DragParams": (
         DragParams, dict(projectile_mass=0.0108, drag_coefficient=1.15, reference_area=3e-4),
