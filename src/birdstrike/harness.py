@@ -191,10 +191,8 @@ def theoretical_reference(
         velocity = scenario.nominal_impact_velocity
     else:
         velocity = ideal_impact_velocity(scenario.drop_height, gravity)
-    if split is VelocitySplit.ALL_AIRCRAFT:
-        aircraft_speed = velocity
-    else:
-        aircraft_speed = min(cruise_speed / scale_factor, velocity)
+    cap = math.inf if split is VelocitySplit.ALL_AIRCRAFT else cruise_speed / scale_factor
+    aircraft_speed = min(cap, velocity)  # all-aircraft: an unbounded aircraft share
     bird_speed = velocity - aircraft_speed
     model_scenario = ImpactScenario(
         bird_mass=projectile.mass,
@@ -364,8 +362,10 @@ def percent_error(theoretical: float, experimental: float) -> float:
     (theoretical - experimental)/theoretical*100 instead; an error beyond
     float range raises InvalidParameterError, so the result is always finite.
     """
-    require("theoretical", theoretical, above=True)
-    require("experimental", experimental)
+    if not (theoretical.__class__ is float and 0.0 < theoretical < math.inf  # guard rule
+            and experimental.__class__ is float and 0.0 <= experimental < math.inf):
+        require("theoretical", theoretical, above=True)
+        require("experimental", experimental)
     error = (theoretical - experimental) * 100.0 / theoretical
     if not math.isfinite(error):
         error = (theoretical - experimental) / theoretical * 100.0
@@ -378,25 +378,48 @@ def percent_error(theoretical: float, experimental: float) -> float:
 
 class ScenarioConformance(Record):
     scenario_id: str
-    theoretical_force: float      # N
-    experimental_mean: float      # N
-    experimental_std: float       # N
-    percent_error: float          # signed
-    percent_conformance: float    # 100 - percent_error, may exceed 100
-    percent_conformance_abs: float  # 100 - |percent_error|, secondary metric
+    theoretical_force: float  # N
+    experimental_mean: float  # N
+    experimental_std: float   # N
+
+    def __post_init__(self) -> None:  # a row is built only with a finite percent error
+        percent_error(self.theoretical_force, self.experimental_mean)
+
+    @property
+    def percent_error(self) -> float:  # signed
+        return percent_error(self.theoretical_force, self.experimental_mean)
+
+    @property
+    def percent_conformance(self) -> float:  # 100 - percent_error, may exceed 100
+        return 100.0 - self.percent_error
+
+    @property
+    def percent_conformance_abs(self) -> float:  # 100 - |percent_error|, secondary metric
+        return 100.0 - abs(self.percent_error)
 
 
-# The report file format: each ScenarioConformance field and its key, in file order.
-_REPORT_KEYS = dict(zip(ScenarioConformance._fields, (
-    "scenario_id", "theoretical_n", "experimental_mean_n", "experimental_std_n", "percent_error",
-    "percent_conformance", "percent_conformance_abs")))
+# The report file format: each ScenarioConformance value's attribute and its key, in file order.
+_REPORT_KEYS = dict(scenario_id="scenario_id", theoretical_force="theoretical_n",
+                    experimental_mean="experimental_mean_n", experimental_std="experimental_std_n",
+                    percent_error="percent_error", percent_conformance="percent_conformance",
+                    percent_conformance_abs="percent_conformance_abs")
 REPORT_CSV_HEADER = tuple(_REPORT_KEYS.values())[:-1]  # the CSV has no abs column
 
 
 class ConformanceReport(Record):
     scenarios: tuple[ScenarioConformance, ...]
-    overall_mean_conformance: float
-    overall_mean_conformance_abs: float
+
+    def __post_init__(self) -> None:
+        if not self.scenarios:
+            raise InvalidParameterError("a conformance report needs at least one scenario")
+
+    @property
+    def overall_mean_conformance(self) -> float:
+        return _mean([row.percent_conformance for row in self.scenarios])
+
+    @property
+    def overall_mean_conformance_abs(self) -> float:
+        return _mean([row.percent_conformance_abs for row in self.scenarios])
 
 
 def conformance_report(
@@ -412,19 +435,12 @@ def conformance_report(
             raise InvalidParameterError(f"no theoretical reference for scenario {scenario.id!r}")
         if scenario.id not in by_id:
             raise InvalidParameterError(f"no measurements for scenario {scenario.id!r}")
-        theoretical = references[scenario.id]
         mean, std = scenario_stats(by_id[scenario.id])
         try:
-            error = percent_error(theoretical, mean)
+            rows.append(ScenarioConformance(scenario.id, references[scenario.id], mean, std))
         except InvalidParameterError as exc:
             raise InvalidParameterError(f"scenario {scenario.id!r}: {exc}") from None
-        rows.append(
-            ScenarioConformance(scenario.id, theoretical, mean, std, error,
-                                100.0 - error, 100.0 - abs(error))
-        )
-    overall = _mean([row.percent_conformance for row in rows])
-    overall_abs = _mean([row.percent_conformance_abs for row in rows])
-    return ConformanceReport(tuple(rows), overall, overall_abs)
+    return ConformanceReport(tuple(rows))
 
 
 def _mean(values: list[float]) -> float:
@@ -483,10 +499,9 @@ def analyze(matrix: TestMatrix, projectiles: Sequence[ProjectileSpec],
 def render_report_csv(report: ConformanceReport) -> str:
     """CSV rendering: one row per scenario plus a final OVERALL row."""
     from ._table import render_csv
-    rows = [REPORT_CSV_HEADER]
+    rows, numbers = [REPORT_CSV_HEADER], tuple(_REPORT_KEYS)[1:len(REPORT_CSV_HEADER)]
     for row in report.scenarios:
-        scenario_id, *numbers = tuple(row._asdict().values())[:len(REPORT_CSV_HEADER)]
-        rows.append([scenario_id, *map(repr, numbers)])
+        rows.append([row.scenario_id, *[repr(getattr(row, number)) for number in numbers]])
     rows.append(["OVERALL", *[""] * (len(REPORT_CSV_HEADER) - 2),
                  repr(report.overall_mean_conformance)])
     return render_csv(rows)

@@ -82,10 +82,16 @@ CERTIFICATION_CASES = {"single-bird": "single_bird_force", "flock": "flock_force
 
 class CertificationVerdict(Record):
     case: str
-    force: float   # N
-    limit: float   # N
-    passed: bool
-    margin: float  # N, limit - force (negative when exceeded)
+    force: float  # N
+    limit: float  # N
+
+    @property
+    def passed(self) -> bool:
+        return self.force <= self.limit
+
+    @property
+    def margin(self) -> float:  # N, limit - force (negative when exceeded)
+        return self.limit - self.force
 
 
 class SensitivityRow(Record):
@@ -146,7 +152,7 @@ def check_certification(
         raise InvalidParameterError(
             f"case must be {' or '.join(map(repr, CERTIFICATION_CASES))}, got {case!r}")
     limit = getattr(limits, CERTIFICATION_CASES[case])
-    return CertificationVerdict(case, force, limit, force <= limit, limit - force)
+    return CertificationVerdict(case, force, limit)
 
 
 def _force_any_speed(s: ImpactScenario) -> float:

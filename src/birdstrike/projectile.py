@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 
-from ._record import NON_NEGATIVE, POSITIVE, TEXT, Record
+from ._record import POSITIVE, TEXT, Record
 from .errors import InvalidParameterError, require
 from .species import BirdSpecies
 
@@ -65,9 +65,12 @@ def effective_density(
     shell_fraction is the volume fraction printed solid regardless of infill;
     0 (the default) is the pure-infill model.
     """
-    require("solid_density", solid_density, above=True)
-    require("infill_fraction", infill_fraction, 0.0, 1.0)
-    require("shell_fraction", shell_fraction, 0.0, 1.0)
+    if not (solid_density.__class__ is float and 0.0 < solid_density < math.inf  # guard rule
+            and infill_fraction.__class__ is float and 0.0 <= infill_fraction <= 1.0
+            and shell_fraction.__class__ is float and 0.0 <= shell_fraction <= 1.0):
+        require("solid_density", solid_density, above=True)
+        require("infill_fraction", infill_fraction, 0.0, 1.0)
+        require("shell_fraction", shell_fraction, 0.0, 1.0)
     return solid_density * (shell_fraction + (1.0 - shell_fraction) * infill_fraction)
 
 
@@ -103,17 +106,17 @@ Shape = Cylinder | Ellipsoid
 
 
 class ProjectileSpec(Record):
-    """One manufactured surrogate projectile; its mass is derived, not stored."""
+    """One manufactured surrogate projectile; its density and mass are derived, not stored."""
 
     serial: int
     shape: Shape
     solid_material_density: float  # kg/m^3
     infill_fraction: float
-    effective_density: float       # kg/m^3
+    shell_fraction: float
     varying_factor: str
     _ranges = dict(varying_factor=TEXT, serial=(1, math.inf, False),
                    solid_material_density=POSITIVE, infill_fraction=(0.0, 1.0, False),
-                   effective_density=NON_NEGATIVE)
+                   shell_fraction=(0.0, 1.0, False))
 
     def __post_init__(self) -> None:
         if not isinstance(self.shape, Shape):
@@ -122,6 +125,11 @@ class ProjectileSpec(Record):
         mass = self.mass
         if not mass < math.inf:  # inf, or nan from 0 * inf
             require("mass", mass)
+
+    @property
+    def effective_density(self) -> float:  # kg/m^3
+        return effective_density(self.solid_material_density, self.infill_fraction,
+                                 self.shell_fraction)
 
     @property
     def mass(self) -> float:
@@ -141,6 +149,7 @@ def generate_projectile_set(
     SN4 shortens the length, SN5 is the ellipsoid inscribed in the base
     cylinder. Serials and varying-factor labels match the manufactured set.
     """
+    effective_density(solid_density, 0.0, shell_fraction)  # checks both, by these names
     radius = round_sig(
         cylinder_radius_for(base.mass, base.body_density, base.length), DIMENSION_SIG_FIGS
     )
@@ -154,11 +163,8 @@ def generate_projectile_set(
         (4, Cylinder(radius, short), BASELINE_INFILL, "Bird length (& bird mass)"),
         (5, Ellipsoid(height / 2.0, radius, radius), BASELINE_INFILL, "Bird shape"),
     )
-    specs = []
-    for serial, shape, infill, label in rows:
-        density = effective_density(solid_density, infill, shell_fraction)
-        specs.append(ProjectileSpec(serial, shape, solid_density, infill, density, label))
-    return specs
+    return [ProjectileSpec(serial, shape, solid_density, infill, shell_fraction, label)
+            for serial, shape, infill, label in rows]
 
 
 def geometry_payload(spec: ProjectileSpec) -> dict:

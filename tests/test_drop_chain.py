@@ -5,7 +5,8 @@ the impact velocity from the drop height and from a recorded fall time, the
 ImpactScenario that velocity feeds, impact_force, check_certification in both
 cases, and a sensitivity_table over aircraft_speed that includes 0 (the
 stationary-aircraft fallback). repr gives each float's shortest round-tripping
-form, so the golden digest of the reprs changes with any bit of any result.
+form, so the golden digest of the reprs changes with any bit of any result. A
+verdict is written with its derived passed and margin after its fields.
 """
 
 import hashlib
@@ -17,6 +18,10 @@ from birdstrike.kinematics import (DragParams, fall_time_for_drop, impact_veloci
                                    impact_velocity_from_timing)
 
 DROP_CHAIN_SHA256 = "25496f17011025c9f48666f5f2c5c383da61754f5b537b4ebaf6ee638b35891b"
+
+
+def verdict_repr(verdict) -> str:
+    return f"{repr(verdict)[:-1]}, passed={verdict.passed!r}, margin={verdict.margin!r})"
 
 
 def drop_chain_reprs(seed=20, drops=120) -> str:
@@ -37,12 +42,13 @@ def drop_chain_reprs(seed=20, drops=120) -> str:
         scenario = ImpactScenario(mass, length, density, by_height, aircraft, specimen,
                                   rng.choice([90.0, rng.uniform(0.0, 90.0)]))
         result = impact_force(scenario)
-        verdicts = [check_certification(result.force * scale, case)
+        verdicts = [verdict_repr(check_certification(result.force * scale, case))
                     for case in CERTIFICATION_CASES for scale in (1.0, 1e3)]
         rows = sensitivity_table(scenario, "aircraft_speed",
                                  [0.0, aircraft * 0.5, aircraft, aircraft * 4.0])
         lines += map(repr, [params, height, by_height, fall_time, recorded, by_time, scenario,
-                            result, *verdicts, *rows])
+                            result])
+        lines += [*verdicts, *map(repr, rows)]
     return "\n".join(lines) + "\n"
 
 

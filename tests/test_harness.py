@@ -11,7 +11,9 @@ import pytest
 
 from birdstrike.errors import InvalidParameterError, ParseError
 from birdstrike.harness import (
+    ConformanceReport,
     MeasurementSet,
+    ScenarioConformance,
     TestMatrix as Matrix,  # aliased so pytest does not try to collect them
     TestScenario as Scenario,
     VelocitySplit,
@@ -187,7 +189,7 @@ class TestTheoreticalReference:
 
     def test_zero_mass_projectile_gives_zero(self, default_matrix, starling, materials):
         hollow = generate_projectile_set(starling)[0]
-        hollow = hollow._replace(infill_fraction=0.0, effective_density=0.0)
+        hollow = hollow._replace(infill_fraction=0.0)
         aluminium = find_material(materials, "Aluminium-2024-T3")
         assert theoretical_reference(
             default_matrix.scenario("baseline"), hollow, aluminium, gravity=10.0
@@ -675,6 +677,36 @@ class TestConformanceReport:
         report = conformance_report(matrix, {"a": 10.0}, [MeasurementSet("a", (8.0,))])
         assert report.overall_mean_conformance == report.scenarios[0].percent_conformance
 
+    def test_derived_values_follow_the_rows(self):
+        assert ScenarioConformance._fields == (
+            "scenario_id", "theoretical_force", "experimental_mean", "experimental_std")
+        assert ConformanceReport._fields == ("scenarios",)
+        matrix = two_scenario_matrix()
+        measurements = [MeasurementSet("a", (19.0,)), MeasurementSet("b", (30.0,))]
+        report = conformance_report(matrix, {"a": 20.0, "b": 20.0}, measurements)
+        a, b = report.scenarios
+        assert (a.percent_error, a.percent_conformance, a.percent_conformance_abs) == (
+            5.0, 95.0, 95.0)
+        assert (b.percent_error, b.percent_conformance, b.percent_conformance_abs) == (
+            -50.0, 150.0, 50.0)
+        assert (report.overall_mean_conformance, report.overall_mean_conformance_abs) == (
+            122.5, 72.5)
+        moved = a._replace(experimental_mean=5.0)
+        assert (moved.percent_error, moved.percent_conformance, moved.percent_conformance_abs) == (
+            75.0, 25.0, 25.0)
+        report = report._replace(scenarios=(moved, b))
+        assert (report.overall_mean_conformance, report.overall_mean_conformance_abs) == (
+            87.5, 37.5)
+
+    def test_a_row_or_report_without_a_result_raises_when_built(self):
+        with pytest.raises(InvalidParameterError, match="^theoretical must be > 0, got 0.0$"):
+            ScenarioConformance("a", 0.0, 5.0, 0.0)
+        message = "percent error of 1e+300 N against 1e-300 N is beyond float range"
+        with pytest.raises(InvalidParameterError, match=f"^{re.escape(message)}$"):
+            ScenarioConformance("a", 1e-300, 1e300, 0.0)
+        with pytest.raises(InvalidParameterError, match="^a conformance report needs at least "):
+            ConformanceReport(())
+
     def test_missing_reference_rejected(self):
         matrix = two_scenario_matrix()
         with pytest.raises(InvalidParameterError, match="reference"):
@@ -909,7 +941,7 @@ class TestAnalyze:
     def test_a_zero_reference_names_every_input_the_model_read(self, default_matrix,
                                                                projectile_set, materials, path):
         # a massless projectile gives a 0 N reference, which no report can divide by
-        hollow = projectile_set[0]._replace(infill_fraction=0.0, effective_density=0.0)
+        hollow = projectile_set[0]._replace(infill_fraction=0.0)
         assert self.error(default_matrix, [hollow, *projectile_set[1:]], materials, path) == (
             ("matrix", "materials", "projectiles"),
             "scenario 'baseline': theoretical must be > 0, got 0.0", InvalidParameterError)

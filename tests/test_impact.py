@@ -6,6 +6,7 @@ import pytest
 from birdstrike.errors import InvalidParameterError, StationaryAircraftError
 from birdstrike.impact import (
     CertificationLimits,
+    CertificationVerdict,
     ImpactScenario,
     check_certification,
     impact_force,
@@ -246,6 +247,15 @@ class TestCertification:
 
     def test_zero_force_passes(self):
         assert check_certification(0.0, "single-bird").passed
+
+    def test_passed_and_margin_follow_the_force_and_limit(self):
+        assert CertificationVerdict._fields == ("case", "force", "limit")
+        verdict = check_certification(3000.0, "single-bird")
+        assert (verdict.passed, verdict.margin) == (False, -745.0)
+        lowered = verdict._replace(force=1000.0)
+        assert lowered.passed is True and lowered.margin == 1255.0
+        raised = verdict._replace(limit=3000.0)
+        assert raised.passed is True and raised.margin == 0.0
 
     def test_default_limits(self):
         limits = CertificationLimits()

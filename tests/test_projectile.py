@@ -245,6 +245,19 @@ class TestGenerateProjectileSet:
         assert specs[2].shape.radius == 0.025
         assert specs[3].shape.height == round_sig(0.92 * 15.0 / 22.0, 2)
 
+    def test_sn2_density_gap_to_the_campaign(self, starling):
+        # The campaign's SN2 is 34 % denser than its SN1. The default pure-infill pair is
+        # 167 % apart; a shell fraction of 0.369 brings the pair to the campaign's ratio.
+        sn1, sn2 = generate_projectile_set(starling)[:2]
+        assert sn1.shell_fraction == sn2.shell_fraction == 0.0
+        assert (sn1.effective_density, sn2.effective_density) == (156.0, 416.0)
+        assert round(sn2.effective_density / sn1.effective_density - 1.0, 4) == 1.6667
+        sn1, sn2 = generate_projectile_set(starling, shell_fraction=0.369)[:2]
+        assert sn1.shell_fraction == sn2.shell_fraction == 0.369
+        assert (round(sn1.effective_density, 3), round(sn2.effective_density, 3)) == (
+            482.196, 646.256)
+        assert round(sn2.effective_density / sn1.effective_density, 4) == 1.3402
+
     def test_shell_fraction_raises_effective_density(self, starling):
         pure = generate_projectile_set(starling, shell_fraction=0.0)
         shelled = generate_projectile_set(starling, shell_fraction=0.3)
@@ -269,27 +282,30 @@ class TestProjectileSpecInvariants:
     def test_zero_mass_zero_density_allowed(self):
         shape = Cylinder(0.01, 0.22)
         spec = ProjectileSpec(1, shape, 1040.0, 0.0, 0.0, "hollow")
-        assert spec.mass == 0.0
+        assert spec.effective_density == spec.mass == 0.0
 
     def test_infill_range_enforced(self):
         shape = Cylinder(0.01, 0.22)
         with pytest.raises(InvalidParameterError, match="infill"):
-            ProjectileSpec(1, shape, 1040.0, 1.5, 1560.0, "x")
+            ProjectileSpec(1, shape, 1040.0, 1.5, 0.0, "x")
 
     def test_replace_recomputes_the_mass(self, projectile_set):
-        denser = projectile_set[0]._replace(effective_density=416.0)
+        denser = projectile_set[0]._replace(infill_fraction=0.4)
+        assert denser.effective_density == 416.0
         assert denser.mass == 416.0 * projectile_set[0].shape.volume()
-        assert "mass" not in denser._asdict()
+        assert "mass" not in denser._asdict() and "effective_density" not in denser._asdict()
+        assert ProjectileSpec._fields == ("serial", "shape", "solid_material_density",
+                                          "infill_fraction", "shell_fraction", "varying_factor")
 
     @pytest.mark.parametrize("density, mass", [(156.0, "inf"), (0.0, "nan")])
     def test_mass_beyond_float_range_rejected(self, density, mass):
         with pytest.raises(InvalidParameterError, match=f"^mass must be >= 0, got {mass}$"):
-            ProjectileSpec(1, Cylinder(1e200, 1e200), 1040.0, 0.15, density, "x")
+            ProjectileSpec(1, Cylinder(1e200, 1e200), 1040.0, density / 1040.0, 0.0, "x")
 
     @pytest.mark.parametrize("shape", ["x", None, 0.02, (0.02, 0.22)], ids=repr)
     def test_shape_that_is_no_cylinder_or_ellipsoid_rejected(self, shape):
         with pytest.raises(InvalidParameterError) as caught:
-            ProjectileSpec(1, shape, 1040.0, 0.15, 156.0, "x")
+            ProjectileSpec(1, shape, 1040.0, 0.15, 0.0, "x")
         assert str(caught.value) == f"shape must be a Cylinder or Ellipsoid, got {shape!r}"
 
 

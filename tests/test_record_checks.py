@@ -59,7 +59,7 @@ ORACLE = {
     ProjectileSpec: [("varying_factor", str, None, None, None), ("serial", int, 1, INF, False),
                      ("solid_material_density", float, 0.0, INF, True),
                      ("infill_fraction", float, 0.0, 1.0, False),
-                     ("effective_density", float, 0.0, INF, False)],
+                     ("shell_fraction", float, 0.0, 1.0, False)],
     Scenario: [("id", str, None, None, None), ("specimen_material", str, None, None, None),
                ("case_number", int, 1, 7, False), ("projectile_serial", int, 1, 5, False),
                ("drop_height", float, 0.0, INF, True),
@@ -164,7 +164,7 @@ VALID = {
     Ellipsoid: lambda: Ellipsoid(0.11, 0.02, 0.02),
     MaterialSpec: lambda: MaterialSpec("CFRP", 1167.6),
     BirdSpecies: lambda: BirdSpecies("Starling", 0.085, 0.22, 1230.0, 22.35),
-    ProjectileSpec: lambda: ProjectileSpec(5, Ellipsoid(0.11, 0.02, 0.02), 1040.0, 0.15, 156.0,
+    ProjectileSpec: lambda: ProjectileSpec(5, Ellipsoid(0.11, 0.02, 0.02), 1040.0, 0.15, 0.0,
                                            "Bird shape"),
     Scenario: lambda: Scenario("baseline", 1, 1, 2.8, 7.49, 90.0, "CFRP", 15),
 }

@@ -30,10 +30,9 @@ from birdstrike.species import BirdSpecies
 
 from fresh import fresh_env
 
-ROW = ScenarioConformance("s", 19.0, 18.0, 0.5, 5.0, 95.0, 95.0)
-ROW_REPR = ("ScenarioConformance(scenario_id='s', theoretical_force=19.0, experimental_mean=18.0, "
-            "experimental_std=0.5, percent_error=5.0, percent_conformance=95.0, "
-            "percent_conformance_abs=95.0)")
+ROW = ScenarioConformance("s", 20.0, 19.0, 0.5)
+ROW_REPR = ("ScenarioConformance(scenario_id='s', theoretical_force=20.0, experimental_mean=19.0, "
+            "experimental_std=0.5)")
 ELLIPSOID = Ellipsoid(0.11, 0.02, 0.02)
 MATRIX = Matrix((Scenario("1", 1, 3, 2.8, 7.49, 90.0, "CFRP", 2),))
 SCENARIO = ImpactScenario(0.085, 0.22, 1230.0, 22.35, 90.0, 2780.0, 90.0)
@@ -45,8 +44,8 @@ RECORDS = [
     (ImpactResult(1, 2, 3, 4),
      "ImpactResult(total_speed=1, kinetic_energy=2, penetration_depth=3, force=4)"),
     (CertificationLimits(), "CertificationLimits(single_bird_force=2255.0, flock_force=4819.0)"),
-    (CertificationVerdict("flock", 10.0, 4819.0, True, 4809.0),
-     "CertificationVerdict(case='flock', force=10.0, limit=4819.0, passed=True, margin=4809.0)"),
+    (CertificationVerdict("flock", 10.0, 4819.0),
+     "CertificationVerdict(case='flock', force=10.0, limit=4819.0)"),
     (SensitivityRow(1.5, 20.0, -2.5), "SensitivityRow(value=1.5, force=20.0, percent_change=-2.5)"),
     (DropPlan("Starling", 22.35, 90.0, 15.0, 10.0),
      "DropPlan(species_name='Starling', bird_speed=22.35, aircraft_speed=90.0, "
@@ -64,14 +63,12 @@ RECORDS = [
     (MeasurementSet("s", (1.0, 2.5), (7.0, 7.5)),
      "MeasurementSet(scenario_id='s', forces=(1.0, 2.5), impact_velocities=(7.0, 7.5))"),
     (ROW, ROW_REPR),
-    (ConformanceReport((ROW,), 95.0, 95.0),
-     f"ConformanceReport(scenarios=({ROW_REPR},), overall_mean_conformance=95.0, "
-     "overall_mean_conformance_abs=95.0)"),
+    (ConformanceReport((ROW,)), f"ConformanceReport(scenarios=({ROW_REPR},))"),
     (Cylinder(0.02, 0.22), "Cylinder(radius=0.02, height=0.22)"),
     (ELLIPSOID, "Ellipsoid(a=0.11, b=0.02, c=0.02)"),
-    (ProjectileSpec(5, ELLIPSOID, 1040.0, 0.15, 156.0, "Bird shape"),
+    (ProjectileSpec(5, ELLIPSOID, 1040.0, 0.15, 0.0, "Bird shape"),
      "ProjectileSpec(serial=5, shape=Ellipsoid(a=0.11, b=0.02, c=0.02), "
-     "solid_material_density=1040.0, infill_fraction=0.15, effective_density=156.0, "
+     "solid_material_density=1040.0, infill_fraction=0.15, shell_fraction=0.0, "
      "varying_factor='Bird shape')"),
     (BirdSpecies("Starling", 0.085, 0.22, 1230.0, 22.35),
      "BirdSpecies(name='Starling', mass=0.085, length=0.22, body_density=1230.0, "

@@ -162,10 +162,9 @@ ROWS = {
     "Ellipsoid": (Ellipsoid, dict(a=0.1, b=0.01, c=0.01), {}, dict(a=-1.0, b=0.0, c=0.0)),
     "ProjectileSpec": (
         spec_row, dict(serial=1, solid_material_density=1040.0, infill_fraction=0.15,
-                       effective_density=156.0),
-        dict(infill_fraction=1.0, effective_density=0.0),
-        dict(serial=0, solid_material_density=0.0, infill_fraction=1.5,
-             effective_density=-1.0),
+                       shell_fraction=0.0),
+        dict(infill_fraction=1.0, shell_fraction=1.0),
+        dict(serial=0, solid_material_density=0.0, infill_fraction=1.5, shell_fraction=-0.1),
     ),
     "BirdSpecies": (
         lambda **fields: BirdSpecies("x", **fields),
