@@ -381,6 +381,7 @@ class ScenarioConformance(Record):
     theoretical_force: float  # N
     experimental_mean: float  # N
     experimental_std: float   # N
+    _ranges = dict(experimental_std=NON_NEGATIVE)
 
     def __post_init__(self) -> None:  # a row is built only with a finite percent error
         percent_error(self.theoretical_force, self.experimental_mean)
@@ -412,6 +413,10 @@ class ConformanceReport(Record):
     def __post_init__(self) -> None:
         if not self.scenarios:
             raise InvalidParameterError("a conformance report needs at least one scenario")
+        for row in self.scenarios:
+            if not isinstance(row, ScenarioConformance):
+                raise InvalidParameterError(
+                    f"a conformance report holds ScenarioConformance rows, got {row!r}")
 
     @property
     def overall_mean_conformance(self) -> float:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 
-from ._record import NON_NEGATIVE, POSITIVE, Record
+from ._record import NON_NEGATIVE, POSITIVE, TEXT, Record
 from .errors import InvalidParameterError, StationaryAircraftError, require
 
 
@@ -81,9 +81,16 @@ CERTIFICATION_CASES = {"single-bird": "single_bird_force", "flock": "flock_force
 
 
 class CertificationVerdict(Record):
+    """A force against one certification case's limit.
+
+    The verdict checks its numbers; check_certification checks that the case
+    is one of CERTIFICATION_CASES.
+    """
+
     case: str
     force: float  # N
     limit: float  # N
+    _ranges = dict(force=NON_NEGATIVE, limit=POSITIVE, case=TEXT)
 
     @property
     def passed(self) -> bool:
@@ -106,19 +113,22 @@ def impact_force(scenario: ImpactScenario) -> ImpactResult:
     The returned force equals kinetic_energy*sin(theta)/penetration_depth; the
     intermediates are carried alongside it.
     """
-    s = scenario
-    if s.aircraft_speed == 0:
+    fields = scenario.__dict__  # each field read once: a key read is cheaper than an attribute
+    mass, length, bird_density = fields["bird_mass"], fields["bird_length"], fields["bird_density"]
+    bird_speed, aircraft_speed = fields["bird_speed"], fields["aircraft_speed"]
+    aircraft_density, angle = fields["aircraft_density"], fields["impact_angle"]
+    if aircraft_speed == 0:
         raise StationaryAircraftError(
             "penetration depth is singular at aircraft speed 0; "
             "use the stationary-aircraft model (impact_force_stationary)"
         )
-    sin_theta = math.sin(math.radians(s.impact_angle))
-    v = s.bird_speed * sin_theta + s.aircraft_speed
-    energy = 0.5 * s.bird_mass * v * v
-    depth = s.bird_length * (s.bird_density / s.aircraft_density) * (v / s.aircraft_speed)
+    sin_theta = math.sin(math.radians(angle))
+    v = bird_speed * sin_theta + aircraft_speed
+    energy = 0.5 * mass * v * v
+    depth = length * (bird_density / aircraft_density) * (v / aircraft_speed)
     force = (
-        0.5 * s.bird_mass * s.aircraft_density * s.aircraft_speed * v * sin_theta
-        / (s.bird_length * s.bird_density or _bird_divisor(s))  # which raises on 0
+        0.5 * mass * aircraft_density * aircraft_speed * v * sin_theta
+        / (length * bird_density or _bird_divisor(scenario))  # which raises on 0
     )
     if not (energy < math.inf and depth < math.inf and force < math.inf):  # all >= 0 or nan
         raise _not_finite(total_speed=v, kinetic_energy=energy, penetration_depth=depth,
@@ -146,13 +156,12 @@ def check_certification(
     force: float, case: str, limits: CertificationLimits = DEFAULT_LIMITS
 ) -> CertificationVerdict:
     """Compare a force against the single-bird or flock threshold."""
-    if not (force.__class__ is float and 0.0 <= force < math.inf):
-        require("force", force)
-    if case not in CERTIFICATION_CASES:
+    field = CERTIFICATION_CASES.get(case)
+    if field is None:
+        require("force", force)  # the verdict checks the force, but a bad one is named first
         raise InvalidParameterError(
             f"case must be {' or '.join(map(repr, CERTIFICATION_CASES))}, got {case!r}")
-    limit = getattr(limits, CERTIFICATION_CASES[case])
-    return CertificationVerdict(case, force, limit)
+    return CertificationVerdict(case, force, getattr(limits, field))
 
 
 def _force_any_speed(s: ImpactScenario) -> float:
@@ -183,10 +192,11 @@ def sensitivity_table(
     base_force = _force_any_speed(base)
     if base_force == 0:
         raise InvalidParameterError("base scenario force is zero; percent change undefined")
-    rows, fields = [], base._asdict()
+    rows, fields = [], list(base._asdict().values())
+    index = ImpactScenario._fields.index(parameter)
     for value in values:
-        fields[parameter] = value
-        force = _force_any_speed(ImpactScenario(**fields))
+        fields[index] = value
+        force = _force_any_speed(ImpactScenario(*fields))
         change = 100.0 * (force - base_force) / base_force
         if not math.isfinite(change):  # 100*(force - base) can overflow where the ratio does not
             change = (force - base_force) / base_force * 100.0

@@ -78,18 +78,20 @@ class DragParams(Record):
         # Read on every step of the fall-time solve, so computed once here. Set
         # as plain attributes, not fields: _fields, _asdict(), repr, == and
         # hash see the five inputs only, and _replace() recomputes them.
-        drag = self.air_density * self.drag_coefficient * self.reference_area
-        vt = math.sqrt(2.0 * self.projectile_mass * self.gravity / drag) if drag else math.inf
+        attributes = self.__dict__
+        gravity = attributes["gravity"]
+        drag = (attributes["air_density"] * attributes["drag_coefficient"]
+                * attributes["reference_area"])
+        vt = math.sqrt(2.0 * attributes["projectile_mass"] * gravity / drag) if drag else math.inf
         if not 0.0 < vt < math.inf:  # a product under- or overflowed
             raise InvalidParameterError(
                 f"terminal velocity sqrt(2*m*g/(rho*C_d*A)) must be finite and > 0, got {vt!r}"
             )
-        scale = vt * vt / self.gravity  # the fall-distance scale of drag_fall_distance
+        scale = vt * vt / gravity  # the fall-distance scale of drag_fall_distance
         if not 0.0 < scale < math.inf:
             raise InvalidParameterError(
                 f"fall-distance scale 2*m/(rho*C_d*A) = v_t^2/g must be finite and > 0, "
                 f"got {scale!r}")
-        attributes = self.__dict__
         attributes["_terminal_velocity"], attributes["_distance_scale"] = vt, scale
 
 

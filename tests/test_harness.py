@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from birdstrike import harness
 from birdstrike.errors import InvalidParameterError, ParseError
 from birdstrike.harness import (
     ConformanceReport,
@@ -706,6 +707,14 @@ class TestConformanceReport:
             ScenarioConformance("a", 1e-300, 1e300, 0.0)
         with pytest.raises(InvalidParameterError, match="^a conformance report needs at least "):
             ConformanceReport(())
+
+    @pytest.mark.parametrize("std", [-5.0, math.nan])
+    def test_a_bad_standard_deviation_names_its_scenario(self, std, monkeypatch):
+        monkeypatch.setattr(harness, "scenario_stats", lambda measurement: (9.0, std))
+        message = f"^scenario 'a': experimental_std must be >= 0, got {std!r}$"
+        with pytest.raises(InvalidParameterError, match=message):
+            conformance_report(two_scenario_matrix(), {"a": 10.0, "b": 10.0},
+                               [MeasurementSet("a", (9.0,)), MeasurementSet("b", (9.0,))])
 
     def test_missing_reference_rejected(self):
         matrix = two_scenario_matrix()

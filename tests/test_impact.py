@@ -8,6 +8,7 @@ from birdstrike.impact import (
     CertificationLimits,
     CertificationVerdict,
     ImpactScenario,
+    _force_any_speed,
     check_certification,
     impact_force,
     impact_force_stationary,
@@ -292,6 +293,19 @@ class TestSensitivityTable:
             BASE.bird_density, BASE.aircraft_density, BASE.impact_angle,
         )
         assert rows[0].force == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("field", ImpactScenario._fields)
+    def test_each_row_is_the_base_with_that_field_replaced(self, field):
+        base = BASE._replace(impact_angle=60.0)
+        start = getattr(base, field)
+        values = [0.0, 30.0, 90.0] if field == "impact_angle" else [
+            start * 0.25, start, start * 3.0]
+        if field == "aircraft_speed":
+            values.append(0.0)  # the stationary-aircraft fallback
+        rows = sensitivity_table(base, field, values)
+        assert [row.value for row in rows] == values
+        for row, value in zip(rows, values):
+            assert row.force == _force_any_speed(base._replace(**{field: value})), value
 
     def test_invalid_parameter_name_rejected(self):
         with pytest.raises(InvalidParameterError, match="unknown scenario parameter"):

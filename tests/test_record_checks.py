@@ -19,8 +19,10 @@ import pytest
 from birdstrike import errors
 from birdstrike.errors import InvalidParameterError, require
 # aliased so pytest does not collect it
-from birdstrike.harness import MeasurementSet, TestScenario as Scenario
-from birdstrike.impact import CertificationLimits, ImpactScenario, check_certification
+from birdstrike.harness import (ConformanceReport, MeasurementSet, ScenarioConformance,
+                                TestScenario as Scenario)
+from birdstrike.impact import (CertificationLimits, CertificationVerdict, ImpactScenario,
+                               check_certification)
 from birdstrike.kinematics import (DragParams, DropPlan, fall_time_for_drop,
                                    impact_velocity_from_drop, impact_velocity_from_timing)
 from birdstrike.materials import MaterialSpec
@@ -49,6 +51,8 @@ ORACLE = {
                ("species_name", str, None, None, None)],
     CertificationLimits: [("single_bird_force", float, 0.0, INF, True),
                           ("flock_force", float, 0.0, INF, True)],
+    CertificationVerdict: [("force", float, 0.0, INF, False), ("limit", float, 0.0, INF, True),
+                           ("case", str, None, None, None)],
     Cylinder: [("radius", float, 0.0, INF, True), ("height", float, 0.0, INF, True)],
     Ellipsoid: [("a", float, 0.0, INF, True), ("b", float, 0.0, INF, True),
                 ("c", float, 0.0, INF, True)],
@@ -65,11 +69,14 @@ ORACLE = {
                ("drop_height", float, 0.0, INF, True),
                ("nominal_impact_velocity", float, 0.0, INF, False),
                ("impact_angle", float, 0.0, 90.0, True), ("iterations", int, 1, INF, False)],
+    ScenarioConformance: [("experimental_std", float, 0.0, INF, False)],
 }
 # Fields the tables do not check, each given a fixed value.
 OTHER_FIELDS = {MaterialSpec: {"name": "CFRP"},
                 BirdSpecies: {"name": "Starling"},
-                ProjectileSpec: {"shape": Cylinder(0.02, 0.22)}}
+                ProjectileSpec: {"shape": Cylinder(0.02, 0.22)},
+                ScenarioConformance: {"scenario_id": "s", "theoretical_force": 20.0,
+                                      "experimental_mean": 19.0}}
 
 
 class Float(float):
@@ -160,6 +167,7 @@ VALID = {
     DragParams: lambda: DragParams(0.0108, 1.15, 3.14159e-4),
     DropPlan: lambda: DropPlan("Starling", 22.35, 90.0, 15.0, 10.0),
     CertificationLimits: lambda: CertificationLimits(2255.0, 4819.0),
+    CertificationVerdict: lambda: CertificationVerdict("flock", 10.0, 4819.0),
     Cylinder: lambda: Cylinder(0.02, 0.22),
     Ellipsoid: lambda: Ellipsoid(0.11, 0.02, 0.02),
     MaterialSpec: lambda: MaterialSpec("CFRP", 1167.6),
@@ -167,6 +175,7 @@ VALID = {
     ProjectileSpec: lambda: ProjectileSpec(5, Ellipsoid(0.11, 0.02, 0.02), 1040.0, 0.15, 0.0,
                                            "Bird shape"),
     Scenario: lambda: Scenario("baseline", 1, 1, 2.8, 7.49, 90.0, "CFRP", 15),
+    ScenarioConformance: lambda: ScenarioConformance("s", 20.0, 19.0, 0.5),
 }
 
 
@@ -221,6 +230,18 @@ def test_inline_guard_accepts_and_rejects_as_require_does(name, value):
     (lambda: Scenario("baseline", 1, 1, 2.8, 7.49, 90.0, 5, 15.0),
      "specimen_material must be a string, got 5"),
     (lambda: impact_velocity_from_drop(-1.0, DRAG), "height must be >= 0, got -1.0"),
+    (lambda: CertificationVerdict("swarm", math.nan, -3.0), "force must be >= 0, got nan"),
+    (lambda: CertificationVerdict("flock", 10.0, 4819.0)._replace(force=-1.0),
+     "force must be >= 0, got -1.0"),
+    (lambda: check_certification(-1.0, "swarm"), "force must be >= 0, got -1.0"),
+    (lambda: check_certification(10.0, "swarm"),
+     "case must be 'single-bird' or 'flock', got 'swarm'"),
+    (lambda: ScenarioConformance("a", 1.0, 1.0, -5.0),
+     "experimental_std must be >= 0, got -5.0"),
+    (lambda: ScenarioConformance("a", 1.0, 1.0, math.nan),
+     "experimental_std must be >= 0, got nan"),
+    (lambda: ConformanceReport(("x",)),
+     "a conformance report holds ScenarioConformance rows, got 'x'"),
     (lambda: MeasurementSet("a", (1.0, 2.0), (5.0,)),
      "scenario 'a': 1 impact velocities for 2 forces"),
     (lambda: MeasurementSet("a", (1.0, 2.0), ()), "scenario 'a': 0 impact velocities for 2 forces"),

@@ -242,7 +242,7 @@ def test_first_construction_equals_a_later_one():
 
 def test_first_out_of_range_value_raises_as_a_later_one():
     outcomes = first_lookups("out-of-range")
-    assert len(outcomes) == 10
+    assert len(outcomes) == 12
     for name, (first, later) in outcomes.items():
         assert first == later and first[0] == "InvalidParameterError", name
         assert "nan" in first[1], name
