@@ -59,17 +59,26 @@ _SCENARIO_KEYS = dict(zip(TestScenario._fields, (
     "impact_angle_deg", "specimen_material", "iterations")))
 
 
+def _rows_by_id(rows, row_class, what: str, row_id) -> dict:
+    """The rows of a matrix or a report by id: at least one, each a row_class, no id twice."""
+    if not rows:
+        raise InvalidParameterError(f"a {what} needs at least one scenario")
+    by_id = {}
+    for row in rows:
+        if not isinstance(row, row_class):
+            raise InvalidParameterError(f"a {what} holds {row_class.__name__} rows, got {row!r}")
+        key = row_id(row)
+        if key in by_id:
+            raise InvalidParameterError(f"duplicate scenario id {key!r}")
+        by_id[key] = row
+    return by_id
+
+
 class TestMatrix(Record):
     scenarios: tuple[TestScenario, ...]
 
     def __post_init__(self) -> None:
-        if not self.scenarios:
-            raise InvalidParameterError("a test matrix needs at least one scenario")
-        by_id = {}
-        for scenario in self.scenarios:
-            if scenario.id in by_id:
-                raise InvalidParameterError(f"duplicate scenario id {scenario.id!r}")
-            by_id[scenario.id] = scenario
+        by_id = _rows_by_id(self.scenarios, TestScenario, "test matrix", operator.attrgetter("id"))
         self.__dict__.update(_by_id=by_id)
 
     def scenario(self, scenario_id: str) -> TestScenario:
@@ -223,6 +232,7 @@ class MeasurementSet(Record):
     scenario_id: str
     forces: tuple[float, ...]                          # N
     impact_velocities: tuple[float, ...] | None = None  # m/s, optional
+    _ranges = dict(scenario_id=TEXT)
 
     def __post_init__(self) -> None:
         if not self.forces:
@@ -381,7 +391,7 @@ class ScenarioConformance(Record):
     theoretical_force: float  # N
     experimental_mean: float  # N
     experimental_std: float   # N
-    _ranges = dict(experimental_std=NON_NEGATIVE)
+    _ranges = dict(scenario_id=TEXT, experimental_std=NON_NEGATIVE)
 
     def __post_init__(self) -> None:  # a row is built only with a finite percent error
         percent_error(self.theoretical_force, self.experimental_mean)
@@ -411,12 +421,8 @@ class ConformanceReport(Record):
     scenarios: tuple[ScenarioConformance, ...]
 
     def __post_init__(self) -> None:
-        if not self.scenarios:
-            raise InvalidParameterError("a conformance report needs at least one scenario")
-        for row in self.scenarios:
-            if not isinstance(row, ScenarioConformance):
-                raise InvalidParameterError(
-                    f"a conformance report holds ScenarioConformance rows, got {row!r}")
+        _rows_by_id(self.scenarios, ScenarioConformance, "conformance report",
+                    operator.attrgetter("scenario_id"))
 
     @property
     def overall_mean_conformance(self) -> float:

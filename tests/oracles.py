@@ -8,7 +8,8 @@ with decimal. For the conformance statistics, the sample variance is computed
 exactly in rational arithmetic, and so is the conformance harness's reference
 force, from its closed form. For the CSV tables, csv.reader reads the rows
 one at a time. For significant-figure rounding, decimal quantizes the value's
-repr with ROUND_HALF_UP.
+repr with ROUND_HALF_UP. write_measurements writes the campaign files that the
+tests ingest.
 """
 
 from __future__ import annotations
@@ -191,3 +192,12 @@ def csv_rows(path, columns) -> tuple[list[tuple[int, tuple]], str | None]:
                         return rows, f"{path}: row {row_no}, column {name}: not a number: {cell!r}"
                 rows.append((row_no, tuple(cells)))
             row_no += 1
+
+
+def write_measurements(path, rows, velocity=False):
+    """Save rows as a measurements CSV and return path: the header, with the velocity
+    column when velocity is set, then one newline-ended line of str() cells per row."""
+    header = "scenario_id,iteration,force_n" + ",impact_velocity_m_s" * velocity
+    path.write_text("".join(f"{','.join(map(str, row))}\n" for row in [(header,), *rows]),
+                    encoding="utf-8")
+    return path

@@ -27,6 +27,8 @@ from birdstrike.harness import (VelocitySplit, build_test_matrix, matrix_to_json
 from birdstrike.kinematics import ideal_impact_velocity, make_drop_plan, required_drop_height
 from birdstrike.materials import ALUMINIUM_2024_T3
 
+from oracles import write_measurements
+
 HUGE = 1.7e308
 
 
@@ -131,10 +133,8 @@ class TestFlags:
 def files(tmp_path):
     """make(height): a matrix file whose scenario '2.1' falls from height, and measurements."""
     matrix = build_test_matrix()
-    measurements = tmp_path / "measurements.csv"
-    measurements.write_text("scenario_id,iteration,force_n\n" + "".join(
-        f"{s.id},{i},{15.0 + i / 10}\n" for s in matrix.scenarios for i in range(1, 16)),
-        encoding="utf-8")
+    measurements = write_measurements(tmp_path / "measurements.csv", [
+        (s.id, i, 15.0 + i / 10) for s in matrix.scenarios for i in range(1, 16)])
 
     def make(height):
         path = tmp_path / "matrix.json"

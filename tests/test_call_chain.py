@@ -17,6 +17,8 @@ import birdstrike
 from birdstrike import harness, impact
 from birdstrike.cli import main
 
+from oracles import write_measurements
+
 TIMED = {
     "harness": ("theoretical_reference", "read_matrix", "ingest_measurements",
                 "conformance_report", "render_report_csv", "render_report_json",
@@ -32,9 +34,8 @@ METHODS = ((harness.TestMatrix, "scenario"), (impact.ImpactScenario, "__init__")
 BIRD = ["--mass", "0.085", "--length", "0.22", "--bird-density", "1230",
         "--aircraft-density", "2780", "--bird-speed", "22.35", "--angle", "90"]
 DRAG = ["--mass", "0.0108", "--cd", "1.15", "--area", "3.14159e-4"]
-MEASUREMENTS = "scenario_id,iteration,force_n,impact_velocity_m_s\n" + "".join(
-    f"{scenario.id},{n},{15.0 + n},7.4\n"
-    for scenario in harness.build_test_matrix().scenarios for n in range(1, 16))
+MEASUREMENTS = [(scenario.id, n, 15.0 + n, 7.4)
+                for scenario in harness.build_test_matrix().scenarios for n in range(1, 16)]
 
 
 def install(monkeypatch, record):
@@ -70,8 +71,8 @@ def reached(monkeypatch):
 
 
 def test_cli_reaches_every_timed_function(reached, tmp_path, capsys):
-    matrix, measurements = tmp_path / "matrix.json", tmp_path / "forces.csv"
-    measurements.write_text(MEASUREMENTS, encoding="utf-8")
+    matrix = tmp_path / "matrix.json"
+    measurements = write_measurements(tmp_path / "forces.csv", MEASUREMENTS, velocity=True)
     # one call per subcommand, plus the second route of drop-velocity and of analyze
     calls = [
         ["force", *BIRD, "--aircraft-speed", "90"],
@@ -99,8 +100,7 @@ def test_ingest_looks_up_each_present_scenario_once(monkeypatch, tmp_path):
     # perfbench/run.py reports harness.TestMatrix.scenario.calls_per_row from a traced
     # ingest of this 135-row file: one lookup per matrix scenario in it, not one per row
     matrix = harness.build_test_matrix()
-    measurements = tmp_path / "forces.csv"
-    measurements.write_text(MEASUREMENTS, encoding="utf-8")
+    measurements = write_measurements(tmp_path / "forces.csv", MEASUREMENTS, velocity=True)
     lookups = []
     scenario = harness.TestMatrix.scenario
 
@@ -116,8 +116,7 @@ def test_ingest_looks_up_each_present_scenario_once(monkeypatch, tmp_path):
 def test_analyze_models_and_looks_up_each_scenario_once(monkeypatch, tmp_path, projectile_set,
                                                          materials):
     # perfbench/run.py reports materials.find_material.calls per analyze pass: one per scenario
-    measurements = tmp_path / "forces.csv"
-    measurements.write_text(MEASUREMENTS, encoding="utf-8")
+    measurements = write_measurements(tmp_path / "forces.csv", MEASUREMENTS, velocity=True)
     calls = []
     install(monkeypatch, calls.append)
     harness.analyze(harness.build_test_matrix(), projectile_set, materials, measurements,

@@ -40,6 +40,7 @@ from birdstrike.materials import find_material
 from birdstrike.projectile import generate_projectile_set, geometry_payload
 
 from fresh import fresh_env
+from oracles import write_measurements
 
 
 def run_cli(argv, capsys):
@@ -408,7 +409,7 @@ def analysis_fixture(tmp_path, capsys, default_matrix, projectile_set, materials
     code, _, _ = run_cli(["matrix", "--out", str(matrix_path)], capsys)
     assert code == 0
     by_serial = {spec.serial: spec for spec in projectile_set}
-    lines = ["scenario_id,iteration,force_n"]
+    rows = []
     for scenario in default_matrix.scenarios:
         reference = theoretical_reference(
             scenario,
@@ -416,11 +417,8 @@ def analysis_fixture(tmp_path, capsys, default_matrix, projectile_set, materials
             find_material(materials, scenario.specimen_material),
             gravity=10.0,
         )
-        for iteration in range(1, 16):
-            lines.append(f"{scenario.id},{iteration},{reference * 0.9:.9g}")
-    measurements_path = tmp_path / "measurements.csv"
-    measurements_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return matrix_path, measurements_path
+        rows += [(scenario.id, iteration, f"{reference * 0.9:.9g}") for iteration in range(1, 16)]
+    return matrix_path, write_measurements(tmp_path / "measurements.csv", rows)
 
 
 class TestAnalyzeCommand:

@@ -21,6 +21,8 @@ from birdstrike.errors import ParseError
 from birdstrike.harness import build_test_matrix, matrix_to_json, read_matrix
 from birdstrike.projectile import export_geometry
 
+from oracles import write_measurements
+
 MATRIX_SHA256 = "fdf61d034d3194cc41d3a2fd56679f24d166ae680b588c8c1b187e0cf9a424be"
 MATRIX_7_SHA256 = "598cd145f47bea43c88dba417a14aa74a5ea31fe9b04650665bf1f52c2fdc3a3"
 DESIGN_SHA256 = "91f664e27ee49356eac5e955809676ddf878472545b2e5a828efe1a73e41bc30"
@@ -87,12 +89,9 @@ def test_design_out_file_digests(tmp_path):
 @pytest.fixture()
 def campaign(tmp_path):
     """A fixed measurements file: 15 iterations of each default scenario, every force distinct."""
-    path = tmp_path / "forces.csv"
-    path.write_text("scenario_id,iteration,force_n\n" + "".join(
-        f"{scenario.id},{n},{12.5 + k + n / 16}\n"
-        for k, scenario in enumerate(build_test_matrix().scenarios) for n in range(1, 16)),
-        encoding="utf-8")
-    return path
+    return write_measurements(tmp_path / "forces.csv", [
+        (scenario.id, n, 12.5 + k + n / 16)
+        for k, scenario in enumerate(build_test_matrix().scenarios) for n in range(1, 16)])
 
 
 @pytest.mark.parametrize("fmt, digest", [("csv", REPORT_CSV_SHA256),

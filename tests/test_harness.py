@@ -37,20 +37,13 @@ from birdstrike.materials import ALUMINIUM_2024_T3, CFRP, MaterialSpec, find_mat
 from birdstrike.projectile import Cylinder, generate_projectile_set
 from birdstrike.species import BirdSpecies
 
-from oracles import exact_reference_force
+from oracles import exact_reference_force, write_measurements
 
 
 def measurements_csv(tmp_path, matrix, force_for=lambda s, i: 5.0, with_velocity=False):
-    lines = ["scenario_id,iteration,force_n" + (",impact_velocity_m_s" if with_velocity else "")]
-    for scenario in matrix.scenarios:
-        for iteration in range(1, scenario.iterations + 1):
-            row = f"{scenario.id},{iteration},{force_for(scenario, iteration)}"
-            if with_velocity:
-                row += ",7.3"
-            lines.append(row)
-    path = tmp_path / "measurements.csv"
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return path
+    return write_measurements(tmp_path / "measurements.csv", [
+        (s.id, n, force_for(s, n), *(7.3,) * with_velocity)
+        for s in matrix.scenarios for n in range(1, s.iterations + 1)], with_velocity)
 
 
 class TestBuildMatrix:
@@ -360,11 +353,9 @@ class TestIngestMeasurements:
         rows = [(s.id, str(n)) for s in default_matrix.scenarios for n in range(1, 16)]
         rows += [("mystery", "1"), ("2.3", "-4"), ("mystery", "1")]
         rng.shuffle(rows)
-        path = tmp_path / "measurements.csv"
-        path.write_text("scenario_id,iteration,force_n" + ",impact_velocity_m_s" * with_velocity
-                        + "".join(f"\n{i},{n},{rng.uniform(0.0, 500.0)!r}"
-                                  + f",{rng.uniform(5.0, 9.0)!r}" * with_velocity
-                                  for i, n in rows) + "\n", encoding="utf-8")
+        path = write_measurements(tmp_path / "measurements.csv", [
+            (i, n, rng.uniform(0.0, 500.0), rng.uniform(5.0, 9.0))[:3 + with_velocity]
+            for i, n in rows], with_velocity)
         with pytest.warns(UserWarning, match="not in matrix"):
             sets = ingest_measurements(path, default_matrix)
         assert [s.scenario_id for s in sets] == list(dict.fromkeys(i for i, _ in rows))
@@ -378,10 +369,8 @@ class TestIngestMeasurements:
         rng = random.Random(25)
         rows = [(s.id, n) for s in matrix.scenarios for n in range(1, 10_001)]
         rng.shuffle(rows)
-        path = tmp_path / "campaign.csv"
-        path.write_text("scenario_id,iteration,force_n,impact_velocity_m_s\n" + "".join(
-            f"{i},{n},{rng.uniform(1e3, 5e3)!r},{rng.uniform(5.0, 9.0)!r}\n" for i, n in rows),
-            encoding="utf-8")
+        path = write_measurements(tmp_path / "campaign.csv", (
+            (i, n, rng.uniform(1e3, 5e3), rng.uniform(5.0, 9.0)) for i, n in rows), velocity=True)
         tracemalloc.start()
         try:
             sets = ingest_measurements(path, matrix)
@@ -458,11 +447,8 @@ class TestIngestRandomised:
         rng.shuffle(rows)
 
         def write(rows):
-            path = tmp_path / "measurements.csv"
-            header = "scenario_id,iteration,force_n" + ",impact_velocity_m_s" * with_velocity
-            path.write_text("".join(f"{','.join(str(c) for c in row if c is not None)}\n"
-                                    for row in [(header,), *rows]), encoding="utf-8")
-            return path
+            return write_measurements(tmp_path / "measurements.csv",
+                                      [row[:3 + with_velocity] for row in rows], with_velocity)
         return rng, matrix, rows, write
 
     @staticmethod

@@ -32,6 +32,7 @@ import birdstrike
 from birdstrike.harness import build_test_matrix
 
 from fresh import fresh_env
+from oracles import write_measurements
 
 SOURCES = sorted(Path(birdstrike.__file__).parent.glob("*.py"))
 MODULES = [path for path in SOURCES if path.name != "__init__.py"]
@@ -194,10 +195,9 @@ def plain_call_imports(tmp_path_factory):
     """The modules a plain call imports, from one fresh run of it beside a forces.csv; the
     tests of each call read that one run."""
     cwd = tmp_path_factory.mktemp("plain-calls")
-    forces = ["scenario_id,iteration,force_n"] + [
-        f"{scenario.id},{n},19.5" for scenario in build_test_matrix().scenarios
-        for n in range(1, scenario.iterations + 1)]
-    (cwd / "forces.csv").write_text("\n".join(forces) + "\n", encoding="utf-8")
+    write_measurements(cwd / "forces.csv", [
+        (scenario.id, n, 19.5) for scenario in build_test_matrix().scenarios
+        for n in range(1, scenario.iterations + 1)])
     return functools.cache(lambda argv: frozenset(fresh_cli_imports(*argv, cwd=cwd)))
 
 

@@ -15,6 +15,7 @@ from pathlib import Path
 from birdstrike.harness import build_test_matrix
 
 from fresh import fresh_env
+from oracles import write_measurements
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -41,11 +42,10 @@ def test_python_example_runs():
 
 
 def test_cli_examples_exit_zero(tmp_path):
-    lines = ["scenario_id,iteration,force_n"]
-    for scenario in build_test_matrix().scenarios:
-        lines += [f"{scenario.id},{n},19.5" for n in range(1, scenario.iterations + 1)]
-    assert len(lines) == 1 + 135
-    (tmp_path / "forces.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rows = [(scenario.id, n, 19.5) for scenario in build_test_matrix().scenarios
+            for n in range(1, scenario.iterations + 1)]
+    assert len(rows) == 135
+    write_measurements(tmp_path / "forces.csv", rows)
     commands = cli_examples()
     assert commands
     for args in commands:

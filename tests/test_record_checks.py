@@ -1,12 +1,16 @@
 """The range checks that each record's generated __init__ runs inline.
 
-A differential test draws every field of each range-checked record from plain
-and hostile values alike and compares construction with an oracle: this
-file's own literal table of ranges, run through errors.require in declaration
-order, then the record's __post_init__ on the raw fields. A profiler then
-checks that valid plain inputs reach errors.require not at all, in the records
-and in the drop-chain functions that check their argument inline, and those
-functions are checked to accept, reject and word each error as require does.
+A differential test draws every range-checked field of each record from plain
+and hostile values alike (each bound and values past it, nan, +-inf, ints past
+float range, bools, strings, None and float subclasses), keeps the record's
+other fields from its valid instance in valid_records.py, and compares the
+exact error message of construction with an oracle: ORACLE, this file's own
+literal table of ranges and the suite's only statement of them besides the
+records' _ranges, run through errors.require in declaration order, then the
+record's __post_init__ on the raw fields. A profiler then checks that valid
+plain inputs reach errors.require not at all, in the records and in the
+drop-chain functions that check their argument inline, and those functions are
+checked to accept, reject and word each error as require does.
 """
 
 import math
@@ -18,9 +22,9 @@ import pytest
 
 from birdstrike import errors
 from birdstrike.errors import InvalidParameterError, require
-# aliased so pytest does not collect it
+# aliased so pytest does not collect them
 from birdstrike.harness import (ConformanceReport, MeasurementSet, ScenarioConformance,
-                                TestScenario as Scenario)
+                                TestMatrix as Matrix, TestScenario as Scenario)
 from birdstrike.impact import (CertificationLimits, CertificationVerdict, ImpactScenario,
                                check_certification)
 from birdstrike.kinematics import (DragParams, DropPlan, fall_time_for_drop,
@@ -28,6 +32,8 @@ from birdstrike.kinematics import (DragParams, DropPlan, fall_time_for_drop,
 from birdstrike.materials import MaterialSpec
 from birdstrike.projectile import Cylinder, Ellipsoid, ProjectileSpec
 from birdstrike.species import BirdSpecies
+
+from valid_records import INSTANCES
 
 INF = math.inf
 FLOAT_MAX = sys.float_info.max
@@ -69,14 +75,12 @@ ORACLE = {
                ("drop_height", float, 0.0, INF, True),
                ("nominal_impact_velocity", float, 0.0, INF, False),
                ("impact_angle", float, 0.0, 90.0, True), ("iterations", int, 1, INF, False)],
-    ScenarioConformance: [("experimental_std", float, 0.0, INF, False)],
+    ScenarioConformance: [("scenario_id", str, None, None, None),
+                          ("experimental_std", float, 0.0, INF, False)],
+    MeasurementSet: [("scenario_id", str, None, None, None)],
 }
-# Fields the tables do not check, each given a fixed value.
-OTHER_FIELDS = {MaterialSpec: {"name": "CFRP"},
-                BirdSpecies: {"name": "Starling"},
-                ProjectileSpec: {"shape": Cylinder(0.02, 0.22)},
-                ScenarioConformance: {"scenario_id": "s", "theoretical_force": 20.0,
-                                      "experimental_mean": 19.0}}
+# Each range-checked record's valid instance, whose other fields the differential keeps.
+VALID = {cls: record for cls, record in INSTANCES.items() if hasattr(cls, "_ranges")}
 
 
 class Float(float):
@@ -127,9 +131,8 @@ def test_generated_checks_match_the_oracle(record):
     rng = random.Random(f"record checks {record.__name__}")
     built = 0
     for _ in range(4000):
-        values = dict(OTHER_FIELDS.get(record, {}))
+        values = VALID[record]._asdict()
         values.update((field, draw(rng, kind, lo, hi)) for field, kind, lo, hi, _ in ORACLE[record])
-        values = {field: values[field] for field in record._fields}
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # BirdSpecies warns on an odd body density
             want = oracle_error(record, values)
@@ -162,21 +165,6 @@ def require_calls(action) -> int:
 
 
 DRAG = DragParams(0.0108, 1.15, 3.14159e-4)
-VALID = {
-    ImpactScenario: lambda: ImpactScenario(0.085, 0.22, 1230.0, 22.35, 90.0, 2780.0, 90.0),
-    DragParams: lambda: DragParams(0.0108, 1.15, 3.14159e-4),
-    DropPlan: lambda: DropPlan("Starling", 22.35, 90.0, 15.0, 10.0),
-    CertificationLimits: lambda: CertificationLimits(2255.0, 4819.0),
-    CertificationVerdict: lambda: CertificationVerdict("flock", 10.0, 4819.0),
-    Cylinder: lambda: Cylinder(0.02, 0.22),
-    Ellipsoid: lambda: Ellipsoid(0.11, 0.02, 0.02),
-    MaterialSpec: lambda: MaterialSpec("CFRP", 1167.6),
-    BirdSpecies: lambda: BirdSpecies("Starling", 0.085, 0.22, 1230.0, 22.35),
-    ProjectileSpec: lambda: ProjectileSpec(5, Ellipsoid(0.11, 0.02, 0.02), 1040.0, 0.15, 0.0,
-                                           "Bird shape"),
-    Scenario: lambda: Scenario("baseline", 1, 1, 2.8, 7.49, 90.0, "CFRP", 15),
-    ScenarioConformance: lambda: ScenarioConformance("s", 20.0, 19.0, 0.5),
-}
 
 
 def test_every_range_checked_record_is_covered():
@@ -185,7 +173,8 @@ def test_every_range_checked_record_is_covered():
 
 @pytest.mark.parametrize("record", list(VALID), ids=lambda record: record.__name__)
 def test_valid_plain_values_make_no_call(record):
-    assert require_calls(VALID[record]) == 0
+    fields = VALID[record]._asdict()
+    assert require_calls(lambda: record(**fields)) == 0
 
 
 def test_drop_velocity_checks_only_the_height():
@@ -223,16 +212,15 @@ def test_inline_guard_accepts_and_rejects_as_require_does(name, value):
 
 
 @pytest.mark.parametrize("build, message", [
-    (lambda: ImpactScenario(0.085, 0.22, 1230.0, 22.35, 90.0, 2780.0, 90.5),
+    (lambda: VALID[ImpactScenario]._replace(impact_angle=90.5),
      "impact_angle must be within [0, 90], got 90.5"),
     (lambda: DragParams(0.0108, 1.15, math.nan), "reference_area must be > 0, got nan"),
-    (lambda: MaterialSpec("CFRP", -1.0), "density must be > 0, got -1.0 (CFRP)"),
-    (lambda: Scenario("baseline", 1, 1, 2.8, 7.49, 90.0, 5, 15.0),
+    (lambda: VALID[MaterialSpec]._replace(density=-1.0), "density must be > 0, got -1.0 (CFRP)"),
+    (lambda: VALID[Scenario]._replace(specimen_material=5, iterations=15.0),
      "specimen_material must be a string, got 5"),
     (lambda: impact_velocity_from_drop(-1.0, DRAG), "height must be >= 0, got -1.0"),
     (lambda: CertificationVerdict("swarm", math.nan, -3.0), "force must be >= 0, got nan"),
-    (lambda: CertificationVerdict("flock", 10.0, 4819.0)._replace(force=-1.0),
-     "force must be >= 0, got -1.0"),
+    (lambda: VALID[CertificationVerdict]._replace(force=-1.0), "force must be >= 0, got -1.0"),
     (lambda: check_certification(-1.0, "swarm"), "force must be >= 0, got -1.0"),
     (lambda: check_certification(10.0, "swarm"),
      "case must be 'single-bird' or 'flock', got 'swarm'"),
@@ -240,8 +228,13 @@ def test_inline_guard_accepts_and_rejects_as_require_does(name, value):
      "experimental_std must be >= 0, got -5.0"),
     (lambda: ScenarioConformance("a", 1.0, 1.0, math.nan),
      "experimental_std must be >= 0, got nan"),
+    (lambda: ScenarioConformance(None, 1.0, 1.0, 0.0), "scenario_id must be a string, got None"),
     (lambda: ConformanceReport(("x",)),
      "a conformance report holds ScenarioConformance rows, got 'x'"),
+    (lambda: ConformanceReport((ScenarioConformance("a", 1.0, 1.0, 0.0),) * 2),
+     "duplicate scenario id 'a'"),
+    (lambda: Matrix(("x",)), "a test matrix holds TestScenario rows, got 'x'"),
+    (lambda: MeasurementSet(None, (1.0,)), "scenario_id must be a string, got None"),
     (lambda: MeasurementSet("a", (1.0, 2.0), (5.0,)),
      "scenario 'a': 1 impact velocities for 2 forces"),
     (lambda: MeasurementSet("a", (1.0, 2.0), ()), "scenario 'a': 0 impact velocities for 2 forces"),

@@ -25,7 +25,7 @@ from birdstrike.harness import (
     render_report_csv,
     render_report_json,
 )
-from oracles import csv_rows
+from oracles import csv_rows, write_measurements
 
 HEADER = "scenario_id,iteration,force_n,impact_velocity_m_s"
 ITERATIONS = (3 * BATCH_ROWS + BATCH_ROWS // 2) // 9 + 1  # nine scenarios: 3.5 batches of rows
@@ -47,9 +47,8 @@ def data_rows(seed=1):
 
 
 def write(tmp_path, rows):
-    path = tmp_path / "measurements.csv"
-    path.write_text("\n".join([HEADER, *rows]) + "\n", encoding="utf-8")
-    return path
+    return write_measurements(tmp_path / "measurements.csv", [(row,) for row in rows],
+                              velocity=True)
 
 
 def with_line(index, line):

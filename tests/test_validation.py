@@ -1,10 +1,13 @@
-"""One range check for every physical input.
+"""One range check for every physical input of a function, and for the forces
+and velocities of a MeasurementSet.
 
-Each row names a public constructor or function with numeric inputs, a valid
-set of keyword arguments, the values on the edge of the domain that must
-still be accepted, and one out-of-range value per input. NaN, +inf, -inf and
-the out-of-range value must each raise InvalidParameterError whose message
-starts with "{name} must be".
+Each row names a function with numeric inputs (or MeasurementSet, which checks
+its forces and velocities in __post_init__), a valid set of keyword arguments,
+the values on the edge of the domain that must still be accepted, and one
+out-of-range value per input. NaN, +inf, -inf and the out-of-range value must
+each raise InvalidParameterError whose message starts with "{name} must be".
+The ranges of every record's fields are checked by the differential test in
+test_record_checks.py.
 """
 
 import math
@@ -22,7 +25,6 @@ from birdstrike.harness import (
     theoretical_reference,
 )
 from birdstrike.impact import (
-    CertificationLimits,
     ImpactScenario,
     check_certification,
     impact_force_stationary,
@@ -30,7 +32,6 @@ from birdstrike.impact import (
 )
 from birdstrike.kinematics import (
     DragParams,
-    DropPlan,
     drag_fall_distance,
     fall_time_for_drop,
     ideal_impact_velocity,
@@ -39,11 +40,8 @@ from birdstrike.kinematics import (
     make_drop_plan,
     required_drop_height,
 )
-from birdstrike.materials import ALUMINIUM_2024_T3, MaterialSpec
+from birdstrike.materials import ALUMINIUM_2024_T3
 from birdstrike.projectile import (
-    Cylinder,
-    Ellipsoid,
-    ProjectileSpec,
     cylinder_radius_for,
     effective_density,
     generate_projectile_set,
@@ -51,35 +49,19 @@ from birdstrike.projectile import (
 )
 from birdstrike.species import BirdSpecies
 
-STARLING = BirdSpecies("Starling", 0.085, 0.22, 1230.0, 22.35)
-SCENARIO = ImpactScenario(0.085, 0.22, 1230.0, 22.35, 90.0, 2780.0, 90.0)
-SCENARIO_FIELDS = dict(bird_mass=0.085, bird_length=0.22, bird_density=1230.0, bird_speed=22.35,
-                       aircraft_speed=90.0, aircraft_density=2780.0, impact_angle=90.0)
+from valid_records import INSTANCES
+
+BY_NAME = {cls.__name__: record for cls, record in INSTANCES.items()}
+STARLING, SCENARIO = INSTANCES[BirdSpecies], INSTANCES[ImpactScenario]
 DRAG = DragParams(0.0108, 1.15, 3.14159e-4)
-CYLINDER = Cylinder(0.01, 0.22)
 MATRIX_ROW = Scenario("baseline", 1, 1, 2.8, 7.49, 90.0, "Aluminium-2024-T3", 15)
 PROJECTILE = generate_projectile_set(STARLING)[0]
 
 
-def scenario_row(**fields):
-    return Scenario(**{"id": "x", "case_number": 1, "projectile_serial": 1,
-                           "specimen_material": "Aluminium-2024-T3", **fields})
-
-
-def spec_row(**fields):
-    return ProjectileSpec(shape=CYLINDER, varying_factor="x", **fields)
-
-
 ROWS = {
-    "ImpactScenario": (
-        ImpactScenario, SCENARIO_FIELDS,
-        dict(bird_mass=0.0, impact_angle=0.0),
-        dict(bird_mass=-1.0, bird_length=0.0, bird_density=0.0, bird_speed=-1.0,
-             aircraft_speed=-1.0, aircraft_density=0.0, impact_angle=90.5),
-    ),
     "impact_force_stationary": (
         impact_force_stationary,
-        {k: v for k, v in SCENARIO_FIELDS.items() if k != "aircraft_speed"},
+        {k: v for k, v in SCENARIO._asdict().items() if k != "aircraft_speed"},
         dict(bird_mass=0.0, impact_angle=0.0),
         dict(bird_mass=-1.0, bird_speed=-1.0, bird_length=0.0, bird_density=0.0,
              aircraft_density=0.0, impact_angle=91.0),
@@ -88,25 +70,9 @@ ROWS = {
         lambda bird_mass: sensitivity_table(SCENARIO, "bird_mass", [bird_mass]),
         dict(bird_mass=0.1), dict(bird_mass=0.0), dict(bird_mass=-1.0),
     ),
-    "CertificationLimits": (
-        CertificationLimits, {}, {},
-        dict(single_bird_force=0.0, flock_force=-1.0),
-    ),
     "check_certification": (
         lambda force: check_certification(force, "single-bird"),
         dict(force=100.0), dict(force=0.0), dict(force=-1.0),
-    ),
-    "DropPlan": (
-        DropPlan, dict(species_name="x", bird_speed=15.0, aircraft_speed=90.0, scale_factor=1.0,
-                       gravity=9.81),
-        dict(bird_speed=0.0, aircraft_speed=0.0),
-        dict(bird_speed=-1.0, aircraft_speed=-1.0, scale_factor=0.5, gravity=0.0),
-    ),
-    "DragParams": (
-        DragParams, dict(projectile_mass=0.0108, drag_coefficient=1.15, reference_area=3e-4),
-        {},
-        dict(projectile_mass=0.0, drag_coefficient=0.0, reference_area=-1.0, air_density=0.0,
-             gravity=0.0),
     ),
     "ideal_impact_velocity": (
         ideal_impact_velocity, dict(height=2.8, gravity=9.81), dict(height=0.0),
@@ -158,38 +124,6 @@ ROWS = {
         dict(solid_density=1040.0, shell_fraction=0.0), dict(shell_fraction=1.0),
         dict(solid_density=-1.0, shell_fraction=1.5),
     ),
-    "Cylinder": (Cylinder, dict(radius=0.01, height=0.22), {}, dict(radius=0.0, height=-1.0)),
-    "Ellipsoid": (Ellipsoid, dict(a=0.1, b=0.01, c=0.01), {}, dict(a=-1.0, b=0.0, c=0.0)),
-    "ProjectileSpec": (
-        spec_row, dict(serial=1, solid_material_density=1040.0, infill_fraction=0.15,
-                       shell_fraction=0.0),
-        dict(infill_fraction=1.0, shell_fraction=1.0),
-        dict(serial=0, solid_material_density=0.0, infill_fraction=1.5, shell_fraction=-0.1),
-    ),
-    "BirdSpecies": (
-        lambda **fields: BirdSpecies("x", **fields),
-        dict(mass=0.085, length=0.22, body_density=1230.0, flight_speed=22.35),
-        dict(flight_speed=0.0),
-        dict(mass=0.0, length=0.0, body_density=-1.0, flight_speed=-1.0),
-    ),
-    "MaterialSpec": (
-        lambda **fields: MaterialSpec("x", **fields), dict(density=2780.0), {}, dict(density=0.0),
-    ),
-    "TestScenario": (
-        scenario_row, dict(drop_height=2.8, nominal_impact_velocity=7.49, impact_angle=90.0,
-                           iterations=15),
-        dict(nominal_impact_velocity=0.0, iterations=1),
-        dict(case_number=8, projectile_serial=0, drop_height=0.0, nominal_impact_velocity=-1.0,
-             impact_angle=0.0, iterations=0),
-    ),
-    # A JSON matrix can hold ints too large for a float; they must not
-    # escape as OverflowError. Ints that a float can hold are accepted.
-    "TestScenario int beyond float range": (
-        scenario_row, dict(drop_height=2.8, nominal_impact_velocity=7.49, impact_angle=90.0,
-                           iterations=15),
-        dict(drop_height=10**300, iterations=10**300),
-        dict(drop_height=10**400, iterations=10**400),
-    ),
     "build_test_matrix": (
         lambda iterations_per_scenario: build_test_matrix(
             iterations_per_scenario=iterations_per_scenario),
@@ -237,7 +171,7 @@ def test_range_check(build, valid, edges, bad):
 
 # The counts of a test matrix, a projectile serial and round_sig's digits must
 # be ints: a float such as 2.0 or a bool would otherwise pass the range check.
-# Each case is a row of ROWS and a field.
+# Each case is a row of ROWS, or a record's valid instance in valid_records.py, and a field.
 INTEGER_FIELDS = [("TestScenario", "case_number"), ("TestScenario", "projectile_serial"),
                   ("TestScenario", "iterations"), ("build_test_matrix", "iterations_per_scenario"),
                   ("ProjectileSpec", "serial"), ("round_sig", "digits")]
@@ -246,7 +180,7 @@ INTEGER_FIELDS = [("TestScenario", "case_number"), ("TestScenario", "projectile_
 @pytest.mark.parametrize("row, name", INTEGER_FIELDS, ids=map(" ".join, INTEGER_FIELDS))
 @pytest.mark.parametrize("value", [2.0, 1.5, True, "2"])
 def test_count_must_be_an_integer(row, name, value):
-    build, valid, _, _ = ROWS[row]
+    build, valid, _, _ = ROWS[row] if row in ROWS else (BY_NAME[row]._replace, {}, {}, {})
     message = re.escape(f"{name} must be an integer, got {value!r}")
     with pytest.raises(InvalidParameterError, match=f"^{message}$"):
         build(**{**valid, name: value})
