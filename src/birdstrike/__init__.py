@@ -9,6 +9,7 @@ from .errors import (
 from .harness import (
     ConformanceReport,
     MeasurementSet,
+    ReferenceSettings,
     ScenarioConformance,
     TestMatrix,
     TestScenario,

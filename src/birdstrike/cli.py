@@ -21,8 +21,8 @@ from types import SimpleNamespace
 from .errors import BirdstrikeError, InvalidParameterError, ParseError, StationaryAircraftError
 from .harness import (
     DEFAULT_ITERATIONS,
+    ReferenceSettings,
     VelocitySplit,
-    _check_reference_settings,
     analyze,
     build_test_matrix,
     matrix_to_json,
@@ -293,21 +293,21 @@ def cmd_matrix(args) -> int:
 def cmd_analyze(args) -> int:
     gravity = _gravity(args)
     scale = _scale(args)
-    split = VelocitySplit.SCALED_CRUISE if args.split is None else args.split
+    split = ReferenceSettings.split if args.split is None else args.split
     fmt = _format(args, REPORT_FORMATS)
     if args.measurements is None:
         raise InvalidParameterError(
             "no measurements file: pass --measurements or set it in the config")
-    _check_reference_settings(gravity, split, scale, args.cruise)  # before any file is read
+    # the settings are checked before any file is read
+    settings = ReferenceSettings(gravity, split, scale, args.cruise, args.use_nominal)
     matrix = read_matrix(args.matrix) if args.matrix else build_test_matrix()
     materials = builtin_materials() if args.materials is None else load_materials(args.materials)
     projectiles = _projectile_set(args)
     files = {**vars(args), "projectiles": args.registry, "measurements_path": args.measurements}
     try:
         report, mismatches = analyze(
-            matrix, projectiles, materials, args.measurements, gravity=gravity, split=split,
-            scale_factor=scale, cruise_speed=args.cruise, use_nominal_velocity=args.use_nominal,
-            strict=args.strict)
+            matrix, projectiles, materials, args.measurements, strict=args.strict,
+            **settings._asdict())
     except InvalidParameterError as exc:  # blame the files of the inputs its stage read
         with _blame(*map(files.get, exc.inputs)):
             raise

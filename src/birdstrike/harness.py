@@ -175,32 +175,42 @@ class VelocitySplit(str, Enum):
     ALL_AIRCRAFT = "all-aircraft"
 
 
-def theoretical_reference(
-    scenario: TestScenario,
-    projectile: ProjectileSpec,
-    specimen: MaterialSpec,
-    gravity: float = GRAVITY_STANDARD,
-    split: VelocitySplit | str = VelocitySplit.SCALED_CRUISE,
-    scale_factor: float = DEFAULT_SCALE_FACTOR,
-    cruise_speed: float = CRUISE_SPEED,
-    use_nominal_velocity: bool = False,
-) -> float:
-    """Theoretical force for one scenario, in newtons.
+class ReferenceSettings(Record):
+    """A theoretical reference's settings and their checks; split is stored as its member."""
+
+    gravity: float = GRAVITY_STANDARD  # m/s^2
+    split: VelocitySplit = VelocitySplit.SCALED_CRUISE  # or its value
+    scale_factor: float = DEFAULT_SCALE_FACTOR
+    cruise_speed: float = CRUISE_SPEED  # m/s, full scale; 0 selects the stationary model
+    use_nominal_velocity: bool = False
+    _ranges = dict(gravity=POSITIVE, scale_factor=(1.0, math.inf, False), cruise_speed=NON_NEGATIVE)
+
+    def __post_init__(self) -> None:
+        split, nominal = self.split, self.use_nominal_velocity
+        if split not in tuple(VelocitySplit):  # a member, or its value: members are strs
+            raise InvalidParameterError(
+                f"velocity_split must be one of {[s.value for s in VelocitySplit]}, got {split!r}")
+        if nominal.__class__ is not bool:
+            raise InvalidParameterError(f"use_nominal_velocity must be a bool, got {nominal!r}")
+        self.__dict__["split"] = VelocitySplit(split)
+
+
+def theoretical_reference(scenario: TestScenario, projectile: ProjectileSpec,
+                          specimen: MaterialSpec, **settings) -> float:
+    """Theoretical force for one scenario, in newtons; settings are ReferenceSettings' fields.
 
     The impact velocity comes from the drop height (or the stored nominal
     value when use_nominal_velocity is set), is split into bird and aircraft
     speeds per the chosen convention, and is fed to the force model with the
     projectile's mass, length and effective density and the specimen density.
-    An aircraft speed of 0 (cruise_speed 0) selects the stationary-aircraft model.
     """
-    split = _check_reference_settings(gravity, split, scale_factor, cruise_speed)
+    settings = ReferenceSettings(**settings)
     if projectile.mass == 0:
         return 0.0
-    if use_nominal_velocity:
-        velocity = scenario.nominal_impact_velocity
-    else:
-        velocity = ideal_impact_velocity(scenario.drop_height, gravity)
-    cap = math.inf if split is VelocitySplit.ALL_AIRCRAFT else cruise_speed / scale_factor
+    velocity = (scenario.nominal_impact_velocity if settings.use_nominal_velocity
+                else ideal_impact_velocity(scenario.drop_height, settings.gravity))
+    all_aircraft = settings.split is VelocitySplit.ALL_AIRCRAFT
+    cap = math.inf if all_aircraft else settings.cruise_speed / settings.scale_factor
     aircraft_speed = min(cap, velocity)  # all-aircraft: an unbounded aircraft share
     bird_speed = velocity - aircraft_speed
     model_scenario = ImpactScenario(
@@ -213,17 +223,6 @@ def theoretical_reference(
         impact_angle=scenario.impact_angle,
     )
     return _force_any_speed(model_scenario)
-
-
-def _check_reference_settings(gravity, split, scale_factor, cruise_speed) -> VelocitySplit:
-    """theoretical_reference's checks of the settings, split first; analyze makes them first."""
-    if split not in tuple(VelocitySplit):  # a member, or its value: members are strs
-        raise InvalidParameterError(
-            f"velocity_split must be one of {[s.value for s in VelocitySplit]}, got {split!r}")
-    require("gravity", gravity, above=True)
-    require("scale_factor", scale_factor, 1.0)
-    require("cruise_speed", cruise_speed)
-    return VelocitySplit(split)
 
 
 class MeasurementSet(Record):
@@ -465,23 +464,21 @@ def _mean(values: list[float]) -> float:
 
 
 def analyze(matrix: TestMatrix, projectiles: Sequence[ProjectileSpec],
-            materials: Sequence[MaterialSpec], measurements_path, *, gravity=GRAVITY_STANDARD,
-            split=VelocitySplit.SCALED_CRUISE, scale_factor=DEFAULT_SCALE_FACTOR,
-            cruise_speed=CRUISE_SPEED, use_nominal_velocity=False,
-            strict=False) -> tuple[ConformanceReport, dict[str, tuple[float, float]]]:
-    """Run analyze's stages (settings, velocities, each scenario's material and reference,
-    ingest, report) for the report and nominal_velocity_mismatches, {} unless g = 10. A
-    stage's InvalidParameterError becomes one whose .inputs names the arguments it read."""
+            materials: Sequence[MaterialSpec], measurements_path, *, strict=False,
+            **settings) -> tuple[ConformanceReport, dict[str, tuple[float, float]]]:
+    """Run analyze's stages (ReferenceSettings of the settings, velocities, each scenario's
+    material and reference, ingest, report) for the report and nominal_velocity_mismatches, {}
+    unless g = 10. A stage's InvalidParameterError gets an .inputs naming the arguments it read."""
     prefix, inputs = "", ()
     try:
-        split = _check_reference_settings(gravity, split, scale_factor, cruise_speed)
+        settings = ReferenceSettings(**settings)
         try:
-            mismatches = nominal_velocity_mismatches(matrix, gravity)
-            if not math.isclose(gravity, GRAVITY_PRESETS["paper"]):
+            mismatches = nominal_velocity_mismatches(matrix, settings.gravity)
+            if not math.isclose(settings.gravity, GRAVITY_PRESETS["paper"]):
                 mismatches = {}  # every matrix tabulates its nominal velocities at g = 10
         except InvalidParameterError:
             with suppress(InvalidParameterError):  # blame the matrix only if the built-in passes
-                nominal_velocity_mismatches(build_test_matrix(), gravity)
+                nominal_velocity_mismatches(build_test_matrix(), settings.gravity)
                 inputs = ("matrix",)
             raise
         by_serial = {spec.serial: spec for spec in projectiles}
@@ -494,8 +491,7 @@ def analyze(matrix: TestMatrix, projectiles: Sequence[ProjectileSpec],
             if serial not in by_serial:
                 raise InvalidParameterError(f"unknown projectile serial {serial}")
             references[scenario.id] = reference = theoretical_reference(
-                scenario, by_serial[serial], material, gravity, split, scale_factor,
-                cruise_speed, use_nominal_velocity)
+                scenario, by_serial[serial], material, **settings._asdict())
             require("theoretical", reference, above=True)  # as the report's percent_error needs
         prefix, inputs = "", ("measurements_path",)
         report = conformance_report(matrix, references,

@@ -930,9 +930,13 @@ class TestExitCodes:
         (["analyze", "--measurements", "forces.csv", "--materials", "missing.csv",
           "--scale", "0.5"],
          "scale_factor must be >= 1, got 0.5"),
+        # a number out of range is named before an unknown split
+        (["analyze", "--measurements", "forces.csv", "--split", "bogus", "--gravity", "-1"],
+         "gravity must be > 0, got -1.0"),
     ], ids=["gravity abc", "values ,", "force bird-speed -5", "analyze gravity 1e308",
             "analyze nominal gravity 1e308", "analyze materials gravity 1e308",
-            "analyze missing matrix cruise -1", "analyze missing materials scale 0.5"])
+            "analyze missing matrix cruise -1", "analyze missing materials scale 0.5",
+            "analyze split bogus gravity -1"])
     def test_usage_error_message(self, capsys, tmp_path, monkeypatch, argv, message):
         monkeypatch.chdir(tmp_path)  # holds the materials file that one case reads
         (tmp_path / "mats.csv").write_text("name,density_kg_m3\n"

@@ -269,6 +269,15 @@ class TestTheoreticalReference:
         recomputed = theoretical_reference(scenario, sn1, aluminium, gravity=10.0)
         assert nominal != recomputed
 
+    @pytest.mark.parametrize("flag", ["no", 1, 0, None])
+    def test_use_nominal_velocity_must_be_a_bool(self, default_matrix, projectile_set, materials,
+                                                 flag):
+        with pytest.raises(InvalidParameterError) as caught:
+            theoretical_reference(default_matrix.scenario("2.1"), projectile_set[0],
+                                  find_material(materials, "Aluminium-2024-T3"),
+                                  use_nominal_velocity=flag)
+        assert str(caught.value) == f"use_nominal_velocity must be a bool, got {flag!r}"
+
 
 class TestIngestMeasurements:
     def test_full_fixture(self, default_matrix, tmp_path):
@@ -878,6 +887,7 @@ class TestAnalyze:
         (dict(cruise_speed=-1.0), "cruise_speed must be >= 0, got -1.0"),
         (dict(split="bogus"),
          "velocity_split must be one of ['scaled-cruise', 'all-aircraft'], got 'bogus'"),
+        (dict(use_nominal_velocity="no"), "use_nominal_velocity must be a bool, got 'no'"),
     ])
     def test_a_setting_names_no_input(self, default_matrix, projectile_set, materials, path,
                                       setting, message):

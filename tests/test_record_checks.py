@@ -23,8 +23,9 @@ import pytest
 from birdstrike import errors
 from birdstrike.errors import InvalidParameterError, require
 # aliased so pytest does not collect them
-from birdstrike.harness import (ConformanceReport, MeasurementSet, ScenarioConformance,
-                                TestMatrix as Matrix, TestScenario as Scenario)
+from birdstrike.harness import (ConformanceReport, MeasurementSet, ReferenceSettings,
+                                ScenarioConformance, TestMatrix as Matrix,
+                                TestScenario as Scenario)
 from birdstrike.impact import (CertificationLimits, CertificationVerdict, ImpactScenario,
                                check_certification)
 from birdstrike.kinematics import (DragParams, DropPlan, fall_time_for_drop,
@@ -78,6 +79,9 @@ ORACLE = {
     ScenarioConformance: [("scenario_id", str, None, None, None),
                           ("experimental_std", float, 0.0, INF, False)],
     MeasurementSet: [("scenario_id", str, None, None, None)],
+    ReferenceSettings: [("gravity", float, 0.0, INF, True),
+                        ("scale_factor", float, 1.0, INF, False),
+                        ("cruise_speed", float, 0.0, INF, False)],
 }
 # Each range-checked record's valid instance, whose other fields the differential keeps.
 VALID = {cls: record for cls, record in INSTANCES.items() if hasattr(cls, "_ranges")}

@@ -13,6 +13,7 @@ import math
 import re
 import subprocess
 import sys
+from enum import Enum
 
 import pytest
 
@@ -175,7 +176,11 @@ def fresh_python(code: str, *args: str) -> str:
 
 
 def first_lookups(op):
-    arguments = {type(record).__name__: repr(values(record)) for record, _ in RECORDS}
+    # an enum member has no source text, so it goes as its value, which the record stores
+    # as the member again
+    arguments = {type(record).__name__: repr(tuple(v.value if isinstance(v, Enum) else v
+                                                   for v in values(record)))
+                 for record, _ in RECORDS}
     lines = [json.loads(line)
              for line in fresh_python(FIRST_LOOKUP, op, json.dumps(arguments)).splitlines()]
     for name, lazy, _, _, installed in lines:  # the compiled function replaces the descriptor

@@ -1,12 +1,14 @@
 """One valid instance of every record class, with its repr.
 
-The reprs are the ones the dataclass versions printed. test_records checks each
-record's value semantics on these instances, and test_record_checks builds each
-range-checked record from its instance's fields. This file is not collected by
-pytest (its name does not start with test_).
+The reprs are the ones the dataclass versions printed (ReferenceSettings never
+was a dataclass; its split prints as the member it stores). test_records
+checks each record's value semantics on these instances, and test_record_checks
+builds each range-checked record from its instance's fields. This file is not
+collected by pytest (its name does not start with test_).
 """
 
-from birdstrike.harness import ConformanceReport, MeasurementSet, ScenarioConformance
+from birdstrike.harness import (ConformanceReport, MeasurementSet, ReferenceSettings,
+                                ScenarioConformance)
 from birdstrike.harness import TestMatrix, TestScenario
 from birdstrike.impact import (CertificationLimits, CertificationVerdict, ImpactResult,
                                ImpactScenario, SensitivityRow)
@@ -47,6 +49,9 @@ RECORDS = [
      "MeasurementSet(scenario_id='s', forces=(1.0, 2.5), impact_velocities=(7.0, 7.5))"),
     (ROW, ROW_REPR),
     (ConformanceReport((ROW,)), f"ConformanceReport(scenarios=({ROW_REPR},))"),
+    (ReferenceSettings(10.0, "all-aircraft", 20.0, 0.0, True),
+     "ReferenceSettings(gravity=10.0, split=<VelocitySplit.ALL_AIRCRAFT: 'all-aircraft'>, "
+     "scale_factor=20.0, cruise_speed=0.0, use_nominal_velocity=True)"),
     (Cylinder(0.02, 0.22), "Cylinder(radius=0.02, height=0.22)"),
     (ELLIPSOID, "Ellipsoid(a=0.11, b=0.02, c=0.02)"),
     (ProjectileSpec(5, ELLIPSOID, 1040.0, 0.15, 0.0, "Bird shape"),
