@@ -29,9 +29,10 @@ def require(name: str, value: float, lo: float = 0.0, hi: float = math.inf, *,
     """Raise InvalidParameterError unless value is a finite number within its range.
 
     The range is [lo, hi], or (lo, hi] with above=True; the default is >= 0.
-    NaN and +-inf are always rejected, and so is an int too large for a
-    float. With integer=True the value must also be an int (not a bool, nor a
-    float such as 2.0). context, when given, ends the message.
+    NaN and +-inf are always rejected, and so are an int too large for a
+    float and a bool, which is not a number here. With integer=True the value
+    must also be an int (not a bool, nor a float such as 2.0). context, when
+    given, ends the message.
 
     The guard rule: a hot path calls require only when its own inline test
     fails, as in `if not (x.__class__ is float and 0.0 <= x < math.inf)`. A
@@ -42,6 +43,8 @@ def require(name: str, value: float, lo: float = 0.0, hi: float = math.inf, *,
     try:
         if integer and (not isinstance(value, int) or isinstance(value, bool)):
             bound = "an integer"
+        elif isinstance(value, bool):
+            bound = "a number"
         elif (lo < value if above else lo <= value) and value <= hi and math.isfinite(value):
             return
         elif hi == math.inf:

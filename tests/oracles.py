@@ -26,25 +26,6 @@ def drag_factor(mass: float, air_density: float, drag_coefficient: float,
     return air_density * drag_coefficient * reference_area / (2.0 * mass)
 
 
-def rk4_fall(gravity: float, k: float, t_end: float, dt: float = 5e-4) -> tuple[float, float]:
-    """Integrate a drop from rest to t_end; returns (distance, velocity)."""
-    steps = max(1, round(t_end / dt))
-    h = t_end / steps
-    y = 0.0
-    v = 0.0
-    for _ in range(steps):
-        a1 = gravity - k * v * v
-        v2 = v + 0.5 * h * a1
-        a2 = gravity - k * v2 * v2
-        v3 = v + 0.5 * h * a2
-        a3 = gravity - k * v3 * v3
-        v4 = v + h * a3
-        a4 = gravity - k * v4 * v4
-        y += (h / 6.0) * (v + 2.0 * v2 + 2.0 * v3 + v4)
-        v += (h / 6.0) * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
-    return y, v
-
-
 def rk4_fall_samples(gravity: float, k: float, sample_times: list[float],
                      dt: float = 5e-4) -> dict[float, tuple[float, float]]:
     """One integration pass, recording (distance, velocity) at each sample time.

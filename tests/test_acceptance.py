@@ -26,7 +26,7 @@ from birdstrike.impact import (
     impact_force,
     impact_force_stationary,
 )
-from birdstrike.kinematics import (DragParams, impact_velocity_from_drop,
+from birdstrike.kinematics import (DragParams, drag_fall_distance, impact_velocity_from_drop,
                                   impact_velocity_from_timing)
 from birdstrike.projectile import (
     Ellipsoid,
@@ -37,6 +37,7 @@ from birdstrike.projectile import (
 from birdstrike.species import bundled_species_registry, find_species
 
 from oracles import drag_factor, rk4_fall_samples
+from valid_records import INSTANCES, random_scenario
 
 # Published reference drop plans: species -> (original velocity m/s,
 # original height m, scaled velocity m/s, scaled height m)
@@ -69,16 +70,6 @@ PUBLISHED_GEOMETRY_TABLE = {
     "Herring Gull": (0.03, 0.66),
 }
 
-BASE_SCENARIO = ImpactScenario(
-    bird_mass=0.085,
-    bird_length=0.22,
-    bird_density=1230.0,
-    bird_speed=22.35,
-    aircraft_speed=90.0,
-    aircraft_density=2780.0,
-    impact_angle=90.0,
-)
-
 
 def report(number, text):
     print(f"criterion {number:>2} PASS: {text}")
@@ -93,18 +84,6 @@ def run_plan_csv(capsys):
     return list(csv.DictReader(io.StringIO(out))), elapsed
 
 
-def random_scenario(rng):
-    return ImpactScenario(
-        bird_mass=rng.uniform(0.01, 10.0),
-        bird_length=rng.uniform(0.05, 1.5),
-        bird_density=rng.uniform(500.0, 2000.0),
-        bird_speed=rng.uniform(0.0, 60.0),
-        aircraft_speed=rng.uniform(0.1, 150.0),
-        aircraft_density=rng.uniform(800.0, 8000.0),
-        impact_angle=rng.uniform(0.0, 90.0),
-    )
-
-
 def test_criterion_01_original_drop_heights(capsys):
     rows, elapsed = run_plan_csv(capsys)
     assert len(rows) == 11
@@ -115,12 +94,13 @@ def test_criterion_01_original_drop_heights(capsys):
         computed = float(row["original_drop_height_m"])
         if abs(computed - published_height) > 1.0:
             misses.append(name)
-            assert "708" in row["flags"] and "682" in row["flags"], name
-        elif name != "Turkey Vulture":
+            flags = row["flags"].split("; ")
+            assert len(flags) == 1 and "708" in flags[0] and "682" in flags[0], name
+        else:
             assert row["flags"] == "", name
     assert misses == ["Turkey Vulture"]
     assert elapsed < 1.0
-    report(1, f"10/11 original heights within 1 m, Turkey Vulture flagged "
+    report(1, f"10/11 original heights within 1 m, Turkey Vulture flagged once "
               f"({elapsed * 1000:.0f} ms)")
 
 
@@ -165,16 +145,18 @@ def test_criterion_04_projectile_set_and_matrix_structure():
     assert isinstance(sn5.shape, Ellipsoid)
     assert (sn5.shape.a, sn5.shape.b, sn5.shape.c) == (0.11, 0.01, 0.01)
     matrix = build_test_matrix()
-    assert len(matrix.scenarios) == 9
+    assert [scenario.id for scenario in matrix.scenarios] == [
+        "baseline", "1", "2.1", "2.2", "3", "4", "5", "6", "7"]
     assert {scenario.case_number for scenario in matrix.scenarios} == {1, 2, 3, 4, 5, 6, 7}
     assert sum(scenario.iterations for scenario in matrix.scenarios) == 135
     report(4, "5 published projectile specs; matrix has 7 cases, 9 scenarios, 135 iterations")
 
 
 def test_criterion_05_scaled_force_fraction():
-    scaled = BASE_SCENARIO._replace(bird_speed=BASE_SCENARIO.bird_speed / 15.0,
-                                    aircraft_speed=BASE_SCENARIO.aircraft_speed / 15.0)
-    ratio = impact_force(scaled).force / impact_force(BASE_SCENARIO).force
+    base = INSTANCES[ImpactScenario]  # the Starling at 90 m/s, head-on, on aluminium
+    scaled = base._replace(bird_speed=base.bird_speed / 15.0,
+                           aircraft_speed=base.aircraft_speed / 15.0)
+    ratio = impact_force(scaled).force / impact_force(base).force
     assert ratio == pytest.approx(1.0 / 225.0, rel=1e-12)
     assert 100.0 * ratio == pytest.approx(0.4444, abs=5e-4)
     report(5, f"1:15 velocity scale gives force ratio {100 * ratio:.4f}% (= 1/225)")
@@ -212,9 +194,10 @@ def test_criterion_06_model_consistency_suite():
     # stationary-model angle response: 30 degrees gives exactly 1/8 of head-on
     force_30 = impact_force_stationary(1.0, 10.0, 1.0, 1000.0, 1000.0, 30.0)
     force_90 = impact_force_stationary(1.0, 10.0, 1.0, 1000.0, 1000.0, 90.0)
+    assert force_30 == pytest.approx(6.25, rel=1e-12)
     assert force_30 / force_90 == pytest.approx(0.125, rel=1e-12)
     report(6, "energy/depth composition (10,000 scenarios), linearity and quadratic "
-              "velocity scaling at 1e-12; stationary sin^3 ratio 1/8 exact")
+              "velocity scaling at 1e-12; stationary 6.25 N at 30 degrees, sin^3 ratio 1/8")
 
 
 def test_criterion_07_drag_oracle_agreement():
@@ -232,10 +215,11 @@ def test_criterion_07_drag_oracle_agreement():
         k = drag_factor(params.projectile_mass, params.air_density,
                         params.drag_coefficient, params.reference_area)
         oracle = rk4_fall_samples(params.gravity, k, sample_times)
-        for t, (_, oracle_velocity) in oracle.items():
+        for t, (oracle_distance, oracle_velocity) in oracle.items():
             assert impact_velocity_from_timing(t, params) == pytest.approx(
                 oracle_velocity, rel=1e-6
             )
+            assert drag_fall_distance(t, params) == pytest.approx(oracle_distance, rel=1e-6)
     # vanishing drag limit recovers the drag-free velocity within 0.1%
     params = DragParams(projectile_mass=0.1, drag_coefficient=1e-9,
                         reference_area=0.01, air_density=1.225, gravity=10.0)
@@ -244,8 +228,9 @@ def test_criterion_07_drag_oracle_agreement():
     )
     elapsed = time.perf_counter() - started
     assert elapsed < 10.0
-    report(7, f"closed form within 1e-6 of fourth-order integration for 100 parameter "
-              f"sets over [0, 3] s; zero-drag limit within 0.1% ({elapsed:.1f} s)")
+    report(7, f"closed-form velocity and distance within 1e-6 of fourth-order integration "
+              f"for 100 parameter sets over [0, 3] s; zero-drag limit within 0.1% "
+              f"({elapsed:.1f} s)")
 
 
 def test_criterion_08_conformance_algebra():
@@ -285,6 +270,9 @@ def test_criterion_08_conformance_algebra():
             assert row_scaled.percent_error == pytest.approx(
                 row_base.percent_error, rel=1e-9, abs=1e-9
             )
+            assert row_scaled.percent_conformance == pytest.approx(
+                row_base.percent_conformance, rel=1e-9
+            )
         assert scaled.overall_mean_conformance == pytest.approx(
             base.overall_mean_conformance, rel=1e-9
         )
@@ -296,12 +284,14 @@ def test_criterion_09_certification_thresholds():
     at_limit = check_certification(2255.0, "single-bird")
     assert at_limit.passed and at_limit.margin == 0.0
     above = check_certification(math.nextafter(2255.0, math.inf), "single-bird")
-    assert not above.passed
+    assert not above.passed and above.margin < 0.0
     flock = check_certification(4819.0, "flock")
     assert flock.passed and flock.margin == 0.0
     assert not check_certification(math.nextafter(4819.0, math.inf), "flock").passed
+    over = check_certification(4820.0, "flock")
+    assert not over.passed and over.margin == -1.0
     report(9, "2255 N single-bird and 4819 N flock thresholds pass at the boundary "
-              "and fail one ulp above")
+              "and fail one ulp above; 4820 N misses the flock limit by 1 N")
 
 
 def test_criterion_10_documented_model_gaps_warned(capsys):

@@ -41,6 +41,7 @@ from birdstrike.projectile import generate_projectile_set, geometry_payload
 
 from fresh import fresh_env
 from oracles import write_measurements
+from valid_records import INSTANCES
 
 
 def run_cli(argv, capsys):
@@ -650,19 +651,6 @@ class TestSweepCommand:
         assert len(lines) == 3
         assert float(lines[2].split(",")[2]) == pytest.approx(-58.0, rel=1e-9)
 
-    def test_density_sweep_emits_note(self, capsys):
-        _, _, err = run_cli(
-            ["sweep", *SWEEP_BASE, "--param", "aircraft_density", "--values", "1167.6"],
-            capsys,
-        )
-        assert "-62%" in err and "-58%" in err
-
-    def test_angle_sweep_emits_note(self, capsys):
-        _, _, err = run_cli(
-            ["sweep", *SWEEP_BASE, "--param", "impact_angle", "--values", "50"], capsys
-        )
-        assert "-40%" in err
-
     def test_mass_sweep_has_no_note(self, capsys):
         _, _, err = run_cli(
             ["sweep", *SWEEP_BASE, "--param", "bird_mass", "--values", "0.0425"], capsys
@@ -948,6 +936,10 @@ class TestExitCodes:
         [
             ("matrix", lambda text: text.replace('"drop_height_m": 2.8', '"drop_height_m": -1')),
             ("matrix", lambda text: text.replace('"drop_height_m": 2.8', '"drop_height_m": "2.8"')),
+            ("matrix", lambda text: text.replace('"drop_height_m": 2.8', '"drop_height_m": true',
+                                                 1)),
+            ("matrix", lambda text: text.replace('"impact_angle_deg": 90.0',
+                                                 '"impact_angle_deg": true', 1)),
             ("matrix", lambda text: json.dumps({**json.loads(text), "scenarios": []})),
             ("measurements", lambda text: re.sub(r"(?m)^(baseline,1,).*$", r"\1nan", text)),
             ("measurements", lambda text: text.replace("\nbaseline,2,", "\nbaseline,1,")),
@@ -965,10 +957,11 @@ class TestExitCodes:
             ("matrix", lambda text: text.replace('"id": "baseline"', '"id": 5')),
             ("matrix", lambda text: text.replace('"id": "baseline"', '"id": null')),
         ],
-        ids=["matrix value", "matrix non-number", "empty matrix", "nan force",
-             "duplicate iteration", "missing scenario", "float iterations", "float case number",
-             "bool serial", "iterations beyond float range",
-             "5001-digit iterations", "number specimen material", "number id", "null id"],
+        ids=["matrix value", "matrix non-number", "bool drop height", "bool impact angle",
+             "empty matrix", "nan force", "duplicate iteration", "missing scenario",
+             "float iterations", "float case number", "bool serial",
+             "iterations beyond float range", "5001-digit iterations",
+             "number specimen material", "number id", "null id"],
     )
     def test_bad_file_exits_one(self, capsys, analysis_fixture, bad_file, edit):
         paths = dict(zip(("matrix", "measurements"), analysis_fixture))
@@ -1056,7 +1049,7 @@ def lines(*items):
 class TestStdoutIsTheLibraryResult:
     """One valid call per subcommand: stdout is the library's result, floats as repr."""
 
-    BASE = ImpactScenario(0.085, 0.22, 1230.0, 22.35, 90.0, 2780.0, 90.0)  # SWEEP_BASE
+    BASE = INSTANCES[ImpactScenario]  # SWEEP_BASE
 
     def check(self, capsys, argv, expected):
         assert run_cli(argv, capsys)[:2] == (0, expected)

@@ -15,33 +15,15 @@ from birdstrike.impact import (
     sensitivity_table,
 )
 
-BASE = ImpactScenario(
-    bird_mass=0.085,
-    bird_length=0.22,
-    bird_density=1230.0,
-    bird_speed=22.35,
-    aircraft_speed=90.0,
-    aircraft_density=2780.0,
-    impact_angle=90.0,
-)
+from valid_records import INSTANCES, random_scenario
+
+BASE = INSTANCES[ImpactScenario]  # the Starling at 90 m/s, head-on, on aluminium
 
 
 def speeds_scaled(scenario, s):
     """The scenario with both speeds multiplied by s."""
     return scenario._replace(bird_speed=scenario.bird_speed * s,
                              aircraft_speed=scenario.aircraft_speed * s)
-
-
-def random_scenario(rng):
-    return ImpactScenario(
-        bird_mass=rng.uniform(0.01, 10.0),
-        bird_length=rng.uniform(0.05, 1.5),
-        bird_density=rng.uniform(500.0, 2000.0),
-        bird_speed=rng.uniform(0.0, 60.0),
-        aircraft_speed=rng.uniform(0.1, 150.0),
-        aircraft_density=rng.uniform(800.0, 8000.0),
-        impact_angle=rng.uniform(0.0, 90.0),
-    )
 
 
 def result(**fields):
@@ -110,55 +92,6 @@ class TestImpactForce:
             assert result.kinetic_energy >= 0
             assert result.force >= 0
 
-    def test_energy_depth_composition_10000_scenarios(self):
-        # force == kinetic_energy * sin(theta) / depth, 1e-12 relative
-        rng = random.Random(42)
-        for _ in range(10_000):
-            scenario = random_scenario(rng)
-            result = impact_force(scenario)
-            sin_theta = math.sin(math.radians(scenario.impact_angle))
-            recomposed = result.kinetic_energy * sin_theta / result.penetration_depth
-            assert result.force == pytest.approx(recomposed, rel=1e-12, abs=1e-300)
-
-    def test_linear_in_mass_and_aircraft_density(self):
-        rng = random.Random(1)
-        for _ in range(500):
-            scenario = random_scenario(rng)
-            base_force = impact_force(scenario).force
-            if base_force == 0:
-                continue
-            c = rng.uniform(0.1, 10.0)
-            assert impact_force(scenario._replace(bird_mass=scenario.bird_mass * c)).force \
-                == pytest.approx(c * base_force, rel=1e-12)
-            assert impact_force(
-                scenario._replace(aircraft_density=scenario.aircraft_density * c)
-            ).force == pytest.approx(c * base_force, rel=1e-12)
-
-    def test_inverse_linear_in_length_and_bird_density(self):
-        rng = random.Random(2)
-        for _ in range(500):
-            scenario = random_scenario(rng)
-            base_force = impact_force(scenario).force
-            if base_force == 0:
-                continue
-            c = rng.uniform(0.1, 10.0)
-            assert impact_force(scenario._replace(bird_length=scenario.bird_length * c)).force \
-                == pytest.approx(base_force / c, rel=1e-12)
-            assert impact_force(
-                scenario._replace(bird_density=scenario.bird_density * c)
-            ).force == pytest.approx(base_force / c, rel=1e-12)
-
-    def test_joint_velocity_scaling_is_quadratic(self):
-        rng = random.Random(3)
-        for _ in range(500):
-            scenario = random_scenario(rng)
-            base_force = impact_force(scenario).force
-            if base_force == 0:
-                continue
-            s = rng.uniform(0.05, 5.0)
-            scaled = speeds_scaled(scenario, s)
-            assert impact_force(scaled).force == pytest.approx(s * s * base_force, rel=1e-12)
-
     def test_monotone_in_angle(self):
         forces = [
             impact_force(BASE._replace(impact_angle=angle)).force
@@ -180,11 +113,6 @@ class TestStationaryModel:
     def test_reference_value(self):
         assert impact_force_stationary(1.0, 10.0, 1.0, 1000.0, 1000.0, 90.0) == pytest.approx(
             50.0, rel=1e-12
-        )
-
-    def test_sin_cubed(self):
-        assert impact_force_stationary(1.0, 10.0, 1.0, 1000.0, 1000.0, 30.0) == pytest.approx(
-            6.25, rel=1e-12
         )
 
     def test_zero_speed(self):
@@ -216,12 +144,6 @@ class TestScaleScenario:
     def test_identity(self):
         assert speeds_scaled(BASE, 1.0) == BASE
 
-    def test_one_fifteenth_force_ratio(self):
-        scaled = speeds_scaled(BASE, 1.0 / 15.0)
-        ratio = impact_force(scaled).force / impact_force(BASE).force
-        assert ratio == pytest.approx(1.0 / 225.0, rel=1e-12)
-        assert 100.0 * ratio == pytest.approx(0.4444, abs=5e-4)
-
     def test_factor_two_quadruples_force(self):
         scaled = speeds_scaled(BASE, 2.0)
         assert impact_force(scaled).force == pytest.approx(
@@ -230,22 +152,6 @@ class TestScaleScenario:
 
 
 class TestCertification:
-    def test_at_limit_passes_with_zero_margin(self):
-        verdict = check_certification(2255.0, "single-bird")
-        assert verdict.passed
-        assert verdict.margin == 0.0
-
-    def test_just_above_limit_fails(self):
-        verdict = check_certification(math.nextafter(2255.0, math.inf), "single-bird")
-        assert not verdict.passed
-        assert verdict.margin < 0.0
-
-    def test_flock_threshold(self):
-        assert check_certification(4819.0, "flock").passed
-        verdict = check_certification(4820.0, "flock")
-        assert not verdict.passed
-        assert verdict.margin == pytest.approx(-1.0, rel=1e-12)
-
     def test_zero_force_passes(self):
         assert check_certification(0.0, "single-bird").passed
 

@@ -162,7 +162,7 @@ def test_range_check(build, valid, edges, bad):
     for name, value in edges.items():
         build(**{**valid, name: value})
     for name, out_of_range in bad.items():
-        for value in (math.nan, math.inf, -math.inf, out_of_range):
+        for value in (math.nan, math.inf, -math.inf, True, out_of_range):
             with pytest.raises(InvalidParameterError, match=f"^{name} must be"):
                 build(**{**valid, name: value})
 

@@ -1,10 +1,12 @@
-"""One valid instance of every record class, with its repr.
+"""One valid instance of every record class, with its repr, and one random valid scenario.
 
 The reprs are the ones the dataclass versions printed (ReferenceSettings never
 was a dataclass; its split prints as the member it stores). test_records
 checks each record's value semantics on these instances, and test_record_checks
-builds each range-checked record from its instance's fields. This file is not
-collected by pytest (its name does not start with test_).
+builds each range-checked record from its instance's fields. random_scenario
+is the one draw of a random ImpactScenario that the model tests and the
+acceptance criteria share. This file is not collected by pytest (its name does
+not start with test_).
 """
 
 from birdstrike.harness import (ConformanceReport, MeasurementSet, ReferenceSettings,
@@ -64,3 +66,16 @@ RECORDS = [
     (MaterialSpec("CFRP", 1167.6), "MaterialSpec(name='CFRP', density=1167.6)"),
 ]
 INSTANCES = {type(record): record for record, _ in RECORDS}
+
+
+def random_scenario(rng):
+    """A valid ImpactScenario drawn from rng, with an aircraft speed above 0."""
+    return ImpactScenario(
+        bird_mass=rng.uniform(0.01, 10.0),
+        bird_length=rng.uniform(0.05, 1.5),
+        bird_density=rng.uniform(500.0, 2000.0),
+        bird_speed=rng.uniform(0.0, 60.0),
+        aircraft_speed=rng.uniform(0.1, 150.0),
+        aircraft_density=rng.uniform(800.0, 8000.0),
+        impact_angle=rng.uniform(0.0, 90.0),
+    )
