@@ -253,7 +253,8 @@ def ingest_measurements(path, matrix: TestMatrix, strict: bool = False) -> list[
 
     Forces and velocities must be finite and >= 0. Every row is checked against
     the matrix: each of its scenarios in the file must have rows numbered
-    1..iterations once each, and unknown scenario ids warn (or raise in strict mode).
+    1..iterations once each, and each unknown scenario id warns once, at its first row
+    (or raises there in strict mode).
     Ingest holds one copy of the data: each scenario's lists go once its set is built.
     """
     from ._table import read_batches
@@ -274,15 +275,16 @@ def ingest_measurements(path, matrix: TestMatrix, strict: bool = False) -> list[
                     require("force_n", force)
                 entry = entries.get(scenario_id)
                 if entry is None:
-                    entry = entries[scenario_id] = (
-                        bytearray(1) if scenario_id in matrix._by_id else None, [],
-                        None if velocity is None else [])
+                    flags = bytearray(1) if scenario_id in matrix._by_id else None
+                    if flags is None:  # one note per unknown id, at its first row
+                        message = f"{path}: row {row_no}: scenario id {scenario_id!r} not in matrix"
+                        if strict:
+                            raise ParseError(message)
+                        warnings.warn(message, stacklevel=2)
+                    entry = entries[scenario_id] = (flags, [], None if velocity is None else [])
                 flags, forces, velocities = entry
                 if flags is None:
-                    message = f"{path}: row {row_no}: scenario id {scenario_id!r} not in matrix"
-                    if strict:
-                        raise ParseError(message)
-                    warnings.warn(message, stacklevel=2)
+                    pass  # an unknown id's forces are kept, unchecked
                 elif 0 < iteration < len(flags) and not flags[iteration]:
                     flags[iteration] = 1
                 else:

@@ -1,6 +1,6 @@
 """Independent numerical oracles for cross-checking the package's arithmetic.
 
-Nothing here imports the package under test. For the closed-form kinematics,
+No oracle imports the package under test. For the closed-form kinematics,
 the governing rate dv/dt = g - k*v^2 (k = rho*C_d*A/(2*m)) is integrated
 directly with classical fourth-order Runge-Kutta, jointly with dy/dt = v, and
 the fall distance, fall time and impact velocity are evaluated to 60 digits
@@ -9,13 +9,15 @@ exactly in rational arithmetic, and so is the conformance harness's reference
 force, from its closed form. For the CSV tables, csv.reader reads the rows
 one at a time. For significant-figure rounding, decimal quantizes the value's
 repr with ROUND_HALF_UP. write_measurements writes the campaign files that the
-tests ingest.
+tests ingest, and require_calls counts the package's guard calls; it alone
+imports the package, when it is called.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import sys
 from decimal import ROUND_HALF_UP, Decimal, localcontext
 from fractions import Fraction
 
@@ -182,3 +184,24 @@ def write_measurements(path, rows, velocity=False):
     path.write_text("".join(f"{','.join(map(str, row))}\n" for row in [(header,), *rows]),
                     encoding="utf-8")
     return path
+
+
+def require_calls(action) -> int:
+    """The number of calls to errors.require while action() runs; the profiler that counts
+    them is set for the call only, and the one it replaced is restored."""
+    from birdstrike import errors
+
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code is errors.require.__code__:
+            calls += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        action()
+    finally:
+        sys.setprofile(previous)
+    return calls

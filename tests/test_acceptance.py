@@ -220,17 +220,20 @@ def test_criterion_07_drag_oracle_agreement():
                 oracle_velocity, rel=1e-6
             )
             assert drag_fall_distance(t, params) == pytest.approx(oracle_distance, rel=1e-6)
-    # vanishing drag limit recovers the drag-free velocity within 0.1%
+    # vanishing drag limit recovers the drag-free velocity within 0.1%, and to 1e-12 at
+    # C_d = 1e-16 under the defaults of DragParams (and of drop-velocity)
     params = DragParams(projectile_mass=0.1, drag_coefficient=1e-9,
                         reference_area=0.01, air_density=1.225, gravity=10.0)
     assert impact_velocity_from_drop(2.8, params) == pytest.approx(
         math.sqrt(2.0 * 10.0 * 2.8), rel=1e-3
     )
+    assert impact_velocity_from_drop(2.8, DragParams(0.1, 1e-16, 0.01)) == pytest.approx(
+        math.sqrt(2.0 * 9.80665 * 2.8), rel=1e-12, abs=0)
     elapsed = time.perf_counter() - started
     assert elapsed < 10.0
     report(7, f"closed-form velocity and distance within 1e-6 of fourth-order integration "
-              f"for 100 parameter sets over [0, 3] s; zero-drag limit within 0.1% "
-              f"({elapsed:.1f} s)")
+              f"for 100 parameter sets over [0, 3] s; zero-drag limit within 0.1% at "
+              f"C_d 1e-9 and 1e-12 at C_d 1e-16 ({elapsed:.1f} s)")
 
 
 def test_criterion_08_conformance_algebra():

@@ -19,40 +19,16 @@ import sys
 
 import pytest
 
-from birdstrike import errors
-from birdstrike.cli import main
 from birdstrike.errors import InvalidParameterError
 from birdstrike.harness import (VelocitySplit, build_test_matrix, matrix_to_json,
                                 nominal_velocity_mismatches, theoretical_reference)
 from birdstrike.kinematics import ideal_impact_velocity, make_drop_plan, required_drop_height
 from birdstrike.materials import ALUMINIUM_2024_T3
 
-from oracles import write_measurements
+from oracles import require_calls, write_measurements
+from test_cli import run_cli
 
 HUGE = 1.7e308
-
-
-def run(argv, capsys):
-    code = main(argv)
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
-
-
-def require_calls(action) -> int:
-    calls = 0
-
-    def profile(frame, event, arg):
-        nonlocal calls
-        if event == "call" and frame.f_code is errors.require.__code__:
-            calls += 1
-
-    previous = sys.getprofile()
-    sys.setprofile(profile)
-    try:
-        action()
-    finally:
-        sys.setprofile(previous)
-    return calls
 
 
 class TestLibrary:
@@ -117,12 +93,12 @@ class TestLibrary:
 
 class TestFlags:
     def test_drop_velocity(self, capsys):
-        assert run(["drop-velocity", "--height", str(HUGE)], capsys) == (
+        assert run_cli(["drop-velocity", "--height", str(HUGE)], capsys) == (
             2, "", "usage error: height 1.7e+308 gives an impact velocity sqrt(2*g*h) beyond "
                    "float range at gravity 9.80665\n")
 
     def test_plan(self, capsys):
-        code, out, err = run(["plan", "--all", "--cruise", "1e200"], capsys)
+        code, out, err = run_cli(["plan", "--all", "--cruise", "1e200"], capsys)
         assert (code, out) == (2, "")
         assert err.startswith("usage error: bird_speed ")
         assert err.endswith(" and aircraft_speed 1e+200 give a drop height "
@@ -154,7 +130,7 @@ class TestAnalyzeMatrixFile:
     @pytest.mark.parametrize("split", [s.value for s in VelocitySplit])
     def test_huge_drop_height_is_a_data_error(self, capsys, files, split):
         matrix, measurements = files(HUGE)
-        assert run(analyze(matrix, measurements, "--split", split), capsys) == (
+        assert run_cli(analyze(matrix, measurements, "--split", split), capsys) == (
             1, "", f"error: {matrix}: scenario '2.1': height 1.7e+308 gives an impact "
                    "velocity sqrt(2*g*h) beyond float range at gravity 9.80665\n")
 
@@ -168,7 +144,7 @@ class TestAnalyzeMatrixFile:
     ])
     @pytest.mark.parametrize("height", [2.0, HUGE])
     def test_bad_flag_stays_a_usage_error(self, capsys, files, height, flag, value, message):
-        assert run(analyze(*files(height), flag, value), capsys) == (
+        assert run_cli(analyze(*files(height), flag, value), capsys) == (
             2, "", f"usage error: {message}\n")
 
     def test_bad_flag_names_a_scenario_of_the_given_matrix(self, capsys, files):
@@ -176,18 +152,19 @@ class TestAnalyzeMatrixFile:
         payload = json.loads(matrix.read_text(encoding="utf-8"))
         payload["scenarios"] = [s for s in payload["scenarios"] if s["id"] != "baseline"]
         matrix.write_text(json.dumps(payload), encoding="utf-8")
-        assert run(analyze(matrix, measurements, "--gravity", "1e308"), capsys) == (
+        assert run_cli(analyze(matrix, measurements, "--gravity", "1e308"), capsys) == (
             2, "", "usage error: scenario '1': height 2.8 gives an impact velocity sqrt(2*g*h) "
                    "beyond float range at gravity 1e+308\n")
 
     def test_huge_drop_height_with_nominal_velocities_is_a_data_error(self, capsys, files):
         matrix, measurements = files(HUGE)
-        assert run(analyze(matrix, measurements, "--use-nominal"), capsys) == (
+        assert run_cli(analyze(matrix, measurements, "--use-nominal"), capsys) == (
             1, "", f"error: {matrix}: scenario '2.1': height 1.7e+308 gives an impact "
                    "velocity sqrt(2*g*h) beyond float range at gravity 9.80665\n")
 
     def test_huge_recomputed_velocity_note_is_bounded(self, capsys, files):
-        code, out, err = run(analyze(*files(1e300), "--use-nominal", "--gravity", "paper"), capsys)
+        code, out, err = run_cli(analyze(*files(1e300), "--use-nominal", "--gravity", "paper"),
+                                 capsys)
         assert code == 0 and out.startswith("scenario_id,")
         assert err.splitlines()[0] == ("note: scenario 2.1: stored nominal velocity 6.44 m/s "
                                        "differs from sqrt(2*g*h) = 4.47e+150 m/s; kept verbatim")
@@ -199,7 +176,7 @@ class TestAnalyzeMatrixFile:
 ])
 def test_default_matrix_notes_are_unchanged(capsys, files, gravity, recomputed):
     _, measurements = files(2.0)
-    code, _, err = run(["analyze", "--measurements", str(measurements), "--gravity", gravity],
+    code, _, err = run_cli(["analyze", "--measurements", str(measurements), "--gravity", gravity],
                        capsys)
     assert code == 0
     assert err == "".join(

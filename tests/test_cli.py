@@ -2,7 +2,6 @@ import argparse
 import csv
 import io
 import json
-import math
 import random
 import re
 import subprocess
@@ -20,6 +19,7 @@ from birdstrike.harness import (
     matrix_to_json,
     read_matrix,
     render_report_csv,
+    render_report_json,
     theoretical_reference,
 )
 from birdstrike.impact import (
@@ -31,7 +31,9 @@ from birdstrike.impact import (
 )
 from birdstrike.kinematics import (
     DragParams,
+    ideal_impact_velocity,
     impact_velocity_from_drop,
+    impact_velocity_from_timing,
     make_drop_plan,
     plan_flags,
     terminal_velocity,
@@ -53,129 +55,21 @@ def run_cli(argv, capsys):
     return code, captured.out, captured.err
 
 
-def parse_kv(out):
-    pairs = {}
-    for line in out.strip().splitlines():
-        key, _, value = line.partition(":")
-        pairs[key.strip()] = value.strip()
-    return pairs
-
-
 FORCE_FLAGS = [
     "--mass", "1", "--length", "1", "--bird-density", "1000",
     "--aircraft-density", "1000", "--bird-speed", "0",
     "--aircraft-speed", "10", "--angle", "90",
 ]
-
-
-class TestForceCommand:
-    def test_reference_scenario(self, capsys):
-        code, out, _ = run_cli(["force", *FORCE_FLAGS], capsys)
-        assert code == 0
-        values = parse_kv(out)
-        assert float(values["force_n"]) == pytest.approx(50.0, rel=1e-12)
-        assert float(values["total_speed_m_s"]) == pytest.approx(10.0, rel=1e-12)
-        assert float(values["kinetic_energy_j"]) == pytest.approx(50.0, rel=1e-12)
-        assert float(values["penetration_depth_m"]) == pytest.approx(1.0, rel=1e-12)
-
-    def test_zero_angle(self, capsys):
-        argv = ["force", *FORCE_FLAGS]
-        argv[argv.index("--angle") + 1] = "0"
-        code, out, _ = run_cli(argv, capsys)
-        assert code == 0
-        assert float(parse_kv(out)["force_n"]) == 0.0
-
-    def test_zero_aircraft_speed_exits_one(self, capsys):
-        argv = ["force", *FORCE_FLAGS]
-        argv[argv.index("--aircraft-speed") + 1] = "0"
-        code, _, err = run_cli(argv, capsys)
-        assert code == 1
-        assert "stationary" in err
-
-    def test_zero_aircraft_speed_names_the_stationary_command(self, capsys):
-        argv = ["force", *FORCE_FLAGS]
-        argv[argv.index("--aircraft-speed") + 1] = "0"
-        _, _, err = run_cli(argv, capsys)
-        assert "force-stationary" in err
-
-    def test_stationary_flag_exits_two(self, capsys):
-        # one route to the stationary model: the force-stationary command
-        code, out, _ = run_cli(["force", *FORCE_FLAGS, "--stationary"], capsys)
-        assert (code, out) == (2, "")
-
-    def test_invalid_angle_exits_two(self, capsys):
-        argv = ["force", *FORCE_FLAGS]
-        argv[argv.index("--angle") + 1] = "120"
-        code, _, err = run_cli(argv, capsys)
-        assert code == 2
-        assert "usage error" in err
-
-
-class TestForceStationaryCommand:
-    def test_sin_cubed_value(self, capsys):
-        code, out, _ = run_cli(
-            ["force-stationary", "--mass", "1", "--length", "1", "--bird-density", "1000",
-             "--aircraft-density", "1000", "--bird-speed", "10", "--angle", "30"],
-            capsys,
-        )
-        assert code == 0
-        assert float(parse_kv(out)["force_n"]) == pytest.approx(6.25, rel=1e-12)
-
-    @pytest.mark.parametrize(
-        "command, flag, value, field",
-        [
-            ("force-stationary", "--angle", "-30", "impact_angle"),
-            ("force-stationary", "--mass", "-1", "bird_mass"),
-        ],
-    )
-    def test_invalid_flag_exits_two(self, capsys, command, flag, value, field):
-        argv = [*command.split(), *FORCE_FLAGS]
-        if command == "force-stationary":
-            at = argv.index("--aircraft-speed")
-            del argv[at:at + 2]
-        argv[argv.index(flag) + 1] = value
-        code, out, err = run_cli(argv, capsys)
-        assert code == 2
-        assert out == ""
-        assert f"usage error: {field} must be" in err
+STATIONARY_FLAGS = FORCE_FLAGS[:10] + FORCE_FLAGS[12:]  # no --aircraft-speed
 
 
 class TestPlanCommand:
-    def test_starling_reference_values(self, capsys):
-        code, out, _ = run_cli(
-            ["plan", "--species", "Starling", "--gravity", "paper", "--format", "csv"], capsys
-        )
-        assert code == 0
-        rows = list(csv.DictReader(io.StringIO(out)))
-        assert len(rows) == 1
-        row = rows[0]
-        assert float(row["original_impact_velocity_m_s"]) == pytest.approx(112.35, abs=0.01)
-        assert float(row["original_drop_height_m"]) == pytest.approx(631.0, abs=1.0)
-        assert float(row["scaled_impact_velocity_m_s"]) == pytest.approx(7.49, abs=0.01)
-        assert float(row["scaled_drop_height_m"]) == pytest.approx(2.8, abs=0.1)
-        assert row["flags"] == ""
-
-    def test_all_species_row_count(self, capsys):
-        code, out, _ = run_cli(["plan", "--all", "--gravity", "paper", "--format", "csv"], capsys)
-        assert code == 0
-        rows = list(csv.DictReader(io.StringIO(out)))
-        assert len(rows) == 11
-
-    def test_unknown_species_exits_two(self, capsys):
-        code, _, err = run_cli(["plan", "--species", "Dodo"], capsys)
-        assert code == 2
-        assert "Dodo" in err
-
     @pytest.mark.parametrize("argv", [["--all", "--species", "Nope"],
                                       ["--species", "Starling", "--all"]])
     def test_species_with_all_exits_two(self, capsys, argv):
         code, out, err = run_cli(["plan", *argv], capsys)
         assert (code, out) == (2, "")
         assert "not allowed with argument" in err
-
-    def test_no_selection_exits_two(self, capsys):
-        code, _, _ = run_cli(["plan"], capsys)
-        assert code == 2
 
     def test_missing_registry_file_exits_one(self, capsys):
         code, _, err = run_cli(["plan", "--all", "--registry", "/no/such/file.csv"], capsys)
@@ -194,11 +88,6 @@ class TestPlanCommand:
                                 *setting], capsys)
         assert code == 0
         assert out.splitlines()[1].endswith("  -")
-
-    def test_byte_identical_runs(self, capsys):
-        _, first, _ = run_cli(["plan", "--all", "--gravity", "paper", "--format", "csv"], capsys)
-        _, second, _ = run_cli(["plan", "--all", "--gravity", "paper", "--format", "csv"], capsys)
-        assert first == second
 
     def test_csv_quotes_names_with_commas_and_quotes(self, capsys, tmp_path):
         registry = tmp_path / "species.csv"
@@ -222,57 +111,11 @@ class TestPlanCommand:
 
 
 class TestDropVelocityCommand:
-    def test_ideal_from_height(self, capsys):
-        code, out, _ = run_cli(
-            ["drop-velocity", "--height", "1.5", "--gravity", "paper"], capsys
-        )
-        assert code == 0
-        values = parse_kv(out)
-        assert values["model"] == "ideal"
-        assert float(values["impact_velocity_m_s"]) == pytest.approx(5.477, abs=1e-3)
-
-    def test_drag_from_height_below_ideal(self, capsys):
-        code, out, _ = run_cli(
-            ["drop-velocity", "--height", "2.8", "--gravity", "paper",
-             "--mass", "0.0108", "--cd", "1.15", "--area", "0.000314159"],
-            capsys,
-        )
-        assert code == 0
-        values = parse_kv(out)
-        assert values["model"] == "quadratic-drag"
-        assert float(values["impact_velocity_m_s"]) < 7.4833
-        assert float(values["impact_velocity_m_s"]) > 7.0
-
-    def test_drag_from_timing(self, capsys):
-        code, out, _ = run_cli(
-            ["drop-velocity", "--time", "0.5", "--mass", "0.1", "--cd", "1.0",
-             "--area", "0.01", "--gravity", "9.81"],
-            capsys,
-        )
-        assert code == 0
-        assert float(parse_kv(out)["impact_velocity_m_s"]) == pytest.approx(4.6733, abs=1e-3)
-
-    def test_timing_without_drag_flags_exits_two(self, capsys):
-        code, _, err = run_cli(["drop-velocity", "--time", "0.5"], capsys)
-        assert code == 2
-        assert "drag" in err
-
-    def test_partial_drag_flags_exit_two(self, capsys):
-        code, _, _ = run_cli(["drop-velocity", "--height", "2.8", "--mass", "0.1"], capsys)
-        assert code == 2
-
-    def test_vanishing_drag_gives_free_fall_velocity(self, capsys):
-        code, out, _ = run_cli(["drop-velocity", "--height", "2.8", "--mass", "0.1",
-                                "--cd", "1e-16", "--area", "0.01"], capsys)
-        assert code == 0
-        assert float(parse_kv(out)["impact_velocity_m_s"]) == pytest.approx(
-            math.sqrt(2.0 * 9.80665 * 2.8), rel=1e-12, abs=0)
-
     @pytest.mark.parametrize("height", ["5e-324", "1e20", "1.7e308"])
     def test_extreme_height_exits_zero_at_most_terminal(self, capsys, height):
         code, out, _ = run_cli(["drop-velocity", "--height", height, "--mass", "0.1",
                                 "--cd", "1", "--area", "0.01"], capsys)
-        values = parse_kv(out)
+        values = dict(line.split(": ") for line in out.splitlines())
         assert code == 0
         velocity = float(values["impact_velocity_m_s"])
         assert 0.0 <= velocity <= float(values["terminal_velocity_m_s"])
@@ -303,15 +146,6 @@ class TestDropVelocityCommand:
 
 
 class TestDesignCommand:
-    def test_stdout_descriptors(self, capsys):
-        code, out, _ = run_cli(["design", "--species", "Starling"], capsys)
-        assert code == 0
-        payload = json.loads(out)
-        assert len(payload) == 5
-        assert payload[0]["shape"] == "cylinder"
-        assert payload[0]["dims_m"]["radius"] == 0.01
-        assert payload[4]["shape"] == "ellipsoid"
-
     def test_out_directory_files(self, capsys, tmp_path, starling):
         out_dir = tmp_path / "designs"
         code, out, _ = run_cli(["design", "--species", "Starling", "--out", str(out_dir)], capsys)
@@ -319,10 +153,6 @@ class TestDesignCommand:
         paths = sorted(out_dir.glob("projectile_sn*.json"))
         assert [json.loads(path.read_text(encoding="utf-8")) for path in paths] == [
             geometry_payload(spec) for spec in generate_projectile_set(starling)]
-
-    def test_unknown_species_exits_two(self, capsys):
-        code, _, _ = run_cli(["design", "--species", "Roc"], capsys)
-        assert code == 2
 
 
 # Registry species that no finite cylinder radius > 0 can size: body_density * pi * length
@@ -377,32 +207,12 @@ class TestUnsizableRegistrySpecies:
 
 
 class TestMatrixCommand:
-    def test_stdout_structure(self, capsys):
-        code, out, _ = run_cli(["matrix"], capsys)
-        assert code == 0
-        payload = json.loads(out)
-        assert len(payload["scenarios"]) == 9
-        assert list(payload) == ["scenarios"]
-        assert sum(s["iterations"] for s in payload["scenarios"]) == 135
-
-    def test_byte_identical_runs(self, capsys):
-        _, first, _ = run_cli(["matrix"], capsys)
-        _, second, _ = run_cli(["matrix"], capsys)
-        assert first == second
-
     def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "matrix.json"
         code, _, _ = run_cli(["matrix", "--out", str(path)], capsys)
         assert code == 0
         scenarios = json.loads(path.read_text(encoding="utf-8"))["scenarios"]
         assert [scenario["iterations"] for scenario in scenarios] == [15] * 9
-
-    def test_single_iteration(self, capsys):
-        code, out, _ = run_cli(["matrix", "--iterations", "1"], capsys)
-        assert code == 0
-        payload = json.loads(out)
-        assert sum(s["iterations"] for s in payload["scenarios"]) == 9
-
 
 @pytest.fixture()
 def analysis_fixture(tmp_path, capsys, default_matrix, projectile_set, materials):
@@ -423,44 +233,6 @@ def analysis_fixture(tmp_path, capsys, default_matrix, projectile_set, materials
 
 
 class TestAnalyzeCommand:
-    def test_csv_report(self, capsys, analysis_fixture):
-        matrix_path, measurements_path = analysis_fixture
-        code, out, err = run_cli(
-            ["analyze", "--measurements", str(measurements_path),
-             "--matrix", str(matrix_path), "--gravity", "paper"],
-            capsys,
-        )
-        assert code == 0
-        lines = out.strip().splitlines()
-        assert lines[0] == ("scenario_id,theoretical_n,experimental_mean_n,"
-                            "experimental_std_n,percent_error,percent_conformance")
-        assert len(lines) == 11
-        assert lines[-1].startswith("OVERALL")
-        assert float(lines[-1].split(",")[-1]) == pytest.approx(90.0, abs=1e-6)
-        assert "2.1" in err  # nominal-velocity note
-
-    def test_json_report(self, capsys, analysis_fixture, tmp_path):
-        matrix_path, measurements_path = analysis_fixture
-        out_path = tmp_path / "report.json"
-        code, _, _ = run_cli(
-            ["analyze", "--measurements", str(measurements_path), "--matrix", str(matrix_path),
-             "--gravity", "paper", "--format", "json", "--out", str(out_path)],
-            capsys,
-        )
-        assert code == 0
-        payload = json.loads(out_path.read_text(encoding="utf-8"))
-        assert len(payload["scenarios"]) == 9
-        assert payload["overall_mean_conformance"] == pytest.approx(90.0, abs=1e-6)
-
-    def test_default_matrix_used_when_not_given(self, capsys, analysis_fixture):
-        _, measurements_path = analysis_fixture
-        code, out, _ = run_cli(
-            ["analyze", "--measurements", str(measurements_path), "--gravity", "paper"],
-            capsys,
-        )
-        assert code == 0
-        assert len(out.strip().splitlines()) == 11
-
     def test_duplicate_material_name_exits_one(self, capsys, analysis_fixture, tmp_path):
         _, measurements_path = analysis_fixture
         materials_path = tmp_path / "materials.csv"
@@ -581,20 +353,17 @@ class TestAnalyzeCommand:
             "sqrt(2*g*h) = 6.32 m/s; kept verbatim"]
 
     def test_unknown_scenario_id_is_a_note(self, capsys, analysis_fixture):
+        # one note per unknown id, naming its first row, however many rows carry it
         matrix_path, measurements_path = analysis_fixture
         with measurements_path.open("a", encoding="utf-8") as handle:
-            handle.write("x,1,3.0\n")
+            handle.write("".join(f"x,{iteration},3.0\n" for iteration in range(1, 6)))
+        argv = ["analyze", "--matrix", str(matrix_path), "--measurements", str(measurements_path)]
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # as under python -W error
-            code, out, err = run_cli(["analyze", "--matrix", str(matrix_path),
-                                      "--measurements", str(measurements_path)], capsys)
-        assert code == 0 and out.startswith("scenario_id,")
-        assert err.splitlines()[0] == (
-            f"note: {measurements_path}: row 137: scenario id 'x' not in matrix")
-
-    def test_missing_measurements_exits_two(self, capsys):
-        code, _, _ = run_cli(["analyze"], capsys)
-        assert code == 2
+            code, out, err = run_cli(argv, capsys)
+        message = f"{measurements_path}: row 137: scenario id 'x' not in matrix"
+        assert (code, err) == (0, f"note: {message}\n") and out.startswith("scenario_id,")
+        assert run_cli([*argv, "--strict"], capsys) == (1, "", f"error: {message}\n")
 
     def test_zero_cruise_uses_stationary_model(self, capsys, analysis_fixture, projectile_set,
                                                materials, default_matrix):
@@ -612,26 +381,6 @@ class TestAnalyzeCommand:
         assert f"\nbaseline,{expected!r}," in out
 
 
-class TestCheckCertCommand:
-    def test_at_limit(self, capsys):
-        code, out, _ = run_cli(["check-cert", "--force", "2255", "--case", "single-bird"], capsys)
-        assert code == 0
-        values = parse_kv(out)
-        assert values["verdict"] == "PASS"
-        assert float(values["margin_n"]) == 0.0
-
-    def test_flock_fail(self, capsys):
-        code, out, _ = run_cli(["check-cert", "--force", "4820", "--case", "flock"], capsys)
-        assert code == 0
-        values = parse_kv(out)
-        assert values["verdict"] == "FAIL"
-        assert float(values["margin_n"]) == pytest.approx(-1.0, rel=1e-12)
-
-    def test_unknown_case_exits_two(self, capsys):
-        code, _, _ = run_cli(["check-cert", "--force", "10", "--case", "swarm"], capsys)
-        assert code == 2
-
-
 SWEEP_BASE = [
     "--mass", "0.085", "--length", "0.22", "--bird-density", "1230",
     "--aircraft-density", "2780", "--bird-speed", "22.35",
@@ -640,34 +389,11 @@ SWEEP_BASE = [
 
 
 class TestSweepCommand:
-    def test_density_sweep_rows(self, capsys):
-        code, out, _ = run_cli(
-            ["sweep", *SWEEP_BASE, "--param", "aircraft_density", "--values", "2780,1167.6"],
-            capsys,
-        )
-        assert code == 0
-        lines = out.strip().splitlines()
-        assert lines[0] == "value,force_n,percent_change"
-        assert len(lines) == 3
-        assert float(lines[2].split(",")[2]) == pytest.approx(-58.0, rel=1e-9)
-
     def test_mass_sweep_has_no_note(self, capsys):
         _, _, err = run_cli(
             ["sweep", *SWEEP_BASE, "--param", "bird_mass", "--values", "0.0425"], capsys
         )
         assert err == ""
-
-    def test_unknown_param_exits_two(self, capsys):
-        code, _, _ = run_cli(
-            ["sweep", *SWEEP_BASE, "--param", "wing_span", "--values", "1"], capsys
-        )
-        assert code == 2
-
-    def test_bad_values_exit_two(self, capsys):
-        code, _, _ = run_cli(
-            ["sweep", *SWEEP_BASE, "--param", "bird_mass", "--values", "a,b"], capsys
-        )
-        assert code == 2
 
     def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "sweep.csv"
@@ -827,17 +553,22 @@ class TestUsageSurface:
         assert out.startswith(f"usage: birdstrike {subcommand} ")
 
     def test_unknown_flag_exits_two(self, capsys):
-        # the full usage line, naming every command, then argparse's error line
-        for argv in (["matrix", "--bogus"], ["force", *FORCE_FLAGS, "--bogus"]):
+        # the full usage line, naming every command, then argparse's error line; newer
+        # Pythons list an unknown command's choices unquoted
+        choices = {", ".join(map(repr, self.SUBCOMMANDS)), ", ".join(self.SUBCOMMANDS)}
+        for argv, errors in [
+            (["matrix", "--bogus"], {"unrecognized arguments: --bogus"}),
+            (["force", *FORCE_FLAGS, "--bogus"], {"unrecognized arguments: --bogus"}),
+            # one route to the stationary model: the force-stationary command
+            (["force", *FORCE_FLAGS, "--stationary"], {"unrecognized arguments: --stationary"}),
+            (["fly"], {f"argument command: invalid choice: 'fly' (choose from {listed})"
+                       for listed in choices}),
+        ]:
             code, out, err = run_cli(argv, capsys)
             assert (code, out) == (2, "")
             assert err.startswith("usage: birdstrike ")
             assert "{" + ",".join(self.SUBCOMMANDS) + "}" in err
-            assert err.splitlines()[-1] == "birdstrike: error: unrecognized arguments: --bogus"
-
-    def test_unknown_subcommand_exits_two(self, capsys):
-        code, _, _ = run_cli(["fly"], capsys)
-        assert code == 2
+            assert err.splitlines()[-1] in {f"birdstrike: error: {error}" for error in errors}
 
 
 # bird_length*bird_density underflows to 0 although each is positive
@@ -921,10 +652,26 @@ class TestExitCodes:
         # a number out of range is named before an unknown split
         (["analyze", "--measurements", "forces.csv", "--split", "bogus", "--gravity", "-1"],
          "gravity must be > 0, got -1.0"),
+        (["force", *FORCE_FLAGS, "--angle", "120"],
+         "impact_angle must be within [0, 90], got 120.0"),
+        (["force-stationary", *STATIONARY_FLAGS, "--angle", "-30"],
+         "impact_angle must be within [0, 90], got -30.0"),
+        (["force-stationary", *STATIONARY_FLAGS, "--mass", "-1"],
+         "bird_mass must be >= 0, got -1.0"),
+        (["plan"], "nothing to plan: pass --species NAME (repeatable) or --all"),
+        (["drop-velocity", "--time", "0.5"],
+         "--time needs the drag model flags (--mass, --cd, --area)"),
+        (["drop-velocity", "--height", "2.8", "--mass", "0.1"],
+         "--mass, --cd and --area must be given together for the drag model"),
+        (["analyze"], "no measurements file: pass --measurements or set it in the config"),
+        (["sweep", *SWEEP_BASE, "--param", "bird_mass", "--values", "a,b"],
+         "--values must be a comma-separated list of numbers, got 'a,b'"),
     ], ids=["gravity abc", "values ,", "force bird-speed -5", "analyze gravity 1e308",
             "analyze nominal gravity 1e308", "analyze materials gravity 1e308",
             "analyze missing matrix cruise -1", "analyze missing materials scale 0.5",
-            "analyze split bogus gravity -1"])
+            "analyze split bogus gravity -1", "force angle 120", "force-stationary angle -30",
+            "force-stationary mass -1", "plan no species", "drop-velocity time without drag",
+            "drop-velocity partial drag flags", "analyze no measurements", "sweep values a,b"])
     def test_usage_error_message(self, capsys, tmp_path, monkeypatch, argv, message):
         monkeypatch.chdir(tmp_path)  # holds the materials file that one case reads
         (tmp_path / "mats.csv").write_text("name,density_kg_m3\n"
@@ -1047,7 +794,8 @@ def lines(*items):
 
 
 class TestStdoutIsTheLibraryResult:
-    """One valid call per subcommand: stdout is the library's result, floats as repr."""
+    """Valid calls of each subcommand: stdout is the library's result, floats as repr (to
+    two decimals in the text plan)."""
 
     BASE = INSTANCES[ImpactScenario]  # SWEEP_BASE
 
@@ -1069,23 +817,33 @@ class TestStdoutIsTheLibraryResult:
 
     def test_plan(self, capsys, starling):
         plan = make_drop_plan(starling.flight_speed, 90.0, 15.0, 10.0, starling.name)
-        argv = ["plan", "--species", "Starling", "--gravity", "paper", "--format", "csv"]
-        self.check(capsys, argv,
+        argv = ["plan", "--species", "Starling", "--gravity", "paper"]
+        self.check(capsys, [*argv, "--format", "csv"],
                    lines("species,original_impact_velocity_m_s,original_drop_height_m,"
                          "scaled_impact_velocity_m_s,scaled_drop_height_m,flags",
                          f"{plan.species_name},{plan.original_impact_velocity!r},"
                          f"{plan.original_drop_height!r},{plan.scaled_impact_velocity!r},"
                          f"{plan.scaled_drop_height!r},{'; '.join(plan_flags(plan))}"))
+        self.check(capsys, argv,
+                   lines("species            original_v_m_s original_h_m scaled_v_m_s "
+                         "scaled_h_m  flags",
+                         f"{plan.species_name:<18} {plan.original_impact_velocity:14.2f} "
+                         f"{plan.original_drop_height:12.2f} {plan.scaled_impact_velocity:12.2f} "
+                         f"{plan.scaled_drop_height:10.2f}  {'; '.join(plan_flags(plan)) or '-'}"))
 
     def test_drop_velocity(self, capsys):
+        drag_flags = ["--mass", "0.0108", "--cd", "1.15", "--area", "3.14159e-4",
+                      "--air-density", "1.1"]
         params = DragParams(projectile_mass=0.0108, drag_coefficient=1.15,
                             reference_area=3.14159e-4, air_density=1.1, gravity=10.0)
-        self.check(capsys, ["drop-velocity", "--height", "2.8", "--gravity", "paper",
-                            "--mass", "0.0108", "--cd", "1.15", "--area", "3.14159e-4",
-                            "--air-density", "1.1"],
-                   lines("model: quadratic-drag",
-                         f"terminal_velocity_m_s: {terminal_velocity(params)!r}",
-                         f"impact_velocity_m_s: {impact_velocity_from_drop(2.8, params)!r}"))
+        drag = ["model: quadratic-drag", f"terminal_velocity_m_s: {terminal_velocity(params)!r}"]
+        for flags, model, velocity in [
+            (["--height", "2.8", *drag_flags], drag, impact_velocity_from_drop(2.8, params)),
+            (["--time", "0.5", *drag_flags], drag, impact_velocity_from_timing(0.5, params)),
+            (["--height", "1.5"], ["model: ideal"], ideal_impact_velocity(1.5, 10.0)),
+        ]:
+            self.check(capsys, ["drop-velocity", *flags, "--gravity", "paper"],
+                       lines(*model, f"impact_velocity_m_s: {velocity!r}"))
 
     def test_design(self, capsys, projectile_set):
         payload = [geometry_payload(spec) for spec in projectile_set]
@@ -1096,7 +854,7 @@ class TestStdoutIsTheLibraryResult:
         self.check(capsys, ["matrix", "--iterations", "4"],
                    matrix_to_json(build_test_matrix(iterations_per_scenario=4)))
 
-    def test_analyze(self, capsys, analysis_fixture, projectile_set, materials):
+    def test_analyze(self, capsys, tmp_path, analysis_fixture, projectile_set, materials):
         matrix_path, measurements_path = analysis_fixture
         matrix = read_matrix(matrix_path)
         by_serial = {spec.serial: spec for spec in projectile_set}
@@ -1107,9 +865,12 @@ class TestStdoutIsTheLibraryResult:
         }
         report = conformance_report(matrix, references,
                                     ingest_measurements(measurements_path, matrix))
-        self.check(capsys, ["analyze", "--measurements", str(measurements_path),
-                            "--matrix", str(matrix_path), "--gravity", "paper"],
-                   render_report_csv(report))
+        argv = ["analyze", "--measurements", str(measurements_path), "--matrix",
+                str(matrix_path), "--gravity", "paper"]
+        self.check(capsys, argv, render_report_csv(report))
+        out = tmp_path / "report.json"
+        self.check(capsys, [*argv, "--format", "json", "--out", str(out)], lines(out))
+        assert out.read_text(encoding="utf-8") == render_report_json(report)
 
     def test_check_cert(self, capsys):
         v = check_certification(4820.0, "flock")
@@ -1139,6 +900,10 @@ def test_module_entry_point_runs():
 
 # Error calls whose one stderr line a separate process must print as main does: no traceback.
 PROCESS_ERRORS = {
+    "force zero aircraft speed": (
+        ["force", *FORCE_FLAGS, "--aircraft-speed", "0"],
+        1, "error: penetration depth is singular at aircraft speed 0; use the stationary-aircraft "
+           "model (impact_force_stationary); run the force-stationary command for it"),
     "check-cert nan": (["check-cert", "--force", "nan", "--case", "flock"],
                        2, "usage error: force must be >= 0, got nan"),
     "drop-velocity negative height": (
@@ -1222,7 +987,7 @@ def test_main_builds_the_parser_only_for_a_declined_argv(monkeypatch, capsys, ar
 # One argv per subcommand, shaped as the benchmark's rotation shapes it; each is plain.
 PLAIN_ARGVS = {
     "force": FORCE_FLAGS,
-    "force-stationary": FORCE_FLAGS[:10] + FORCE_FLAGS[12:],
+    "force-stationary": STATIONARY_FLAGS,
     "plan": ["--all", "--format", "csv", "--gravity", "paper", "--scale", "12.5"],
     "drop-velocity": ["--time", "0.6", "--mass", "0.01", "--cd", "1.1", "--area", "3e-4",
                       "--gravity", "standard"],

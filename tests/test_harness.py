@@ -490,7 +490,7 @@ class TestIngestRandomised:
             ingest_measurements(path, matrix)
 
     @pytest.mark.parametrize("seed", range(20))
-    def test_unknown_ids_warn_once_per_row_or_raise_when_strict(self, tmp_path, seed):
+    def test_unknown_ids_warn_once_per_id_or_raise_when_strict(self, tmp_path, seed):
         rng, matrix, rows, write = self.campaign(seed, tmp_path)
         for _ in range(rng.randint(1, 3)):
             unknown = (rng.choice(["x", "2.3", "base line"]), rng.randint(-1, 9),
@@ -498,8 +498,12 @@ class TestIngestRandomised:
             rows.insert(rng.randint(0, len(rows)), unknown)
         path = write(rows)
         known = {scenario.id for scenario in matrix.scenarios}
-        notes = [f"{path}: row {index + 2}: scenario id {row[0]!r} not in matrix"
-                 for index, row in enumerate(rows) if row[0] not in known]
+        first_rows = {}  # each unknown id's first row, in file order
+        for row_no, row in enumerate(rows, 2):  # after the header
+            if row[0] not in known:
+                first_rows.setdefault(row[0], row_no)
+        notes = [f"{path}: row {row_no}: scenario id {scenario_id!r} not in matrix"
+                 for scenario_id, row_no in first_rows.items()]
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             assert ingest_measurements(path, matrix) == self.oracle(rows)

@@ -20,7 +20,6 @@ import warnings
 
 import pytest
 
-from birdstrike import errors
 from birdstrike.errors import InvalidParameterError, require
 # aliased so pytest does not collect them
 from birdstrike.harness import (ConformanceReport, MeasurementSet, ReferenceSettings,
@@ -34,6 +33,7 @@ from birdstrike.materials import MaterialSpec
 from birdstrike.projectile import Cylinder, Ellipsoid, ProjectileSpec
 from birdstrike.species import BirdSpecies
 
+from oracles import require_calls
 from valid_records import INSTANCES
 
 INF = math.inf
@@ -148,24 +148,6 @@ def test_generated_checks_match_the_oracle(record):
         assert got == want, values
         built += got is None
     assert built >= 250  # both outcomes are well covered
-
-
-def require_calls(action) -> int:
-    """The number of calls to errors.require while action() runs."""
-    calls = 0
-
-    def profile(frame, event, arg):
-        nonlocal calls
-        if event == "call" and frame.f_code is errors.require.__code__:
-            calls += 1
-
-    previous = sys.getprofile()
-    sys.setprofile(profile)
-    try:
-        action()
-    finally:
-        sys.setprofile(previous)
-    return calls
 
 
 DRAG = DragParams(0.0108, 1.15, 3.14159e-4)

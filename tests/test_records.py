@@ -14,6 +14,7 @@ import re
 import subprocess
 import sys
 from enum import Enum
+from pathlib import Path
 
 import pytest
 
@@ -120,22 +121,9 @@ from birdstrike import errors  # the package imports every module, so every reco
 from birdstrike._record import Record
 
 op, arguments = sys.argv[1], json.loads(sys.argv[2])
+sys.path.insert(0, sys.argv[3])  # the tests directory
+from oracles import require_calls
 classes = {cls.__name__: cls for cls in Record.__subclasses__()}
-
-
-def require_calls(action):
-    calls = 0
-
-    def profile(frame, event, arg):
-        nonlocal calls
-        calls += event == "call" and frame.f_code is errors.require.__code__
-
-    sys.setprofile(profile)
-    try:
-        action()
-    finally:
-        sys.setprofile(None)
-    return calls
 
 
 def outcome(cls, args):
@@ -182,7 +170,8 @@ def first_lookups(op):
                                                    for v in values(record)))
                  for record, _ in RECORDS}
     lines = [json.loads(line)
-             for line in fresh_python(FIRST_LOOKUP, op, json.dumps(arguments)).splitlines()]
+             for line in fresh_python(FIRST_LOOKUP, op, json.dumps(arguments),
+                                          str(Path(__file__).parent)).splitlines()]
     for name, lazy, _, _, installed in lines:  # the compiled function replaces the descriptor
         assert lazy == (name not in BUILT_BY_CONSTANTS) and installed, name
     return {name: (first, later) for name, _, first, later, _ in lines}
