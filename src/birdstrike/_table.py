@@ -31,8 +31,6 @@ earlier row comes first. Only that route looks for blank rows, and it skips them
 all: each format has a numeric column, which rejects a blank cell.
 """
 
-from __future__ import annotations
-
 import io
 from collections.abc import Callable, Iterator, Sequence
 from itertools import chain, count, islice

@@ -10,8 +10,6 @@ its exact flags, each with a value that does not start with "-") is parsed from
 the flag table without argparse; any other call goes to the argparse parser.
 """
 
-from __future__ import annotations
-
 import os
 import sys
 import warnings

@@ -8,8 +8,6 @@ forces and theory-vs-experiment conformance reports:
     % conformance = 100 - % error
 """
 
-from __future__ import annotations
-
 import math
 import operator
 import warnings
@@ -440,7 +438,11 @@ def conformance_report(
     measurements: Sequence[MeasurementSet],
 ) -> ConformanceReport:
     """Per-scenario and overall conformance between theory and measurement."""
-    by_id = {measurement.scenario_id: measurement for measurement in measurements}
+    by_id = {}
+    for measurement in measurements:  # one set per scenario; ids outside the matrix are unused
+        if measurement.scenario_id in by_id:
+            raise InvalidParameterError(f"duplicate scenario id {measurement.scenario_id!r}")
+        by_id[measurement.scenario_id] = measurement
     rows = []
     for scenario in matrix.scenarios:
         if scenario.id not in references:

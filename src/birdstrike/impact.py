@@ -20,15 +20,13 @@ is a separate, explicitly chosen operation because the two disagree in the
 limit.
 """
 
-from __future__ import annotations
-
 import math
 
 from ._record import NON_NEGATIVE, POSITIVE, TEXT, Record
 from .errors import InvalidParameterError, StationaryAircraftError, require
 
 
-def _bird_divisor(s: ImpactScenario) -> float:
+def _bird_divisor(s: "ImpactScenario") -> float:
     """bird_length*bird_density, the divisor of both force models, or the error when it is 0."""
     divisor = s.bird_length * s.bird_density
     if divisor == 0.0:

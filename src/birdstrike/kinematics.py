@@ -10,8 +10,6 @@ or fall time when quadratic aerodynamic drag matters:
     t(h) = (v_t/g) * (x + log1p(v(h)/v_t))
 """
 
-from __future__ import annotations
-
 import math
 
 from ._record import NON_NEGATIVE, POSITIVE, TEXT, Record

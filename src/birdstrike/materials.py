@@ -1,7 +1,5 @@
 """Specimen (aircraft-skin) materials and aircraft parameters."""
 
-from __future__ import annotations
-
 from ._record import POSITIVE, Record, find_named
 
 ALUMINIUM_DENSITY = 2780.0   # kg/m^3, 2024-T3 handbook value

@@ -5,8 +5,6 @@ Cylinder sizing inverts V = pi*r^2*l = m/rho into r = sqrt(m/(rho*pi*l)); the
 printed density is controlled through the infill fraction.
 """
 
-from __future__ import annotations
-
 import math
 
 from ._record import POSITIVE, TEXT, Record

@@ -3,8 +3,6 @@
 All quantities are SI: kilograms, metres, kg/m^3, m/s.
 """
 
-from __future__ import annotations
-
 import warnings
 
 from ._record import NON_NEGATIVE, POSITIVE, Record, find_named

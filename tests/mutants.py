@@ -21,8 +21,6 @@ address-space limit (MEMORY_MB) counts as killed. This file is not collected
 by pytest (its name does not start with test_).
 """
 
-from __future__ import annotations
-
 import argparse
 import ast
 import os

@@ -13,8 +13,6 @@ tests ingest, and require_calls counts the package's guard calls; it alone
 imports the package, when it is called.
 """
 
-from __future__ import annotations
-
 import csv
 import math
 import sys

@@ -26,8 +26,6 @@ from birdstrike.harness import (
     nominal_velocity_mismatches,
     percent_error,
     read_matrix,
-    render_report_csv,
-    render_report_json,
     scenario_stats,
     theoretical_reference,
 )
@@ -47,26 +45,6 @@ def measurements_csv(tmp_path, matrix, force_for=lambda s, i: 5.0, with_velocity
 
 
 class TestBuildMatrix:
-    def test_scenario_details(self, default_matrix):
-        baseline = default_matrix.scenario("baseline")
-        assert baseline.projectile_serial == 1
-        assert baseline.drop_height == 2.8
-        assert baseline.impact_angle == 90.0
-        assert baseline.specimen_material == "Aluminium-2024-T3"
-        assert default_matrix.scenario("1").projectile_serial == 3
-        assert default_matrix.scenario("2.1").drop_height == 2.0
-        assert default_matrix.scenario("2.2").drop_height == 1.5
-        assert default_matrix.scenario("3").projectile_serial == 2
-        assert default_matrix.scenario("4").projectile_serial == 4
-        assert default_matrix.scenario("5").impact_angle == 50.0
-        assert default_matrix.scenario("6").specimen_material == "CFRP"
-        assert default_matrix.scenario("7").projectile_serial == 5
-
-    def test_duplicate_scenario_ids_rejected(self, default_matrix):
-        baseline = default_matrix.scenario("baseline")
-        with pytest.raises(InvalidParameterError, match="duplicate scenario id 'baseline'"):
-            Matrix((baseline, baseline))
-
     def test_single_iteration_matrix(self):
         matrix = build_test_matrix(iterations_per_scenario=1)
         assert [scenario.iterations for scenario in matrix.scenarios] == [1] * 9
@@ -99,28 +77,10 @@ class TestBuildMatrix:
             default_matrix.scenario("nosuch")
         assert str(caught.value) == "unknown scenario id 'nosuch'"
 
-    def test_unknown_material_rejected(self, default_matrix, materials):
-        # A matrix file may name any specimen; the lookup analyze makes for it
-        # is what refuses one that is not among the materials.
-        baseline = default_matrix.scenario("baseline")
-        scenario = baseline._replace(specimen_material="Unobtainium")
-        with pytest.raises(InvalidParameterError, match="unknown material 'Unobtainium'"):
-            find_material(materials, scenario.specimen_material)
-        assert find_material(materials, baseline.specimen_material).name == "Aluminium-2024-T3"
-
-    def test_serialization_is_deterministic(self):
-        assert matrix_to_json(build_test_matrix()) == matrix_to_json(build_test_matrix())
-
     def test_json_round_trip(self, default_matrix, tmp_path):
         path = tmp_path / "matrix.json"
         path.write_text(matrix_to_json(default_matrix), encoding="utf-8")
         assert read_matrix(path) == default_matrix
-
-    def test_read_rejects_bad_file(self, tmp_path):
-        path = tmp_path / "matrix.json"
-        path.write_text("{}", encoding="utf-8")
-        with pytest.raises(ParseError):
-            read_matrix(path)
 
     def test_read_rejects_too_deep_nesting(self, tmp_path):
         # json.load raises RecursionError, not ValueError, on a file nested this deep
@@ -142,13 +102,6 @@ class TestBuildMatrix:
 
 
 class TestNominalVelocities:
-    def test_only_scenario_21_flagged_at_reference_gravity(self, default_matrix):
-        mismatches = nominal_velocity_mismatches(default_matrix, gravity=10.0)
-        assert set(mismatches) == {"2.1"}
-        nominal, recomputed = mismatches["2.1"]
-        assert nominal == 6.44
-        assert recomputed == pytest.approx(math.sqrt(40.0), rel=1e-12)
-
     @pytest.mark.parametrize("nominal, flagged", [(0.05, False), (0.0499, True)])
     def test_tolerance_band_edge(self, nominal, flagged):
         # sqrt(2*10*0.0005) = 0.1: a nominal 0.05 m/s is exactly the tolerance off
@@ -158,84 +111,6 @@ class TestNominalVelocities:
 
 
 class TestTheoreticalReference:
-    def test_angle_ratio_follows_model(self, default_matrix, projectile_set, materials):
-        sn1 = projectile_set[0]
-        aluminium = find_material(materials, "Aluminium-2024-T3")
-        head_on = default_matrix.scenario("baseline")
-        tilted = default_matrix.scenario("5")
-        force_90 = theoretical_reference(head_on, sn1, aluminium, gravity=10.0)
-        force_50 = theoretical_reference(tilted, sn1, aluminium, gravity=10.0)
-        velocity = math.sqrt(2.0 * 10.0 * 2.8)
-        aircraft = 6.0
-        bird = velocity - aircraft
-        sin50 = math.sin(math.radians(50.0))
-        expected = sin50 * (bird * sin50 + aircraft) / (bird + aircraft)
-        assert force_50 / force_90 == pytest.approx(expected, rel=1e-12)
-
-    def test_zero_mass_projectile_gives_zero(self, default_matrix, starling, materials):
-        hollow = generate_projectile_set(starling)[0]
-        hollow = hollow._replace(infill_fraction=0.0)
-        aluminium = find_material(materials, "Aluminium-2024-T3")
-        assert theoretical_reference(
-            default_matrix.scenario("baseline"), hollow, aluminium, gravity=10.0
-        ) == 0.0
-
-    def test_linear_in_specimen_density(self, default_matrix, projectile_set, materials):
-        sn1 = projectile_set[0]
-        aluminium = find_material(materials, "Aluminium-2024-T3")
-        doubled = aluminium._replace(density=2.0 * aluminium.density)
-        scenario = default_matrix.scenario("baseline")
-        assert theoretical_reference(scenario, sn1, doubled, gravity=10.0) == pytest.approx(
-            2.0 * theoretical_reference(scenario, sn1, aluminium, gravity=10.0), rel=1e-12
-        )
-
-    def test_all_aircraft_split(self, default_matrix, projectile_set, materials):
-        sn1 = projectile_set[0]
-        aluminium = find_material(materials, "Aluminium-2024-T3")
-        scenario = default_matrix.scenario("baseline")
-        velocity = math.sqrt(2.0 * 10.0 * 2.8)
-        force = theoretical_reference(
-            scenario, sn1, aluminium, gravity=10.0, split=VelocitySplit.ALL_AIRCRAFT
-        )
-        expected = (
-            0.5 * sn1.mass * aluminium.density * velocity * velocity
-            / (sn1.shape.length * sn1.effective_density)
-        )
-        assert force == pytest.approx(expected, rel=1e-12)
-
-    def test_a_split_value_is_its_member(self, default_matrix, projectile_set, materials):
-        args = (default_matrix.scenario("baseline"), projectile_set[0],
-                find_material(materials, "Aluminium-2024-T3"))
-        forces = {split: theoretical_reference(*args, split=split) for split in VelocitySplit}
-        assert len(set(forces.values())) == 2  # the baseline tells the splits apart
-        for split, force in forces.items():
-            assert theoretical_reference(*args, split=split.value).hex() == force.hex()
-
-    @pytest.mark.parametrize("split", ["bogus", "All-Aircraft", "", None, 1])
-    def test_an_unknown_split_is_rejected(self, default_matrix, projectile_set, materials,
-                                          split):
-        with pytest.raises(InvalidParameterError) as caught:
-            theoretical_reference(default_matrix.scenario("baseline"), projectile_set[0],
-                                  materials[0], split=split)
-        assert str(caught.value) == ("velocity_split must be one of "
-                                     f"['scaled-cruise', 'all-aircraft'], got {split!r}")
-
-    def test_low_drop_clamps_scaled_cruise_split(self, default_matrix, projectile_set, materials):
-        # 1.5 m at g=10 gives 5.48 m/s < 6 m/s scaled cruise: whole velocity is
-        # aircraft speed, matching the stationary model at 90 degrees
-        from birdstrike.impact import impact_force_stationary
-
-        sn1 = projectile_set[0]
-        aluminium = find_material(materials, "Aluminium-2024-T3")
-        scenario = default_matrix.scenario("2.2")
-        force = theoretical_reference(scenario, sn1, aluminium, gravity=10.0)
-        velocity = math.sqrt(2.0 * 10.0 * 1.5)
-        stationary = impact_force_stationary(
-            sn1.mass, velocity, sn1.shape.length, sn1.effective_density,
-            aluminium.density, 90.0,
-        )
-        assert force == pytest.approx(stationary, rel=1e-12)
-
     def test_zero_cruise_uses_stationary_model(self, default_matrix, projectile_set, materials):
         # cruise 0 puts the aircraft at rest: the whole drop velocity is bird speed
         from birdstrike.impact import impact_force_stationary
@@ -250,38 +125,8 @@ class TestTheoreticalReference:
         )
         assert force == stationary
 
-    def test_use_nominal_velocity(self, default_matrix, projectile_set, materials):
-        sn1 = projectile_set[0]
-        aluminium = find_material(materials, "Aluminium-2024-T3")
-        scenario = default_matrix.scenario("2.1")
-        nominal = theoretical_reference(
-            scenario, sn1, aluminium, gravity=10.0, use_nominal_velocity=True
-        )
-        recomputed = theoretical_reference(scenario, sn1, aluminium, gravity=10.0)
-        assert nominal != recomputed
-
-    @pytest.mark.parametrize("flag", ["no", 1, 0, None])
-    def test_use_nominal_velocity_must_be_a_bool(self, default_matrix, projectile_set, materials,
-                                                 flag):
-        with pytest.raises(InvalidParameterError) as caught:
-            theoretical_reference(default_matrix.scenario("2.1"), projectile_set[0],
-                                  find_material(materials, "Aluminium-2024-T3"),
-                                  use_nominal_velocity=flag)
-        assert str(caught.value) == f"use_nominal_velocity must be a bool, got {flag!r}"
-
 
 class TestIngestMeasurements:
-    def test_full_fixture(self, default_matrix, tmp_path):
-        path = measurements_csv(tmp_path, default_matrix)
-        sets = ingest_measurements(path, default_matrix)
-        assert sets == [MeasurementSet(s.id, (5.0,) * 15) for s in default_matrix.scenarios]
-        assert all(s.impact_velocities is None for s in sets)  # no velocity column
-
-    def test_velocity_column(self, default_matrix, tmp_path):
-        path = measurements_csv(tmp_path, default_matrix, with_velocity=True)
-        sets = ingest_measurements(path, default_matrix)
-        assert all(s.impact_velocities == (7.3,) * 15 for s in sets)
-
     @pytest.mark.parametrize("with_velocity", [False, True], ids=["forces", "velocities"])
     def test_each_value_is_checked_once(self, default_matrix, tmp_path, monkeypatch,
                                         with_velocity):
@@ -295,20 +140,10 @@ class TestIngestMeasurements:
         assert checks == []
         assert sets == [MeasurementSet(s.scenario_id, s.forces, s.impact_velocities) for s in sets]
 
-    def test_empty_file(self, default_matrix, tmp_path):
-        path = tmp_path / "empty.csv"
-        path.write_text("", encoding="utf-8")
-        assert ingest_measurements(path, default_matrix) == []
-
-    def test_negative_force_rejected(self, default_matrix, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("scenario_id,iteration,force_n\nbaseline,1,-2\n", encoding="utf-8")
-        with pytest.raises(ParseError, match="force_n"):
-            ingest_measurements(path, default_matrix)
-
     @pytest.mark.parametrize(
         "row, message",
-        [("baseline,2,nan,7.3", "row 3: force_n must be >= 0, got nan"),
+        [("baseline,2,-2,7.3", "row 3: force_n must be >= 0, got -2.0"),
+         ("baseline,2,nan,7.3", "row 3: force_n must be >= 0, got nan"),
          ("baseline,2,inf,7.3", "row 3: force_n must be >= 0, got inf"),
          ("baseline,2,5,nan", "row 3: impact_velocity_m_s must be >= 0, got nan"),
          ("baseline,2,5,-7.3", "row 3: impact_velocity_m_s must be >= 0, got -7.3"),
@@ -330,16 +165,6 @@ class TestIngestMeasurements:
         matrix = build_test_matrix(iterations_per_scenario=2)
         with pytest.raises(ParseError, match=f"^{re.escape(f'{path}: {message}')}$"):
             ingest_measurements(path, matrix)
-
-    def test_unknown_scenario_warns(self, default_matrix, tmp_path):
-        path = tmp_path / "extra.csv"
-        path.write_text(
-            "scenario_id,iteration,force_n\nmystery,1,5\n", encoding="utf-8"
-        )
-        with pytest.warns(UserWarning, match="mystery") as caught:
-            sets = ingest_measurements(path, default_matrix)
-        assert sets == [MeasurementSet("mystery", (5.0,))]
-        assert caught[0].filename == __file__  # the warning names the caller
 
     @pytest.mark.parametrize("with_velocity, digest", [
         (False, "4b857b30d482cf67838fe30234c354838a1c3910d3a3fdc595d5ae1db186e0cd"),
@@ -380,22 +205,6 @@ class TestIngestMeasurements:
         assert [len(s.impact_velocities) for s in sets] == [10_000] * 9
         assert peak / retained <= 1.2
 
-    def test_unknown_scenario_strict_raises(self, default_matrix, tmp_path):
-        path = tmp_path / "extra.csv"
-        path.write_text(
-            "scenario_id,iteration,force_n\nmystery,1,5\n", encoding="utf-8"
-        )
-        with pytest.raises(ParseError, match="mystery"):
-            ingest_measurements(path, default_matrix, strict=True)
-
-    def test_iteration_count_mismatch_rejected(self, default_matrix, tmp_path):
-        path = tmp_path / "short.csv"
-        path.write_text(
-            "scenario_id,iteration,force_n\nbaseline,1,5\nbaseline,2,5\n", encoding="utf-8"
-        )
-        with pytest.raises(ParseError, match="iterations"):
-            ingest_measurements(path, default_matrix)
-
     def test_declared_count_allocates_nothing_before_rows_arrive(self, default_matrix, tmp_path):
         path = measurements_csv(tmp_path, default_matrix)
         matrix = build_test_matrix(iterations_per_scenario=10**6)
@@ -420,15 +229,11 @@ class TestIngestMeasurements:
         with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
             ingest_measurements(path, matrix)
 
-    def test_bad_header_rejected(self, default_matrix, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("id,n,force\nbaseline,1,5\n", encoding="utf-8")
-        with pytest.raises(ParseError, match="header"):
-            ingest_measurements(path, default_matrix)
-
 
 class TestIngestRandomised:
     """Ingest against a seeded random small matrix, with the rows shuffled."""
+
+    SEEDS = range(20)
 
     @staticmethod
     def campaign(seed, tmp_path):
@@ -461,12 +266,17 @@ class TestIngestRandomised:
                                None if group[0][1] is None else tuple(v for _, v in group))
                 for scenario_id, group in groups.items()]
 
-    @pytest.mark.parametrize("seed", range(20))
+    def test_the_seeds_cover_both_layouts(self, tmp_path):
+        # so the oracle tests read files with and without the velocity column
+        assert {self.campaign(seed, tmp_path)[2][0][3] is None for seed in self.SEEDS} == {
+            False, True}
+
+    @pytest.mark.parametrize("seed", SEEDS)
     def test_shuffled_rows_group_like_the_oracle(self, tmp_path, seed):
         _, matrix, rows, write = self.campaign(seed, tmp_path)
         assert ingest_measurements(write(rows), matrix, strict=True) == self.oracle(rows)
 
-    @pytest.mark.parametrize("seed", range(20))
+    @pytest.mark.parametrize("seed", SEEDS)
     def test_a_dropped_row_breaks_the_count(self, tmp_path, seed):
         rng, matrix, rows, write = self.campaign(seed, tmp_path)
         scenario_id = rows.pop(rng.randrange(len(rows)))[0]
@@ -477,7 +287,7 @@ class TestIngestRandomised:
         with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
             ingest_measurements(path, matrix)
 
-    @pytest.mark.parametrize("seed", range(20))
+    @pytest.mark.parametrize("seed", SEEDS)
     def test_a_duplicated_row_repeats_at_its_row_number(self, tmp_path, seed):
         rng, matrix, rows, write = self.campaign(seed, tmp_path)
         copy = rng.choice(rows)
@@ -489,7 +299,7 @@ class TestIngestRandomised:
         with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
             ingest_measurements(path, matrix)
 
-    @pytest.mark.parametrize("seed", range(20))
+    @pytest.mark.parametrize("seed", SEEDS)
     def test_unknown_ids_warn_once_per_id_or_raise_when_strict(self, tmp_path, seed):
         rng, matrix, rows, write = self.campaign(seed, tmp_path)
         for _ in range(rng.randint(1, 3)):
@@ -508,29 +318,12 @@ class TestIngestRandomised:
             warnings.simplefilter("always")
             assert ingest_measurements(path, matrix) == self.oracle(rows)
         assert [str(warning.message) for warning in caught] == notes
+        assert {warning.filename for warning in caught} == {__file__}  # the caller
         with pytest.raises(ParseError, match=f"^{re.escape(notes[0])}$"):
             ingest_measurements(path, matrix, strict=True)
 
 
 class TestScenarioStats:
-    def test_two_values(self):
-        mean, std = scenario_stats(MeasurementSet("x", (4.0, 6.0)))
-        assert mean == 5.0
-        assert std == pytest.approx(math.sqrt(2.0), abs=1e-12)
-
-    def test_single_value_std_zero(self):
-        assert scenario_stats(MeasurementSet("x", (5.0,))) == (5.0, 0.0)
-
-    def test_constant_values_std_zero(self):
-        mean, std = scenario_stats(MeasurementSet("x", (3.0,) * 10))
-        assert mean == 3.0
-        assert std == 0.0
-
-    def test_overflowing_sum_rescaled_by_the_largest_force(self):
-        # the sum overflows; scaled by 2**-k of the smallest force it would overflow again
-        forces = (1.5e308, 1.5e308, 1e-300)
-        assert scenario_stats(MeasurementSet("x", forces)) == (1e308, 8.660254037844386e307)
-
     def test_empty_set_rejected(self):
         with pytest.raises(InvalidParameterError):
             MeasurementSet("x", ())
@@ -590,15 +383,6 @@ class TestMeasurementSetChecks:
 
 
 class TestPercentError:
-    def test_reference_values(self):
-        assert percent_error(10.0, 9.0) == 10.0
-        assert percent_error(7.0, 7.0) == 0.0
-        assert percent_error(10.0, 11.0) == -10.0
-
-    def test_zero_theoretical_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            percent_error(0.0, 5.0)
-
     def test_normal_range_keeps_its_bits(self):
         rng = random.Random(7)
         for _ in range(2000):
@@ -643,19 +427,6 @@ def two_scenario_matrix():
 
 
 class TestConformanceReport:
-    def test_exact_agreement_everywhere(self):
-        matrix = two_scenario_matrix()
-        references = {"a": 7.0, "b": 3.0}
-        measurements = [MeasurementSet("a", (7.0, 7.0)), MeasurementSet("b", (3.0, 3.0))]
-        report = conformance_report(matrix, references, measurements)
-        assert all(row.percent_conformance == 100.0 for row in report.scenarios)
-        assert report.overall_mean_conformance == 100.0
-
-    def test_single_scenario_overall(self):
-        matrix = Matrix((Scenario("a", 1, 1, 2.8, 7.49, 90.0, "Aluminium-2024-T3", 1),))
-        report = conformance_report(matrix, {"a": 10.0}, [MeasurementSet("a", (8.0,))])
-        assert report.overall_mean_conformance == report.scenarios[0].percent_conformance
-
     def test_derived_values_follow_the_rows(self):
         assert ScenarioConformance._fields == (
             "scenario_id", "theoretical_force", "experimental_mean", "experimental_std")
@@ -676,6 +447,9 @@ class TestConformanceReport:
         report = report._replace(scenarios=(moved, b))
         assert (report.overall_mean_conformance, report.overall_mean_conformance_abs) == (
             87.5, 37.5)
+        report = report._replace(scenarios=(b,))
+        assert (report.overall_mean_conformance, report.overall_mean_conformance_abs) == (
+            b.percent_conformance, b.percent_conformance_abs)
 
     def test_a_row_or_report_without_a_result_raises_when_built(self):
         with pytest.raises(InvalidParameterError, match="^theoretical must be > 0, got 0.0$"):
@@ -700,10 +474,12 @@ class TestConformanceReport:
             conformance_report(matrix, {"a": 10.0}, [MeasurementSet("a", (9.0,)),
                                                      MeasurementSet("b", (9.0,))])
 
-    def test_missing_measurements_rejected(self):
-        matrix = two_scenario_matrix()
-        with pytest.raises(InvalidParameterError, match="measurements"):
-            conformance_report(matrix, {"a": 10.0, "b": 10.0}, [MeasurementSet("a", (9.0,))])
+    def test_a_second_set_for_one_scenario_rejected(self):
+        measurements = [MeasurementSet("a", (9.0, 9.0)), MeasurementSet("b", (9.0,)),
+                        MeasurementSet("a", (1.0,))]
+        with pytest.raises(InvalidParameterError) as caught:
+            conformance_report(two_scenario_matrix(), {"a": 10.0, "b": 10.0}, measurements)
+        assert str(caught.value) == "duplicate scenario id 'a'"
 
     def test_report_rederivable_from_raw_forces(self):
         rng = random.Random(5)
@@ -723,62 +499,6 @@ class TestConformanceReport:
                 assert row.percent_conformance_abs == 100.0 - abs(error)
                 assert row.experimental_mean == mean
                 assert row.experimental_std == std
-
-
-class TestReportRendering:
-    def full_report(self, matrix, projectiles, materials, tmp_path):
-        by_serial = {spec.serial: spec for spec in projectiles}
-        references = {
-            s.id: theoretical_reference(
-                s, by_serial[s.projectile_serial],
-                find_material(materials, s.specimen_material), gravity=10.0
-            )
-            for s in matrix.scenarios
-        }
-        path = measurements_csv(
-            tmp_path, matrix, force_for=lambda s, i: round(references[s.id] * 0.93, 6)
-        )
-        report, _ = analyze(matrix, projectiles, materials, path, gravity=10.0)
-        return report
-
-    def test_csv_has_ten_data_rows_and_exact_header(
-        self, default_matrix, projectile_set, materials, tmp_path
-    ):
-        report = self.full_report(default_matrix, projectile_set, materials, tmp_path)
-        rendered = render_report_csv(report)
-        lines = rendered.strip().split("\n")
-        assert lines[0] == (
-            "scenario_id,theoretical_n,experimental_mean_n,experimental_std_n,"
-            "percent_error,percent_conformance"
-        )
-        assert len(lines) == 11  # header + 9 scenarios + OVERALL
-        assert lines[-1].startswith("OVERALL,,,,,")
-
-    def test_csv_reparses_to_full_precision(
-        self, default_matrix, projectile_set, materials, tmp_path
-    ):
-        import csv as csv_module
-        import io
-
-        report = self.full_report(default_matrix, projectile_set, materials, tmp_path)
-        rows = list(csv_module.reader(io.StringIO(render_report_csv(report))))
-        for row, rendered in zip(report.scenarios, rows[1:-1]):
-            assert float(rendered[1]) == row.theoretical_force
-            assert float(rendered[4]) == row.percent_error
-            assert float(rendered[5]) == row.percent_conformance
-        assert float(rows[-1][5]) == report.overall_mean_conformance
-
-    def test_json_mirrors_fields(self, default_matrix, projectile_set, materials, tmp_path):
-        import json
-
-        report = self.full_report(default_matrix, projectile_set, materials, tmp_path)
-        payload = json.loads(render_report_json(report))
-        assert len(payload["scenarios"]) == 9
-        first = payload["scenarios"][0]
-        assert first["scenario_id"] == "baseline"
-        assert first["theoretical_n"] == report.scenarios[0].theoretical_force
-        assert first["percent_conformance_abs"] == report.scenarios[0].percent_conformance_abs
-        assert payload["overall_mean_conformance"] == report.overall_mean_conformance
 
 
 def hand_written_pipeline(matrix, projectiles, materials, path, *,
@@ -839,6 +559,11 @@ class TestAnalyze:
         (dict(split="bogus"),
          "velocity_split must be one of ['scaled-cruise', 'all-aircraft'], got 'bogus'"),
         (dict(use_nominal_velocity="no"), "use_nominal_velocity must be a bool, got 'no'"),
+        *((dict(split=split),
+           f"velocity_split must be one of ['scaled-cruise', 'all-aircraft'], got {split!r}")
+          for split in ["All-Aircraft", "", None, 1]),
+        *((dict(use_nominal_velocity=flag), f"use_nominal_velocity must be a bool, got {flag!r}")
+          for flag in [1, 0, None]),
     ])
     def test_a_setting_names_no_input(self, default_matrix, projectile_set, materials, path,
                                       setting, message):
@@ -876,15 +601,6 @@ class TestAnalyze:
         assert self.error(default_matrix, projectile_set[:2], materials, path) == (
             ("matrix", "materials", "projectiles"),
             "scenario '1': unknown projectile serial 3", InvalidParameterError)
-
-    def test_a_split_value_is_its_member(self, default_matrix, projectile_set, materials,
-                                         path):
-        def report(split):  # repr round-trips each float, so equal text is equal bits
-            return render_report_json(analyze(default_matrix, projectile_set, materials, path,
-                                              split=split)[0])
-
-        by_member = report(VelocitySplit.ALL_AIRCRAFT)
-        assert report("all-aircraft") == by_member != report(VelocitySplit.SCALED_CRUISE)
 
     def test_a_reference_names_every_input_the_model_read(self, default_matrix, path):
         materials = [MaterialSpec(ALUMINIUM_2024_T3.name, 1.7e308), CFRP]
@@ -957,20 +673,6 @@ def test_published_delta_note_states_the_model(default_matrix, projectile_set, m
     assert round(100.0 * (ratio - 1.0)) == int(predicted.group(1))
 
 
-class TestScenarioValidation:
-    def test_case_number_range(self):
-        with pytest.raises(InvalidParameterError, match="case_number"):
-            Scenario("x", 8, 1, 2.8, 7.49, 90.0, "Aluminium-2024-T3", 15)
-
-    def test_angle_open_interval(self):
-        with pytest.raises(InvalidParameterError, match="impact_angle"):
-            Scenario("x", 1, 1, 2.8, 7.49, 0.0, "Aluminium-2024-T3", 15)
-
-    def test_drop_height_positive(self):
-        with pytest.raises(InvalidParameterError, match="drop_height"):
-            Scenario("x", 1, 1, 0.0, 7.49, 90.0, "Aluminium-2024-T3", 15)
-
-
 @pytest.mark.parametrize("use_nominal", [False, True])
 @pytest.mark.parametrize("gravity", [10.0, 9.80665])
 @pytest.mark.parametrize("split", list(VelocitySplit))
@@ -994,4 +696,6 @@ def test_reference_matches_the_exact_closed_form(projectile_set, materials, spli
         got = theoretical_reference(scenario, spec, specimen, gravity=gravity, split=split,
                                     use_nominal_velocity=use_nominal)
         assert abs(Fraction(got) - exact) <= 4 * Fraction(math.ulp(got)), scenario.id
+        assert theoretical_reference(scenario, spec, specimen, gravity=gravity, split=split.value,
+                                     use_nominal_velocity=use_nominal).hex() == got.hex()
     assert below_c == (["2.2"] if c else [])  # its 1.5 m drop gives about 5.5 m/s < c = 6 m/s

@@ -3,16 +3,18 @@ module-level name is read somewhere in the package, and each CLI call loads
 only the modules it uses.
 
 Deleting code tends to leave an import or a private helper behind; this walks
-each module's syntax tree with ast and fails on any imported name that is
-never read, and on any module-level name with one leading underscore that no
-module in the package reads. __init__.py is skipped for imports: its imports
-are the package's public names.
+the syntax tree of each module and of each file in tests/ with ast and fails on
+any imported name that is never read (a __future__ import included), and on
+any module-level name with one leading underscore that no module in the package
+reads. The package's __init__.py is skipped for imports: its imports are the
+package's public names.
 
 Last, fresh interpreters check what is imported; each call runs once, and the
 tests of what it loads read that one run. `import birdstrike.cli` loads none
-of the modules that some call can skip, nor pathlib, typing, re or
-importlib.resources. PLAIN_CALLS is the CLI's import contract: for a plain call
-of each subcommand, the modules it must load and those it must not. The file
+of the modules that some call can skip, nor pathlib, typing, re,
+importlib.resources or __future__. PLAIN_CALLS is the CLI's import contract:
+for a plain call of each subcommand, the modules it must load and those it
+must not. The file
 layer (birdstrike._table, csv and json) loads only where CSV or JSON is read or
 written, and no plain call loads argparse, decimal or dataclasses. The set-up of every benchmark workload (the modules,
 the bundled species, the default matrix and the Starling projectiles) loads
@@ -36,6 +38,7 @@ from oracles import write_measurements
 
 SOURCES = sorted(Path(birdstrike.__file__).parent.glob("*.py"))
 MODULES = [path for path in SOURCES if path.name != "__init__.py"]
+TEST_FILES = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -45,7 +48,7 @@ def unused_imports(source: str) -> list[str]:
         if isinstance(node, ast.Import):
             for alias in node.names:
                 imported[alias.asname or alias.name.split(".")[0]] = node.lineno
-        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+        elif isinstance(node, ast.ImportFrom):
             for alias in node.names:
                 imported[alias.asname or alias.name] = node.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
@@ -57,7 +60,8 @@ def test_guard_sees_an_unused_import():
         "line 1: csv", "line 3: z"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+@pytest.mark.parametrize("path", MODULES + TEST_FILES,
+                         ids=lambda path: path.name if path in MODULES else f"tests/{path.name}")
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
@@ -129,8 +133,9 @@ def fresh_loads(code: str, names) -> list[str]:
 # package's file layer.
 CLI_IMPORT_SKIPS = ("dataclasses", "decimal", "numbers", "argparse", "gettext", "locale",
                     "csv", "json", "birdstrike._table")
-# Stdlib imports of one to several ms that no module-level code of the CLI needs.
-CLI_IMPORT_STDLIB_SKIPS = ("importlib.resources", "pathlib", "typing", "re")
+# Stdlib imports that no module-level code of the CLI needs: each of one to several ms, and
+# __future__, which a `from __future__ import` in any module would load.
+CLI_IMPORT_STDLIB_SKIPS = ("importlib.resources", "pathlib", "typing", "re", "__future__")
 
 
 @functools.cache

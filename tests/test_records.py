@@ -77,7 +77,7 @@ def test_replace_validates_again():
     assert SCENARIO._replace(bird_mass=0.1) == ImpactScenario(0.1, *values(SCENARIO)[1:])
     with pytest.raises(InvalidParameterError, match="^bird_mass must be >= 0, got nan$"):
         SCENARIO._replace(bird_mass=math.nan)
-    with pytest.raises(InvalidParameterError, match="duplicate scenario id"):
+    with pytest.raises(InvalidParameterError, match="^duplicate scenario id '1'$"):
         MATRIX._replace(scenarios=MATRIX.scenarios * 2)
     with pytest.raises(TypeError):
         SCENARIO._replace(wingspan=1.0)

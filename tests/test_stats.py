@@ -45,7 +45,8 @@ def test_mean_is_fmean_and_std_near_exact(kind, n):
         assert abs(std - expected) <= ulps * math.ulp(expected), (seed, std, expected)
 
 
-@pytest.mark.parametrize("force, n", [(0.1, 3), (7.49, 3), (1e6 + 0.1, 15), (123.456, 20000)])
+@pytest.mark.parametrize("force, n", [(5.0, 1), (0.1, 3), (7.49, 3), (1e6 + 0.1, 15),
+                                      (123.456, 20000)])
 def test_constant_forces_have_zero_std(force, n):
     # The plain two-pass form gives 1.7e-17 for 0.1 x3 and 1.1e-15 for 7.49 x3.
     mean, std = scenario_stats(MeasurementSet("x", (force,) * n))
@@ -62,9 +63,11 @@ def test_bits_are_pinned():
 
 
 @pytest.mark.parametrize("forces", [(1e200, 3e200), (1e154, 3e154) * 7 + (1e154,),
-                                    (1.7e308, 1.7e308)], ids=["1e200", "1e154 x15", "1.7e308"])
+                                    (1.7e308, 1.7e308), (1.5e308, 1.5e308, 1e-300)],
+                         ids=["1e200", "1e154 x15", "1.7e308", "1.5e308 x2 and 1e-300"])
 def test_large_forces_give_finite_stats(forces):
-    # Plain sums give std inf, or overflow in fsum, on each of these.
+    # Plain sums give std inf, or overflow in fsum, on each of these. The sum of the last
+    # overflows again if scaled by 2**-k of its smallest force, not of its largest.
     mean, std = scenario_stats(MeasurementSet("x", forces))
     exact_mean = float(sum(map(Fraction, forces)) / len(forces))
     assert abs(mean - exact_mean) <= math.ulp(exact_mean)
