@@ -470,7 +470,7 @@ def _mean(values: list[float]) -> float:
 def analyze(matrix: TestMatrix, projectiles: Sequence[ProjectileSpec],
             materials: Sequence[MaterialSpec], measurements_path, *, strict=False,
             **settings) -> tuple[ConformanceReport, dict[str, tuple[float, float]]]:
-    """Run analyze's stages (ReferenceSettings of the settings, velocities, each scenario's
+    """Run analyze's stages (settings, velocities, unique serials and names, each scenario's
     material and reference, ingest, report) for the report and nominal_velocity_mismatches, {}
     unless g = 10. A stage's InvalidParameterError gets an .inputs naming the arguments it read."""
     prefix, inputs = "", ()
@@ -485,7 +485,15 @@ def analyze(matrix: TestMatrix, projectiles: Sequence[ProjectileSpec],
                 nominal_velocity_mismatches(build_test_matrix(), settings.gravity)
                 inputs = ("matrix",)
             raise
-        by_serial = {spec.serial: spec for spec in projectiles}
+        by_serial = {}  # a repeat is an error, in read_named's wording
+        for inputs, items, field, label, seen in (
+                (("projectiles",), projectiles, "serial", "projectile serial", by_serial),
+                (("materials",), materials, "name", "material name", {})):
+            for item in items:
+                key = getattr(item, field)
+                if key in seen:
+                    raise InvalidParameterError(f"duplicate {label} {key!r}")
+                seen[key] = item
         references = {}
         for scenario in matrix.scenarios:
             prefix, inputs = f"scenario {scenario.id!r}: ", ("matrix", "materials")

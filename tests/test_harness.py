@@ -602,6 +602,20 @@ class TestAnalyze:
             ("matrix", "materials", "projectiles"),
             "scenario '1': unknown projectile serial 3", InvalidParameterError)
 
+    @pytest.mark.parametrize("inputs, message", [("projectiles", "duplicate projectile serial 1"),
+                                                 ("materials", "duplicate material name 'CFRP'")])
+    def test_a_repeated_serial_or_material_name_names_its_input(
+            self, default_matrix, projectile_set, materials, path, inputs, message):
+        # SN3 again as serial 1, or CFRP again at 9999 kg/m^3: the reference would depend on
+        # which copy came first
+        given = dict(projectiles=list(projectile_set), materials=materials)
+        repeat = dict(projectiles=projectile_set[2]._replace(serial=1),
+                      materials=MaterialSpec("CFRP", 9999.0))[inputs]
+        for items in ([*given[inputs], repeat], [repeat, *given[inputs]]):
+            args = {**given, inputs: items}
+            assert self.error(default_matrix, args["projectiles"], args["materials"], path) == (
+                (inputs,), message, InvalidParameterError)
+
     def test_a_reference_names_every_input_the_model_read(self, default_matrix, path):
         materials = [MaterialSpec(ALUMINIUM_2024_T3.name, 1.7e308), CFRP]
         projectiles = generate_projectile_set(BirdSpecies("Big", 1000.0, 1.0, 1000.0, 20.0))

@@ -3,9 +3,8 @@ import random
 
 import pytest
 
-from birdstrike.errors import InvalidParameterError, StationaryAircraftError
+from birdstrike.errors import InvalidParameterError
 from birdstrike.impact import (
-    CertificationLimits,
     CertificationVerdict,
     ImpactScenario,
     _force_any_speed,
@@ -18,12 +17,6 @@ from birdstrike.impact import (
 from valid_records import INSTANCES, random_scenario
 
 BASE = INSTANCES[ImpactScenario]  # the Starling at 90 m/s, head-on, on aluminium
-
-
-def speeds_scaled(scenario, s):
-    """The scenario with both speeds multiplied by s."""
-    return scenario._replace(bird_speed=scenario.bird_speed * s,
-                             aircraft_speed=scenario.aircraft_speed * s)
 
 
 def result(**fields):
@@ -63,10 +56,6 @@ class TestPenetrationDepth:
         # 0.22 * (1230/2780) * (112.35/90)
         assert impact_force(BASE).penetration_depth == pytest.approx(0.1215, abs=1e-4)
 
-    def test_zero_aircraft_speed_is_singular(self):
-        with pytest.raises(StationaryAircraftError):
-            impact_force(ImpactScenario(1.0, 1.0, 1000.0, 5.0, 0.0, 1000.0, 90.0))
-
 
 class TestImpactForce:
     def test_reference_value(self):
@@ -81,16 +70,6 @@ class TestImpactForce:
 
     def test_zero_mass_zero_force(self):
         assert impact_force(BASE._replace(bird_mass=0.0)).force == 0.0
-
-    def test_all_fields_finite(self):
-        rng = random.Random(7)
-        for _ in range(100):
-            result = impact_force(random_scenario(rng))
-            for value in (result.total_speed, result.kinetic_energy,
-                          result.penetration_depth, result.force):
-                assert math.isfinite(value)
-            assert result.kinetic_energy >= 0
-            assert result.force >= 0
 
     def test_monotone_in_angle(self):
         forces = [
@@ -110,18 +89,8 @@ class TestImpactForce:
 
 
 class TestStationaryModel:
-    def test_reference_value(self):
-        assert impact_force_stationary(1.0, 10.0, 1.0, 1000.0, 1000.0, 90.0) == pytest.approx(
-            50.0, rel=1e-12
-        )
-
     def test_zero_speed(self):
         assert impact_force_stationary(1.0, 0.0, 1.0, 1000.0, 1000.0, 90.0) == 0.0
-
-    @pytest.mark.parametrize("angle", [-30.0, 120.0])
-    def test_angle_outside_range_rejected(self, angle):
-        with pytest.raises(InvalidParameterError, match="impact_angle"):
-            impact_force_stationary(1.0, 10.0, 1.0, 1000.0, 1000.0, angle)
 
     def test_matches_energy_over_depth_form(self):
         # stationary force == (m*(v*sin)^2/2)*sin / (l*rho_b/rho_a)
@@ -138,23 +107,7 @@ class TestStationaryModel:
             assert direct == pytest.approx(energy * sin_theta / depth, rel=1e-12, abs=1e-300)
 
 
-class TestScaleScenario:
-    """Both speeds scaled by one factor, as the 1:15 drop-test scaling does."""
-
-    def test_identity(self):
-        assert speeds_scaled(BASE, 1.0) == BASE
-
-    def test_factor_two_quadruples_force(self):
-        scaled = speeds_scaled(BASE, 2.0)
-        assert impact_force(scaled).force == pytest.approx(
-            4.0 * impact_force(BASE).force, rel=1e-12
-        )
-
-
 class TestCertification:
-    def test_zero_force_passes(self):
-        assert check_certification(0.0, "single-bird").passed
-
     def test_passed_and_margin_follow_the_force_and_limit(self):
         assert CertificationVerdict._fields == ("case", "force", "limit")
         verdict = check_certification(3000.0, "single-bird")
@@ -163,43 +116,11 @@ class TestCertification:
         assert lowered.passed is True and lowered.margin == 1255.0
         raised = verdict._replace(limit=3000.0)
         assert raised.passed is True and raised.margin == 0.0
-
-    def test_default_limits(self):
-        limits = CertificationLimits()
-        assert limits.single_bird_force == 2255.0
-        assert limits.flock_force == 4819.0
-
-    def test_unknown_case_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            check_certification(10.0, "swarm")
-
-    def test_negative_force_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            check_certification(-1.0, "flock")
+        zero = check_certification(0.0, "single-bird")
+        assert zero.passed is True and zero.margin == 2255.0
 
 
 class TestSensitivityTable:
-    def test_angle_to_zero_is_minus_hundred_percent(self):
-        rows = sensitivity_table(BASE, "impact_angle", [90.0, 0.0])
-        assert rows[0].percent_change == pytest.approx(0.0, abs=1e-12)
-        assert rows[1].percent_change == pytest.approx(-100.0, rel=1e-12)
-
-    def test_halving_mass_is_minus_fifty_percent(self):
-        rows = sensitivity_table(BASE, "bird_mass", [BASE.bird_mass / 2.0])
-        assert rows[0].percent_change == pytest.approx(-50.0, rel=1e-12)
-
-    def test_cfrp_density_is_minus_fifty_eight_percent(self):
-        rows = sensitivity_table(BASE, "aircraft_density", [0.42 * BASE.aircraft_density])
-        assert rows[0].percent_change == pytest.approx(-58.0, rel=1e-12)
-
-    def test_zero_aircraft_speed_uses_stationary_model(self):
-        rows = sensitivity_table(BASE, "aircraft_speed", [0.0])
-        expected = impact_force_stationary(
-            BASE.bird_mass, BASE.bird_speed, BASE.bird_length,
-            BASE.bird_density, BASE.aircraft_density, BASE.impact_angle,
-        )
-        assert rows[0].force == pytest.approx(expected, rel=1e-12)
-
     @pytest.mark.parametrize("field", ImpactScenario._fields)
     def test_each_row_is_the_base_with_that_field_replaced(self, field):
         base = BASE._replace(impact_angle=60.0)
@@ -210,35 +131,14 @@ class TestSensitivityTable:
             values.append(0.0)  # the stationary-aircraft fallback
         rows = sensitivity_table(base, field, values)
         assert [row.value for row in rows] == values
+        base_force = _force_any_speed(base)
         for row, value in zip(rows, values):
             assert row.force == _force_any_speed(base._replace(**{field: value})), value
-
-    def test_invalid_parameter_name_rejected(self):
-        with pytest.raises(InvalidParameterError, match="unknown scenario parameter"):
-            sensitivity_table(BASE, "wing_span", [1.0])
+            assert row.percent_change == 100.0 * (row.force - base_force) / base_force, value
 
     def test_zero_base_force_rejected(self):
         with pytest.raises(InvalidParameterError, match="zero"):
             sensitivity_table(BASE._replace(impact_angle=0.0), "bird_mass", [1.0])
-
-
-class TestScenarioValidation:
-    @pytest.mark.parametrize(
-        "field,value",
-        [
-            ("bird_mass", -0.1),
-            ("bird_length", 0.0),
-            ("bird_density", -5.0),
-            ("bird_speed", -1.0),
-            ("aircraft_speed", -1.0),
-            ("aircraft_density", 0.0),
-            ("impact_angle", -1.0),
-            ("impact_angle", 90.5),
-        ],
-    )
-    def test_invalid_field_rejected(self, field, value):
-        with pytest.raises(InvalidParameterError, match=field):
-            BASE._replace(**{field: value})
 
 
 class TestResultsStayFinite:

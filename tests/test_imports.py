@@ -1,13 +1,14 @@
 """Every module in the package uses each name it imports, every private
-module-level name is read somewhere in the package, and each CLI call loads
-only the modules it uses.
+module-level name is read somewhere in the package, every test helper is read
+somewhere in tests/, and each CLI call loads only the modules it uses.
 
-Deleting code tends to leave an import or a private helper behind; this walks
-the syntax tree of each module and of each file in tests/ with ast and fails on
-any imported name that is never read (a __future__ import included), and on
-any module-level name with one leading underscore that no module in the package
-reads. The package's __init__.py is skipped for imports: its imports are the
-package's public names.
+Deleting code tends to leave an import or a helper behind; this walks the
+syntax tree of each module and of each file in tests/ with ast and fails on
+any imported name that is never read (a __future__ import included), on any
+module-level name with one leading underscore that no module in the package
+reads, and on any module-level name in tests/ other than a test or a fixture
+that no file in tests/ reads. The package's __init__.py is skipped for
+imports: its imports are the package's public names.
 
 Last, fresh interpreters check what is imported; each call runs once, and the
 tests of what it loads read that one run. `import birdstrike.cli` loads none
@@ -66,8 +67,21 @@ def test_module_uses_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
-def unread_private_names(sources: dict[str, str]) -> list[str]:
-    """Module-level names with one leading underscore that no source reads.
+def private(node: ast.stmt, name: str) -> bool:
+    """The package's rule: a name with one leading underscore."""
+    return name.startswith("_") and not name.startswith("__")
+
+
+def helper(node: ast.stmt, name: str) -> bool:
+    """The rule for tests/: a name that is not a dunder, a test (test_*, Test*) or a pytest
+    fixture, which pytest reads by its name."""
+    fixture = any(ast.unparse(decorator).startswith("pytest.fixture")
+                  for decorator in getattr(node, "decorator_list", ()))
+    return not (name.startswith(("__", "test_", "Test")) or fixture)
+
+
+def unread_names(sources: dict[str, str], counts=private) -> list[str]:
+    """Module-level names for which counts(node, name) holds that no source reads.
 
     A name counts as read where it is loaded as a name or as an attribute
     (module._name) in any of the sources, its own module included.
@@ -84,8 +98,7 @@ def unread_private_names(sources: dict[str, str]) -> list[str]:
                          if isinstance(name, ast.Name)]
             else:
                 continue
-            defined += [(filename, node.lineno, name) for name in names
-                        if name.startswith("_") and not name.startswith("__")]
+            defined += [(filename, node.lineno, name) for name in names if counts(node, name)]
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
@@ -100,12 +113,22 @@ def test_guard_sees_an_unread_private_name():
         "a.py": "_A = 1\n_B, _C = 2, 3\n__D = 4\ndef _f():\n    return _B\nclass _K: pass\n",
         "b.py": "import a\nfrom a import _K\n_K(a._C)\n",
     }
-    assert unread_private_names(sources) == ["a.py line 1: _A", "a.py line 4: _f"]
+    assert unread_names(sources) == ["a.py line 1: _A", "a.py line 4: _f"]
+    tests = {"test_a.py": "import pytest\nA, B = 1, 2\n__all__ = []\ndef test_a(): B\n"
+                          "class TestA: pass\n@pytest.fixture()\ndef fx(): pass\n"
+                          "@pytest.fixture\ndef fy(): pass\ndef f(): pass\nclass K: pass\n"}
+    assert unread_names(tests, helper) == [
+        "test_a.py line 2: A", "test_a.py line 10: f", "test_a.py line 11: K"]
 
 
 def test_package_reads_every_private_name():
     sources = {path.name: path.read_text(encoding="utf-8") for path in SOURCES}
-    assert unread_private_names(sources) == []
+    assert unread_names(sources) == []
+
+
+def test_tests_read_every_helper():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in TEST_FILES}
+    assert unread_names(sources, helper) == []
 
 
 def fresh_cli_imports(*argv: str, cwd=None) -> list[str]:

